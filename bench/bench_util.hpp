@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -76,34 +77,40 @@ inline unsigned resolve_jobs(const CommonOptions& o) {
   return o.jobs == 0 ? sim::SweepRunner::default_jobs() : o.jobs;
 }
 
-/// The one sweep entry point the figure benches share: run_or_throw with
-/// the --store result cache in front when one was requested. Cached cells
-/// round-trip every RunResult field, so a warm re-run's tables and --json
-/// cells are byte-identical to the run that populated the store.
-inline std::vector<sim::RunResult> run_sweep(
-    const CommonOptions& o, const std::vector<sim::SweepJob>& grid,
-    std::vector<double>* wall_seconds = nullptr) {
-  const sim::SweepRunner runner(resolve_jobs(o));
-  if (o.store_dir.empty())
-    return runner.run_or_throw(grid, sim::stderr_progress(), wall_seconds);
-  std::unique_ptr<store::SweepCache> cache;
+/// The --store result cache, or nullptr when `dir` is empty. Exits 1 with
+/// a message when the directory holds something that is not a store.
+inline std::unique_ptr<store::SweepCache> open_store(const std::string& dir) {
+  if (dir.empty()) return nullptr;
   try {
-    cache = std::make_unique<store::SweepCache>(
-        store::StoreConfig{o.store_dir, 4096});
+    return std::make_unique<store::SweepCache>(store::StoreConfig{dir, 4096});
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cannot open --store=%s: %s\n", o.store_dir.c_str(),
+    std::fprintf(stderr, "cannot open --store=%s: %s\n", dir.c_str(),
                  e.what());
     std::exit(1);
   }
-  std::vector<sim::RunResult> results = store::run_grid_cached(
-      runner, grid, cache.get(), sim::stderr_progress(), wall_seconds);
-  const store::SweepCacheStats s = cache->stats();
-  std::fprintf(stderr, "store: hits=%llu misses=%llu inserts=%llu (%s)\n",
-               static_cast<unsigned long long>(s.hits),
-               static_cast<unsigned long long>(s.misses),
-               static_cast<unsigned long long>(s.inserts),
-               o.store_dir.c_str());
-  return results;
+}
+
+/// The one sweep entry point the figure benches share: the grid through
+/// store::run_grid_cached (the --store cache in front when one was asked
+/// for), throwing on the first failed cell. Cached cells round-trip every
+/// RunResult field, so a warm re-run's tables and --json cells are
+/// byte-identical to the run that populated the store.
+inline std::vector<sim::RunResult> run_sweep(
+    const CommonOptions& o, const std::vector<sim::SweepJob>& grid,
+    std::vector<double>* wall_seconds = nullptr) {
+  const std::unique_ptr<store::SweepCache> cache = open_store(o.store_dir);
+  std::vector<sim::SweepOutcome> outcomes =
+      store::run_grid_cached(sim::SweepRunner(resolve_jobs(o)), grid,
+                             cache.get(), sim::stderr_progress());
+  if (cache) {
+    const store::SweepCacheStats s = cache->stats();
+    std::fprintf(stderr, "store: hits=%llu misses=%llu inserts=%llu (%s)\n",
+                 static_cast<unsigned long long>(s.hits),
+                 static_cast<unsigned long long>(s.misses),
+                 static_cast<unsigned long long>(s.inserts),
+                 o.store_dir.c_str());
+  }
+  return sim::results_or_throw(grid, std::move(outcomes), wall_seconds);
 }
 
 inline std::vector<std::string> suite_benchmarks(const std::string& suite) {

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       sums[k] += r.wb_per_ls();
       row.push_back(TextTable::pct(r.wb_per_ls(), 2));
       json.add_cell(benchmarks[b], grid[b * cols + k].tag,
-                    bench::run_result_metrics(r));
+                    sim::run_result_json(r));
     }
     table.add_row(std::move(row));
   }

@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
                    TextTable::pct(pct_of_ls(r.wb_ecc), 2),
                    TextTable::pct(r.wb_per_ls(), 2),
                    TextTable::pct(o.wb_per_ls(), 2)});
-    json.add_cell(benchmarks[i], "org", bench::run_result_metrics(o));
-    json.add_cell(benchmarks[i], "proposed", bench::run_result_metrics(r));
+    json.add_cell(benchmarks[i], "org", sim::run_result_json(o));
+    json.add_cell(benchmarks[i], "proposed", sim::run_result_json(r));
   }
   std::printf("%s", table.render().c_str());
   const double n = static_cast<double>(benchmarks.size());

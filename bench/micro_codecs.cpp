@@ -1,10 +1,9 @@
 // Self-timed microbenchmarks for the line-codec hot path: words/second for
-// parity, byte-parity and SECDED line encode + decode through the legacy
-// allocating API vs the scratch-buffer API, with heap allocations counted
-// per call via a global operator-new hook. The scratch path must be
-// allocation-free — the bench exits non-zero if it ever allocates, which is
-// the repo's executable proof of the "zero allocations per line
-// encode/decode" claim.
+// parity, byte-parity and SECDED line encode + decode through the
+// scratch-buffer API, with heap allocations counted per call via a global
+// operator-new hook. The scratch path must be allocation-free — the bench
+// exits non-zero if it ever allocates, which is the repo's executable proof
+// of the "zero allocations per line encode/decode" claim.
 //
 // Also times the batched SWAR whole-line paths against the word-at-a-time
 // virtual-dispatch baseline (the pre-batching LineCodec inner loop),
@@ -124,8 +123,6 @@ int main(int argc, char** argv) {
   for (const auto& [name, codec] : codecs) {
     const ecc::LineCodec lc(*codec, kLineBytes);
     std::vector<u64> check(kWords), out(kWords);
-    lc.encode(data, check);
-    ecc::ProtectedLine line{data, check};
 
     struct Case {
       const char* op;
@@ -135,13 +132,6 @@ int main(int argc, char** argv) {
     };
     std::vector<Case> cases;
 
-    cases.push_back({"encode", "alloc",
-                     timed(lines, kWords,
-                           [&](u64 i) {
-                             data[i % kWords] ^= i | 1;
-                             return lc.encode_alloc(data)[0];
-                           }),
-                     false});
     cases.push_back({"encode", "scratch",
                      timed(lines, kWords,
                            [&](u64 i) {
@@ -186,17 +176,12 @@ int main(int argc, char** argv) {
       equivalence_broken = true;
     }
 
-    // Re-sync the stored check words with the mutated payload so the decode
-    // loops run the clean path (the hot case in the simulator).
-    lc.encode(line.data, line.check);
-    cases.push_back({"decode", "alloc",
-                     timed(lines, kWords,
-                           [&](u64) { return lc.decode_alloc(line).data[0]; }),
-                     false});
+    // `check` now matches the mutated payload, so the decode loop runs the
+    // clean path (the hot case in the simulator).
     cases.push_back({"decode", "scratch",
                      timed(lines, kWords,
                            [&](u64) {
-                             lc.decode(line.data, line.check, out);
+                             lc.decode(data, check, out);
                              return out[0];
                            }),
                      true});

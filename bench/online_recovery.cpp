@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                  std::to_string(r.retired_ways),
                  std::to_string(rec.stall_cycles)});
       json.add_cell(bench_name, grid[s * ladder.size() + l].tag,
-                    bench::run_result_metrics(r));
+                    sim::run_result_json(r));
     }
   }
   std::printf("%s\n", t.render().c_str());

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
     table.add_row({benchmarks[i], r.floating_point ? "fp" : "int",
                    TextTable::fmt(o.ipc(), 3), TextTable::fmt(r.ipc(), 3),
                    TextTable::pct(loss, 2)});
-    json.add_cell(benchmarks[i], "org", bench::run_result_metrics(o));
-    json.add_cell(benchmarks[i], "proposed", bench::run_result_metrics(r));
+    json.add_cell(benchmarks[i], "org", sim::run_result_json(o));
+    json.add_cell(benchmarks[i], "proposed", sim::run_result_json(r));
   }
   std::printf("%s", table.render().c_str());
   if (fp_n)

@@ -172,9 +172,14 @@ void check_stats_reset(FileContext& ctx) {
 }
 
 // --- rule: ecc-allocating-codec --------------------------------------------
-// Under src/ecc/, functions named exactly encode/decode must not return
-// std::vector — the line-codec hot path is allocation-free by contract.
-// Allocating conveniences must be named *_alloc.
+// Under src/ecc/, functions named encode/decode, or encode_*/decode_*,
+// must not return std::vector — the codec API is allocation-free by
+// contract, and a suffix does not make an allocating encode acceptable.
+bool is_codec_entry(const std::string& name) {
+  return name == "encode" || name == "decode" ||
+         starts_with(name, "encode_") || starts_with(name, "decode_");
+}
+
 void check_ecc_alloc(FileContext& ctx) {
   const auto& code = ctx.code;
   for (std::size_t i = 0; i + 4 < code.size(); ++i) {
@@ -195,13 +200,12 @@ void check_ecc_alloc(FileContext& ctx) {
            code[j].kind == TokenKind::kIdentifier &&
            is_punct(code[j + 1], "::"))
       j += 2;
-    if (j + 1 < code.size() &&
-        (is_ident(code[j], "encode") || is_ident(code[j], "decode")) &&
-        is_punct(code[j + 1], "(")) {
+    if (j + 1 < code.size() && code[j].kind == TokenKind::kIdentifier &&
+        is_codec_entry(code[j].text) && is_punct(code[j + 1], "(")) {
       ctx.report(kEccAlloc, code[j].line,
                  "std::vector-returning " + code[j].text +
                      "() is banned under src/ecc/; use the span "
-                     "scratch-buffer API or name the convenience *_alloc");
+                     "scratch-buffer API");
     }
   }
 }

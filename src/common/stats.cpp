@@ -1,24 +1,8 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
+#include <cassert>
 
 namespace aeep {
-
-void RunningMean::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++n_;
-}
-
-void RunningMean::reset() {
-  n_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
 
 void TimeWeightedLevel::update(Cycle now, double level) {
   assert(now >= last_);
@@ -37,60 +21,6 @@ void TimeWeightedLevel::reset(Cycle now, double level) {
   start_ = last_ = now;
   level_ = level;
   weighted_sum_ = 0.0;
-}
-
-Histogram::Histogram(u64 bucket_width, std::size_t num_buckets)
-    : bucket_width_(bucket_width ? bucket_width : 1),
-      buckets_(num_buckets + 1, 0) {}
-
-void Histogram::add(u64 value, u64 weight) {
-  std::size_t idx = static_cast<std::size_t>(value / bucket_width_);
-  if (idx >= buckets_.size()) idx = buckets_.size() - 1;
-  buckets_[idx] += weight;
-  total_ += weight;
-}
-
-u64 Histogram::bucket(std::size_t i) const {
-  assert(i < buckets_.size());
-  return buckets_[i];
-}
-
-u64 Histogram::percentile(double fraction) const {
-  if (total_ == 0) return 0;
-  const double target = fraction * static_cast<double>(total_);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    acc += static_cast<double>(buckets_[i]);
-    if (acc >= target) return (i + 1) * bucket_width_;
-  }
-  return buckets_.size() * bucket_width_;
-}
-
-Counter& StatRegistry::counter(const std::string& name) {
-  return counters_[name];
-}
-
-RunningMean& StatRegistry::running_mean(const std::string& name) {
-  return means_[name];
-}
-
-std::vector<std::pair<std::string, u64>> StatRegistry::counters() const {
-  std::vector<std::pair<std::string, u64>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c.value());
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> StatRegistry::means() const {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(means_.size());
-  for (const auto& [name, m] : means_) out.emplace_back(name, m.mean());
-  return out;
-}
-
-void StatRegistry::reset_all() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, m] : means_) m.reset();
 }
 
 }  // namespace aeep

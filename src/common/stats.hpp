@@ -1,44 +1,11 @@
-// Statistics primitives: named counters, running means, time-weighted
-// integrals and histograms, grouped in a StatRegistry for uniform reporting.
+// Simulator-side statistics: the time-weighted level integral behind the
+// paper's dirty-lines-per-cycle metric. Service telemetry (counters and
+// latency histograms) lives in src/metrics.
 #pragma once
-
-#include <cassert>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
 namespace aeep {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void inc(u64 by = 1) { value_ += by; }
-  u64 value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  u64 value_ = 0;
-};
-
-/// Mean/min/max of a stream of samples.
-class RunningMean {
- public:
-  void add(double x);
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  u64 count() const { return n_; }
-  void reset();
-
- private:
-  u64 n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Integrates a piecewise-constant level over simulated time. Used for the
 /// paper's "dirty cache lines per cycle" metric: the level is the current
@@ -63,45 +30,6 @@ class TimeWeightedLevel {
   Cycle last_ = 0;
   double level_ = 0.0;
   double weighted_sum_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [0, bucket_width * num_buckets), with an
-/// overflow bucket at the end.
-class Histogram {
- public:
-  Histogram(u64 bucket_width, std::size_t num_buckets);
-
-  void add(u64 value, u64 weight = 1);
-  u64 bucket(std::size_t i) const;
-  std::size_t num_buckets() const { return buckets_.size(); }
-  u64 bucket_width() const { return bucket_width_; }
-  u64 total() const { return total_; }
-  /// Smallest value v such that at least `fraction` of the mass is <= bucket
-  /// containing v (upper edge of that bucket).
-  u64 percentile(double fraction) const;
-
- private:
-  u64 bucket_width_;
-  std::vector<u64> buckets_;
-  u64 total_ = 0;
-};
-
-/// Named registry so subsystems can expose stats without coupling to the
-/// report format. Names are hierarchical by convention: "l2.wb.clean".
-class StatRegistry {
- public:
-  Counter& counter(const std::string& name);
-  RunningMean& running_mean(const std::string& name);
-
-  /// Snapshot of all counters (alphabetical).
-  std::vector<std::pair<std::string, u64>> counters() const;
-  std::vector<std::pair<std::string, double>> means() const;
-
-  void reset_all();
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, RunningMean> means_;
 };
 
 }  // namespace aeep

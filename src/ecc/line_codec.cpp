@@ -75,21 +75,4 @@ LineDecodeSummary LineCodec::decode(std::span<const u64> data,
   return out;
 }
 
-std::vector<u64> LineCodec::encode_alloc(std::span<const u64> data) const {
-  std::vector<u64> check(words_);
-  encode(data, check);
-  return check;
-}
-
-LineDecodeResult LineCodec::decode_alloc(const ProtectedLine& line) const {
-  LineDecodeResult out;
-  out.data.resize(words_);
-  const LineDecodeSummary s = decode(line.data, line.check, out.data);
-  out.worst = s.worst;
-  out.words_ok = s.words_ok;
-  out.words_corrected = s.words_corrected;
-  out.words_detected = s.words_detected;
-  return out;
-}
-
 }  // namespace aeep::ecc

@@ -4,28 +4,17 @@
 // bits (8b for SECDED, 1b for parity), matching how the paper counts area:
 // 64B line -> 64 ECC bits or 8 parity bits.
 //
-// Two API levels:
-//  - scratch-buffer encode/decode over std::span (the hot path: zero heap
-//    allocations — callers bring their own buffers and reuse them);
-//  - *_alloc conveniences that return freshly allocated vectors, kept for
-//    tests and one-shot callers and implemented on top of the scratch API.
+// The API is scratch-buffer encode/decode over std::span: zero heap
+// allocations, callers bring their own buffers and reuse them.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "ecc/codec.hpp"
 
 namespace aeep::ecc {
 
-/// Data payload of a line plus its stored check bits, word by word.
-struct ProtectedLine {
-  std::vector<u64> data;    ///< line_bytes / 8 words
-  std::vector<u64> check;   ///< one check word per data word (low bits used)
-};
-
 /// What validating a full line concluded: worst per-word status + counts.
-/// This is the allocation-free core of LineDecodeResult.
 struct LineDecodeSummary {
   DecodeStatus worst = DecodeStatus::kOk;
   unsigned words_ok = 0;
@@ -33,15 +22,6 @@ struct LineDecodeSummary {
   unsigned words_detected = 0;   ///< detected but not corrected
 
   bool operator==(const LineDecodeSummary&) const = default;
-};
-
-/// Legacy allocating decode result: the summary plus a corrected copy.
-struct LineDecodeResult {
-  DecodeStatus worst = DecodeStatus::kOk;
-  unsigned words_ok = 0;
-  unsigned words_corrected = 0;
-  unsigned words_detected = 0;
-  std::vector<u64> data;         ///< corrected payload
 };
 
 class LineCodec {
@@ -52,8 +32,6 @@ class LineCodec {
   unsigned words_per_line() const { return words_; }
   unsigned check_bits_per_line() const { return words_ * codec_->check_bits(); }
   const WordCodec& word_codec() const { return *codec_; }
-
-  // --- Scratch-buffer hot path (no heap allocation) -----------------------
 
   /// Compute check words for `data` into caller-owned `check_out`. Both
   /// spans must hold words_per_line() words. Routed through the codec's
@@ -76,14 +54,6 @@ class LineCodec {
   LineDecodeSummary decode(std::span<const u64> data,
                            std::span<const u64> check,
                            std::span<u64> data_out) const;
-
-  // --- Allocating conveniences -------------------------------------------
-
-  /// Returns freshly allocated check words for a payload.
-  std::vector<u64> encode_alloc(std::span<const u64> data) const;
-
-  /// Validate/correct a stored line into a freshly allocated result.
-  LineDecodeResult decode_alloc(const ProtectedLine& line) const;
 
  private:
   const WordCodec* codec_;

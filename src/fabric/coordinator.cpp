@@ -97,24 +97,19 @@ std::vector<FabricOutcome> Coordinator::run(
   // delivered terminal right here (worker = "cache", zero attempts) and
   // never enters the pending queue. Lookups run unlocked — the cache has
   // its own mutex and the two never nest.
-  std::vector<JsonValue> cached(grid.size());
-  std::vector<char> is_hit(grid.size(), 0);
+  std::vector<std::optional<sim::RunResult>> cached(grid.size());
   if (cache_) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (std::optional<JsonValue> m = cache_->lookup_metrics(grid[i])) {
-        cached[i] = std::move(*m);
-        is_hit[i] = 1;
-      }
-    }
+    for (std::size_t i = 0; i < grid.size(); ++i)
+      cached[i] = cache_->lookup(grid[i]);
   }
   {
     const MutexLock lock(mutex_);
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (is_hit[i]) {
+      if (cached[i]) {
         Cell& c = rs.cells[i];
         c.done = true;
         FabricOutcome oc;
-        oc.metrics = std::move(cached[i]);
+        oc.result = std::move(*cached[i]);
         oc.worker = "cache";
         out[i] = std::move(oc);
         ++rs.completed;
@@ -160,14 +155,12 @@ std::vector<FabricOutcome> Coordinator::run(
   cv_work_.notify_all();
   for (auto& t : threads) t.join();
 
-  // Persist what the run computed (cache hits are already stored). A
-  // worker returns metrics JSON, not a RunResult, so fabric records are
-  // metrics-only — enough for the next fabric/served consumer.
+  // Persist what the run computed (cache hits are already stored).
   if (cache_) {
     u64 inserted = 0;
     for (std::size_t i = 0; i < grid.size(); ++i) {
       if (!out[i].ok() || out[i].worker == "cache") continue;
-      cache_->insert_metrics(grid[i], out[i].metrics);
+      cache_->insert(grid[i], out[i].result);
       ++inserted;
     }
     const MutexLock lock(mutex_);
@@ -331,7 +324,7 @@ void Coordinator::run_locally(RunState& rs) {
     FabricOutcome oc;
     oc.worker = "local";
     if (p.outcome->ok())
-      oc.metrics = sim::run_result_json(p.outcome->result);
+      oc.result = p.outcome->result;
     else
       oc.error = p.outcome->error;
     deliver(rs, indices[p.job_index], std::move(oc));
@@ -432,13 +425,21 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
                 std::max<u64>(1, config_.call_timeout_ms / 4));
             const metrics::ScopedTimer span(rpc_us);
             const JsonValue reply = client.result(id, /*wait=*/true, chunk);
-            const JsonValue* metrics = reply.find("metrics");
-            if (!reply.get_bool("ready", false) || metrics == nullptr)
+            if (!reply.get_bool("ready", false))
               continue;  // still queued/running on the worker
-            FabricOutcome oc;
-            oc.metrics = *metrics;
-            oc.worker = name;
             settle(idx);
+            const JsonValue* doc = reply.find("result");
+            std::optional<sim::RunResult> result =
+                doc ? sim::run_result_from_json(*doc) : std::nullopt;
+            if (!result) {
+              // Never deliver what we cannot read back exactly; another
+              // attempt (here or elsewhere) recomputes the same cell.
+              requeue(rs, idx, "result reply carried no decodable result");
+              break;
+            }
+            FabricOutcome oc;
+            oc.result = std::move(*result);
+            oc.worker = name;
             deliver(rs, idx, std::move(oc));
             break;
           }

@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "fabric/backoff.hpp"
@@ -63,19 +62,20 @@ struct FabricConfig {
   /// Result-store directory (store::SweepCache). Empty = no cache. Cells
   /// whose digest hits the store are delivered (worker = "cache") before
   /// anything is sharded to the fleet; completed cells are inserted after
-  /// the run so the next identical sweep is served without dispatching.
+  /// the run, full RunResults, so the next identical sweep — fabric or
+  /// store::run_grid_cached in the same binary — runs nothing.
   std::string store_dir;
   /// Shared secret attached to every worker RPC. Must match the workers'
   /// --token or dispatches bounce as kUnauthorized.
   std::string token;
 };
 
-/// One grid cell's outcome. `metrics` is the canonical
-/// sim::run_result_json rendering whether the cell ran remotely (the
-/// worker rendered it) or locally (we render it) — that is what makes
-/// fabric output byte-comparable with single-node output.
+/// One grid cell's outcome. `result` is the full RunResult whether the
+/// cell ran remotely (decoded from the worker's codec document), locally,
+/// or came from the store — callers render it like any single-node result,
+/// which is what makes fabric output byte-comparable with local output.
 struct FabricOutcome {
-  JsonValue metrics{};
+  sim::RunResult result{};
   std::string error;       ///< non-empty: the cell failed everywhere
   std::string worker;      ///< winner's endpoint name, or "local"
   unsigned attempts = 0;   ///< dispatches this cell consumed

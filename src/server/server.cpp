@@ -494,7 +494,7 @@ u64 JobServer::submit_job(const JsonValue& req) {
     std::optional<sim::RunResult> hit;
     {
       const metrics::ScopedTimer span(h_store_lookup_);
-      hit = cache_->lookup_result(probe);
+      hit = cache_->lookup(probe);
     }
     if (hit) {
       u64 id = 0;
@@ -642,6 +642,7 @@ JsonValue JobServer::result_reply_locked(const Job& job) const {
   if (job.state == JobState::kDone) {
     r.set("benchmark", JsonValue::string(job.spec.benchmark));
     r.set("metrics", sim::run_result_json(job.result));
+    r.set("result", sim::run_result_to_json(job.result));
     r.set("wall_ms", JsonValue::number(job.wall_ms));
   }
   return r;

@@ -1,6 +1,6 @@
-#include "store/result_codec.hpp"
+#include "sim/result_json.hpp"
 
-namespace aeep::store {
+namespace aeep::sim {
 
 namespace {
 
@@ -46,7 +46,26 @@ cpu::TlbStats tlb_stats_from(const JsonValue& j) {
 
 }  // namespace
 
-JsonValue run_result_to_json(const sim::RunResult& r) {
+JsonValue run_result_json(const RunResult& r) {
+  JsonValue m = JsonValue::object();
+  m.set("ipc", JsonValue::number(r.ipc()));
+  m.set("committed", JsonValue::number(r.core.committed));
+  m.set("cycles", JsonValue::number(r.core.cycles));
+  m.set("avg_dirty_fraction", JsonValue::number(r.avg_dirty_fraction));
+  m.set("avg_dirty_lines", JsonValue::number(r.avg_dirty_lines));
+  m.set("peak_dirty_lines", JsonValue::number(r.peak_dirty_lines));
+  m.set("wb_replacement", JsonValue::number(r.wb_replacement));
+  m.set("wb_cleaning", JsonValue::number(r.wb_cleaning));
+  m.set("wb_ecc", JsonValue::number(r.wb_ecc));
+  m.set("wb_total", JsonValue::number(r.wb_total()));
+  m.set("wb_per_kls", JsonValue::number(r.wb_per_ls() * 1000.0));
+  m.set("l2_accesses", JsonValue::number(r.l2.accesses()));
+  m.set("l2_misses", JsonValue::number(r.l2.misses()));
+  m.set("bus_bytes_written", JsonValue::number(r.bus.bytes_written));
+  return m;
+}
+
+JsonValue run_result_to_json(const RunResult& r) {
   JsonValue j = JsonValue::object();
   j.set("codec", JsonValue::number(kCodecVersion));
   j.set("benchmark", JsonValue::string(r.benchmark));
@@ -136,7 +155,7 @@ JsonValue run_result_to_json(const sim::RunResult& r) {
   return j;
 }
 
-std::optional<sim::RunResult> run_result_from_json(const JsonValue& j) {
+std::optional<RunResult> run_result_from_json(const JsonValue& j) {
   if (!j.is_object() || j.get_u64("codec") != kCodecVersion)
     return std::nullopt;
   // The kind-mismatch-tolerant getters make a partially missing document
@@ -147,7 +166,7 @@ std::optional<sim::RunResult> run_result_from_json(const JsonValue& j) {
   if (!core || !core->is_object() || !recovery || !recovery->is_object())
     return std::nullopt;
 
-  sim::RunResult r;
+  RunResult r;
   r.benchmark = j.get_string("benchmark");
   r.floating_point = j.get_bool("floating_point");
 
@@ -227,4 +246,4 @@ std::optional<sim::RunResult> run_result_from_json(const JsonValue& j) {
   return r;
 }
 
-}  // namespace aeep::store
+}  // namespace aeep::sim

@@ -1,33 +1,37 @@
-// The canonical JSON rendering of a RunResult's metrics — one stable,
-// insertion-ordered key set shared by every surface that exports results:
-// the figure benches' --json reporter, the aeep_served wire protocol, and
-// the aeep_client CLI. Keeping it in one place is what lets CI diff a bench
-// file against a server reply and guarantees a job's metrics look the same
-// whether the run was local or remote.
+// The one JSON format for a RunResult, plus the metrics view rendered from
+// it at the reporting edge.
+//
+// run_result_to_json / run_result_from_json are a lossless codec: every
+// field of RunResult and its nested stats structs, doubles rendered with
+// %.17g (common/json.hpp), so decode(encode(r)) == r exactly. It is what
+// the result store persists and what a worker's result reply carries, so
+// a cell's RunResult survives any hop — store, wire, fabric — bit-for-bit.
+//
+// run_result_json is the canonical *metrics* view: one stable,
+// insertion-ordered key set derived from a RunResult, rendered only where
+// results leave the program — the figure benches' --json reporter, the
+// aeep_served reply's "metrics" field, aeep_coord's cells. Keeping it in
+// one place is what lets CI diff a bench file against a server reply and
+// guarantees a job's metrics look the same whether the run was local or
+// remote.
 #pragma once
+
+#include <optional>
 
 #include "common/json.hpp"
 #include "sim/system.hpp"
 
 namespace aeep::sim {
 
-inline JsonValue run_result_json(const RunResult& r) {
-  JsonValue m = JsonValue::object();
-  m.set("ipc", JsonValue::number(r.ipc()));
-  m.set("committed", JsonValue::number(r.core.committed));
-  m.set("cycles", JsonValue::number(r.core.cycles));
-  m.set("avg_dirty_fraction", JsonValue::number(r.avg_dirty_fraction));
-  m.set("avg_dirty_lines", JsonValue::number(r.avg_dirty_lines));
-  m.set("peak_dirty_lines", JsonValue::number(r.peak_dirty_lines));
-  m.set("wb_replacement", JsonValue::number(r.wb_replacement));
-  m.set("wb_cleaning", JsonValue::number(r.wb_cleaning));
-  m.set("wb_ecc", JsonValue::number(r.wb_ecc));
-  m.set("wb_total", JsonValue::number(r.wb_total()));
-  m.set("wb_per_kls", JsonValue::number(r.wb_per_ls() * 1000.0));
-  m.set("l2_accesses", JsonValue::number(r.l2.accesses()));
-  m.set("l2_misses", JsonValue::number(r.l2.misses()));
-  m.set("bus_bytes_written", JsonValue::number(r.bus.bytes_written));
-  return m;
-}
+/// The metrics view (14 keys, fixed order).
+JsonValue run_result_json(const RunResult& r);
+
+/// Lossless codec document for `r`.
+JsonValue run_result_to_json(const RunResult& r);
+
+/// Inverse of run_result_to_json. nullopt when `j` is not a codec document
+/// (wrong shape or codec version): the store treats that as a miss and the
+/// coordinator as a failed attempt, never as a result.
+std::optional<RunResult> run_result_from_json(const JsonValue& j);
 
 }  // namespace aeep::sim

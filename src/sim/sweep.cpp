@@ -142,7 +142,12 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& grid,
 std::vector<RunResult> SweepRunner::run_or_throw(
     const std::vector<SweepJob>& grid, const ProgressFn& progress,
     std::vector<double>* wall_seconds) const {
-  std::vector<SweepOutcome> outcomes = run(grid, progress);
+  return results_or_throw(grid, run(grid, progress), wall_seconds);
+}
+
+std::vector<RunResult> results_or_throw(const std::vector<SweepJob>& grid,
+                                        std::vector<SweepOutcome> outcomes,
+                                        std::vector<double>* wall_seconds) {
   std::vector<RunResult> results;
   results.reserve(outcomes.size());
   if (wall_seconds) {

@@ -85,6 +85,15 @@ class SweepRunner {
   unsigned jobs_;
 };
 
+/// run_or_throw's outcome-to-result step, for grids run some other way
+/// (store::run_grid_cached): the results in grid order, or a
+/// std::runtime_error naming the first failed cell (grid-position order).
+/// `wall_seconds` (optional) receives each cell's own wall clock.
+std::vector<RunResult> results_or_throw(const std::vector<SweepJob>& grid,
+                                        std::vector<SweepOutcome> outcomes,
+                                        std::vector<double>* wall_seconds =
+                                            nullptr);
+
 /// Progress callback rendering `[done/total] benchmark:tag` status lines to
 /// stderr (stderr so `--json`/table output stays clean for pipes).
 SweepRunner::ProgressFn stderr_progress();

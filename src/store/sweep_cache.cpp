@@ -5,12 +5,11 @@
 #include "metrics/registry.hpp"
 #include "metrics/timer.hpp"
 #include "sim/result_json.hpp"
-#include "store/result_codec.hpp"
 
 namespace aeep::store {
 
 namespace {
-constexpr u64 kPayloadVersion = 1;
+constexpr u64 kPayloadVersion = 2;
 
 // Store-level telemetry, shared by every SweepCache in the process (the
 // served cache and a fabric coordinator's cache count into one place).
@@ -38,8 +37,7 @@ metrics::Counter& misses_counter() {
 
 SweepCache::SweepCache(StoreConfig config) : store_(std::move(config)) {}
 
-std::optional<sim::RunResult> SweepCache::lookup_result(
-    const sim::SweepJob& job) {
+std::optional<sim::RunResult> SweepCache::lookup(const sim::SweepJob& job) {
   const metrics::ScopedTimer span(lookup_us_hist());
   const std::optional<Digest> key = job_digest(job);
   if (!key) {
@@ -49,37 +47,12 @@ std::optional<sim::RunResult> SweepCache::lookup_result(
   }
   const std::optional<JsonValue> payload = store_.lookup(*key);
   if (payload && payload->get_u64("v") == kPayloadVersion) {
-    if (const JsonValue* full = payload->find("full")) {
-      if (std::optional<sim::RunResult> r = run_result_from_json(*full)) {
+    if (const JsonValue* doc = payload->find("result")) {
+      if (std::optional<sim::RunResult> r = sim::run_result_from_json(*doc)) {
         const MutexLock lock(mutex_);
         ++stats_.hits;
         hits_counter().increment();
         return r;
-      }
-    }
-  }
-  const MutexLock lock(mutex_);
-  ++stats_.misses;
-  misses_counter().increment();
-  return std::nullopt;
-}
-
-std::optional<JsonValue> SweepCache::lookup_metrics(const sim::SweepJob& job) {
-  const metrics::ScopedTimer span(lookup_us_hist());
-  const std::optional<Digest> key = job_digest(job);
-  if (!key) {
-    const MutexLock lock(mutex_);
-    ++stats_.uncacheable;
-    return std::nullopt;
-  }
-  const std::optional<JsonValue> payload = store_.lookup(*key);
-  if (payload && payload->get_u64("v") == kPayloadVersion) {
-    if (const JsonValue* metrics = payload->find("metrics")) {
-      if (metrics->is_object()) {
-        const MutexLock lock(mutex_);
-        ++stats_.hits;
-        hits_counter().increment();
-        return *metrics;
       }
     }
   }
@@ -100,26 +73,7 @@ void SweepCache::insert(const sim::SweepJob& job, const sim::RunResult& result) 
   JsonValue payload = JsonValue::object();
   payload.set("v", JsonValue::number(kPayloadVersion));
   payload.set("benchmark", JsonValue::string(job.benchmark));
-  payload.set("metrics", sim::run_result_json(result));
-  payload.set("full", run_result_to_json(result));
-  store_.insert(*key, payload);
-  const MutexLock lock(mutex_);
-  ++stats_.inserts;
-}
-
-void SweepCache::insert_metrics(const sim::SweepJob& job,
-                                const JsonValue& metrics) {
-  const metrics::ScopedTimer span(insert_us_hist());
-  const std::optional<Digest> key = job_digest(job);
-  if (!key) {
-    const MutexLock lock(mutex_);
-    ++stats_.uncacheable;
-    return;
-  }
-  JsonValue payload = JsonValue::object();
-  payload.set("v", JsonValue::number(kPayloadVersion));
-  payload.set("benchmark", JsonValue::string(job.benchmark));
-  payload.set("metrics", metrics);
+  payload.set("result", sim::run_result_to_json(result));
   store_.insert(*key, payload);
   const MutexLock lock(mutex_);
   ++stats_.inserts;
@@ -135,37 +89,24 @@ void SweepCache::reset_stats() {
   stats_ = SweepCacheStats{};
 }
 
-std::vector<sim::RunResult> run_grid_cached(
+std::vector<sim::SweepOutcome> run_grid_cached(
     const sim::SweepRunner& runner, const std::vector<sim::SweepJob>& grid,
-    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress,
-    std::vector<double>* wall_seconds) {
-  if (!cache) return runner.run_or_throw(grid, progress, wall_seconds);
+    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress) {
+  if (!cache) return runner.run(grid, progress);
 
   const std::size_t n = grid.size();
-  std::vector<sim::RunResult> out(n);
-  if (wall_seconds) wall_seconds->assign(n, 0.0);
-
+  std::vector<sim::SweepOutcome> out(n);
   std::vector<std::size_t> miss_indices;
   std::size_t completed = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::optional<sim::RunResult> hit = cache->lookup_result(grid[i]);
+    std::optional<sim::RunResult> hit = cache->lookup(grid[i]);
     if (!hit) {
       miss_indices.push_back(i);
       continue;
     }
-    out[i] = std::move(*hit);
+    out[i].result = std::move(*hit);
     ++completed;
-    if (progress) {
-      sim::SweepOutcome outcome;
-      outcome.result = out[i];
-      sim::SweepProgress p;
-      p.completed = completed;
-      p.total = n;
-      p.job_index = i;
-      p.job = &grid[i];
-      p.outcome = &outcome;
-      progress(p);
-    }
+    if (progress) progress({completed, n, i, &grid[i], &out[i]});
   }
   if (miss_indices.empty()) return out;
 
@@ -187,14 +128,11 @@ std::vector<sim::RunResult> run_grid_cached(
     };
   }
 
-  std::vector<double> miss_walls;
-  const std::vector<sim::RunResult> miss_results = runner.run_or_throw(
-      miss_grid, wrapped, wall_seconds ? &miss_walls : nullptr);
+  std::vector<sim::SweepOutcome> ran = runner.run(miss_grid, wrapped);
   for (std::size_t k = 0; k < miss_indices.size(); ++k) {
     const std::size_t i = miss_indices[k];
-    out[i] = miss_results[k];
-    if (wall_seconds) (*wall_seconds)[i] = miss_walls[k];
-    cache->insert(grid[i], miss_results[k]);
+    if (ran[k].ok()) cache->insert(grid[i], ran[k].result);
+    out[i] = std::move(ran[k]);
   }
   return out;
 }

@@ -1,21 +1,26 @@
 // Job-level view of the result store: content-addressed caching of whole
 // sweep cells.
 //
-// A SweepJob's digest (store/digest.hpp) keys a payload holding both the
-// canonical metrics object (sim/result_json.hpp — what the wire protocol
-// and bench reporters emit) and the full RunResult codec document
-// (store/result_codec.hpp). Consumers that only need metrics (the fabric
-// coordinator, aeep_served replies) hit on either form; consumers that
-// need the full RunResult (the benches, which post-process raw counters)
-// hit only on payloads that carry the "full" document. A metrics-only
-// record therefore reads as a miss for a full-result consumer — it is
-// never silently widened into a fabricated RunResult.
+// A SweepJob's digest (store/digest.hpp) keys one payload form:
+//
+//   {"v": 2, "benchmark": "<name>", "result": <sim::run_result_to_json doc>}
+//
+// The result is the lossless RunResult codec (sim/result_json.hpp), so a
+// hit is the RunResult the cell computed, field for field, whoever wrote
+// it: the benches and `aeep_coord --local` (run_grid_cached), a fabric
+// Coordinator (from its workers' result replies), or aeep_served. The
+// metrics view is never stored; callers render it from the RunResult at
+// their reporting edge. A payload that does not decode — an older payload
+// version, a foreign document — reads as a miss.
+//
+// Keys fold in the running executable's build digest
+// (store/build_digest.hpp), so a binary hits only records that it wrote
+// itself.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/sweep.hpp"
@@ -39,25 +44,12 @@ class SweepCache {
   /// trace::TraceError when the directory's segment is not a store segment.
   explicit SweepCache(StoreConfig config);
 
-  /// Full RunResult for `job`, or nullopt on miss / uncacheable job /
-  /// metrics-only payload.
-  std::optional<sim::RunResult> lookup_result(const sim::SweepJob& job)
+  /// The stored RunResult for `job`, or nullopt on miss / uncacheable job.
+  std::optional<sim::RunResult> lookup(const sim::SweepJob& job)
       AEEP_EXCLUDES(mutex_);
 
-  /// Canonical metrics object for `job` (run_result_json key set), or
-  /// nullopt on miss / uncacheable job.
-  std::optional<JsonValue> lookup_metrics(const sim::SweepJob& job)
-      AEEP_EXCLUDES(mutex_);
-
-  /// Store a completed cell: both the metrics rendering and the full codec
-  /// document. No-op for uncacheable jobs.
+  /// Store a completed cell. No-op for uncacheable jobs.
   void insert(const sim::SweepJob& job, const sim::RunResult& result)
-      AEEP_EXCLUDES(mutex_);
-
-  /// Store a metrics-only cell — what the fabric coordinator has in hand
-  /// for a worker-run job (workers return metrics JSON over the wire, not
-  /// RunResults). No-op for uncacheable jobs.
-  void insert_metrics(const sim::SweepJob& job, const JsonValue& metrics)
       AEEP_EXCLUDES(mutex_);
 
   SweepCacheStats stats() const AEEP_EXCLUDES(mutex_);
@@ -72,20 +64,19 @@ class SweepCache {
   SweepCacheStats stats_ AEEP_GUARDED_BY(mutex_){};
 };
 
-/// run_or_throw with a cache in front: cells already in `cache` are served
-/// without touching the runner's pool; the rest run as one (smaller) grid
-/// and are inserted on completion. `cache == nullptr` degrades to a plain
-/// `runner.run_or_throw(grid, progress, wall_seconds)`.
+/// SweepRunner::run with a cache in front: cells already in `cache` are
+/// served without touching the runner's pool; the rest run as one
+/// (smaller) grid, and every one that finishes is inserted. A failed cell
+/// is captured in its outcome, never thrown, and costs the others nothing.
+/// `cache == nullptr` degrades to a plain `runner.run(grid, progress)`.
 ///
-/// Progress events fire for every cell — hits first, in grid order, each
-/// with wall_seconds 0.0 — and `completed` stays strictly increasing
-/// 1..N across the hit and miss phases, so existing status-line callbacks
-/// work unchanged. Outcomes are indexed like `grid`, and a cached cell is
-/// byte-identical to the run that produced it (the codec round-trips every
-/// RunResult field).
-std::vector<sim::RunResult> run_grid_cached(
+/// Outcomes are indexed like `grid`; a hit has wall_seconds 0.0 (nothing
+/// ran) and is byte-identical to the run that produced it. Progress events
+/// fire for every cell — hits first, in grid order — and `completed` stays
+/// strictly increasing 1..N across the hit and miss phases, so existing
+/// status-line callbacks work unchanged.
+std::vector<sim::SweepOutcome> run_grid_cached(
     const sim::SweepRunner& runner, const std::vector<sim::SweepJob>& grid,
-    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress = nullptr,
-    std::vector<double>* wall_seconds = nullptr);
+    SweepCache* cache, const sim::SweepRunner::ProgressFn& progress = nullptr);
 
 }  // namespace aeep::store

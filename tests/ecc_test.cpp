@@ -211,6 +211,42 @@ TEST(Secded, CheckBitsDifferAcrossNeighbouringWords) {
 // Line codec
 // ---------------------------------------------------------------------------
 
+// Per-word reference for the line codec: every word through the scalar
+// WordCodec::encode/decode, results in freshly allocated vectors. The span
+// API (batched encode, mismatch-scan decode) must agree with it exactly.
+std::vector<u64> encode_alloc(const WordCodec& codec,
+                              const std::vector<u64>& data) {
+  std::vector<u64> check;
+  for (const u64 w : data) check.push_back(codec.encode(w));
+  return check;
+}
+
+struct AllocDecode {
+  LineDecodeSummary summary;
+  std::vector<u64> data;  ///< corrected payload
+};
+
+AllocDecode decode_alloc(const WordCodec& codec, const std::vector<u64>& data,
+                         const std::vector<u64>& check) {
+  AllocDecode out;
+  for (std::size_t w = 0; w < data.size(); ++w) {
+    const DecodeResult r = codec.decode(data[w], check[w]);
+    out.data.push_back(r.data);
+    out.summary.worst = worse(out.summary.worst, r.status);
+    switch (r.status) {
+      case DecodeStatus::kOk: ++out.summary.words_ok; break;
+      case DecodeStatus::kCorrectedSingle:
+        ++out.summary.words_corrected;
+        break;
+      case DecodeStatus::kDetectedError:
+      case DecodeStatus::kDetectedDouble:
+        ++out.summary.words_detected;
+        break;
+    }
+  }
+  return out;
+}
+
 TEST(LineCodec, RoundTripsCleanLine) {
   SecdedCodec secded;
   LineCodec lc(secded, 64);
@@ -218,45 +254,45 @@ TEST(LineCodec, RoundTripsCleanLine) {
   EXPECT_EQ(lc.check_bits_per_line(), 64u);
 
   Xorshift64Star rng(31);
-  ProtectedLine line;
-  for (int w = 0; w < 8; ++w) line.data.push_back(rng.next());
-  line.check = lc.encode_alloc(line.data);
+  std::vector<u64> data(8), check(8), out(8);
+  for (auto& w : data) w = rng.next();
+  lc.encode(data, check);
 
-  const auto r = lc.decode_alloc(line);
+  const LineDecodeSummary r = lc.decode(data, check, out);
   EXPECT_EQ(r.worst, DecodeStatus::kOk);
   EXPECT_EQ(r.words_ok, 8u);
-  EXPECT_EQ(r.data, line.data);
+  EXPECT_EQ(out, data);
 }
 
 TEST(LineCodec, CorrectsScatteredSingleBitErrors) {
   SecdedCodec secded;
   LineCodec lc(secded, 64);
   Xorshift64Star rng(32);
-  ProtectedLine line;
-  for (int w = 0; w < 8; ++w) line.data.push_back(rng.next());
-  const std::vector<u64> golden = line.data;
-  line.check = lc.encode_alloc(line.data);
+  std::vector<u64> data(8), check(8), out(8);
+  for (auto& w : data) w = rng.next();
+  const std::vector<u64> golden = data;
+  lc.encode(data, check);
 
   // One flip in every word: all corrected independently.
-  for (int w = 0; w < 8; ++w)
-    line.data[w] = flip_bit(line.data[w], static_cast<unsigned>(rng.next_below(64)));
+  for (auto& w : data)
+    w = flip_bit(w, static_cast<unsigned>(rng.next_below(64)));
 
-  const auto r = lc.decode_alloc(line);
+  const LineDecodeSummary r = lc.decode(data, check, out);
   EXPECT_EQ(r.worst, DecodeStatus::kCorrectedSingle);
   EXPECT_EQ(r.words_corrected, 8u);
-  EXPECT_EQ(r.data, golden);
+  EXPECT_EQ(out, golden);
 }
 
 TEST(LineCodec, ReportsWorstStatusAcrossWords) {
   SecdedCodec secded;
   LineCodec lc(secded, 64);
-  ProtectedLine line;
-  for (int w = 0; w < 8; ++w) line.data.push_back(0x1111111111111111ull * (w + 1));
-  line.check = lc.encode_alloc(line.data);
-  line.data[2] = flip_bit(line.data[2], 5);                       // single
-  line.data[6] = flip_bit(flip_bit(line.data[6], 1), 60);         // double
+  std::vector<u64> data(8), check(8), out(8);
+  for (unsigned w = 0; w < 8; ++w) data[w] = 0x1111111111111111ull * (w + 1);
+  lc.encode(data, check);
+  data[2] = flip_bit(data[2], 5);                       // single
+  data[6] = flip_bit(flip_bit(data[6], 1), 60);         // double
 
-  const auto r = lc.decode_alloc(line);
+  const LineDecodeSummary r = lc.decode(data, check, out);
   EXPECT_EQ(r.worst, DecodeStatus::kDetectedDouble);
   EXPECT_EQ(r.words_corrected, 1u);
   EXPECT_EQ(r.words_detected, 1u);
@@ -271,9 +307,10 @@ TEST(LineCodec, RejectsBadLineSize) {
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-buffer API equivalence: the allocation-free encode/decode overloads
-// must agree exactly with the legacy allocating API across all three codecs,
-// on clean lines and on lines with corrected / detected errors.
+// Scratch-buffer API equivalence: the allocation-free encode/decode must
+// agree exactly with the per-word allocating reference above across all
+// three codecs, on clean lines and on lines with corrected / detected
+// errors.
 // ---------------------------------------------------------------------------
 
 class LineCodecScratchEquivalence
@@ -298,19 +335,17 @@ TEST_P(LineCodecScratchEquivalence, EncodeMatchesAllocOnRandomLines) {
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
     lc.encode(data, check);
-    EXPECT_EQ(check, lc.encode_alloc(data));
+    EXPECT_EQ(check, encode_alloc(codec(), data));
   }
 }
 
 TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
   LineCodec lc(codec(), 64);
   Xorshift64Star rng(42);
-  ProtectedLine line;
-  line.data.resize(8);
-  std::vector<u64> scratch_out(8);
+  std::vector<u64> data(8), check(8), scratch_out(8);
   for (int iter = 0; iter < 200; ++iter) {
-    for (auto& w : line.data) w = rng.next();
-    line.check = lc.encode_alloc(line.data);
+    for (auto& w : data) w = rng.next();
+    lc.encode(data, check);
 
     // Exercise every path: clean, single flip (corrected by SECDED,
     // detected by the parity codecs), double flip in one word (detected by
@@ -318,21 +353,16 @@ TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
     const unsigned mode = static_cast<unsigned>(iter) % 3;
     if (mode >= 1) {
       const unsigned w = static_cast<unsigned>(rng.next_below(8));
-      line.data[w] = flip_bit(line.data[w],
-                              static_cast<unsigned>(rng.next_below(64)));
+      data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
       if (mode == 2) {
         const unsigned b1 = static_cast<unsigned>(rng.next_below(63));
-        line.data[w] = flip_bit(line.data[w], b1 + 1);
+        data[w] = flip_bit(data[w], b1 + 1);
       }
     }
 
-    const LineDecodeResult alloc = lc.decode_alloc(line);
-    const LineDecodeSummary scratch =
-        lc.decode(line.data, line.check, scratch_out);
-    EXPECT_EQ(scratch.worst, alloc.worst);
-    EXPECT_EQ(scratch.words_ok, alloc.words_ok);
-    EXPECT_EQ(scratch.words_corrected, alloc.words_corrected);
-    EXPECT_EQ(scratch.words_detected, alloc.words_detected);
+    const AllocDecode alloc = decode_alloc(codec(), data, check);
+    const LineDecodeSummary scratch = lc.decode(data, check, scratch_out);
+    EXPECT_EQ(scratch, alloc.summary);
     EXPECT_EQ(scratch_out, alloc.data);
   }
 }
@@ -340,22 +370,19 @@ TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
 TEST_P(LineCodecScratchEquivalence, DecodeInPlaceAliasingRepairsLine) {
   LineCodec lc(codec(), 64);
   Xorshift64Star rng(43);
-  ProtectedLine line;
-  line.data.resize(8);
+  std::vector<u64> data(8), check(8);
   for (int iter = 0; iter < 100; ++iter) {
-    for (auto& w : line.data) w = rng.next();
-    line.check = lc.encode_alloc(line.data);
+    for (auto& w : data) w = rng.next();
+    lc.encode(data, check);
     if (iter % 2 == 1) {
       const unsigned w = static_cast<unsigned>(rng.next_below(8));
-      line.data[w] = flip_bit(line.data[w],
-                              static_cast<unsigned>(rng.next_below(64)));
+      data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
     }
-    const LineDecodeResult alloc = lc.decode_alloc(line);
+    const AllocDecode alloc = decode_alloc(codec(), data, check);
     // data_out aliases data: decode must leave the corrected payload there.
-    const LineDecodeSummary scratch =
-        lc.decode(line.data, line.check, line.data);
-    EXPECT_EQ(scratch.worst, alloc.worst);
-    EXPECT_EQ(line.data, alloc.data);
+    const LineDecodeSummary scratch = lc.decode(data, check, data);
+    EXPECT_EQ(scratch.worst, alloc.summary.worst);
+    EXPECT_EQ(data, alloc.data);
   }
 }
 

@@ -3,13 +3,16 @@
 // injection and the typed errors each fault must surface as, wire-frame
 // robustness of the server against malformed bytes, the health/drain
 // endpoints, bounded access logs, and the coordinator's load-bearing
-// claim: a grid run through a (possibly dying) fleet returns metrics
-// bit-identical to a local SweepRunner run of the same grid.
+// claim: a grid run through a (possibly dying) fleet returns RunResults
+// identical, field for field, to a local SweepRunner run of the same grid.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fabric/backoff.hpp"
@@ -20,8 +23,8 @@
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "server/wire.hpp"
-#include "sim/result_json.hpp"
 #include "sim/sweep.hpp"
+#include "store/sweep_cache.hpp"
 
 namespace aeep::fabric {
 namespace {
@@ -63,17 +66,10 @@ std::vector<sim::SweepJob> small_grid() {
   return grid;
 }
 
-/// The canonical metrics every fabric path must reproduce byte-for-byte.
-std::vector<std::string> baseline_dumps(
+/// The RunResults every fabric path must reproduce field for field.
+std::vector<sim::RunResult> baseline_results(
     const std::vector<sim::SweepJob>& grid) {
-  const sim::SweepRunner runner(2);
-  const auto outcomes = runner.run(grid);
-  std::vector<std::string> dumps;
-  for (const auto& oc : outcomes) {
-    EXPECT_TRUE(oc.ok()) << oc.error;
-    dumps.push_back(sim::run_result_json(oc.result).dump(0));
-  }
-  return dumps;
+  return sim::SweepRunner(2).run_or_throw(grid);
 }
 
 FabricConfig test_config() {
@@ -481,21 +477,21 @@ TEST(Coordinator, JobSpecFromOptionsRoundTripsExactly) {
 
 TEST(Coordinator, NoWorkersRunsLocallyBitExact) {
   const auto grid = small_grid();
-  const auto expected = baseline_dumps(grid);
+  const auto expected = baseline_results(grid);
   Coordinator coord(test_config());  // empty fleet
   const auto outcomes = coord.run(grid);
   ASSERT_EQ(outcomes.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
     EXPECT_EQ(outcomes[i].worker, "local");
-    EXPECT_EQ(outcomes[i].metrics.dump(0), expected[i]);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   EXPECT_EQ(coord.stats().jobs_local, grid.size());
 }
 
 TEST(Coordinator, FleetRunIsBitExactAgainstTheLocalBaseline) {
   const auto grid = small_grid();
-  const auto expected = baseline_dumps(grid);
+  const auto expected = baseline_results(grid);
   server::JobServer w1(worker_config()), w2(worker_config());
   w1.start();
   w2.start();
@@ -514,7 +510,7 @@ TEST(Coordinator, FleetRunIsBitExactAgainstTheLocalBaseline) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
     EXPECT_NE(outcomes[i].worker, "local");
-    EXPECT_EQ(outcomes[i].metrics.dump(0), expected[i]);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   EXPECT_EQ(progress_calls, grid.size());
   EXPECT_EQ(coord.stats().jobs_remote, grid.size());
@@ -526,7 +522,7 @@ TEST(Coordinator, FleetRunIsBitExactAgainstTheLocalBaseline) {
 
 TEST(Coordinator, DeadWorkerIsRetiredAndTheGridStillCompletes) {
   const auto grid = small_grid();
-  const auto expected = baseline_dumps(grid);
+  const auto expected = baseline_results(grid);
   server::JobServer alive(worker_config());
   alive.start();
   FabricConfig cfg = test_config();
@@ -540,7 +536,7 @@ TEST(Coordinator, DeadWorkerIsRetiredAndTheGridStillCompletes) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].metrics.dump(0), expected[i]);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   const auto log = coord.registry().retirement_log();
   ASSERT_EQ(log.size(), 1u);
@@ -551,7 +547,7 @@ TEST(Coordinator, DeadWorkerIsRetiredAndTheGridStillCompletes) {
 
 TEST(Coordinator, SoleWorkerDyingMidRunRetiresThroughDispatchFailures) {
   const auto grid = small_grid();
-  const auto expected = baseline_dumps(grid);
+  const auto expected = baseline_results(grid);
   FabricConfig cfg = test_config();
   cfg.workers = {parse_endpoint(std::to_string(dead_port()))};
   cfg.retire_after = 3;  // probe fails once, dispatches burn the rest
@@ -560,7 +556,7 @@ TEST(Coordinator, SoleWorkerDyingMidRunRetiresThroughDispatchFailures) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
     EXPECT_EQ(outcomes[i].worker, "local");
-    EXPECT_EQ(outcomes[i].metrics.dump(0), expected[i]);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   const auto log = coord.registry().retirement_log();
   ASSERT_EQ(log.size(), 1u);
@@ -570,7 +566,7 @@ TEST(Coordinator, SoleWorkerDyingMidRunRetiresThroughDispatchFailures) {
 
 TEST(Coordinator, AllWorkersDeadDegradesToLocalBitExact) {
   const auto grid = small_grid();
-  const auto expected = baseline_dumps(grid);
+  const auto expected = baseline_results(grid);
   FabricConfig cfg = test_config();
   cfg.workers = {parse_endpoint(std::to_string(dead_port())),
                  parse_endpoint(std::to_string(dead_port()))};
@@ -580,7 +576,7 @@ TEST(Coordinator, AllWorkersDeadDegradesToLocalBitExact) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
     EXPECT_EQ(outcomes[i].worker, "local");
-    EXPECT_EQ(outcomes[i].metrics.dump(0), expected[i]);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   EXPECT_EQ(coord.registry().live(), 0u);
   EXPECT_EQ(coord.registry().retirement_log().size(), 2u);
@@ -618,7 +614,7 @@ TEST(Coordinator, DrainingWorkerIsBenchedAtProbeTime) {
 
 TEST(Coordinator, ChaosCorruptionBetweenFleetAndCoordinatorStaysBitExact) {
   const auto grid = small_grid();
-  const auto expected = baseline_dumps(grid);
+  const auto expected = baseline_results(grid);
   server::JobServer w1(worker_config()), w2(worker_config());
   w1.start();
   w2.start();
@@ -640,11 +636,130 @@ TEST(Coordinator, ChaosCorruptionBetweenFleetAndCoordinatorStaysBitExact) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].metrics.dump(0), expected[i]);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   proxy.stop();
   w1.drain();
   w2.drain();
+}
+
+TEST(Coordinator, StoreFrontServesWarmRunsAndSharesRecordsWithRunGridCached) {
+  const auto grid = small_grid();
+  const auto expected = baseline_results(grid);
+  const std::string dir = testing::TempDir() + "aeep_fabric_test_store";
+  std::filesystem::remove_all(dir);
+  server::JobServer worker(worker_config());
+  worker.start();
+  FabricConfig cfg = test_config();
+  cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
+  cfg.store_dir = dir;
+  {
+    // Cold: the worker computes every cell and the coordinator stores it.
+    Coordinator coord(cfg);
+    const auto outcomes = coord.run(grid);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+      EXPECT_NE(outcomes[i].worker, "cache");
+      EXPECT_EQ(outcomes[i].result, expected[i]);
+    }
+    EXPECT_EQ(coord.stats().jobs_remote, grid.size());
+    EXPECT_EQ(coord.stats().store_inserts, grid.size());
+  }
+  {
+    // Warm: the store serves every cell and nothing is dispatched.
+    Coordinator coord(cfg);
+    const auto outcomes = coord.run(grid);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+      EXPECT_EQ(outcomes[i].worker, "cache");
+      EXPECT_EQ(outcomes[i].attempts, 0u);
+      EXPECT_EQ(outcomes[i].result, expected[i]);
+    }
+    EXPECT_EQ(coord.stats().jobs_cached, grid.size());
+    EXPECT_EQ(coord.stats().dispatches, 0u);
+    EXPECT_EQ(coord.stats().store_inserts, 0u);
+  }
+  worker.drain();
+
+  // The fleet's records are full RunResults, so the local cache-fronted
+  // grid path (the benches, aeep_coord --local) hits every cell as well.
+  store::SweepCache cache({dir, 4096});
+  const auto outcomes =
+      store::run_grid_cached(sim::SweepRunner(2), grid, &cache);
+  EXPECT_EQ(cache.stats().hits, grid.size());
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(sim::results_or_throw(grid, outcomes), expected);
+}
+
+/// Speaks the wire protocol, one connection at a time, but answers every
+/// result request with a document the RunResult codec cannot decode.
+class GarbledWorker {
+ public:
+  GarbledWorker() : thread_([this] { serve(); }) {}
+  ~GarbledWorker() {
+    stop_ = true;
+    thread_.join();
+  }
+  GarbledWorker(const GarbledWorker&) = delete;
+  GarbledWorker& operator=(const GarbledWorker&) = delete;
+
+  u16 port() const { return listener_.port(); }
+  int results_sent() const { return results_sent_.load(); }
+
+ private:
+  void serve() {
+    u64 next_id = 0;
+    while (!stop_) {
+      try {
+        std::optional<server::Socket> sock = listener_.accept(50);
+        if (!sock) continue;
+        while (!stop_) {
+          if (!sock->wait_readable(50)) continue;
+          const std::optional<JsonValue> req = server::recv_frame(*sock);
+          if (!req) break;
+          const std::string type = req->get_string("type");
+          JsonValue reply = server::ok_reply(type);
+          if (type == "submit")
+            reply.set("job_id", JsonValue::number(++next_id));
+          if (type == "result") {
+            reply.set("ready", JsonValue::boolean(true));
+            JsonValue doc = JsonValue::object();
+            doc.set("codec", JsonValue::number(u64{1}));  // no fields
+            reply.set("result", std::move(doc));
+            ++results_sent_;
+          }
+          server::send_frame(*sock, reply);
+        }
+      } catch (const std::exception&) {
+        // The coordinator hung up mid-frame; wait for its next connection.
+      }
+    }
+  }
+
+  server::Listener listener_{"127.0.0.1", 0};
+  std::atomic<bool> stop_{false};
+  std::atomic<int> results_sent_{0};
+  std::thread thread_;
+};
+
+TEST(Coordinator, UndecodableResultIsRequeuedAndNeverDelivered) {
+  const std::vector<sim::SweepJob> grid = {small_grid()[0]};
+  GarbledWorker worker;
+  FabricConfig cfg = test_config();
+  cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
+  cfg.retire_after = 0;
+  cfg.max_attempts = 2;
+  cfg.allow_local_fallback = false;
+  Coordinator coord(std::move(cfg));
+  const auto outcomes = coord.run(grid);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok());
+  EXPECT_NE(outcomes[0].error.find("no decodable result"), std::string::npos)
+      << outcomes[0].error;
+  EXPECT_EQ(outcomes[0].attempts, 2u);
+  EXPECT_EQ(worker.results_sent(), 2);
+  EXPECT_EQ(coord.stats().jobs_remote, 0u);
+  EXPECT_EQ(coord.stats().retries, 1u);
 }
 
 }  // namespace

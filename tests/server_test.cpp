@@ -234,6 +234,9 @@ TEST(JobServer, ResubmittedJobIsServedFromTheResultStore) {
   ASSERT_NE(warm.find("metrics"), nullptr);
   ASSERT_NE(cold.find("metrics"), nullptr);
   EXPECT_EQ(warm.find("metrics")->dump(0), cold.find("metrics")->dump(0));
+  ASSERT_NE(warm.find("result"), nullptr);
+  ASSERT_NE(cold.find("result"), nullptr);
+  EXPECT_EQ(warm.find("result")->dump(0), cold.find("result")->dump(0));
 
   const ServerStats stats = served.stats();
   EXPECT_EQ(stats.cache_misses, 1u);
@@ -363,6 +366,10 @@ TEST(JobServer, TraceReplayThroughServerIsBitExactWithDirectReplay) {
   ASSERT_NE(metrics, nullptr);
   // Same canonical rendering on both sides — byte equality, no tolerance.
   EXPECT_EQ(metrics->dump(0), sim::run_result_json(direct).dump(0));
+  // And the full result travels too, decoding to the direct run's RunResult.
+  const JsonValue* doc = reply.find("result");
+  ASSERT_NE(doc, nullptr);
+  EXPECT_EQ(sim::run_result_from_json(*doc), direct);
   served.drain();
   std::remove(path.c_str());
 }

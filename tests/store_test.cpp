@@ -16,7 +16,6 @@
 #include "sim/sweep.hpp"
 #include "store/build_digest.hpp"
 #include "store/digest.hpp"
-#include "store/result_codec.hpp"
 #include "store/result_store.hpp"
 #include "store/sweep_cache.hpp"
 
@@ -138,18 +137,19 @@ TEST(ResultCodec, RoundTripsARealRunExactly) {
   const std::vector<sim::RunResult> r =
       sim::SweepRunner(1).run_or_throw(small_grid());
   for (const sim::RunResult& result : r) {
-    const auto back = run_result_from_json(run_result_to_json(result));
+    const auto back =
+        sim::run_result_from_json(sim::run_result_to_json(result));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, result) << result.benchmark;
   }
 }
 
 TEST(ResultCodec, RejectsForeignDocuments) {
-  EXPECT_FALSE(run_result_from_json(JsonValue::object()).has_value());
+  EXPECT_FALSE(sim::run_result_from_json(JsonValue::object()).has_value());
   // A future codec version degrades to a miss, never a bad decode.
-  JsonValue j = run_result_to_json(sim::RunResult{});
+  JsonValue j = sim::run_result_to_json(sim::RunResult{});
   j.set("codec", JsonValue::number(u64{999}));
-  EXPECT_FALSE(run_result_from_json(j).has_value());
+  EXPECT_FALSE(sim::run_result_from_json(j).has_value());
 }
 
 // --- ResultStore: persistence and recovery ---------------------------------
@@ -340,40 +340,18 @@ TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
 
 // --- SweepCache / run_grid_cached ------------------------------------------
 
-TEST(SweepCache, MetricsOnlyRecordsMissForFullResultConsumers) {
-  const std::string dir = temp_dir("metrics_only");
-  SweepCache cache({dir, 64});
-  const sim::SweepJob job{"gzip", small_options(), "x"};
-
-  JsonValue metrics = JsonValue::object();
-  metrics.set("ipc", JsonValue::number(1.25));
-  cache.insert_metrics(job, metrics);
-
-  // Metrics consumers (coordinator, server replies) hit...
-  const auto m = cache.lookup_metrics(job);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->dump(0), metrics.dump(0));
-  // ...full-result consumers (benches) miss rather than fabricate.
-  EXPECT_FALSE(cache.lookup_result(job).has_value());
-
-  const SweepCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.inserts, 1u);
-}
-
 TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   const std::string dir = temp_dir("warm");
   const auto grid = small_grid();
   const sim::SweepRunner runner(2);
 
   SweepCache cold({dir, 64});
-  std::vector<double> cold_walls;
   std::vector<std::size_t> completed_seq;
-  const auto cold_results = run_grid_cached(
-      runner, grid, &cold,
-      [&](const sim::SweepProgress& p) { completed_seq.push_back(p.completed); },
-      &cold_walls);
+  const auto cold_results = sim::results_or_throw(
+      grid, run_grid_cached(runner, grid, &cold,
+                            [&](const sim::SweepProgress& p) {
+                              completed_seq.push_back(p.completed);
+                            }));
   ASSERT_EQ(cold_results.size(), grid.size());
   EXPECT_EQ(cold.stats().hits, 0u);
   EXPECT_EQ(cold.stats().misses, grid.size());
@@ -386,15 +364,16 @@ TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   completed_seq.clear();
   std::vector<double> warm_walls;
   std::vector<char> saw_job(grid.size(), 0);
-  const auto warm_results = run_grid_cached(
-      runner, grid, &warm,
-      [&](const sim::SweepProgress& p) {
-        completed_seq.push_back(p.completed);
-        saw_job[p.job_index] = 1;
-        EXPECT_EQ(p.total, grid.size());
-        ASSERT_NE(p.outcome, nullptr);
-        EXPECT_TRUE(p.outcome->ok());
-      },
+  const auto warm_results = sim::results_or_throw(
+      grid,
+      run_grid_cached(runner, grid, &warm,
+                      [&](const sim::SweepProgress& p) {
+                        completed_seq.push_back(p.completed);
+                        saw_job[p.job_index] = 1;
+                        EXPECT_EQ(p.total, grid.size());
+                        ASSERT_NE(p.outcome, nullptr);
+                        EXPECT_TRUE(p.outcome->ok());
+                      }),
       &warm_walls);
   EXPECT_EQ(warm.stats().hits, grid.size());
   EXPECT_EQ(warm.stats().misses, 0u);
@@ -410,13 +389,6 @@ TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
     EXPECT_TRUE(saw_job[i]) << i;
     EXPECT_EQ(warm_walls[i], 0.0) << i;
   }
-
-  // And the cached metrics view renders exactly like a fresh run's.
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto m = warm.lookup_metrics(grid[i]);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->dump(0), sim::run_result_json(cold_results[i]).dump(0));
-  }
 }
 
 TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
@@ -431,7 +403,8 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
   cache.insert(grid[1], seeded[0]);
   cache.reset_stats();
 
-  const auto results = run_grid_cached(runner, grid, &cache);
+  const auto results =
+      sim::results_or_throw(grid, run_grid_cached(runner, grid, &cache));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, grid.size() - 1);
   EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
@@ -439,6 +412,33 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
   // Outcomes land at their grid positions regardless of hit/miss split.
   const auto all = runner.run_or_throw(grid);
   EXPECT_EQ(results, all);
+}
+
+TEST(SweepCache, AFailedCellIsCapturedAndTheRestAreStored) {
+  const std::string dir = temp_dir("failed_cell");
+  auto grid = small_grid();
+  grid.insert(grid.begin() + 1, {"no-such-benchmark", small_options(), "bad"});
+  const sim::SweepRunner runner(2);
+
+  SweepCache cache({dir, 64});
+  const auto outcomes = run_grid_cached(runner, grid, &cache);
+  ASSERT_EQ(outcomes.size(), grid.size());
+  EXPECT_FALSE(outcomes[1].ok());
+  EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
+  EXPECT_THROW(sim::results_or_throw(grid, outcomes), std::runtime_error);
+
+  // The cells that did finish are served on the next run; the failed one
+  // runs (and fails) again.
+  cache.reset_stats();
+  const auto again = run_grid_cached(runner, grid, &cache);
+  EXPECT_EQ(cache.stats().hits, grid.size() - 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_FALSE(again[1].ok());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (i == 1) continue;
+    ASSERT_TRUE(again[i].ok()) << again[i].error;
+    EXPECT_EQ(again[i].result, outcomes[i].result) << i;
+  }
 }
 
 }  // namespace

@@ -7,11 +7,12 @@
 // to what the figure benches sweep. Cells are dispatched in batches with
 // health probes, jittered-backoff retries, speculative re-dispatch of
 // stragglers, permanent retirement of flapping workers, and local
-// fallback when the fleet dies — see src/fabric/coordinator.hpp. Because
-// every cell is seeded and both paths render metrics through
-// sim::run_result_json, `--json` output from a chaotic fleet run and from
-// `--local` must have byte-identical cells — that equivalence is the CI
-// chaos gate.
+// fallback when the fleet dies — see src/fabric/coordinator.hpp. Every
+// mode ends in one full sim::RunResult per cell (workers send the lossless
+// codec document, the store holds it) and renders it through one path,
+// sim::run_result_json. Because every cell is seeded, `--json` output from
+// a chaotic fleet run, from `--local` and from the store must have
+// byte-identical cells — that equivalence is the CI chaos gate.
 //
 // Grid flags: --suite=all|fp|int|smoke --instructions --warmup --seed
 //             --frontend=exec|trace --trace-dir (local fallback only)
@@ -22,10 +23,13 @@
 // Store: --store=DIR consults the content-addressed result store before
 //   running (both modes); a cell whose digest hits is served from cache
 //   with zero simulation work, and computed cells are inserted for the
-//   next run. The reporter config records store_hits/store_misses — the
-//   CI store-smoke gate asserts a repeated sweep is 100% hits.
-// Output: --json=FILE (bench schema v1, cells in grid order),
-//   --retirement-log=FILE (one JSON object per retired worker).
+//   next run. Fabric and --local runs of this binary share records: a
+//   fleet sweep's store answers the same grid run --local. The reporter
+//   config records store_hits/store_misses — the CI store-smoke and
+//   fabric-chaos-smoke gates assert a repeated sweep is 100% hits.
+// Output: --json=FILE (bench schema v2, cells in grid order, per-cell
+//   wall_clock_seconds 0.0 in every mode), --retirement-log=FILE (one
+//   JSON object per retired worker).
 // Exit codes: 0 every cell computed, 2 usage, 1 any cell failed.
 #include <cstdio>
 #include <string>
@@ -163,94 +167,11 @@ int main(int argc, char** argv) {
   reporter.set_config("mode",
                       JsonValue::string(local_only ? "local" : "fabric"));
 
+  // One render path for every mode: a cell's full RunResult, whether it
+  // was simulated here, on a worker, or read from the store, becomes its
+  // --json metrics through sim::run_result_json.
   bool any_failed = false;
-  if (local_only) {
-    std::unique_ptr<store::SweepCache> cache;
-    if (!store_dir.empty()) {
-      try {
-        cache = std::make_unique<store::SweepCache>(
-            store::StoreConfig{store_dir, 4096});
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "aeep_coord: cannot open store: %s\n", e.what());
-        return 1;
-      }
-    }
-
-    // Serve what the store already knows, then run only the misses; a
-    // cached cell renders through the same sim::run_result_json as a
-    // fresh one, so a warm re-run's --json cells are byte-identical.
-    const sim::SweepRunner runner(o.jobs);
-    std::vector<sim::RunResult> results(grid.size());
-    std::vector<char> have(grid.size(), 0);
-    std::vector<std::size_t> miss_idx;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (cache) {
-        if (std::optional<sim::RunResult> hit = cache->lookup_result(grid[i])) {
-          results[i] = std::move(*hit);
-          have[i] = 1;
-          std::fprintf(stderr, "[%zu/%zu] %s:%s <- store\n",
-                       i - miss_idx.size() + 1, grid.size(),
-                       grid[i].benchmark.c_str(), grid[i].tag.c_str());
-          continue;
-        }
-      }
-      miss_idx.push_back(i);
-    }
-    const std::size_t store_hits = grid.size() - miss_idx.size();
-    if (!miss_idx.empty()) {
-      std::vector<sim::SweepJob> miss_grid;
-      miss_grid.reserve(miss_idx.size());
-      for (const std::size_t i : miss_idx) miss_grid.push_back(grid[i]);
-      const auto base_progress = sim::stderr_progress();
-      const auto outcomes =
-          runner.run(miss_grid, [&](const sim::SweepProgress& p) {
-            sim::SweepProgress q = p;
-            q.completed = store_hits + p.completed;
-            q.total = grid.size();
-            base_progress(q);
-          });
-      for (std::size_t k = 0; k < miss_idx.size(); ++k) {
-        const std::size_t i = miss_idx[k];
-        if (!outcomes[k].ok()) {
-          any_failed = true;
-          std::fprintf(stderr, "aeep_coord: cell %s:%s failed: %s\n",
-                       grid[i].benchmark.c_str(), grid[i].tag.c_str(),
-                       outcomes[k].error.c_str());
-          continue;
-        }
-        results[i] = outcomes[k].result;
-        have[i] = 1;
-        if (cache) cache->insert(grid[i], outcomes[k].result);
-      }
-    }
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!have[i]) continue;
-      reporter.add_cell(grid[i].benchmark, grid[i].tag,
-                        sim::run_result_json(results[i]));
-    }
-    if (cache) {
-      reporter.set_config("store_hits", JsonValue::number(u64{store_hits}));
-      reporter.set_config("store_misses",
-                          JsonValue::number(u64{miss_idx.size()}));
-      std::fprintf(stderr, "aeep_coord: store hits=%zu misses=%zu (%s)\n",
-                   store_hits, miss_idx.size(), store_dir.c_str());
-    }
-  } else {
-    std::unique_ptr<fabric::Coordinator> coord;
-    try {
-      coord = std::make_unique<fabric::Coordinator>(std::move(cfg));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "aeep_coord: cannot open store: %s\n", e.what());
-      return 1;
-    }
-    const auto outcomes =
-        coord->run(grid, [](const fabric::FabricProgress& p) {
-          std::fprintf(stderr, "[%zu/%zu] %s:%s <- %s%s\n", p.completed,
-                       p.total, p.job->benchmark.c_str(), p.job->tag.c_str(),
-                       p.outcome->ok() ? p.outcome->worker.c_str()
-                                       : "FAILED",
-                       p.outcome->speculative ? " (speculative)" : "");
-        });
+  const auto report = [&](const auto& outcomes) {
     for (std::size_t i = 0; i < grid.size(); ++i) {
       if (!outcomes[i].ok()) {
         any_failed = true;
@@ -259,8 +180,40 @@ int main(int argc, char** argv) {
                      outcomes[i].error.c_str());
         continue;
       }
-      reporter.add_cell(grid[i].benchmark, grid[i].tag, outcomes[i].metrics);
+      reporter.add_cell(grid[i].benchmark, grid[i].tag,
+                        sim::run_result_json(outcomes[i].result));
     }
+  };
+  const auto report_store = [&](u64 hits) {
+    if (store_dir.empty()) return;
+    const u64 misses = u64{grid.size()} - hits;
+    reporter.set_config("store_hits", JsonValue::number(hits));
+    reporter.set_config("store_misses", JsonValue::number(misses));
+    std::fprintf(stderr, "aeep_coord: store hits=%llu misses=%llu (%s)\n",
+                 static_cast<unsigned long long>(hits),
+                 static_cast<unsigned long long>(misses), store_dir.c_str());
+  };
+
+  if (local_only) {
+    const std::unique_ptr<store::SweepCache> cache =
+        bench::open_store(store_dir);
+    report(store::run_grid_cached(sim::SweepRunner(o.jobs), grid,
+                                  cache.get(), sim::stderr_progress()));
+    report_store(cache ? cache->stats().hits : 0);
+  } else {
+    std::unique_ptr<fabric::Coordinator> coord;
+    try {
+      coord = std::make_unique<fabric::Coordinator>(std::move(cfg));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "aeep_coord: cannot open store: %s\n", e.what());
+      return 1;
+    }
+    report(coord->run(grid, [](const fabric::FabricProgress& p) {
+      std::fprintf(stderr, "[%zu/%zu] %s:%s <- %s%s\n", p.completed, p.total,
+                   p.job->benchmark.c_str(), p.job->tag.c_str(),
+                   p.outcome->ok() ? p.outcome->worker.c_str() : "FAILED",
+                   p.outcome->speculative ? " (speculative)" : "");
+    }));
 
     const fabric::FabricStats s = coord->stats();
     std::fprintf(stderr,
@@ -275,11 +228,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(s.duplicates_discarded),
                  static_cast<unsigned long long>(s.worker_failures),
                  static_cast<unsigned long long>(s.busy_backoffs));
-    if (!store_dir.empty()) {
-      reporter.set_config("store_hits", JsonValue::number(s.jobs_cached));
-      reporter.set_config("store_misses",
-                          JsonValue::number(u64{grid.size()} - s.jobs_cached));
-    }
+    report_store(s.jobs_cached);
     const auto retirement_log = coord->registry().retirement_log();
     for (const auto& rec : retirement_log)
       std::fprintf(stderr, "aeep_coord: retired %s after %u failure(s): %s\n",
