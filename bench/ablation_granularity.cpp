@@ -1,9 +1,9 @@
 // Ablation: ECC protection granularity. The paper (and Itanium) uses 8
 // check bits per 64 data bits (12.5%). Wider granules amortise check bits
-// (SECDED over 512 bits costs 2.5%) but correct only one error per granule
-// — this bench quantifies both sides: the area column analytically, the
-// multi-bit vulnerability by Monte-Carlo double-strike injection through
-// the real width-parameterised codec.
+// (SECDED over 512 bits costs 11 check bits, 2.1%) but correct only one
+// error per granule — this bench quantifies both sides: the area column
+// analytically, the multi-bit vulnerability by Monte-Carlo double-strike
+// injection through the real codec at each granule width.
 //
 //   ablation_granularity [--trials=20000] [--seed=42]
 #include <cstdio>
@@ -12,16 +12,13 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "ecc/wide_secded.hpp"
+#include "ecc/secded.hpp"
 #include "protect/area_model.hpp"
 
 using namespace aeep;
 
 namespace {
 
-/// Fraction of uniformly-placed double strikes in a 64-byte line that a
-/// per-granule SECDED arrangement fails to correct (both strikes in one
-/// granule -> detected-double).
 /// Extract granule `g` of the 512-bit line into LSB-packed words.
 std::vector<u64> extract_granule(const std::vector<u64>& line, unsigned g,
                                  unsigned granule_bits) {
@@ -46,8 +43,12 @@ void implant_granule(std::vector<u64>& line, unsigned g, unsigned granule_bits,
   }
 }
 
-double double_strike_due_rate(unsigned granule_bits, u64 trials, u64 seed) {
-  const ecc::WideSecdedCodec codec(granule_bits);
+/// Fraction of uniformly-placed double strikes in a 64-byte line that a
+/// per-granule SECDED arrangement fails to correct (both strikes in one
+/// granule -> detected-double).
+double double_strike_due_rate(const ecc::SecdedCodec& codec, u64 trials,
+                              u64 seed) {
+  const unsigned granule_bits = codec.data_bits();
   const unsigned granules = 512 / granule_bits;
   Xorshift64Star rng(seed);
   u64 due = 0;
@@ -93,12 +94,12 @@ int main(int argc, char** argv) {
   TextTable table({"granule", "check bits/line", "overhead", "L2 ECC total",
                    "2-strike DUE rate"});
   for (const unsigned g : {32u, 64u, 128u, 256u, 512u}) {
-    const unsigned cb = ecc::WideSecdedCodec::check_bits_for(g);
-    const unsigned per_line = cb * (512 / g);
+    const ecc::SecdedCodec codec(g);
+    const unsigned per_line = codec.check_bits() * (512 / g);
     const double overhead = static_cast<double>(per_line) / 512.0;
     const double total_kb =
         static_cast<double>(geom.total_lines()) * per_line / 8.0 / 1024.0;
-    const double due = double_strike_due_rate(g, trials, seed + g);
+    const double due = double_strike_due_rate(codec, trials, seed + g);
     table.add_row({std::to_string(g) + "b", std::to_string(per_line),
                    TextTable::pct(overhead, 1),
                    TextTable::fmt(total_kb, 0) + "KB",

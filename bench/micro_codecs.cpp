@@ -1,15 +1,16 @@
-// Self-timed microbenchmarks for the line-codec hot path: words/second for
-// parity, byte-parity and SECDED line encode + decode through the
-// scratch-buffer API, with heap allocations counted per call via a global
-// operator-new hook. The scratch path must be allocation-free — the bench
-// exits non-zero if it ever allocates, which is the repo's executable proof
-// of the "zero allocations per line encode/decode" claim.
+// Self-timed microbenchmarks for the codec calls the protection schemes
+// make on the L2 access path: words/second for parity and SECDED line
+// encode (encode_batch), sparse re-encode (encode_batch_masked), clean scan
+// (mismatch_mask) and, for SECDED, repair of a line carrying a single-bit
+// error (correct_line), with heap allocations counted per call via a global
+// operator-new hook. Every call must be allocation-free — the bench exits
+// non-zero if one ever allocates, which is the repo's executable proof of
+// the "zero allocations per line encode/decode" claim.
 //
-// Also times the batched SWAR whole-line paths against the word-at-a-time
-// virtual-dispatch baseline (the pre-batching LineCodec inner loop),
-// verifies they agree bit-for-bit, and — with --min-secded-speedup=X —
-// exits non-zero unless batched SECDED encode is at least X times faster
-// than word-at-a-time. CI pins X=2.
+// Also times batched line encode against the word-at-a-time
+// virtual-dispatch baseline, verifies they agree bit-for-bit, and — with
+// --min-secded-speedup=X — exits non-zero unless batched SECDED encode is
+// at least X times faster than word-at-a-time. CI pins X=2.
 //
 //   micro_codecs [--lines=65536] [--json=out.json] [--min-secded-speedup=X]
 #include <atomic>
@@ -20,7 +21,6 @@
 #include "bench_util.hpp"
 #include "json_reporter.hpp"
 #include "common/rng.hpp"
-#include "ecc/line_codec.hpp"
 #include "ecc/parity.hpp"
 #include "ecc/secded.hpp"
 
@@ -101,11 +101,9 @@ int main(int argc, char** argv) {
   json.set_config("line_bytes", JsonValue::number(u64{kLineBytes}));
 
   const ecc::ParityCodec parity;
-  const ecc::ByteParityCodec byte_parity;
   const ecc::SecdedCodec secded;
   const std::vector<std::pair<const char*, const ecc::WordCodec*>> codecs = {
       {"parity", &parity},
-      {"byte-parity", &byte_parity},
       {"secded", &secded},
   };
 
@@ -115,54 +113,45 @@ int main(int argc, char** argv) {
   std::vector<u64> data(kWords);
   for (auto& w : data) w = rng.next();
 
-  TextTable table({"codec", "op", "API", "words/s", "allocs/call"});
-  bool scratch_allocated = false;
+  TextTable table({"codec", "call", "words/s", "allocs/call"});
+  bool allocated = false;
   bool equivalence_broken = false;
   double secded_speedup = 0.0;
 
   for (const auto& [name, codec] : codecs) {
-    const ecc::LineCodec lc(*codec, kLineBytes);
-    std::vector<u64> check(kWords), out(kWords);
+    std::vector<u64> check(kWords), scalar_check(kWords);
+    std::vector<std::pair<const char*, Measurement>> rows;
 
-    struct Case {
-      const char* op;
-      const char* api;
-      Measurement m;
-      bool is_scratch;
-    };
-    std::vector<Case> cases;
-
-    cases.push_back({"encode", "scratch",
-                     timed(lines, kWords,
-                           [&](u64 i) {
-                             data[i % kWords] ^= i | 1;
-                             lc.encode(data, check);
-                             return check[0];
-                           }),
-                     true});
-    // Batched SWAR line encode vs the word-at-a-time virtual-dispatch
-    // baseline (what LineCodec::encode did before batching). Same input
-    // mutation schedule, so the words/s figures are directly comparable.
-    std::vector<u64> scalar_check(kWords);
+    // Batched line encode vs the word-at-a-time virtual-dispatch baseline.
+    // Same input mutation schedule, so the words/s figures are directly
+    // comparable.
     const Measurement scalar_m = timed(lines, kWords, [&](u64 i) {
       data[i % kWords] ^= i | 1;
       for (unsigned w = 0; w < kWords; ++w)
         scalar_check[w] = codec->encode(data[w]);
       return scalar_check[0];
     });
-    cases.push_back({"encode", "scalar-words", scalar_m, false});
+    rows.emplace_back("encode per word", scalar_m);
     const Measurement batched_m = timed(lines, kWords, [&](u64 i) {
       data[i % kWords] ^= i | 1;
       codec->encode_batch(data, check);
       return check[0];
     });
-    cases.push_back({"encode", "batched", batched_m, true});
-    if (std::string(name) == "secded" && scalar_m.words_per_sec > 0.0)
+    rows.emplace_back("encode_batch", batched_m);
+    if (codec == &secded && scalar_m.words_per_sec > 0.0)
       secded_speedup = batched_m.words_per_sec / scalar_m.words_per_sec;
 
-    // The two paths must agree bit-for-bit on the final mutated line (and
-    // the batched mismatch scan must see the agreement as all-clean).
-    codec->encode_batch(data, check);
+    // A one-word store re-encodes one word; `check` stays in step with the
+    // line throughout.
+    rows.emplace_back("encode_batch_masked", timed(lines, 1, [&](u64 i) {
+      const unsigned w = static_cast<unsigned>(i % kWords);
+      data[w] ^= i | 1;
+      codec->encode_batch_masked(data, u64{1} << w, check);
+      return check[w];
+    }));
+
+    // The batched paths must agree bit-for-bit with the scalar encoder on
+    // the final mutated line, and the clean scan must see the agreement.
     for (unsigned w = 0; w < kWords; ++w) {
       if (check[w] != codec->encode(data[w])) {
         std::fprintf(stderr,
@@ -176,30 +165,39 @@ int main(int argc, char** argv) {
       equivalence_broken = true;
     }
 
-    // `check` now matches the mutated payload, so the decode loop runs the
-    // clean path (the hot case in the simulator).
-    cases.push_back({"decode", "scratch",
-                     timed(lines, kWords,
-                           [&](u64) {
-                             lc.decode(data, check, out);
-                             return out[0];
-                           }),
-                     true});
+    // The clean scan every validated read starts with.
+    rows.emplace_back("mismatch_mask", timed(lines, kWords, [&](u64) {
+      return codec->mismatch_mask(data, check);
+    }));
 
-    for (const auto& c : cases) {
-      table.add_row({name, c.op, c.api, rate(c.m.words_per_sec),
-                     TextTable::fmt(c.m.allocs_per_call, 2)});
-      if (c.is_scratch && c.m.allocs_per_call > 0.0) scratch_allocated = true;
+    if (codec == &secded) {
+      // The repair path: every call injects one single-bit error and
+      // correct_line must put the line back exactly.
+      const std::vector<u64> golden = data;
+      rows.emplace_back("correct_line", timed(lines, kWords, [&](u64 i) {
+        data[i % kWords] ^= u64{1} << (i % 64);
+        return secded.correct_line(data, check).corrected_mask;
+      }));
+      if (data != golden || secded.mismatch_mask(data, check) != 0) {
+        std::fprintf(stderr, "%s: correct_line left a line damaged\n", name);
+        equivalence_broken = true;
+      }
+    }
+
+    for (const auto& [call, m] : rows) {
+      table.add_row({name, call, rate(m.words_per_sec),
+                     TextTable::fmt(m.allocs_per_call, 2)});
+      if (m.allocs_per_call > 0.0) allocated = true;
       JsonValue metrics = JsonValue::object();
-      metrics.set("words_per_sec", JsonValue::number(c.m.words_per_sec));
-      metrics.set("allocs_per_call", JsonValue::number(c.m.allocs_per_call));
-      json.add_cell(name, std::string(c.op) + ":" + c.api, std::move(metrics));
+      metrics.set("words_per_sec", JsonValue::number(m.words_per_sec));
+      metrics.set("allocs_per_call", JsonValue::number(m.allocs_per_call));
+      json.add_cell(name, call, std::move(metrics));
     }
   }
 
   std::printf("%s", table.render().c_str());
-  std::printf("\nscratch-API allocations per encode/decode: %s\n",
-              scratch_allocated ? "NONZERO (regression!)" : "zero");
+  std::printf("\nallocations per codec call: %s\n",
+              allocated ? "NONZERO (regression!)" : "zero");
   std::printf("batched vs scalar equivalence: %s\n",
               equivalence_broken ? "BROKEN (regression!)" : "bit-exact");
   std::printf("secded batched/scalar encode speedup: %.2fx", secded_speedup);
@@ -217,5 +215,5 @@ int main(int argc, char** argv) {
                  secded_speedup, min_secded_speedup);
     return 1;
   }
-  return scratch_allocated ? 1 : 0;
+  return allocated ? 1 : 0;
 }

@@ -1,15 +1,15 @@
 // Word-level error-code interface.
 //
-// All codecs in this library operate on 64-bit data words — the granularity
-// the paper uses ("every 64 bits of data requires 8 bits for ECC" / "1 bit
-// parity check code"). A codec computes `check_bits()` check bits for each
-// word; `decode` recomputes them from possibly-corrupted data+check and
-// reports what it can conclude.
+// A WordCodec operates on 64-bit data words — the granularity the paper
+// uses ("every 64 bits of data requires 8 bits for ECC" / "1 bit parity
+// check code"). A codec computes `check_bits()` check bits for each word;
+// `decode` recomputes them from possibly-corrupted data+check and reports
+// what it can conclude. (SecdedCodec also offers other granule widths
+// through its span API, for the granularity ablation.)
 #pragma once
 
 #include <cassert>
 #include <span>
-#include <string>
 
 #include "common/types.hpp"
 
@@ -22,8 +22,6 @@ enum class DecodeStatus {
   kDetectedDouble,     ///< double-bit error detected (uncorrectable)
   kDetectedError,      ///< error detected, no correction capability (parity)
 };
-
-const char* to_string(DecodeStatus s);
 
 struct DecodeResult {
   DecodeStatus status = DecodeStatus::kOk;
@@ -39,14 +37,8 @@ class WordCodec {
  public:
   virtual ~WordCodec() = default;
 
-  /// Human-readable name, e.g. "secded(72,64)".
-  virtual std::string name() const = 0;
-
   /// Number of check bits per 64-bit data word.
   virtual unsigned check_bits() const = 0;
-
-  /// True if decode can repair single-bit errors.
-  virtual bool corrects_single() const = 0;
 
   /// Compute check bits for a data word.
   virtual u64 encode(u64 data) const = 0;
@@ -61,23 +53,18 @@ class WordCodec {
   }
 
   // --- Batched hot path ---------------------------------------------------
-  // Whole-line entry points. The defaults below loop the scalar hooks, so
-  // every codec is correct for free; the production codecs override them
-  // with SWAR implementations that hoist constants, drop the per-word
-  // virtual dispatch, and expose independent popcount/fold chains to the
-  // CPU. Batched and scalar results are bit-identical by contract
-  // (equivalence-tested in ecc_test).
+  // Whole-line entry points. The codecs implement them with SWAR code that
+  // hoists constants, drops the per-word virtual dispatch, and exposes
+  // independent popcount/fold chains to the CPU. Batched and scalar
+  // results are bit-identical by contract (equivalence-tested in ecc_test).
 
   /// check_out[w] = encode(data[w]) for every word.
   virtual void encode_batch(std::span<const u64> data,
-                            std::span<u64> check_out) const {
-    assert(check_out.size() >= data.size());
-    for (std::size_t w = 0; w < data.size(); ++w)
-      check_out[w] = encode(data[w]);
-  }
+                            std::span<u64> check_out) const = 0;
 
   /// Like encode_batch, but only for words with bit w set in `word_mask`;
   /// other check_out entries are left untouched (silent-write elision).
+  /// The default loops the scalar encode.
   virtual void encode_batch_masked(std::span<const u64> data, u64 word_mask,
                                    std::span<u64> check_out) const {
     assert(data.size() <= 64 && check_out.size() >= data.size());
@@ -90,14 +77,7 @@ class WordCodec {
   /// a zero mask means every word is kOk and the scalar decoder (syndrome
   /// walk, branches) can be skipped entirely.
   virtual u64 mismatch_mask(std::span<const u64> data,
-                            std::span<const u64> check) const {
-    assert(data.size() <= 64 && check.size() >= data.size());
-    const u64 live = check_mask();
-    u64 mm = 0;
-    for (std::size_t w = 0; w < data.size(); ++w)
-      if (encode(data[w]) != (check[w] & live)) mm |= u64{1} << w;
-    return mm;
-  }
+                            std::span<const u64> check) const = 0;
 };
 
 }  // namespace aeep::ecc

@@ -4,24 +4,7 @@
 
 namespace aeep::ecc {
 
-const char* to_string(DecodeStatus s) {
-  switch (s) {
-    case DecodeStatus::kOk: return "ok";
-    case DecodeStatus::kCorrectedSingle: return "corrected-single";
-    case DecodeStatus::kDetectedDouble: return "detected-double";
-    case DecodeStatus::kDetectedError: return "detected-error";
-  }
-  return "?";
-}
-
-std::string ParityCodec::name() const {
-  return odd_ ? "parity-odd(65,64)" : "parity-even(65,64)";
-}
-
-u64 ParityCodec::encode(u64 data) const {
-  const unsigned p = parity64(data);
-  return odd_ ? (p ^ 1u) : p;
-}
+u64 ParityCodec::encode(u64 data) const { return parity64(data); }
 
 DecodeResult ParityCodec::decode(u64 data, u64 check) const {
   DecodeResult r;
@@ -36,64 +19,16 @@ DecodeResult ParityCodec::decode(u64 data, u64 check) const {
 void ParityCodec::encode_batch(std::span<const u64> data,
                                std::span<u64> check_out) const {
   assert(check_out.size() >= data.size());
-  const u64 flip = odd_ ? 1u : 0u;
   for (std::size_t w = 0; w < data.size(); ++w)
-    check_out[w] = static_cast<u64>(parity64(data[w])) ^ flip;
+    check_out[w] = parity64(data[w]);
 }
 
 u64 ParityCodec::mismatch_mask(std::span<const u64> data,
                                std::span<const u64> check) const {
   assert(data.size() <= 64 && check.size() >= data.size());
-  const u64 flip = odd_ ? 1u : 0u;
-  u64 mm = 0;
-  for (std::size_t w = 0; w < data.size(); ++w) {
-    const u64 expect = static_cast<u64>(parity64(data[w])) ^ flip;
-    mm |= static_cast<u64>(expect != (check[w] & 1u)) << w;
-  }
-  return mm;
-}
-
-namespace {
-
-/// All eight per-byte parity bits of one word in ~8 ALU ops: a SWAR
-/// shift/XOR fold reduces each byte's parity into its lowest bit, then the
-/// multiply-pack gathers those eight spaced bits into one byte. The partial
-/// products of the 0x0102...80 multiplier never carry into byte 7, so bit b
-/// of the result is exactly the parity of byte b.
-u64 byte_parity_swar(u64 v) {
-  v ^= v >> 4;
-  v ^= v >> 2;
-  v ^= v >> 1;
-  return ((v & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
-}
-
-}  // namespace
-
-u64 ByteParityCodec::encode(u64 data) const { return byte_parity_swar(data); }
-
-DecodeResult ByteParityCodec::decode(u64 data, u64 check) const {
-  DecodeResult r;
-  r.data = data;
-  r.check = check & 0xFFu;
-  r.status = (encode(data) == (check & 0xFFu)) ? DecodeStatus::kOk
-                                               : DecodeStatus::kDetectedError;
-  return r;
-}
-
-void ByteParityCodec::encode_batch(std::span<const u64> data,
-                                   std::span<u64> check_out) const {
-  assert(check_out.size() >= data.size());
-  for (std::size_t w = 0; w < data.size(); ++w)
-    check_out[w] = byte_parity_swar(data[w]);
-}
-
-u64 ByteParityCodec::mismatch_mask(std::span<const u64> data,
-                                   std::span<const u64> check) const {
-  assert(data.size() <= 64 && check.size() >= data.size());
   u64 mm = 0;
   for (std::size_t w = 0; w < data.size(); ++w)
-    mm |= static_cast<u64>(byte_parity_swar(data[w]) != (check[w] & 0xFFu))
-          << w;
+    mm |= static_cast<u64>(parity64(data[w]) != (check[w] & 1u)) << w;
   return mm;
 }
 

@@ -1,48 +1,19 @@
-// Parity check codes: detect any odd number of bit errors, correct nothing.
+// Parity check code: detects any odd number of bit errors, corrects nothing.
 #pragma once
 
 #include "ecc/codec.hpp"
 
 namespace aeep::ecc {
 
-/// One even/odd parity bit per 64-bit word — the code the paper uses for
-/// clean L2 lines, L1 caches, tags and status bits (as in Itanium).
+/// One even parity bit per 64-bit word — the code the paper uses for clean
+/// L2 lines, L1 caches, tags and status bits (as in Itanium).
 class ParityCodec final : public WordCodec {
  public:
-  /// `odd` selects odd parity (stored bit makes total popcount odd).
-  explicit ParityCodec(bool odd = false) : odd_(odd) {}
-
-  std::string name() const override;
   unsigned check_bits() const override { return 1; }
-  bool corrects_single() const override { return false; }
   u64 encode(u64 data) const override;
   DecodeResult decode(u64 data, u64 check) const override;
 
-  // Batched overrides: one POPCNT per word with the odd/even flip hoisted
-  // out of the loop.
-  void encode_batch(std::span<const u64> data,
-                    std::span<u64> check_out) const override;
-  u64 mismatch_mask(std::span<const u64> data,
-                    std::span<const u64> check) const override;
-
-  bool odd() const { return odd_; }
-
- private:
-  bool odd_;
-};
-
-/// One parity bit per byte (8 check bits per word). Detects any odd number
-/// of errors within each byte; included as the finer-granularity variant
-/// used by some commercial tag arrays, and exercised by the ablations.
-class ByteParityCodec final : public WordCodec {
- public:
-  std::string name() const override { return "byte-parity(9,8)x8"; }
-  unsigned check_bits() const override { return 8; }
-  bool corrects_single() const override { return false; }
-  u64 encode(u64 data) const override;
-  DecodeResult decode(u64 data, u64 check) const override;
-
-  // Batched overrides using the SWAR fold + multiply-pack (see parity.cpp).
+  // Batched overrides: one POPCNT per word, no virtual dispatch.
   void encode_batch(std::span<const u64> data,
                     std::span<u64> check_out) const override;
   u64 mismatch_mask(std::span<const u64> data,

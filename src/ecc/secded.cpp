@@ -1,58 +1,122 @@
 #include "ecc/secded.hpp"
 
+#include <stdexcept>
+
 #include "common/bitops.hpp"
 
 namespace aeep::ecc {
 
-SecdedCodec::SecdedCodec() {
-  data_of_pos_.fill(kUnusedPos);
+namespace {
+/// Hamming check bits at the default 64-bit width.
+constexpr unsigned kHammingBits64 = 7;
+}  // namespace
+
+SecdedCodec::SecdedCodec(unsigned data_bits) : data_bits_(data_bits) {
+  if (data_bits < 8 || data_bits > 4096)
+    throw std::invalid_argument("SecdedCodec: data_bits must be in [8, 4096]");
+  hamming_bits_ = 1;
+  while ((u64{1} << hamming_bits_) < data_bits_ + hamming_bits_ + 1)
+    ++hamming_bits_;
+  words_ = (data_bits_ + 63) / 64;
+
+  // Column masks: data bits fill the non-power-of-two codeword positions
+  // in order, and check bit i covers every data bit whose position has bit
+  // i set. Turns encode/syndrome into one AND+POPCNT fold per check bit.
+  column_mask_.assign((hamming_bits_ + 1) * words_, 0);
   unsigned d = 0;
-  for (unsigned p = 1; p <= kMaxPos; ++p) {
-    if (is_pow2(p)) {
-      data_of_pos_[p] = kCheckPos;
-    } else {
-      data_of_pos_[p] = d;
-      pos_of_data_[d] = p;
-      ++d;
-    }
-  }
-  // 71 positions minus 7 power-of-two check positions leaves exactly 64.
-  static_assert(kMaxPos - kHammingBits == 64);
-
-  // Column masks: check bit i covers every data bit whose codeword position
-  // has bit i set. Turns encode/syndrome into 7 AND+POPCNT operations.
-  for (unsigned i = 0; i < kHammingBits; ++i) {
-    u64 mask = 0;
-    for (unsigned dd = 0; dd < 64; ++dd) {
-      if ((pos_of_data_[dd] >> i) & 1u) mask |= u64{1} << dd;
-    }
-    column_mask_[i] = mask;
+  for (unsigned p = 1; d < data_bits_; ++p) {
+    if (is_pow2(p)) continue;
+    const u64 bit = u64{1} << (d % 64);
+    for (unsigned i = 0; i < hamming_bits_; ++i)
+      if ((p >> i) & 1u) column_mask_[i * words_ + d / 64] |= bit;
+    column_mask_[hamming_bits_ * words_ + d / 64] |= bit;
+    ++d;
   }
 
-  // Byte-fold tables for the batched paths: check bit i is the XOR over set
-  // data bits of bit i of that bit's codeword position, so XOR-accumulating
-  // positions chunk by chunk computes all seven check bits together. Bit 7
-  // carries the chunk's own parity, which accumulates to parity64(word).
+  if (data_bits_ != 64) return;
+  // Byte-fold tables for the batched paths: the check bits of a word are
+  // the XOR of the check bits of its bytes taken one at a time.
   for (unsigned k = 0; k < 8; ++k) {
     for (unsigned v = 0; v < 256; ++v) {
-      unsigned acc = 0;
-      for (unsigned j = 0; j < 8; ++j) {
-        if ((v >> j) & 1u) acc ^= pos_of_data_[k * 8 + j];
-      }
-      byte_fold_[k][v] =
-          static_cast<u8>((acc & 0x7Fu) | ((popcount64(v) & 1u) << 7));
+      const u64 word = u64{v} << (8 * k);
+      unsigned fold = parity64(word) << kHammingBits64;
+      for (unsigned i = 0; i < kHammingBits64; ++i)
+        fold |= parity64(word & column_mask_[i]) << i;
+      byte_fold_[k][v] = static_cast<u8>(fold);
     }
   }
 }
 
 u64 SecdedCodec::encode(u64 data) const {
+  assert(data_bits_ == 64);
   u64 check = 0;
-  for (unsigned i = 0; i < kHammingBits; ++i)
+  for (unsigned i = 0; i < kHammingBits64; ++i)
     check |= static_cast<u64>(parity64(data & column_mask_[i])) << i;
   // Overall parity over the 71 Hamming codeword bits (data + c0..c6).
-  const unsigned overall = parity64(data) ^ parity64(check & 0x7Fu);
-  check |= static_cast<u64>(overall) << kHammingBits;
+  const unsigned overall = parity64(data) ^ parity64(check);
+  check |= static_cast<u64>(overall) << kHammingBits64;
   return check;
+}
+
+DecodeResult SecdedCodec::decode(u64 data, u64 check) const {
+  assert(data_bits_ == 64);
+  u64 d = data;
+  u64 c = check & check_mask();
+  DecodeResult r = decode(std::span<u64>(&d, 1), c);
+  r.data = d;
+  r.check = c;
+  return r;
+}
+
+u64 SecdedCodec::encode(std::span<const u64> data) const {
+  assert(data.size() >= words_);
+  u64 check = 0;
+  for (unsigned i = 0; i <= hamming_bits_; ++i) {
+    const u64* mask = column_mask_.data() + i * words_;
+    u64 acc = 0;
+    for (unsigned k = 0; k < words_; ++k) acc ^= data[k] & mask[k];
+    check |= static_cast<u64>(parity64(acc)) << i;
+  }
+  // Bit r now holds the data parity; fold in the Hamming check bits to make
+  // it the overall parity of the k+r codeword bits.
+  const u64 hamming = check & ((u64{1} << hamming_bits_) - 1);
+  return check ^ (static_cast<u64>(parity64(hamming)) << hamming_bits_);
+}
+
+DecodeResult SecdedCodec::decode(std::span<u64> data, u64& check) const {
+  DecodeResult r;
+  const u64 stored = check & check_mask();
+  // Bits 0..r-1 of the difference are the syndrome: the XOR of the
+  // positions of all flipped bits. An intact codeword has even overall
+  // parity, so the parity of the whole difference is the parity of the
+  // number of flips.
+  const u64 diff = encode(data) ^ stored;
+  if (diff == 0) return r;
+  const u64 syndrome = diff & ((u64{1} << hamming_bits_) - 1);
+  if (parity64(diff) == 0 || syndrome > data_bits_ + hamming_bits_) {
+    // Even number of flips, or an odd multi-bit error that aliased to a
+    // position outside the codeword.
+    r.status = DecodeStatus::kDetectedDouble;
+    return r;
+  }
+  r.status = DecodeStatus::kCorrectedSingle;
+  check = stored;
+  if (syndrome == 0) {
+    // Only the overall parity bit itself flipped.
+    check = flip_bit(check, hamming_bits_);
+    r.corrected_bit = data_bits_ + hamming_bits_;
+  } else if (is_pow2(syndrome)) {
+    const unsigned ci = log2_exact(syndrome);
+    check = flip_bit(check, ci);
+    r.corrected_bit = data_bits_ + ci;
+  } else {
+    // Position p holds data bit p - (number of check positions below p) - 1.
+    const auto at = static_cast<unsigned>(syndrome) -
+                    static_cast<unsigned>(std::bit_width(syndrome)) - 1;
+    data[at / 64] = flip_bit(data[at / 64], at % 64);
+    r.corrected_bit = at;
+  }
+  return r;
 }
 
 // Batched hot path. Eight byte-table lookups per word compute all seven
@@ -76,12 +140,12 @@ u64 SecdedCodec::fold_word(u64 d) const {
   unsigned p = c ^ (c >> 4);
   p ^= p >> 2;
   p ^= p >> 1;
-  return c | ((((acc >> 7) ^ p) & 1u) << kHammingBits);
+  return c | ((((acc >> 7) ^ p) & 1u) << kHammingBits64);
 }
 
 void SecdedCodec::encode_batch(std::span<const u64> data,
                                std::span<u64> check_out) const {
-  assert(check_out.size() >= data.size());
+  assert(data_bits_ == 64 && check_out.size() >= data.size());
   for (std::size_t w = 0; w < data.size(); ++w)
     check_out[w] = fold_word(data[w]);
 }
@@ -106,6 +170,7 @@ void SecdedCodec::encode_batch_masked(std::span<const u64> data, u64 word_mask,
 
 u64 SecdedCodec::mismatch_mask(std::span<const u64> data,
                                std::span<const u64> check) const {
+  assert(data_bits_ == 64);
   assert(data.size() <= 64 && check.size() >= data.size());
   u64 mm = 0;
   for (std::size_t w = 0; w < data.size(); ++w)
@@ -113,66 +178,29 @@ u64 SecdedCodec::mismatch_mask(std::span<const u64> data,
   return mm;
 }
 
-u64 SecdedCodec::hamming_syndrome(u64 data, u64 check) const {
-  // Syndrome bit i = stored c_i XOR recomputed c_i; the syndrome equals the
-  // XOR of the positions of all erroneous bits.
-  u64 syndrome = 0;
-  for (unsigned i = 0; i < kHammingBits; ++i) {
-    const unsigned p =
-        bit_of(check, i) ^ parity64(data & column_mask_[i]);
-    syndrome |= static_cast<u64>(p) << i;
+LineRepair SecdedCodec::correct_line(std::span<u64> data,
+                                     std::span<u64> check) const {
+  assert(check.size() >= data.size());
+  LineRepair out;
+  // Batched clean scan first: on the overwhelmingly common clean line this
+  // is one table fold + compare per word and no branch into the syndrome
+  // decoder. A flagged word never decodes kOk (same re-encode).
+  for (u64 mm = mismatch_mask(data, check); mm != 0; mm &= mm - 1) {
+    const auto w = static_cast<std::size_t>(std::countr_zero(mm));
+    switch (decode(data.subspan(w, 1), check[w]).status) {
+      case DecodeStatus::kOk:
+        break;
+      case DecodeStatus::kCorrectedSingle:
+        out.corrected_mask |= u64{1} << w;
+        ++out.words_corrected;
+        break;
+      case DecodeStatus::kDetectedError:
+      case DecodeStatus::kDetectedDouble:
+        ++out.words_detected;
+        break;
+    }
   }
-  return syndrome;
-}
-
-unsigned SecdedCodec::parity_over_codeword(u64 data, u64 check) const {
-  return parity64(data) ^ parity64(check & 0xFFu);
-}
-
-DecodeResult SecdedCodec::decode(u64 data, u64 check) const {
-  DecodeResult r;
-  r.data = data;
-  r.check = check & 0xFFu;
-
-  const u64 syndrome = hamming_syndrome(data, check);
-  // With the stored overall-parity bit included, total parity of the full
-  // 72-bit codeword is 0 when intact; 1 indicates an odd number of flips.
-  const unsigned overall_mismatch = parity_over_codeword(data, check);
-
-  if (syndrome == 0 && overall_mismatch == 0) {
-    r.status = DecodeStatus::kOk;
-    return r;
-  }
-  if (syndrome == 0 && overall_mismatch == 1) {
-    // Only the overall parity bit itself flipped.
-    r.status = DecodeStatus::kCorrectedSingle;
-    r.check = flip_bit(r.check, kHammingBits);
-    r.corrected_bit = 64 + kHammingBits;
-    return r;
-  }
-  if (overall_mismatch == 0) {
-    // Nonzero syndrome with an even number of flips: double error.
-    r.status = DecodeStatus::kDetectedDouble;
-    return r;
-  }
-  // Odd number of flips with nonzero syndrome: single error at position
-  // `syndrome` — if that is a real codeword position.
-  if (syndrome > kMaxPos || data_of_pos_[syndrome] == kUnusedPos) {
-    // Invalid position: a multi-bit error that aliased.
-    r.status = DecodeStatus::kDetectedDouble;
-    return r;
-  }
-  r.status = DecodeStatus::kCorrectedSingle;
-  const unsigned at = data_of_pos_[static_cast<unsigned>(syndrome)];
-  if (at == kCheckPos) {
-    const unsigned ci = log2_exact(syndrome);
-    r.check = flip_bit(r.check, ci);
-    r.corrected_bit = 64 + ci;
-  } else {
-    r.data = flip_bit(r.data, at);
-    r.corrected_bit = at;
-  }
-  return r;
+  return out;
 }
 
 }  // namespace aeep::ecc

@@ -1,36 +1,67 @@
-// SECDED(72,64): extended Hamming code — Single Error Correction, Double
-// Error Detection. 8 check bits per 64-bit data word, exactly the overhead
-// the paper attributes to Itanium/POWER4 L2 ECC (12.5%).
+// SECDED: extended Hamming code — Single Error Correction, Double Error
+// Detection — over a data granule of 8..4096 bits. The default granule is
+// the paper's: 8 check bits per 64-bit data word, SECDED(72,64), exactly
+// the overhead the paper attributes to Itanium/POWER4 L2 ECC (12.5%).
+// Wider granules need fewer check bits per data bit (512 data bits need
+// 11: 10 Hamming + 1 parity, 2.1%) but correct only one error per granule
+// — the trade-off bench/ablation_granularity measures.
 #pragma once
 
 #include <array>
+#include <span>
+#include <vector>
 
 #include "ecc/codec.hpp"
 
 namespace aeep::ecc {
 
-/// Extended Hamming implementation:
-///  - codeword positions 1..71 hold a Hamming(71,64) code: check bits at the
-///    power-of-two positions {1,2,4,8,16,32,64}, data bits fill the rest;
-///  - an overall parity bit (check bit 7) covers all 71 positions, upgrading
-///    single-error correction to SECDED.
+/// What SecdedCodec::correct_line did to a line.
+struct LineRepair {
+  unsigned words_corrected = 0;
+  unsigned words_detected = 0;  ///< detected but not corrected
+  u64 corrected_mask = 0;       ///< bit w set iff word w was repaired
+};
+
+/// Extended Hamming implementation for k data bits and r Hamming bits
+/// (the smallest r with 2^r >= k + r + 1):
+///  - codeword positions 1..k+r hold a Hamming code: check bits at the
+///    power-of-two positions {1,2,4,...,2^(r-1)}, data bits fill the rest
+///    in order;
+///  - an overall parity bit (check bit r) covers all k+r positions,
+///    upgrading single-error correction to SECDED.
 ///
-/// Check-bit word layout returned by encode(): bits 0..6 are the Hamming
-/// check bits c0..c6 (for positions 1,2,4,...,64), bit 7 is overall parity.
+/// Check-bit word layout: bits 0..r-1 are the Hamming check bits (for
+/// positions 1,2,4,...), bit r is overall parity. At 64 bits, r = 7.
 class SecdedCodec final : public WordCodec {
  public:
-  SecdedCodec();
+  /// `data_bits` in [8, 4096]. The WordCodec word API and the batched
+  /// whole-line API are defined at the default width of 64 only.
+  explicit SecdedCodec(unsigned data_bits = 64);
 
-  std::string name() const override { return "secded(72,64)"; }
-  unsigned check_bits() const override { return 8; }
-  bool corrects_single() const override { return true; }
+  unsigned check_bits() const override { return hamming_bits_ + 1; }
+  unsigned data_bits() const { return data_bits_; }
+
+  // --- Word API (width 64) ----------------------------------------------
   u64 encode(u64 data) const override;
   DecodeResult decode(u64 data, u64 check) const override;
 
-  // Batched overrides: table-driven position fold — eight L1-hot byte
-  // lookups per word replace nine software popcounts (the build targets
-  // baseline x86-64, so std::popcount is a ~12-op SWAR sequence), and there
-  // is no virtual dispatch inside the line loop.
+  // --- Span API (every width) --------------------------------------------
+  // Data is packed LSB-first across ceil(data_bits / 64) words; bits beyond
+  // data_bits() are ignored.
+
+  u64 encode(std::span<const u64> data) const;
+
+  /// Validates (data, check) and repairs a single-bit error in place, in
+  /// the data or in `check`. The result carries the status and, for
+  /// kCorrectedSingle, corrected_bit (data bits 0..data_bits-1, check bits
+  /// from data_bits); its data/check fields are left zero.
+  DecodeResult decode(std::span<u64> data, u64& check) const;
+
+  // --- Batched whole-line API (width 64) ---------------------------------
+  // Table-driven position fold — eight L1-hot byte lookups per word
+  // replace nine software popcounts (the build targets baseline x86-64, so
+  // std::popcount is a ~12-op SWAR sequence), and there is no virtual
+  // dispatch inside the line loop.
   void encode_batch(std::span<const u64> data,
                     std::span<u64> check_out) const override;
   void encode_batch_masked(std::span<const u64> data, u64 word_mask,
@@ -38,35 +69,29 @@ class SecdedCodec final : public WordCodec {
   u64 mismatch_mask(std::span<const u64> data,
                     std::span<const u64> check) const override;
 
-  /// Number of Hamming check bits (excluding the overall parity bit).
-  static constexpr unsigned kHammingBits = 7;
-  /// Highest occupied codeword position (1-based).
-  static constexpr unsigned kMaxPos = 71;
+  /// Validates a stored line and repairs in place what SECDED can: the
+  /// batched mismatch scan clears clean words, and only the words it flags
+  /// are syndrome-decoded. A corrected word gets its data and check word
+  /// repaired; a detected-uncorrectable word is left as stored.
+  LineRepair correct_line(std::span<u64> data, std::span<u64> check) const;
 
  private:
-  // pos_of_data_[d] = codeword position (1..71) of data bit d.
-  std::array<unsigned, 64> pos_of_data_{};
-  // data_of_pos_[p] = data bit index at position p, or kCheckPos if p is a
-  // check position, kUnusedPos if p is out of range.
-  static constexpr unsigned kCheckPos = 0xFFu;
-  static constexpr unsigned kUnusedPos = 0xFEu;
-  std::array<unsigned, kMaxPos + 1> data_of_pos_{};
-  // column_mask_[i]: data bits covered by Hamming check bit i.
-  std::array<u64, kHammingBits> column_mask_{};
-  // byte_fold_[k][v]: XOR of the codeword positions of the set bits of byte
-  // value v at data-byte index k (bits 0..6 — all seven Hamming check-bit
-  // contributions at once), with the parity of v itself in bit 7. XORing
-  // the eight chunk entries of a word yields its Hamming check bits and
-  // overall data parity in one accumulator; 2 KiB total, L1-resident.
-  std::array<std::array<u8, 256>, 8> byte_fold_{};
-
   /// Hamming check bits + overall parity of one word via byte_fold_.
   u64 fold_word(u64 d) const;
 
-  /// Expand (data, hamming check bits) into the 72-entry position-indexed
-  /// bit vector (index 0 unused by the Hamming part).
-  u64 hamming_syndrome(u64 data, u64 check) const;
-  unsigned parity_over_codeword(u64 data, u64 check) const;
+  unsigned data_bits_;
+  unsigned hamming_bits_;
+  unsigned words_;  ///< data words per granule: ceil(data_bits / 64)
+  // column_mask_[i * words_ + k]: the data bits of word k covered by
+  // Hamming check bit i (those whose codeword position has bit i set).
+  // Row r = hamming_bits_ covers every data bit, for the overall parity.
+  std::vector<u64> column_mask_;
+  // Width 64 only. byte_fold_[k][v]: the Hamming check bits (bits 0..6) of
+  // a word whose only nonzero byte is byte k = v, with the parity of v in
+  // bit 7. The code is linear, so XORing the eight entries of a word yields
+  // its Hamming check bits and data parity in one accumulator; 2 KiB total,
+  // L1-resident.
+  std::array<std::array<u8, 256>, 8> byte_fold_{};
 };
 
 }  // namespace aeep::ecc

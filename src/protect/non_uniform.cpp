@@ -1,7 +1,5 @@
 #include "protect/non_uniform.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "common/bitops.hpp"
@@ -44,7 +42,6 @@ void NonUniformScheme::on_write_applied(u64 set, unsigned way, u64 word_mask) {
   } else {
     encode_ecc(set, way, word_mask);
   }
-  peak_dirty_ = std::max(peak_dirty_, cache().dirty_count());
 }
 
 void NonUniformScheme::on_writeback(u64 set, unsigned way) {
@@ -57,43 +54,19 @@ void NonUniformScheme::on_evict(u64 set, unsigned way) {
 
 ReadCheck NonUniformScheme::check_read(u64 set, unsigned way,
                                        const mem::MemoryStore& memory) {
-  ReadCheck out;
   auto data = cache().data(set, way);
-  const bool dirty = cache().meta(set, way).dirty;
-
-  if (dirty) {
+  if (cache().meta(set, way).dirty) {
     // §3.3: "Otherwise, ECC is used for error detection and correction."
     assert(ecc_valid_[line_slot(set, way)]);
-    u64* check = ecc_.data() + line_slot(set, way) * words_;
-    // Batched clean scan; only flagged words take the scalar decoder.
-    for (u64 mm = secded().mismatch_mask(data, {check, words_}); mm != 0;
-         mm &= mm - 1) {
-      const auto w = static_cast<unsigned>(std::countr_zero(mm));
-      const ecc::DecodeResult r = secded().decode(data[w], check[w]);
-      switch (r.status) {
-        case ecc::DecodeStatus::kOk:
-          break;
-        case ecc::DecodeStatus::kCorrectedSingle:
-          data[w] = r.data;
-          check[w] = r.check;
-          // Keep the parity bit consistent with the repaired word.
-          encode_parity(set, way, u64{1} << w);
-          ++out.words_corrected;
-          break;
-        case ecc::DecodeStatus::kDetectedError:
-        case ecc::DecodeStatus::kDetectedDouble:
-          ++out.words_detected;
-          break;
-      }
-    }
-    if (out.words_detected > 0)
-      out.outcome = ReadOutcome::kUncorrectable;
-    else if (out.words_corrected > 0)
-      out.outcome = ReadOutcome::kCorrected;
-    return out;
+    const ecc::LineRepair fix =
+        secded().correct_line(data, ecc_words(set, way));
+    // Keep the parity bits consistent with the repaired words.
+    encode_parity(set, way, fix.corrected_mask);
+    return ecc_read_check(fix);
   }
 
   // Clean line: parity only; any detected error is repaired by re-fetch.
+  ReadCheck out;
   const u64* par = parity_.data() + line_slot(set, way) * words_;
   out.words_detected =
       popcount64(parity_codec().mismatch_mask(data, {par, words_}));
@@ -112,15 +85,6 @@ std::span<u64> NonUniformScheme::parity_words(u64 set, unsigned way) {
 std::span<u64> NonUniformScheme::ecc_words(u64 set, unsigned way) {
   if (!ecc_valid_[line_slot(set, way)]) return {};
   return {ecc_.data() + line_slot(set, way) * words_, words_};
-}
-
-void NonUniformScheme::reset_metrics() { peak_dirty_ = cache().dirty_count(); }
-
-AreaReport NonUniformScheme::area() const {
-  const double frac =
-      static_cast<double>(peak_dirty_) /
-      static_cast<double>(cache().geometry().total_lines());
-  return non_uniform_area(cache().geometry(), frac);
 }
 
 }  // namespace aeep::protect

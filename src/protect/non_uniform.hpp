@@ -28,15 +28,6 @@ class NonUniformScheme final : public ProtectionScheme {
   std::span<u64> parity_words(u64 set, unsigned way) override;
   std::span<u64> ecc_words(u64 set, unsigned way) override;
 
-  /// Area provisioned for the peak number of simultaneously dirty lines
-  /// observed so far (what a designer sizing §3.1 storage would need).
-  AreaReport area() const override;
-
-  /// Rebase the peak to the current dirty population (post-warm-up sizing).
-  void reset_metrics() override;
-
-  u64 peak_dirty_lines() const { return peak_dirty_; }
-
  private:
   void encode_parity(u64 set, unsigned way, u64 word_mask);
   void encode_ecc(u64 set, unsigned way, u64 word_mask);
@@ -45,7 +36,6 @@ class NonUniformScheme final : public ProtectionScheme {
   std::vector<u64> parity_;          ///< 1 live bit per data word, all lines
   std::vector<u64> ecc_;             ///< valid only while the line is dirty
   std::vector<u8> ecc_valid_;        ///< per line
-  u64 peak_dirty_ = 0;
 };
 
 }  // namespace aeep::protect

@@ -34,7 +34,12 @@ enum class CleaningPolicy {
   kNaive,
   /// Cache-decay style (Kaxiras et al.): per-line saturating counter,
   /// reset by writes, aged by inspections; clean at `decay_threshold`.
-  /// kWrittenBit is the 1-bit special case of this.
+  /// Not a generalisation of kWrittenBit: every write resets the counter,
+  /// including the one that dirties the line, while the written bit is set
+  /// only by a write to an already-dirty line. A line written once is
+  /// cleaned at its first inspection under kWrittenBit and threshold 1, at
+  /// its second under threshold 2; a line written twice, at its second
+  /// under kWrittenBit and threshold 2, at its first under threshold 1.
   kDecayCounter,
   /// Eager write-back (Lee et al.): clean the LRU dirty line of the
   /// inspected set only when the off-chip bus is idle.

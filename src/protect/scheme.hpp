@@ -17,7 +17,6 @@
 #include "ecc/parity.hpp"
 #include "ecc/secded.hpp"
 #include "mem/memory_store.hpp"
-#include "protect/area_model.hpp"
 
 namespace aeep::protect {
 
@@ -93,11 +92,9 @@ class ProtectionScheme {
   /// currently has no ECC (clean line under the proposed scheme).
   virtual std::span<u64> ecc_words(u64 set, unsigned way) = 0;
 
-  virtual AreaReport area() const = 0;
-
-  /// Zero scheme-level metrics (ECC-entry eviction counts, peak trackers)
-  /// while keeping code state — part of the ProtectedL2::reset_metrics
-  /// chain, so warm-up does not leak into measured counters.
+  /// Zero scheme-level metrics (ECC-entry eviction counts) while keeping
+  /// code state — part of the ProtectedL2::reset_metrics chain, so warm-up
+  /// does not leak into measured counters.
   virtual void reset_metrics() {}
 
  protected:
@@ -105,6 +102,17 @@ class ProtectionScheme {
   const cache::Cache& cache() const { return *cache_; }
   const ecc::SecdedCodec& secded() const { return secded_; }
   const ecc::ParityCodec& parity_codec() const { return parity_; }
+
+  /// The read outcome once correct_line has repaired an ECC-protected
+  /// line: a word the code detected but could not repair is a DUE.
+  static ReadCheck ecc_read_check(const ecc::LineRepair& fix) {
+    ReadCheck out{ReadOutcome::kOk, fix.words_corrected, fix.words_detected};
+    if (fix.words_detected > 0)
+      out.outcome = ReadOutcome::kUncorrectable;
+    else if (fix.words_corrected > 0)
+      out.outcome = ReadOutcome::kCorrected;
+    return out;
+  }
 
   std::size_t line_slot(u64 set, unsigned way) const {
     return static_cast<std::size_t>(set) * cache_->geometry().ways + way;

@@ -1,6 +1,5 @@
 #include "protect/shared_ecc_array.hpp"
 
-#include <bit>
 #include <cassert>
 
 #include "common/bitops.hpp"
@@ -103,43 +102,18 @@ void SharedEccArrayScheme::on_evict(u64 set, unsigned way) {
 
 ReadCheck SharedEccArrayScheme::check_read(u64 set, unsigned way,
                                            const mem::MemoryStore& memory) {
-  ReadCheck out;
   auto data = cache().data(set, way);
-  const bool dirty = cache().meta(set, way).dirty;
-
-  if (dirty) {
-    EccEntry* e = find_entry(set, way);
-    assert(e != nullptr && "dirty line must own an ECC entry");
-    const unsigned idx =
-        static_cast<unsigned>(e - (entries_.data() + set * entries_per_set_));
-    u64* check = entry_check(set, idx);
-    // Batched clean scan; only flagged words take the scalar decoder.
-    for (u64 mm = secded().mismatch_mask(data, {check, words_}); mm != 0;
-         mm &= mm - 1) {
-      const auto w = static_cast<unsigned>(std::countr_zero(mm));
-      const ecc::DecodeResult r = secded().decode(data[w], check[w]);
-      switch (r.status) {
-        case ecc::DecodeStatus::kOk:
-          break;
-        case ecc::DecodeStatus::kCorrectedSingle:
-          data[w] = r.data;
-          check[w] = r.check;
-          encode_parity(set, way, u64{1} << w);
-          ++out.words_corrected;
-          break;
-        case ecc::DecodeStatus::kDetectedError:
-        case ecc::DecodeStatus::kDetectedDouble:
-          ++out.words_detected;
-          break;
-      }
-    }
-    if (out.words_detected > 0)
-      out.outcome = ReadOutcome::kUncorrectable;
-    else if (out.words_corrected > 0)
-      out.outcome = ReadOutcome::kCorrected;
-    return out;
+  if (cache().meta(set, way).dirty) {
+    const std::span<u64> check = ecc_words(set, way);
+    assert(!check.empty() && "dirty line must own an ECC entry");
+    const ecc::LineRepair fix = secded().correct_line(data, check);
+    // Keep the parity bits consistent with the repaired words.
+    encode_parity(set, way, fix.corrected_mask);
+    return ecc_read_check(fix);
   }
 
+  // Clean line: parity only; any detected error is repaired by re-fetch.
+  ReadCheck out;
   const u64* par = parity_.data() + line_slot(set, way) * words_;
   out.words_detected =
       popcount64(parity_codec().mismatch_mask(data, {par, words_}));
@@ -161,10 +135,6 @@ std::span<u64> SharedEccArrayScheme::ecc_words(u64 set, unsigned way) {
   const unsigned idx =
       static_cast<unsigned>(e - (entries_.data() + set * entries_per_set_));
   return {entry_check(set, idx), words_};
-}
-
-AreaReport SharedEccArrayScheme::area() const {
-  return proposed_area(cache().geometry(), entries_per_set_);
 }
 
 int SharedEccArrayScheme::entry_of(u64 set, unsigned way) const {

@@ -36,8 +36,6 @@ class SharedEccArrayScheme : public ProtectionScheme {
   std::span<u64> parity_words(u64 set, unsigned way) override;
   std::span<u64> ecc_words(u64 set, unsigned way) override;
 
-  AreaReport area() const override;
-
   void reset_metrics() override { entry_evictions_ = 0; }
 
   unsigned entries_per_set() const { return entries_per_set_; }

@@ -1,9 +1,5 @@
 #include "protect/uniform_ecc.hpp"
 
-#include <bit>
-
-#include "common/bitops.hpp"
-
 namespace aeep::protect {
 
 const char* to_string(ReadOutcome o) {
@@ -37,52 +33,21 @@ void UniformEccScheme::on_write_applied(u64 set, unsigned way, u64 word_mask) {
 
 ReadCheck UniformEccScheme::check_read(u64 set, unsigned way,
                                        const mem::MemoryStore& memory) {
-  ReadCheck out;
   auto data = cache().data(set, way);
-  u64* check = ecc_.data() + line_slot(set, way) * words_;
-  // Batched clean scan: only words whose stored check disagrees with a
-  // re-encode enter the scalar syndrome decoder (a clean word decodes to
-  // kOk, which the old per-word loop treated as a no-op anyway).
-  for (u64 mm = secded().mismatch_mask(data, {check, words_}); mm != 0;
-       mm &= mm - 1) {
-    const auto w = static_cast<unsigned>(std::countr_zero(mm));
-    const ecc::DecodeResult r = secded().decode(data[w], check[w]);
-    switch (r.status) {
-      case ecc::DecodeStatus::kOk:
-        break;
-      case ecc::DecodeStatus::kCorrectedSingle:
-        data[w] = r.data;
-        check[w] = r.check;
-        ++out.words_corrected;
-        break;
-      case ecc::DecodeStatus::kDetectedError:
-      case ecc::DecodeStatus::kDetectedDouble:
-        ++out.words_detected;
-        break;
-    }
-  }
-  if (out.words_detected > 0) {
+  ReadCheck out =
+      ecc_read_check(secded().correct_line(data, ecc_words(set, way)));
+  if (out.words_detected > 0 && !cache().meta(set, way).dirty) {
     // A clean line with an uncorrectable (but detected) error can still be
     // recovered by re-fetching from memory — the dirty case is the true DUE.
-    if (!cache().meta(set, way).dirty) {
-      memory.read_line(cache().line_addr(set, way), data);
-      encode_words(set, way, ~u64{0});
-      out.outcome = ReadOutcome::kRefetched;
-    } else {
-      out.outcome = ReadOutcome::kUncorrectable;
-    }
-  } else if (out.words_corrected > 0) {
-    out.outcome = ReadOutcome::kCorrected;
+    memory.read_line(cache().line_addr(set, way), data);
+    encode_words(set, way, ~u64{0});
+    out.outcome = ReadOutcome::kRefetched;
   }
   return out;
 }
 
 std::span<u64> UniformEccScheme::ecc_words(u64 set, unsigned way) {
   return {ecc_.data() + line_slot(set, way) * words_, words_};
-}
-
-AreaReport UniformEccScheme::area() const {
-  return conventional_area(cache().geometry());
 }
 
 }  // namespace aeep::protect

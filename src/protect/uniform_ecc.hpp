@@ -25,8 +25,6 @@ class UniformEccScheme final : public ProtectionScheme {
   std::span<u64> parity_words(u64, unsigned) override { return {}; }
   std::span<u64> ecc_words(u64 set, unsigned way) override;
 
-  AreaReport area() const override;
-
  private:
   void encode_words(u64 set, unsigned way, u64 word_mask);
 

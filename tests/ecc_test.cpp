@@ -1,6 +1,8 @@
-// Tests for the error-code implementations: parity, byte parity, and the
-// SECDED(72,64) extended Hamming code — including exhaustive single-bit
-// correction over all codeword positions and double-bit detection sweeps.
+// Tests for the error-code implementations: parity and the SECDED extended
+// Hamming code — exhaustive single-bit correction over all codeword
+// positions and double-bit detection sweeps at the paper's 64-bit width and
+// at every granule width the ablation bench studies, golden check bits, and
+// the whole-line paths the protection schemes call.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,7 +10,6 @@
 
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
-#include "ecc/line_codec.hpp"
 #include "ecc/parity.hpp"
 #include "ecc/secded.hpp"
 
@@ -16,22 +17,12 @@ namespace aeep::ecc {
 namespace {
 
 TEST(ParityCodec, EncodesEvenParity) {
-  ParityCodec even(false);
+  ParityCodec even;
   EXPECT_EQ(even.encode(0), 0u);
   EXPECT_EQ(even.encode(1), 1u);
   EXPECT_EQ(even.encode(0b11), 0u);
   EXPECT_EQ(even.encode(0b111), 1u);
   EXPECT_EQ(even.check_bits(), 1u);
-  EXPECT_FALSE(even.corrects_single());
-}
-
-TEST(ParityCodec, OddParityComplementsEven) {
-  ParityCodec even(false), odd(true);
-  Xorshift64Star rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const u64 x = rng.next();
-    EXPECT_EQ(even.encode(x) ^ 1u, odd.encode(x));
-  }
 }
 
 TEST(ParityCodec, CleanWordDecodesOk) {
@@ -70,28 +61,6 @@ TEST(ParityCodec, MissesDoubleBitFlips) {
             DecodeStatus::kOk);
 }
 
-TEST(ByteParityCodec, DetectsFlipsInEachByte) {
-  ByteParityCodec codec;
-  EXPECT_EQ(codec.check_bits(), 8u);
-  const u64 x = 0xA5A5A5A55A5A5A5Aull;
-  const u64 c = codec.encode(x);
-  EXPECT_EQ(codec.decode(x, c).status, DecodeStatus::kOk);
-  for (unsigned b = 0; b < 64; ++b) {
-    EXPECT_EQ(codec.decode(flip_bit(x, b), c).status,
-              DecodeStatus::kDetectedError)
-        << "bit " << b;
-  }
-}
-
-TEST(ByteParityCodec, DetectsDoubleFlipAcrossBytes) {
-  ByteParityCodec codec;
-  const u64 x = 0x1111111122222222ull;
-  const u64 c = codec.encode(x);
-  // Two flips in different bytes remain detectable (unlike word parity).
-  EXPECT_EQ(codec.decode(flip_bit(flip_bit(x, 1), 62), c).status,
-            DecodeStatus::kDetectedError);
-}
-
 // ---------------------------------------------------------------------------
 // SECDED
 // ---------------------------------------------------------------------------
@@ -99,8 +68,7 @@ TEST(ByteParityCodec, DetectsDoubleFlipAcrossBytes) {
 TEST(Secded, MetaData) {
   SecdedCodec codec;
   EXPECT_EQ(codec.check_bits(), 8u);
-  EXPECT_TRUE(codec.corrects_single());
-  EXPECT_EQ(codec.name(), "secded(72,64)");
+  EXPECT_EQ(codec.data_bits(), 64u);
 }
 
 TEST(Secded, CleanWordsDecodeOk) {
@@ -208,12 +176,227 @@ TEST(Secded, CheckBitsDifferAcrossNeighbouringWords) {
 }
 
 // ---------------------------------------------------------------------------
-// Line codec
+// SECDED at every granule width (span API)
 // ---------------------------------------------------------------------------
 
-// Per-word reference for the line codec: every word through the scalar
-// WordCodec::encode/decode, results in freshly allocated vectors. The span
-// API (batched encode, mismatch-scan decode) must agree with it exactly.
+std::vector<u64> random_data(unsigned data_bits, Xorshift64Star& rng) {
+  std::vector<u64> data((data_bits + 63) / 64);
+  for (auto& w : data) w = rng.next();
+  // Mask unused high bits for clean comparisons.
+  const unsigned rem = data_bits % 64;
+  if (rem) data.back() &= (u64{1} << rem) - 1;
+  return data;
+}
+
+void flip(std::vector<u64>& data, unsigned bit) {
+  data[bit / 64] ^= u64{1} << (bit % 64);
+}
+
+TEST(WideSecded, CheckBitCounts) {
+  // r is the smallest with 2^r >= k + r + 1; +1 for the overall bit.
+  EXPECT_EQ(SecdedCodec(8).check_bits(), 5u);    // r=4
+  EXPECT_EQ(SecdedCodec(32).check_bits(), 7u);   // r=6
+  EXPECT_EQ(SecdedCodec(64).check_bits(), 8u);   // r=7: the paper's 12.5%
+  EXPECT_EQ(SecdedCodec(128).check_bits(), 9u);
+  EXPECT_EQ(SecdedCodec(256).check_bits(), 10u);
+  EXPECT_EQ(SecdedCodec(512).check_bits(), 11u);  // 10 + 1: 2.1%
+}
+
+TEST(WideSecded, OverheadShrinksWithWidth) {
+  double prev = 1.0;
+  for (unsigned w : {8u, 32u, 64u, 128u, 256u, 512u}) {
+    const SecdedCodec codec(w);
+    const double overhead = static_cast<double>(codec.check_bits()) /
+                            static_cast<double>(codec.data_bits());
+    EXPECT_LT(overhead, prev);
+    prev = overhead;
+  }
+  EXPECT_EQ(SecdedCodec(64).check_bits() * 8, 64u);  // 12.5%
+}
+
+TEST(WideSecded, RejectsOutOfRangeWidths) {
+  EXPECT_THROW(SecdedCodec(4), std::invalid_argument);
+  EXPECT_THROW(SecdedCodec(7), std::invalid_argument);
+  EXPECT_THROW(SecdedCodec(4097), std::invalid_argument);
+  EXPECT_THROW(SecdedCodec(5000), std::invalid_argument);
+  EXPECT_NO_THROW(SecdedCodec(8));
+  EXPECT_NO_THROW(SecdedCodec(4096));
+}
+
+class WideSecdedWidths : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(WideSecdedWidths, CleanDecodesOk) {
+  const unsigned bits = GetParam();
+  const SecdedCodec codec(bits);
+  Xorshift64Star rng(bits * 7 + 1);
+  for (int t = 0; t < 50; ++t) {
+    auto data = random_data(bits, rng);
+    u64 check = codec.encode(data);
+    const auto golden = data;
+    const auto r = codec.decode(data, check);
+    EXPECT_EQ(r.status, DecodeStatus::kOk);
+    EXPECT_EQ(data, golden);
+  }
+}
+
+TEST_P(WideSecdedWidths, CorrectsEverySingleDataBit) {
+  const unsigned bits = GetParam();
+  const SecdedCodec codec(bits);
+  Xorshift64Star rng(bits * 11 + 3);
+  auto golden = random_data(bits, rng);
+  const u64 check0 = codec.encode(golden);
+  for (unsigned b = 0; b < bits; ++b) {
+    auto data = golden;
+    u64 check = check0;
+    flip(data, b);
+    const auto r = codec.decode(data, check);
+    ASSERT_EQ(r.status, DecodeStatus::kCorrectedSingle) << "bit " << b;
+    EXPECT_EQ(r.corrected_bit, b);
+    EXPECT_EQ(data, golden);
+    EXPECT_EQ(check, check0);
+  }
+}
+
+TEST_P(WideSecdedWidths, CorrectsEverySingleCheckBit) {
+  const unsigned bits = GetParam();
+  const SecdedCodec codec(bits);
+  Xorshift64Star rng(bits * 13 + 5);
+  auto golden = random_data(bits, rng);
+  const u64 check0 = codec.encode(golden);
+  for (unsigned c = 0; c < codec.check_bits(); ++c) {
+    auto data = golden;
+    u64 check = check0 ^ (u64{1} << c);
+    const auto r = codec.decode(data, check);
+    ASSERT_EQ(r.status, DecodeStatus::kCorrectedSingle) << "check bit " << c;
+    EXPECT_EQ(r.corrected_bit, bits + c);
+    EXPECT_EQ(check, check0);
+  }
+}
+
+TEST_P(WideSecdedWidths, DetectsSampledDoubleBits) {
+  const unsigned bits = GetParam();
+  const SecdedCodec codec(bits);
+  Xorshift64Star rng(bits * 17 + 7);
+  auto golden = random_data(bits, rng);
+  const u64 check0 = codec.encode(golden);
+  const int samples = bits <= 64 ? 500 : 200;
+  for (int t = 0; t < samples; ++t) {
+    const unsigned b1 = static_cast<unsigned>(rng.next_below(bits));
+    unsigned b2 = b1;
+    while (b2 == b1) b2 = static_cast<unsigned>(rng.next_below(bits));
+    auto data = golden;
+    u64 check = check0;
+    flip(data, b1);
+    flip(data, b2);
+    const auto r = codec.decode(data, check);
+    ASSERT_EQ(r.status, DecodeStatus::kDetectedDouble)
+        << "bits " << b1 << "," << b2;
+  }
+}
+
+TEST_P(WideSecdedWidths, DetectsDataPlusCheckDoubles) {
+  const unsigned bits = GetParam();
+  const SecdedCodec codec(bits);
+  Xorshift64Star rng(bits * 19 + 9);
+  auto golden = random_data(bits, rng);
+  const u64 check0 = codec.encode(golden);
+  for (int t = 0; t < 100; ++t) {
+    const unsigned b = static_cast<unsigned>(rng.next_below(bits));
+    const unsigned c = static_cast<unsigned>(rng.next_below(codec.check_bits()));
+    auto data = golden;
+    u64 check = check0 ^ (u64{1} << c);
+    flip(data, b);
+    EXPECT_EQ(codec.decode(data, check).status, DecodeStatus::kDetectedDouble);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, WideSecdedWidths,
+                         ::testing::Values(8u, 16u, 32u, 64u, 100u, 128u,
+                                           247u, 256u, 512u));
+
+TEST(WideSecded, CheckBitsMatchGoldenVectors) {
+  // Recorded from the separate fixed-width and width-parameterised codecs
+  // this one replaced (they agreed). A changed position layout or check-bit
+  // order fails here, although it would still be a valid SECDED.
+  struct Golden {
+    unsigned width;
+    u64 check[3];
+  };
+  const Golden golden[] = {
+      {8, {0x1c, 0x14, 0x1a}},      {32, {0x35, 0x62, 0x31}},
+      {64, {0xcc, 0x58, 0xe1}},     {100, {0x80, 0x43, 0x5f}},
+      {512, {0x5e4, 0x71d, 0x74f}},
+  };
+  for (const Golden& g : golden) {
+    const SecdedCodec codec(g.width);
+    for (unsigned v = 0; v < 3; ++v) {
+      std::vector<u64> data((g.width + 63) / 64);
+      for (std::size_t k = 0; k < data.size(); ++k)
+        data[k] = 0x9E3779B97F4A7C15ull * (k + 1 + 16 * v);
+      const unsigned rem = g.width % 64;
+      if (rem) data.back() &= (u64{1} << rem) - 1;
+      EXPECT_EQ(codec.encode(data), g.check[v])
+          << "width " << g.width << " vector " << v;
+      if (g.width == 64) {
+        EXPECT_EQ(codec.encode(data[0]), g.check[v]);
+      }
+      // Bits beyond the granule are ignored.
+      if (rem) data.back() |= ~((u64{1} << rem) - 1);
+      EXPECT_EQ(codec.encode(data), g.check[v]);
+    }
+  }
+}
+
+TEST(WideSecded, MatchesFixedSecdedAt64) {
+  // At width 64 the span API and the fixed-width word API are one code:
+  // the same check bits, and the same verdict and repair for every single
+  // and double flip anywhere in the 72-bit codeword.
+  const SecdedCodec codec;
+  Xorshift64Star rng(101);
+  for (int t = 0; t < 2000; ++t) {
+    const u64 word = rng.next();
+    const u64 check = codec.encode(word);
+    ASSERT_EQ(codec.encode(std::span<const u64>(&word, 1)), check);
+
+    u64 bad_word = word;
+    u64 bad_check = check;
+    const unsigned b1 = static_cast<unsigned>(rng.next_below(72));
+    unsigned b2 = b1;
+    while (t % 2 == 1 && b2 == b1)
+      b2 = static_cast<unsigned>(rng.next_below(72));
+    for (const unsigned b : {b1, b2}) {
+      if (b < 64)
+        bad_word = flip_bit(bad_word, b);
+      else
+        bad_check = flip_bit(bad_check, b - 64);
+      if (b2 == b1) break;
+    }
+
+    const DecodeResult word_r = codec.decode(bad_word, bad_check);
+    u64 span_word = bad_word;
+    u64 span_check = bad_check;
+    const DecodeResult span_r =
+        codec.decode(std::span<u64>(&span_word, 1), span_check);
+    EXPECT_EQ(span_r.status, word_r.status) << "bits " << b1 << "," << b2;
+    EXPECT_EQ(span_r.corrected_bit, word_r.corrected_bit);
+    EXPECT_EQ(span_word, word_r.data);
+    EXPECT_EQ(span_check, word_r.check);
+    if (b2 == b1) {
+      EXPECT_EQ(span_r.status, DecodeStatus::kCorrectedSingle);
+      EXPECT_EQ(span_word, word);
+      EXPECT_EQ(span_check, check);
+    } else {
+      EXPECT_EQ(span_r.status, DecodeStatus::kDetectedDouble);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-line API: the calls the protection schemes make per line
+// ---------------------------------------------------------------------------
+
+// Per-word reference for the line API: every word through the scalar
+// WordCodec::encode/decode, results in freshly allocated vectors.
 std::vector<u64> encode_alloc(const WordCodec& codec,
                               const std::vector<u64>& data) {
   std::vector<u64> check;
@@ -222,134 +405,164 @@ std::vector<u64> encode_alloc(const WordCodec& codec,
 }
 
 struct AllocDecode {
-  LineDecodeSummary summary;
-  std::vector<u64> data;  ///< corrected payload
+  LineRepair fix;
+  std::vector<u64> data;   ///< payload after per-word repair
+  std::vector<u64> check;  ///< check words after per-word repair
 };
 
 AllocDecode decode_alloc(const WordCodec& codec, const std::vector<u64>& data,
                          const std::vector<u64>& check) {
-  AllocDecode out;
+  AllocDecode out{{}, data, check};
   for (std::size_t w = 0; w < data.size(); ++w) {
     const DecodeResult r = codec.decode(data[w], check[w]);
-    out.data.push_back(r.data);
-    out.summary.worst = worse(out.summary.worst, r.status);
     switch (r.status) {
-      case DecodeStatus::kOk: ++out.summary.words_ok; break;
+      case DecodeStatus::kOk: break;
       case DecodeStatus::kCorrectedSingle:
-        ++out.summary.words_corrected;
+        out.data[w] = r.data;
+        out.check[w] = r.check;
+        out.fix.corrected_mask |= u64{1} << w;
+        ++out.fix.words_corrected;
         break;
       case DecodeStatus::kDetectedError:
       case DecodeStatus::kDetectedDouble:
-        ++out.summary.words_detected;
+        ++out.fix.words_detected;
         break;
     }
   }
   return out;
 }
 
+void expect_same_fix(const LineRepair& got, const LineRepair& want) {
+  EXPECT_EQ(got.words_corrected, want.words_corrected);
+  EXPECT_EQ(got.words_detected, want.words_detected);
+  EXPECT_EQ(got.corrected_mask, want.corrected_mask);
+}
+
 TEST(LineCodec, RoundTripsCleanLine) {
-  SecdedCodec secded;
-  LineCodec lc(secded, 64);
-  EXPECT_EQ(lc.words_per_line(), 8u);
-  EXPECT_EQ(lc.check_bits_per_line(), 64u);
-
+  const SecdedCodec secded;
   Xorshift64Star rng(31);
-  std::vector<u64> data(8), check(8), out(8);
+  std::vector<u64> data(8), check(8);
   for (auto& w : data) w = rng.next();
-  lc.encode(data, check);
+  secded.encode_batch(data, check);
+  const std::vector<u64> golden = data, golden_check = check;
 
-  const LineDecodeSummary r = lc.decode(data, check, out);
-  EXPECT_EQ(r.worst, DecodeStatus::kOk);
-  EXPECT_EQ(r.words_ok, 8u);
-  EXPECT_EQ(out, data);
+  expect_same_fix(secded.correct_line(data, check), LineRepair{});
+  EXPECT_EQ(data, golden);
+  EXPECT_EQ(check, golden_check);
 }
 
 TEST(LineCodec, CorrectsScatteredSingleBitErrors) {
-  SecdedCodec secded;
-  LineCodec lc(secded, 64);
+  const SecdedCodec secded;
   Xorshift64Star rng(32);
-  std::vector<u64> data(8), check(8), out(8);
+  std::vector<u64> data(8), check(8);
   for (auto& w : data) w = rng.next();
-  const std::vector<u64> golden = data;
-  lc.encode(data, check);
+  secded.encode_batch(data, check);
+  const std::vector<u64> golden = data, golden_check = check;
 
-  // One flip in every word: all corrected independently.
-  for (auto& w : data)
-    w = flip_bit(w, static_cast<unsigned>(rng.next_below(64)));
+  // One flip in every word — seven in the data, one in a check word: all
+  // corrected independently, data and check repaired in place.
+  for (unsigned w = 0; w < 7; ++w)
+    data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
+  check[7] = flip_bit(check[7], static_cast<unsigned>(rng.next_below(8)));
 
-  const LineDecodeSummary r = lc.decode(data, check, out);
-  EXPECT_EQ(r.worst, DecodeStatus::kCorrectedSingle);
-  EXPECT_EQ(r.words_corrected, 8u);
-  EXPECT_EQ(out, golden);
+  expect_same_fix(secded.correct_line(data, check), LineRepair{8, 0, 0xFF});
+  EXPECT_EQ(data, golden);
+  EXPECT_EQ(check, golden_check);
 }
 
 TEST(LineCodec, ReportsWorstStatusAcrossWords) {
-  SecdedCodec secded;
-  LineCodec lc(secded, 64);
-  std::vector<u64> data(8), check(8), out(8);
+  const SecdedCodec secded;
+  std::vector<u64> data(8), check(8);
   for (unsigned w = 0; w < 8; ++w) data[w] = 0x1111111111111111ull * (w + 1);
-  lc.encode(data, check);
+  secded.encode_batch(data, check);
+  const std::vector<u64> golden = data, golden_check = check;
   data[2] = flip_bit(data[2], 5);                       // single
   data[6] = flip_bit(flip_bit(data[6], 1), 60);         // double
+  const u64 damaged = data[6];
 
-  const LineDecodeSummary r = lc.decode(data, check, out);
-  EXPECT_EQ(r.worst, DecodeStatus::kDetectedDouble);
-  EXPECT_EQ(r.words_corrected, 1u);
-  EXPECT_EQ(r.words_detected, 1u);
-  EXPECT_EQ(r.words_ok, 6u);
+  // The single is repaired; the double is counted and left as stored.
+  expect_same_fix(secded.correct_line(data, check),
+                  LineRepair{1, 1, u64{1} << 2});
+  EXPECT_EQ(data[2], golden[2]);
+  EXPECT_EQ(data[6], damaged);
+  EXPECT_EQ(check, golden_check);
 }
 
-TEST(LineCodec, RejectsBadLineSize) {
-  SecdedCodec secded;
-  EXPECT_THROW(LineCodec(secded, 0), std::invalid_argument);
-  EXPECT_THROW(LineCodec(secded, 7), std::invalid_argument);
-  EXPECT_NO_THROW(LineCodec(secded, 32));
+TEST(LineCodec, EncodeDirtyReencodesExactlyTheDirtyWords) {
+  const SecdedCodec secded;
+  Xorshift64Star rng(81);
+  std::vector<u64> data(8), check(8);
+  for (int iter = 0; iter < 200; ++iter) {
+    for (auto& w : data) w = rng.next();
+    secded.encode_batch(data, check);
+
+    // Mutate a random subset and refresh only those words' codes.
+    const u64 dirty = rng.next() & 0xFF;
+    const std::vector<u64> stale_check = check;
+    for (unsigned w = 0; w < 8; ++w)
+      if (dirty & (u64{1} << w)) data[w] = rng.next();
+    secded.encode_batch_masked(data, dirty, check);
+
+    for (unsigned w = 0; w < 8; ++w) {
+      if (dirty & (u64{1} << w))
+        EXPECT_EQ(check[w], secded.encode(data[w]));
+      else
+        EXPECT_EQ(check[w], stale_check[w]);
+    }
+    // The refreshed line must check clean end to end.
+    const std::vector<u64> golden = data;
+    expect_same_fix(secded.correct_line(data, check), LineRepair{});
+    EXPECT_EQ(data, golden);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-buffer API equivalence: the allocation-free encode/decode must
-// agree exactly with the per-word allocating reference above across all
-// three codecs, on clean lines and on lines with corrected / detected
-// errors.
+// Line API equivalence: each code's line check must agree exactly with the
+// per-word reference above, on clean lines and on lines with corrected /
+// detected errors.
 // ---------------------------------------------------------------------------
 
 class LineCodecScratchEquivalence
     : public ::testing::TestWithParam<const char*> {
  protected:
   const WordCodec& codec() {
-    const std::string which = GetParam();
-    if (which == "parity") return parity_;
-    if (which == "byte-parity") return byte_parity_;
+    if (std::string(GetParam()) == "parity") return parity_;
     return secded_;
   }
 
+  /// The line check a protection scheme runs with this code: SECDED repairs
+  /// in place through correct_line; parity can only flag words (a clean
+  /// line that fails parity is re-fetched, never repaired).
+  LineRepair check_line(std::vector<u64>& data, std::vector<u64>& check) {
+    if (std::string(GetParam()) == "parity")
+      return {0, popcount64(parity_.mismatch_mask(data, check)), 0};
+    return secded_.correct_line(data, check);
+  }
+
   ParityCodec parity_;
-  ByteParityCodec byte_parity_;
   SecdedCodec secded_;
 };
 
 TEST_P(LineCodecScratchEquivalence, EncodeMatchesAllocOnRandomLines) {
-  LineCodec lc(codec(), 64);
   Xorshift64Star rng(41);
   std::vector<u64> data(8), check(8);
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
-    lc.encode(data, check);
+    codec().encode_batch(data, check);
     EXPECT_EQ(check, encode_alloc(codec(), data));
   }
 }
 
 TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
-  LineCodec lc(codec(), 64);
   Xorshift64Star rng(42);
-  std::vector<u64> data(8), check(8), scratch_out(8);
+  std::vector<u64> data(8), check(8);
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
-    lc.encode(data, check);
+    codec().encode_batch(data, check);
 
     // Exercise every path: clean, single flip (corrected by SECDED,
-    // detected by the parity codecs), double flip in one word (detected by
-    // SECDED and byte parity, missed by word parity).
+    // detected by parity), double flip in one word (detected by SECDED,
+    // missed by parity).
     const unsigned mode = static_cast<unsigned>(iter) % 3;
     if (mode >= 1) {
       const unsigned w = static_cast<unsigned>(rng.next_below(8));
@@ -361,33 +574,32 @@ TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
     }
 
     const AllocDecode alloc = decode_alloc(codec(), data, check);
-    const LineDecodeSummary scratch = lc.decode(data, check, scratch_out);
-    EXPECT_EQ(scratch, alloc.summary);
-    EXPECT_EQ(scratch_out, alloc.data);
+    expect_same_fix(check_line(data, check), alloc.fix);
+    EXPECT_EQ(data, alloc.data);
+    EXPECT_EQ(check, alloc.check);
   }
 }
 
 TEST_P(LineCodecScratchEquivalence, DecodeInPlaceAliasingRepairsLine) {
-  LineCodec lc(codec(), 64);
   Xorshift64Star rng(43);
   std::vector<u64> data(8), check(8);
   for (int iter = 0; iter < 100; ++iter) {
     for (auto& w : data) w = rng.next();
-    lc.encode(data, check);
+    codec().encode_batch(data, check);
     if (iter % 2 == 1) {
       const unsigned w = static_cast<unsigned>(rng.next_below(8));
       data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
     }
     const AllocDecode alloc = decode_alloc(codec(), data, check);
-    // data_out aliases data: decode must leave the corrected payload there.
-    const LineDecodeSummary scratch = lc.decode(data, check, data);
-    EXPECT_EQ(scratch.worst, alloc.summary.worst);
+    // The check works on the stored line itself: the repaired payload is
+    // left in place.
+    check_line(data, check);
     EXPECT_EQ(data, alloc.data);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, LineCodecScratchEquivalence,
-                         ::testing::Values("parity", "byte-parity", "secded"));
+                         ::testing::Values("parity", "secded"));
 
 // ---------------------------------------------------------------------------
 // Batched SWAR paths: encode_batch / encode_batch_masked / mismatch_mask must
@@ -399,16 +611,11 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, LineCodecScratchEquivalence,
 class BatchedCodecEquivalence : public ::testing::TestWithParam<const char*> {
  protected:
   const WordCodec& codec() {
-    const std::string which = GetParam();
-    if (which == "parity") return parity_;
-    if (which == "odd-parity") return odd_parity_;
-    if (which == "byte-parity") return byte_parity_;
+    if (std::string(GetParam()) == "parity") return parity_;
     return secded_;
   }
 
   ParityCodec parity_;
-  ParityCodec odd_parity_{true};
-  ByteParityCodec byte_parity_;
   SecdedCodec secded_;
 };
 
@@ -468,60 +675,7 @@ TEST_P(BatchedCodecEquivalence, MismatchMaskAgreesWithScalarDecodeStatus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, BatchedCodecEquivalence,
-                         ::testing::Values("parity", "odd-parity",
-                                           "byte-parity", "secded"));
-
-TEST(ByteParityCodec, SwarEncodeMatchesReferenceLoop) {
-  ByteParityCodec c;
-  Xorshift64Star rng(80);
-  for (int iter = 0; iter < 2000; ++iter) {
-    const u64 x = iter < 3 ? static_cast<u64>(iter) : rng.next();
-    u64 ref = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-      const auto byte = static_cast<unsigned>((x >> (8 * b)) & 0xFF);
-      ref |= static_cast<u64>(popcount64(byte) & 1) << b;
-    }
-    EXPECT_EQ(c.encode(x), ref) << "word " << std::hex << x;
-  }
-}
-
-TEST(LineCodec, EncodeDirtyReencodesExactlyTheDirtyWords) {
-  SecdedCodec secded;
-  LineCodec lc(secded, 64);
-  Xorshift64Star rng(81);
-  std::vector<u64> data(8), check(8);
-  for (int iter = 0; iter < 200; ++iter) {
-    for (auto& w : data) w = rng.next();
-    lc.encode(data, check);
-
-    // Mutate a random subset and refresh only those words' codes.
-    const u64 dirty = rng.next() & 0xFF;
-    const std::vector<u64> stale_check = check;
-    for (unsigned w = 0; w < 8; ++w)
-      if (dirty & (u64{1} << w)) data[w] = rng.next();
-    lc.encode_dirty(data, dirty, check);
-
-    for (unsigned w = 0; w < 8; ++w) {
-      if (dirty & (u64{1} << w))
-        EXPECT_EQ(check[w], secded.encode(data[w]));
-      else
-        EXPECT_EQ(check[w], stale_check[w]);
-    }
-    // The refreshed line must decode clean end to end.
-    std::vector<u64> out(8);
-    EXPECT_EQ(lc.decode(data, check, out).worst, DecodeStatus::kOk);
-    EXPECT_EQ(out, data);
-  }
-}
-
-TEST(LineCodec, WorseOrdersSeverity) {
-  EXPECT_EQ(worse(DecodeStatus::kOk, DecodeStatus::kCorrectedSingle),
-            DecodeStatus::kCorrectedSingle);
-  EXPECT_EQ(worse(DecodeStatus::kDetectedDouble, DecodeStatus::kCorrectedSingle),
-            DecodeStatus::kDetectedDouble);
-  EXPECT_EQ(worse(DecodeStatus::kDetectedError, DecodeStatus::kOk),
-            DecodeStatus::kDetectedError);
-}
+                         ::testing::Values("parity", "secded"));
 
 }  // namespace
 }  // namespace aeep::ecc

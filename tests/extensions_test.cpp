@@ -29,19 +29,42 @@ class PolicyTest : public ::testing::Test {
   }
   std::vector<u64> line_of(u64 v) { return std::vector<u64>(8, v); }
 
+  /// Which inspection of set 0 (1st, 2nd, ...; 0 = none of the first four)
+  /// cleans a line written `writes` times in a row. Set 0 is inspected at
+  /// 100, 1700, 3300, ...
+  unsigned cleaning_inspection(CleaningPolicy policy, unsigned threshold,
+                               unsigned writes) {
+    mem::SplitTransactionBus bus{{8, 100}};
+    mem::MemoryStore memory;
+    ProtectedL2 l2(config(policy, threshold), bus, memory);
+    for (unsigned w = 0; w < writes; ++w) l2.write(w, 0x0, 0x1, line_of(w + 1));
+    for (Cycle t = writes; t < 100 + 4 * 1600; ++t) {
+      l2.tick(t);
+      if (l2.wb_count(WbCause::kCleaning) > 0)
+        return static_cast<unsigned>((t - 100) / 1600 + 1);
+    }
+    return 0;
+  }
+
   mem::SplitTransactionBus bus_{{8, 100}};
   mem::MemoryStore memory_;
 };
 
 TEST_F(PolicyTest, DecayCounterWaitsThresholdInspections) {
-  ProtectedL2 l2(config(CleaningPolicy::kDecayCounter, 3), bus_, memory_);
-  l2.write(0, 0x0, 0x1, line_of(1));
-  // Set 0 is inspected at 100, 1700, 3300; threshold 3 cleans on the third.
-  Cycle t = 1;
-  for (; t <= 3200; ++t) l2.tick(t);
-  EXPECT_EQ(l2.wb_count(WbCause::kCleaning), 0u);
-  for (; t <= 3400; ++t) l2.tick(t);
-  EXPECT_EQ(l2.wb_count(WbCause::kCleaning), 1u);
+  // A line written once sits write-idle for `threshold` inspections.
+  for (const unsigned threshold : {1u, 2u, 3u}) {
+    EXPECT_EQ(cleaning_inspection(CleaningPolicy::kDecayCounter, threshold, 1),
+              threshold);
+  }
+}
+
+TEST_F(PolicyTest, WrittenBitIsNotTheOneBitDecayCounter) {
+  // Every write resets a decay counter, the dirtying write included; the
+  // written bit is set only by a write to an already-dirty line.
+  EXPECT_EQ(cleaning_inspection(CleaningPolicy::kWrittenBit, 2, 1), 1u);
+  EXPECT_EQ(cleaning_inspection(CleaningPolicy::kWrittenBit, 2, 2), 2u);
+  EXPECT_EQ(cleaning_inspection(CleaningPolicy::kDecayCounter, 1, 2), 1u);
+  EXPECT_EQ(cleaning_inspection(CleaningPolicy::kDecayCounter, 2, 2), 2u);
 }
 
 TEST_F(PolicyTest, DecayCounterResetByWrites) {

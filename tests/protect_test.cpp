@@ -181,20 +181,12 @@ TEST_F(SchemeTest, NonUniformDirtyLineEccCorrects) {
   EXPECT_FALSE(s.ecc_words(0, 1).empty());
   const u64 golden = cache_.data(0, 1)[2];
   cache_.data(0, 1)[2] = flip_bit(golden, 9);
+  s.parity_words(0, 1)[2] ^= 1;  // the word's parity bit is struck too
   const auto r = s.check_read(0, 1, memory_);
   EXPECT_EQ(r.outcome, ReadOutcome::kCorrected);
   EXPECT_EQ(cache_.data(0, 1)[2], golden);
-}
-
-TEST_F(SchemeTest, NonUniformTracksPeakDirty) {
-  NonUniformScheme s(cache_);
-  for (unsigned w = 0; w < 3; ++w) {
-    install(2, w, 10 + w);
-    s.on_fill(2, w);
-    cache_.mark_dirty(2, w);
-    s.on_write_applied(2, w, 1);
-  }
-  EXPECT_EQ(s.peak_dirty_lines(), 3u);
+  // The repair refreshes the parity of the repaired word.
+  EXPECT_EQ(s.parity_words(0, 1)[2], parity64(golden));
 }
 
 TEST_F(SchemeTest, SharedArrayAllowsOneDirtyPerSet) {
@@ -331,8 +323,11 @@ TEST_F(SchemeTest, SharedArrayDirtyLineCorrectsViaSharedEntry) {
   cache_.data(3, 2)[7] = 0xFEED;
   s.on_write_applied(3, 2, u64{1} << 7);
   cache_.data(3, 2)[7] = flip_bit(0xFEED, 3);
+  s.parity_words(3, 2)[7] ^= 1;  // the word's parity bit is struck too
   EXPECT_EQ(s.check_read(3, 2, memory_).outcome, ReadOutcome::kCorrected);
   EXPECT_EQ(cache_.data(3, 2)[7], 0xFEEDu);
+  // The repair refreshes the parity of the repaired word.
+  EXPECT_EQ(s.parity_words(3, 2)[7], parity64(0xFEED));
 }
 
 TEST_F(SchemeTest, SharedArrayEvictReleasesEntry) {

@@ -1,16 +1,10 @@
-// Tests for the background scrubber and the trace record/replay machinery.
+// Tests for the background scrubber.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <string>
 
 #include "common/bitops.hpp"
 #include "mem/bus.hpp"
 #include "mem/memory_store.hpp"
 #include "protect/scrubber.hpp"
-#include "workload/generator.hpp"
-#include "workload/profile.hpp"
-#include "workload/trace.hpp"
 
 namespace aeep::protect {
 namespace {
@@ -89,75 +83,3 @@ TEST_F(ScrubberTest, CountsScrubbedLines) {
 
 }  // namespace
 }  // namespace aeep::protect
-
-namespace aeep::workload {
-namespace {
-
-std::string temp_trace_path() {
-  return ::testing::TempDir() + "/aeep_trace_test.bin";
-}
-
-TEST(Trace, RoundTripsOps) {
-  const std::string path = temp_trace_path();
-  SyntheticWorkload gen(profile_by_name("gzip"), 5);
-  record_trace(gen, path, 5000);
-
-  SyntheticWorkload gen2(profile_by_name("gzip"), 5);  // same seed
-  TraceReplaySource replay(path);
-  ASSERT_EQ(replay.size(), 5000u);
-  for (int i = 0; i < 5000; ++i) {
-    const cpu::MicroOp a = gen2.next();
-    const cpu::MicroOp b = replay.next();
-    ASSERT_EQ(a.pc, b.pc) << i;
-    ASSERT_EQ(static_cast<int>(a.cls), static_cast<int>(b.cls)) << i;
-    ASSERT_EQ(a.mem_addr, b.mem_addr) << i;
-    ASSERT_EQ(a.store_value, b.store_value) << i;
-    ASSERT_EQ(a.branch_taken, b.branch_taken) << i;
-    ASSERT_EQ(a.branch_target, b.branch_target) << i;
-    ASSERT_EQ(a.dep1, b.dep1) << i;
-    ASSERT_EQ(a.dep2, b.dep2) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Trace, WrapsAroundWhenExhausted) {
-  const std::string path = temp_trace_path();
-  SyntheticWorkload gen(profile_by_name("mcf"), 9);
-  record_trace(gen, path, 100);
-  TraceReplaySource replay(path);
-  const cpu::MicroOp first = replay.next();
-  for (int i = 1; i < 100; ++i) replay.next();
-  const cpu::MicroOp wrapped = replay.next();
-  EXPECT_EQ(replay.wraps(), 1u);
-  EXPECT_EQ(first.pc, wrapped.pc);
-  EXPECT_EQ(first.mem_addr, wrapped.mem_addr);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, RejectsMissingAndCorruptFiles) {
-  EXPECT_THROW(TraceReplaySource("/nonexistent/trace.bin"),
-               std::runtime_error);
-  const std::string path = temp_trace_path();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const char junk[] = "not a trace";
-  std::fwrite(junk, 1, sizeof junk, f);
-  std::fclose(f);
-  EXPECT_THROW((void)TraceReplaySource{path}, std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, WriterCountsAppends) {
-  const std::string path = temp_trace_path();
-  {
-    TraceWriter w(path);
-    cpu::MicroOp op;
-    for (int i = 0; i < 42; ++i) w.append(op);
-    EXPECT_EQ(w.count(), 42u);
-  }
-  TraceReplaySource replay(path);
-  EXPECT_EQ(replay.size(), 42u);
-  std::remove(path.c_str());
-}
-
-}  // namespace
-}  // namespace aeep::workload
