@@ -1,6 +1,7 @@
 // Ablation of the §3.3 ECC-array capacity: sweep the number of shared ECC
-// entries per set (1 = the paper's design, up to ways = equivalent to
-// per-way ECC). More entries cost area linearly but reduce ECC-WB traffic;
+// entries per set (1 = the paper's design; 4 = ways is §3.1's non-uniform
+// scheme, which SchemeKind::kNonUniform builds: an entry for every way, so
+// no ECC-WB). More entries cost area linearly but reduce ECC-WB traffic;
 // the paper's k=1 point trades a small traffic increase for the 4x ECC
 // storage reduction.
 //

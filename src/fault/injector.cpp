@@ -26,6 +26,48 @@ const char* to_string(FaultClass c) {
   return "?";
 }
 
+LineBit draw_line_bit(const protect::L2Config& cfg, Xorshift64Star& rng) {
+  const u64 words = cfg.geometry.words_per_line();
+  const u64 data_bits = words * 64;
+  const u64 parity_bits =
+      cfg.scheme == protect::SchemeKind::kUniformEcc ? 0 : words;
+  const u64 index = rng.next_below(data_bits + parity_bits + words * 8);
+  if (index < data_bits) return {FaultTarget::kData, index};
+  if (index < data_bits + parity_bits)
+    return {FaultTarget::kParity, index - data_bits};
+  return {FaultTarget::kEcc, index - data_bits - parity_bits};
+}
+
+StoredBit locate_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
+                            LineBit b) {
+  cache::Cache& cache = l2.cache_model();
+  if (!cache.meta(set, way).valid) return {};
+  switch (b.target) {
+    case FaultTarget::kData:
+      return {&cache.data(set, way)[b.bit / 64],
+              static_cast<unsigned>(b.bit % 64)};
+    case FaultTarget::kParity: {
+      auto par = l2.scheme().parity_words(set, way);
+      if (par.empty()) return {};
+      return {&par[b.bit], 0};
+    }
+    case FaultTarget::kEcc: {
+      auto eccw = l2.scheme().ecc_words(set, way);
+      if (eccw.empty()) return {};  // no live ECC (clean line / no entry)
+      return {&eccw[b.bit / 8], static_cast<unsigned>(b.bit % 8)};
+    }
+  }
+  return {};
+}
+
+bool flip_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
+                     LineBit b) {
+  const StoredBit sb = locate_stored_bit(l2, set, way, b);
+  if (sb.word == nullptr) return false;
+  *sb.word = flip_bit(*sb.word, sb.pos);
+  return true;
+}
+
 void CampaignTally::add(const InjectionResult& r) {
   ++injections;
   ++by_class[static_cast<unsigned>(r.cls)];
@@ -82,28 +124,6 @@ std::optional<InjectionResult> FaultCampaign::inject(FaultTarget target,
   std::vector<u64> golden(payload.begin(), payload.end());
 
   const unsigned words = static_cast<unsigned>(payload.size());
-  auto flip_site = [&](u64 bit_index) {
-    switch (target) {
-      case FaultTarget::kData: {
-        const unsigned w = static_cast<unsigned>(bit_index / 64);
-        payload[w] = flip_bit(payload[w], static_cast<unsigned>(bit_index % 64));
-        break;
-      }
-      case FaultTarget::kParity: {
-        auto par = scheme.parity_words(set, way);
-        const unsigned w = static_cast<unsigned>(bit_index);  // 1 bit/word
-        par[w] = flip_bit(par[w], 0);
-        break;
-      }
-      case FaultTarget::kEcc: {
-        auto eccw = scheme.ecc_words(set, way);
-        const unsigned w = static_cast<unsigned>(bit_index / 8);
-        eccw[w] = flip_bit(eccw[w], static_cast<unsigned>(bit_index % 8));
-        break;
-      }
-    }
-  };
-
   u64 space = 0;
   switch (target) {
     case FaultTarget::kData: space = static_cast<u64>(words) * 64; break;
@@ -119,7 +139,7 @@ std::optional<InjectionResult> FaultCampaign::inject(FaultTarget target,
     if (std::find(sites.begin(), sites.end(), b) == sites.end())
       sites.push_back(b);
   }
-  for (u64 b : sites) flip_site(b);
+  for (u64 b : sites) flip_stored_bit(*l2_, set, way, {target, b});
 
   // Drive the hardware's read-check path.
   r.outcome = scheme.check_read(set, way, l2_->memory()).outcome;
@@ -156,21 +176,7 @@ std::optional<InjectionResult> FaultCampaign::inject(FaultTarget target,
 std::optional<InjectionResult> FaultCampaign::inject_anywhere(unsigned flips) {
   // Weight targets by live storage: data bits vs parity bits vs ECC bits of
   // a typical line. A particle does not know which array it hits.
-  const auto& geom = l2_->config().geometry;
-  const u64 data_bits = static_cast<u64>(geom.line_bytes) * 8;
-  const u64 parity_bits =
-      l2_->config().scheme == protect::SchemeKind::kUniformEcc
-          ? 0
-          : geom.words_per_line();
-  const u64 ecc_bits = static_cast<u64>(geom.words_per_line()) * 8;
-  const u64 total = data_bits + parity_bits + ecc_bits;
-  const u64 roll = rng_.next_below(total);
-  FaultTarget t = FaultTarget::kData;
-  if (roll >= data_bits + parity_bits)
-    t = FaultTarget::kEcc;
-  else if (roll >= data_bits)
-    t = FaultTarget::kParity;
-  return inject(t, flips);
+  return inject(draw_line_bit(l2_->config(), rng_).target, flips);
 }
 
 }  // namespace aeep::fault

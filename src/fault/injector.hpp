@@ -34,6 +34,32 @@ inline constexpr unsigned kNumFaultClasses = 4;
 const char* to_string(FaultTarget t);
 const char* to_string(FaultClass c);
 
+/// One bit of a line's stored arrays. Bit indices per target: data
+/// [0, 64*words), parity [0, words) (one live bit per word), ECC
+/// [0, 8*words).
+struct LineBit {
+  FaultTarget target = FaultTarget::kData;
+  u64 bit = 0;
+};
+
+/// Draw one bit uniformly (one `rng` draw) from the bits a line provisions
+/// under `cfg`'s scheme: data, parity (none under uniform ECC) and ECC —
+/// the storage a particle strike picks from.
+LineBit draw_line_bit(const protect::L2Config& cfg, Xorshift64Star& rng);
+
+/// Where a stored bit of (set, way) lives; `word` is null when its storage
+/// holds no live contents (an invalid line, a scheme without parity, a line
+/// without ECC).
+struct StoredBit {
+  u64* word = nullptr;
+  unsigned pos = 0;
+};
+StoredBit locate_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
+                            LineBit b);
+/// Flip a stored bit; returns false, flipping nothing, on dead storage.
+bool flip_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
+                     LineBit b);
+
 struct InjectionResult {
   FaultTarget target = FaultTarget::kData;
   unsigned flips = 1;

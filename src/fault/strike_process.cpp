@@ -9,29 +9,21 @@ namespace aeep::fault {
 
 namespace {
 
-/// Storage bits the configuration provisions, by scheme (the Poisson
-/// process does not know which cells currently hold live contents).
+/// Storage bits the configuration provisions (the Poisson process does not
+/// know which cells currently hold live contents): data, parity on every
+/// line unless the scheme is uniform ECC, and an ECC entry per way under
+/// uniform and non-uniform protection or k per set under the shared array.
 u64 provisioned_storage_bits(const protect::L2Config& cfg) {
   const auto& g = cfg.geometry;
-  const u64 lines = g.total_lines();
-  const u64 words = g.words_per_line();
-  const u64 data = lines * g.line_bytes * 8;
-  u64 parity = 0;
-  u64 ecc = 0;
-  switch (cfg.scheme) {
-    case protect::SchemeKind::kUniformEcc:
-      ecc = lines * words * 8;
-      break;
-    case protect::SchemeKind::kNonUniform:
-      parity = lines * words;
-      ecc = lines * words * 8;
-      break;
-    case protect::SchemeKind::kSharedEccArray:
-      parity = lines * words;
-      ecc = g.num_sets() * cfg.ecc_entries_per_set * words * 8;
-      break;
-  }
-  return data + parity + ecc;
+  const u64 entries_per_set =
+      cfg.scheme == protect::SchemeKind::kSharedEccArray
+          ? cfg.ecc_entries_per_set
+          : g.ways;
+  const u64 ecc = g.num_sets() * entries_per_set * g.words_per_line() * 8;
+  const u64 parity = cfg.scheme == protect::SchemeKind::kUniformEcc
+                         ? 0
+                         : g.total_lines() * g.words_per_line();
+  return g.total_lines() * g.line_bytes * 8 + parity + ecc;
 }
 
 }  // namespace
@@ -52,77 +44,30 @@ void StrikeProcess::schedule_next(Cycle now) {
   next_strike_ = now + rng_.next_geometric(p_strike_);
 }
 
-bool StrikeProcess::flip_stored_bit(FaultTarget target, u64 set, unsigned way,
-                                    u64 bit) {
-  cache::Cache& cache = l2_->cache_model();
-  if (!cache.meta(set, way).valid) return false;
-  protect::ProtectionScheme& scheme = l2_->scheme();
-  switch (target) {
-    case FaultTarget::kData: {
-      auto data = cache.data(set, way);
-      const unsigned w = static_cast<unsigned>(bit / 64);
-      data[w] = flip_bit(data[w], static_cast<unsigned>(bit % 64));
-      return true;
-    }
-    case FaultTarget::kParity: {
-      auto par = scheme.parity_words(set, way);
-      if (par.empty()) return false;
-      par[bit] = flip_bit(par[bit], 0);  // one live bit per parity word
-      return true;
-    }
-    case FaultTarget::kEcc: {
-      auto eccw = scheme.ecc_words(set, way);
-      if (eccw.empty()) return false;  // no live ECC (clean line / no entry)
-      const unsigned w = static_cast<unsigned>(bit / 8);
-      eccw[w] = flip_bit(eccw[w], static_cast<unsigned>(bit % 8));
-      return true;
-    }
-  }
-  return false;
-}
-
 void StrikeProcess::apply_random_strike() {
   ++stats_.strikes;
-  const auto& geom = l2_->config().geometry;
-  const u64 words = geom.words_per_line();
-  const u64 data_bits = geom.line_bytes * 8;
-  const u64 parity_prov =
-      l2_->config().scheme == protect::SchemeKind::kUniformEcc ? 0 : words;
-  const u64 ecc_prov = words * 8;
-
-  const u64 set = rng_.next_below(geom.num_sets());
-  const unsigned way = static_cast<unsigned>(rng_.next_below(geom.ways));
-  const u64 roll = rng_.next_below(data_bits + parity_prov + ecc_prov);
+  const protect::L2Config& cfg = l2_->config();
+  const u64 set = rng_.next_below(cfg.geometry.num_sets());
+  const auto way = static_cast<unsigned>(rng_.next_below(cfg.geometry.ways));
+  const LineBit hit = draw_line_bit(cfg, rng_);
   const bool mbu = config_.double_bit_fraction > 0.0 &&
                    rng_.chance(config_.double_bit_fraction);
 
-  FaultTarget target;
-  u64 bit;
-  if (roll < data_bits) {
-    target = FaultTarget::kData;
-    bit = roll;
-  } else if (roll < data_bits + parity_prov) {
-    target = FaultTarget::kParity;
-    bit = roll - data_bits;
-  } else {
-    target = FaultTarget::kEcc;
-    bit = roll - data_bits - parity_prov;
-  }
-
-  if (!flip_stored_bit(target, set, way, bit)) {
+  if (!flip_stored_bit(*l2_, set, way, hit)) {
     ++stats_.absorbed;
     return;
   }
   ++stats_.bits_flipped;
-  switch (target) {
+  switch (hit.target) {
     case FaultTarget::kData: ++stats_.data_hits; break;
     case FaultTarget::kParity: ++stats_.parity_hits; break;
     case FaultTarget::kEcc: ++stats_.ecc_hits; break;
   }
   // Spatial MBU: the neighbouring bit of the same word flips too. Parity
   // keeps a single live bit per word, so there is no neighbour to hit.
-  if (mbu && target != FaultTarget::kParity) {
-    if (flip_stored_bit(target, set, way, bit ^ 1)) ++stats_.bits_flipped;
+  if (mbu && hit.target != FaultTarget::kParity) {
+    if (flip_stored_bit(*l2_, set, way, {hit.target, hit.bit ^ 1}))
+      ++stats_.bits_flipped;
   }
 }
 
@@ -133,36 +78,12 @@ bool StrikeProcess::stuck_active(const StuckFault& f, Cycle now) const {
 }
 
 bool StrikeProcess::apply_stuck(const StuckFault& f) {
-  cache::Cache& cache = l2_->cache_model();
-  if (!cache.meta(f.set, f.way).valid) return false;
-  protect::ProtectionScheme& scheme = l2_->scheme();
-  u64* word = nullptr;
-  unsigned pos = 0;
-  switch (f.target) {
-    case FaultTarget::kData: {
-      auto data = cache.data(f.set, f.way);
-      word = &data[static_cast<unsigned>(f.bit / 64)];
-      pos = static_cast<unsigned>(f.bit % 64);
-      break;
-    }
-    case FaultTarget::kParity: {
-      auto par = scheme.parity_words(f.set, f.way);
-      if (par.empty()) return false;
-      word = &par[f.bit];
-      pos = 0;
-      break;
-    }
-    case FaultTarget::kEcc: {
-      auto eccw = scheme.ecc_words(f.set, f.way);
-      if (eccw.empty()) return false;
-      word = &eccw[static_cast<unsigned>(f.bit / 8)];
-      pos = static_cast<unsigned>(f.bit % 8);
-      break;
-    }
-  }
-  const bool current = ((*word >> pos) & 1) != 0;
+  const StoredBit sb =
+      locate_stored_bit(*l2_, f.set, f.way, {f.target, f.bit});
+  if (sb.word == nullptr) return false;
+  const bool current = ((*sb.word >> sb.pos) & 1) != 0;
   if (current == f.stuck_high) return false;  // already at the stuck value
-  *word = flip_bit(*word, pos);
+  *sb.word = flip_bit(*sb.word, sb.pos);
   return true;
 }
 

@@ -102,8 +102,6 @@ class StrikeProcess {
   /// Force one stored bit; returns true if a live bit changed value.
   bool apply_stuck(const StuckFault& f);
   bool stuck_active(const StuckFault& f, Cycle now) const;
-  /// Flip a live stored bit; returns false when the storage is dead.
-  bool flip_stored_bit(FaultTarget target, u64 set, unsigned way, u64 bit);
 
   protect::ProtectedL2* l2_;
   StrikeConfig config_;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/bitops.hpp"
-#include "protect/non_uniform.hpp"
 #include "protect/shared_ecc_array.hpp"
 #include "protect/uniform_ecc.hpp"
 
@@ -45,8 +44,9 @@ std::unique_ptr<ProtectionScheme> make_scheme(const L2Config& cfg,
   switch (cfg.scheme) {
     case SchemeKind::kUniformEcc:
       return std::make_unique<UniformEccScheme>(cache);
-    case SchemeKind::kNonUniform:
-      return std::make_unique<NonUniformScheme>(cache);
+    case SchemeKind::kNonUniform:  // §3.1: an ECC entry for every way
+      return std::make_unique<SharedEccArrayScheme>(cache,
+                                                    cfg.geometry.ways);
     case SchemeKind::kSharedEccArray:
       return std::make_unique<SharedEccArrayScheme>(cache,
                                                     cfg.ecc_entries_per_set);
@@ -235,8 +235,8 @@ Cycle ProtectedL2::write(Cycle now, Addr addr, u64 word_mask,
     // checking (the fault-injection configs) the rewrite must refresh the
     // full mask, because re-encoding a struck word is part of the modeled
     // behaviour. The scheme hook still runs with an empty mask so dirty-
-    // transition bookkeeping (e.g. non-uniform's full-line ECC on first
-    // write) stays exact.
+    // transition bookkeeping (a freshly allocated ECC entry's full-line
+    // encode on its first write) stays exact.
     u64 encode_mask = word_mask;
     if (!config_.recovery.check_on_access) {
       const u64 live = dst.size() >= 64

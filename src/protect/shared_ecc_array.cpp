@@ -36,8 +36,8 @@ SharedEccArrayScheme::EccEntry* SharedEccArrayScheme::find_entry(u64 set,
   return nullptr;
 }
 
-u64* SharedEccArrayScheme::entry_check(u64 set, unsigned entry_idx) {
-  return entry_check_.data() + (set * entries_per_set_ + entry_idx) * words_;
+u64* SharedEccArrayScheme::entry_check(const EccEntry* e) {
+  return entry_check_.data() + (e - entries_.data()) * words_;
 }
 
 void SharedEccArrayScheme::on_fill(u64 set, unsigned way) {
@@ -55,9 +55,7 @@ std::optional<ForcedWriteback> SharedEccArrayScheme::before_dirty(
   // Free entry available?
   for (unsigned e = 0; e < entries_per_set_; ++e) {
     if (!base[e].valid) {
-      base[e].valid = true;
-      base[e].way = way;
-      base[e].alloc_seq = ++alloc_seq_;
+      base[e] = {++alloc_seq_, way, /*valid=*/true, /*encoded=*/false};
       return std::nullopt;
     }
   }
@@ -80,16 +78,12 @@ void SharedEccArrayScheme::on_write_applied(u64 set, unsigned way,
   assert(cache().meta(set, way).dirty);
   EccEntry* e = find_entry(set, way);
   assert(e != nullptr && "before_dirty must have allocated an entry");
-  const unsigned idx = static_cast<unsigned>(e - (entries_.data() + set * entries_per_set_));
-  u64* check = entry_check(set, idx);
-  const auto data = cache().data(set, way);
-  // The entry may have been freshly (re)allocated, in which case its check
-  // words are stale for the unwritten words too — recompute the whole line.
-  // Detect this by alloc_seq: a fresh allocation has never been encoded.
-  // Simpler and always safe: recompute all words whenever the mask does not
-  // cover them all. (8 words; cost is negligible.)
-  (void)word_mask;
-  secded().encode_batch(data, {check, words_});
+  // A fresh entry's check words are stale for every word; an owned entry's
+  // are current for every word this write did not touch.
+  const u64 encode_mask = e->encoded ? word_mask : ~u64{0};
+  e->encoded = true;
+  secded().encode_batch_masked(cache().data(set, way), encode_mask,
+                               {entry_check(e), words_});
 }
 
 void SharedEccArrayScheme::on_writeback(u64 set, unsigned way) {
@@ -132,9 +126,7 @@ std::span<u64> SharedEccArrayScheme::parity_words(u64 set, unsigned way) {
 std::span<u64> SharedEccArrayScheme::ecc_words(u64 set, unsigned way) {
   EccEntry* e = find_entry(set, way);
   if (e == nullptr) return {};
-  const unsigned idx =
-      static_cast<unsigned>(e - (entries_.data() + set * entries_per_set_));
-  return {entry_check(set, idx), words_};
+  return {entry_check(e), words_};
 }
 
 int SharedEccArrayScheme::entry_of(u64 set, unsigned way) const {

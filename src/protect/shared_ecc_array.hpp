@@ -1,7 +1,10 @@
-// The paper's full scheme (§3.3, Figure 2): parity over every line plus a
-// single small ECC array shared by all ways, with `entries_per_set` ECC
-// entries per cache set (the paper evaluates 1 — "all cache lines belonging
-// to the same set share an ECC entry").
+// The paper's parity + ECC protection (§3.1 and §3.3, Figure 2): parity
+// over every line plus a single ECC array shared by all ways, with
+// `entries_per_set` ECC entries per cache set. The paper evaluates k = 1
+// ("all cache lines belonging to the same set share an ECC entry");
+// k = ways is §3.1's non-uniform scheme, where every way of a set may be
+// dirty at once and no write-back is ever forced (SchemeKind::kNonUniform
+// builds that point).
 //
 // Invariant enforced here: a line may be dirty only while it owns an ECC
 // entry, so at most `entries_per_set` lines per set are dirty. A write that
@@ -10,6 +13,12 @@
 // traffic. The paper's k=1 identification trick ("the cache line with its
 // dirty bit 1 is the corresponding cache line") generalises: each entry
 // records its way explicitly, which is what the dirty bit encodes for k=1.
+//
+// Re-encode rule: a write refreshes the parity of the words it touched. A
+// freshly allocated entry holds stale check bits for every word, so its
+// first write encodes the whole line; an entry the line already owns
+// re-encodes only the touched words. Re-encoding an untouched word would
+// launder an uncorrectable error there into valid-looking data.
 #pragma once
 
 #include <vector>
@@ -47,14 +56,17 @@ class SharedEccArrayScheme : public ProtectionScheme {
 
  private:
   struct EccEntry {
-    bool valid = false;
-    unsigned way = 0;
     u64 alloc_seq = 0;  ///< for oldest-first eviction among k > 1 entries
+    unsigned way = 0;
+    bool valid = false;
+    bool encoded = false;  ///< check words cover the whole line
   };
+  // kNonUniform keeps one entry per line: hold the table to 16 B an entry.
+  static_assert(sizeof(EccEntry) == 16);
 
   void encode_parity(u64 set, unsigned way, u64 word_mask);
   EccEntry* find_entry(u64 set, unsigned way);
-  u64* entry_check(u64 set, unsigned entry_idx);
+  u64* entry_check(const EccEntry* e);
 
   unsigned words_;
   unsigned entries_per_set_;

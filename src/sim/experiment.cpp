@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/sweep.hpp"
 #include "trace/replay.hpp"
 #include "workload/profile.hpp"
 
@@ -79,15 +78,6 @@ RunResult run_benchmark(const std::string& benchmark,
   }
   System system(make_system_config(benchmark, opts));
   return system.run();
-}
-
-std::vector<RunResult> run_suite(const std::vector<std::string>& benchmarks,
-                                 const ExperimentOptions& opts,
-                                 unsigned jobs) {
-  std::vector<SweepJob> grid;
-  grid.reserve(benchmarks.size());
-  for (const auto& b : benchmarks) grid.push_back({b, opts, {}});
-  return SweepRunner(jobs).run_or_throw(grid);
 }
 
 namespace {

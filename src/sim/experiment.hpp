@@ -76,13 +76,6 @@ std::string trace_path_for(const std::string& benchmark,
 RunResult run_benchmark(const std::string& benchmark,
                         const ExperimentOptions& opts);
 
-/// Run a list of benchmarks, returning results in order. `jobs` fans the
-/// runs out across a SweepRunner pool (0 = one worker per hardware thread,
-/// 1 = serial); results are ordered like `benchmarks` either way.
-std::vector<RunResult> run_suite(const std::vector<std::string>& benchmarks,
-                                 const ExperimentOptions& opts,
-                                 unsigned jobs = 1);
-
 /// Names of all / FP-only / INT-only benchmarks.
 std::vector<std::string> all_benchmarks();
 std::vector<std::string> fp_benchmarks();

@@ -139,12 +139,6 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepJob>& grid,
   return out;
 }
 
-std::vector<RunResult> SweepRunner::run_or_throw(
-    const std::vector<SweepJob>& grid, const ProgressFn& progress,
-    std::vector<double>* wall_seconds) const {
-  return results_or_throw(grid, run(grid, progress), wall_seconds);
-}
-
 std::vector<RunResult> results_or_throw(const std::vector<SweepJob>& grid,
                                         std::vector<SweepOutcome> outcomes,
                                         std::vector<double>* wall_seconds) {

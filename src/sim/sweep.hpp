@@ -69,15 +69,6 @@ class SweepRunner {
   std::vector<SweepOutcome> run(const std::vector<SweepJob>& grid,
                                 const ProgressFn& progress = nullptr) const;
 
-  /// Like run(), but rethrows the first job error (grid-position order) —
-  /// for callers that treat any failed cell as fatal, like the benches.
-  /// `wall_seconds` (optional) receives each job's own wall clock, indexed
-  /// like the grid — the benches feed it into the schema-v2 per-cell
-  /// wall_clock_seconds field.
-  std::vector<RunResult> run_or_throw(
-      const std::vector<SweepJob>& grid, const ProgressFn& progress = nullptr,
-      std::vector<double>* wall_seconds = nullptr) const;
-
   /// std::thread::hardware_concurrency(), clamped to at least 1.
   static unsigned default_jobs();
 
@@ -85,10 +76,12 @@ class SweepRunner {
   unsigned jobs_;
 };
 
-/// run_or_throw's outcome-to-result step, for grids run some other way
-/// (store::run_grid_cached): the results in grid order, or a
-/// std::runtime_error naming the first failed cell (grid-position order).
-/// `wall_seconds` (optional) receives each cell's own wall clock.
+/// The results of a finished grid (from SweepRunner::run or
+/// store::run_grid_cached) in grid order, or a std::runtime_error naming the
+/// first failed cell (grid-position order) — for callers that treat any
+/// failed cell as fatal, like the benches. `wall_seconds` (optional)
+/// receives each cell's own wall clock, indexed like the grid — the benches
+/// feed it into the schema-v2 per-cell wall_clock_seconds field.
 std::vector<RunResult> results_or_throw(const std::vector<SweepJob>& grid,
                                         std::vector<SweepOutcome> outcomes,
                                         std::vector<double>* wall_seconds =

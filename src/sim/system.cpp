@@ -12,6 +12,32 @@ System::System(const SystemConfig& config)
       core_(std::make_unique<cpu::OutOfOrderCore>(config.core, *workload_,
                                                   hierarchy_)) {}
 
+RunResult hierarchy_result(MemoryHierarchy& hier) {
+  RunResult r;
+  const auto& l2 = hier.l2();
+  r.avg_dirty_fraction = l2.avg_dirty_fraction();
+  r.avg_dirty_lines = static_cast<u64>(l2.avg_dirty_lines() + 0.5);
+  r.peak_dirty_lines = l2.peak_dirty_lines();
+  r.wb_replacement = l2.wb_count(protect::WbCause::kReplacement);
+  r.wb_cleaning = l2.wb_count(protect::WbCause::kCleaning);
+  r.wb_ecc = l2.wb_count(protect::WbCause::kEccEviction);
+
+  r.recovery = l2.recovery().stats();
+  r.retired_ways = l2.cache_model().retired_ways();
+  r.retired_capacity_fraction = l2.retired_capacity_fraction();
+  r.panicked = l2.recovery().panicked();
+  if (const auto* sp = hier.strikes()) r.strikes = sp->stats();
+
+  r.l1i = hier.l1i().stats();
+  r.l1d = hier.l1d().stats();
+  r.l2 = l2.cache_model().stats();
+  r.wbuf = hier.write_buffer().stats();
+  r.bus = hier.bus().stats();
+  r.itlb = hier.itlb().stats();
+  r.dtlb = hier.dtlb().stats();
+  return r;
+}
+
 RunResult System::run() {
   // Fast-forward analogue: run with full machine state but discard stats.
   if (config_.warmup_instructions > 0) {
@@ -26,32 +52,10 @@ RunResult System::run() {
   if (auto* cap = hierarchy_.capture())
     cap->finish(core_->now(), cs.committed, cs.loads, cs.stores);
 
-  RunResult r;
+  RunResult r = hierarchy_result(hierarchy_);
   r.benchmark = config_.benchmark;
   r.floating_point = workload_->profile().floating_point;
   r.core = cs;
-
-  const auto& l2 = hierarchy_.l2();
-  r.avg_dirty_fraction = l2.avg_dirty_fraction();
-  r.avg_dirty_lines = static_cast<u64>(l2.avg_dirty_lines() + 0.5);
-  r.peak_dirty_lines = l2.peak_dirty_lines();
-  r.wb_replacement = l2.wb_count(protect::WbCause::kReplacement);
-  r.wb_cleaning = l2.wb_count(protect::WbCause::kCleaning);
-  r.wb_ecc = l2.wb_count(protect::WbCause::kEccEviction);
-
-  r.recovery = l2.recovery().stats();
-  r.retired_ways = l2.cache_model().retired_ways();
-  r.retired_capacity_fraction = l2.retired_capacity_fraction();
-  r.panicked = l2.recovery().panicked();
-  if (const auto* sp = hierarchy_.strikes()) r.strikes = sp->stats();
-
-  r.l1i = hierarchy_.l1i().stats();
-  r.l1d = hierarchy_.l1d().stats();
-  r.l2 = l2.cache_model().stats();
-  r.wbuf = hierarchy_.write_buffer().stats();
-  r.bus = hierarchy_.bus().stats();
-  r.itlb = hierarchy_.itlb().stats();
-  r.dtlb = hierarchy_.dtlb().stats();
   return r;
 }
 

@@ -60,6 +60,12 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
+/// The RunResult read off a finished hierarchy, shared by both frontends:
+/// L2 dirty residency and write-backs, recovery, strikes and retirement,
+/// and the cache, write-buffer, bus and TLB stats. The benchmark and core
+/// fields are left for the caller.
+RunResult hierarchy_result(MemoryHierarchy& hier);
+
 class System {
  public:
   explicit System(const SystemConfig& config);

@@ -56,33 +56,11 @@ sim::RunResult ReplayDriver::run() {
   while (ticked < s.end_tick) hier.tick(ticked++);
   hier.l2().finalize(s.end_tick);
 
-  sim::RunResult r;
+  sim::RunResult r = sim::hierarchy_result(hier);
   r.core.committed = s.committed;
   r.core.loads = s.loads;
   r.core.stores = s.stores;
   r.core.cycles = s.end_tick - reset_tick;
-
-  const auto& l2 = hier.l2();
-  r.avg_dirty_fraction = l2.avg_dirty_fraction();
-  r.avg_dirty_lines = static_cast<u64>(l2.avg_dirty_lines() + 0.5);
-  r.peak_dirty_lines = l2.peak_dirty_lines();
-  r.wb_replacement = l2.wb_count(protect::WbCause::kReplacement);
-  r.wb_cleaning = l2.wb_count(protect::WbCause::kCleaning);
-  r.wb_ecc = l2.wb_count(protect::WbCause::kEccEviction);
-
-  r.recovery = l2.recovery().stats();
-  r.retired_ways = l2.cache_model().retired_ways();
-  r.retired_capacity_fraction = l2.retired_capacity_fraction();
-  r.panicked = l2.recovery().panicked();
-  if (const auto* sp = hier.strikes()) r.strikes = sp->stats();
-
-  r.l1i = hier.l1i().stats();
-  r.l1d = hier.l1d().stats();
-  r.l2 = l2.cache_model().stats();
-  r.wbuf = hier.write_buffer().stats();
-  r.bus = hier.bus().stats();
-  r.itlb = hier.itlb().stats();
-  r.dtlb = hier.dtlb().stats();
   events_ = reader.events_read();
   return r;
 }

@@ -23,23 +23,25 @@ std::string BrokenSharedEccScheme::name() const {
 
 std::optional<protect::ForcedWriteback> BrokenSharedEccScheme::before_dirty(
     u64 set, unsigned way) {
-  auto fw = SharedEccArrayScheme::before_dirty(set, way);
-  switch (kind_) {
-    case BrokenKind::kOverCommit:
-      // The bug: never force the eviction; the caller's line goes dirty
-      // without ever receiving an ECC entry.
-      if (fw) return std::nullopt;
-      break;
-    case BrokenKind::kLeakEntry:
-      // The leaked entry makes the base scheme nominate an already-clean
-      // victim forever; swallow those nominations so the controller's
-      // forced-write-back loop terminates and the corruption persists in
-      // plain sight for the auditor.
-      if (fw && !cache().meta(fw->set, fw->way).dirty) return std::nullopt;
-      break;
-    case BrokenKind::kStaleParity:
-      break;
+  if (kind_ == BrokenKind::kLeakEntry && entry_of(set, way) < 0) {
+    // A leaked entry is owned by a clean line. Once one sits in a full set,
+    // the base scheme would nominate an already-clean victim forever (and
+    // its victim-is-dirty assert would stop a debug build): refuse the
+    // allocation instead, so the controller's forced-write-back loop ends
+    // and the corruption persists in plain sight for the auditor.
+    unsigned owned = 0;
+    bool leaked = false;
+    for (unsigned w = 0; w < cache().geometry().ways; ++w) {
+      if (entry_of(set, w) < 0) continue;
+      ++owned;
+      leaked = leaked || !cache().meta(set, w).dirty;
+    }
+    if (leaked && owned == entries_per_set()) return std::nullopt;
   }
+  auto fw = SharedEccArrayScheme::before_dirty(set, way);
+  // The over-commit bug: never force the eviction; the caller's line goes
+  // dirty without ever receiving an ECC entry.
+  if (kind_ == BrokenKind::kOverCommit && fw) return std::nullopt;
   return fw;
 }
 

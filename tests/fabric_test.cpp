@@ -69,7 +69,7 @@ std::vector<sim::SweepJob> small_grid() {
 /// The RunResults every fabric path must reproduce field for field.
 std::vector<sim::RunResult> baseline_results(
     const std::vector<sim::SweepJob>& grid) {
-  return sim::SweepRunner(2).run_or_throw(grid);
+  return sim::results_or_throw(grid, sim::SweepRunner(2).run(grid));
 }
 
 FabricConfig test_config() {

@@ -1,5 +1,5 @@
 // Tests for the paper's contribution: the area model (§5.2 numbers), the
-// cleaning FSM (§3.2), the three protection schemes, and the ProtectedL2
+// cleaning FSM (§3.2), the protection schemes, and the ProtectedL2
 // controller (write-back classification, dirty-residency integral, the
 // shared-ECC-array invariant).
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "mem/memory_store.hpp"
 #include "protect/area_model.hpp"
 #include "protect/cleaning_logic.hpp"
-#include "protect/non_uniform.hpp"
 #include "protect/protected_l2.hpp"
 #include "protect/shared_ecc_array.hpp"
 #include "protect/uniform_ecc.hpp"
@@ -160,8 +159,9 @@ TEST_F(SchemeTest, UniformEccCleanDoubleRefetches) {
   EXPECT_EQ(cache_.data(1, 1)[0], memory_.read_word(a));
 }
 
+// Non-uniform protection (§3.1) is the shared array with an entry per way.
 TEST_F(SchemeTest, NonUniformCleanLineParityRefetch) {
-  NonUniformScheme s(cache_);
+  SharedEccArrayScheme s(cache_, 4);
   const Addr a = install(0, 0, 3);
   s.on_fill(0, 0);
   EXPECT_TRUE(s.ecc_words(0, 0).empty());  // clean line carries no ECC
@@ -172,9 +172,10 @@ TEST_F(SchemeTest, NonUniformCleanLineParityRefetch) {
 }
 
 TEST_F(SchemeTest, NonUniformDirtyLineEccCorrects) {
-  NonUniformScheme s(cache_);
+  SharedEccArrayScheme s(cache_, 4);
   install(0, 1, 4);
   s.on_fill(0, 1);
+  EXPECT_FALSE(s.before_dirty(0, 1).has_value());
   cache_.mark_dirty(0, 1);
   cache_.data(0, 1)[2] = 0x1234;
   s.on_write_applied(0, 1, u64{1} << 2);
@@ -503,6 +504,35 @@ TEST_F(ProtectedL2Test, SharedArrayInvariantUnderChurn) {
       ASSERT_LE(l2.cache_model().count_dirty_in_set(s), 1u);
   }
   EXPECT_GT(l2.wb_count(WbCause::kEccEviction), 0u);
+}
+
+TEST_F(ProtectedL2Test, NonUniformIsSharedArrayWithAnEntryPerWay) {
+  auto cfg = small_config(SchemeKind::kNonUniform, 3200);
+  ProtectedL2 l2(cfg, bus_, memory_);
+  auto* shared = dynamic_cast<SharedEccArrayScheme*>(&l2.scheme());
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->entries_per_set(), cfg.geometry.ways);
+  // Every way of a set may be dirty at once.
+  const u64 set = 3;
+  for (unsigned k = 0; k < cfg.geometry.ways; ++k)
+    l2.write(k, cfg.geometry.addr_of(1 + k, set), ~u64{0}, line_of(k));
+  EXPECT_EQ(l2.cache_model().count_dirty_in_set(set), cfg.geometry.ways);
+  // The churn that forces ECC-WBs under k = 1 forces none here.
+  Xorshift64Star rng(5);
+  Cycle t = cfg.geometry.ways;
+  for (int i = 0; i < 5000; ++i) {
+    t += 1 + rng.next_below(4);
+    l2.tick(t);
+    const u64 churn_set = rng.next_below(16);
+    const Addr addr = cfg.geometry.addr_of(rng.next_below(12), churn_set);
+    if (rng.chance(0.4)) {
+      l2.write(t, addr, u64{1} << rng.next_below(8), line_of(rng.next()));
+    } else {
+      l2.read(t, addr);
+    }
+  }
+  EXPECT_EQ(l2.wb_count(WbCause::kEccEviction), 0u);
+  EXPECT_EQ(shared->ecc_entry_evictions(), 0u);
 }
 
 TEST_F(ProtectedL2Test, DirtyResidencyIntegralMatchesHandComputation) {

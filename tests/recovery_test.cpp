@@ -198,6 +198,32 @@ TEST_F(RecoveryTest, DuePolicyPoisonBrandsLineAndCountsConsumers) {
   EXPECT_EQ(l2.recovery().stats().poison_reads, 2u);
 }
 
+TEST_F(RecoveryTest, PartialWriteKeepsUncorrectableWordDetected) {
+  // A write re-encodes only the words it touched, so a poisoned word it
+  // did not touch stays detectable instead of being laundered into fresh
+  // check bits.
+  for (const SchemeKind kind :
+       {SchemeKind::kUniformEcc, SchemeKind::kNonUniform,
+        SchemeKind::kSharedEccArray}) {
+    SCOPED_TRACE(to_string(kind));
+    auto cfg = small_config(kind);
+    cfg.recovery.due_policy = DuePolicy::kPoison;
+    mem::SplitTransactionBus bus{{8, 100}};
+    mem::MemoryStore memory;
+    ProtectedL2 l2(cfg, bus, memory);
+    const Addr a = make_dirty(l2, 9, 0x77);
+    const auto pr = l2.cache_model().probe(a);
+    l2.cache_model().data(pr.set, pr.way)[0] ^= 0b11;  // 2 bits of word 0
+
+    l2.read(500, a);
+    EXPECT_EQ(l2.recovery().stats().due_events, 1u);
+    l2.write(600, a, u64{1} << 3, line_of(0x99));  // word 3 only
+    EXPECT_EQ(l2.recovery().stats().due_events, 2u);  // the write's check
+    l2.read(700, a);
+    EXPECT_EQ(l2.recovery().stats().due_events, 3u);
+  }
+}
+
 TEST_F(RecoveryTest, WritebackValidationBlocksCorruptDirtyData) {
   ProtectedL2 l2(small_config(), bus_, memory_);
   const auto& geom = l2.config().geometry;

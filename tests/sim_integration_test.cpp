@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
+#include "sim/sweep.hpp"
 #include "sim/system.hpp"
 
 namespace aeep::sim {
@@ -175,7 +176,8 @@ TEST(Integration, SuiteRunnerPreservesOrder) {
   auto eo = quick(protect::SchemeKind::kUniformEcc);
   eo.instructions = 30'000;
   eo.warmup_instructions = 0;
-  const auto rs = run_suite({"gzip", "mcf"}, eo);
+  const std::vector<SweepJob> grid = {{"gzip", eo, {}}, {"mcf", eo, {}}};
+  const auto rs = results_or_throw(grid, SweepRunner(1).run(grid));
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].benchmark, "gzip");
   EXPECT_EQ(rs[1].benchmark, "mcf");

@@ -134,8 +134,9 @@ TEST(Digest, CaptureJobsAreUncacheable) {
 // --- RunResult codec -------------------------------------------------------
 
 TEST(ResultCodec, RoundTripsARealRunExactly) {
+  const auto grid = small_grid();
   const std::vector<sim::RunResult> r =
-      sim::SweepRunner(1).run_or_throw(small_grid());
+      sim::results_or_throw(grid, sim::SweepRunner(1).run(grid));
   for (const sim::RunResult& result : r) {
     const auto back =
         sim::run_result_from_json(sim::run_result_to_json(result));
@@ -398,8 +399,8 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
 
   SweepCache cache({dir, 64});
   // Pre-seed the middle cell only.
-  const auto seeded =
-      runner.run_or_throw({grid[1]}, nullptr, nullptr);
+  const std::vector<sim::SweepJob> middle = {grid[1]};
+  const auto seeded = sim::results_or_throw(middle, runner.run(middle));
   cache.insert(grid[1], seeded[0]);
   cache.reset_stats();
 
@@ -410,7 +411,7 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
   EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
   EXPECT_EQ(results[1], seeded[0]);
   // Outcomes land at their grid positions regardless of hit/miss split.
-  const auto all = runner.run_or_throw(grid);
+  const auto all = sim::results_or_throw(grid, runner.run(grid));
   EXPECT_EQ(results, all);
 }
 

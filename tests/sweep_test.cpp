@@ -1,6 +1,6 @@
 // Tests for the parallel sweep engine: determinism across worker counts
 // (the load-bearing guarantee — parallelism must never change results),
-// per-job failure capture, progress reporting, and the run_suite fan-out.
+// per-job failure capture, progress reporting, and a benchmark-list grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,10 +46,12 @@ std::vector<SweepJob> small_grid() {
 
 TEST(SweepRunner, SerialAndParallelResultsAreIdentical) {
   const auto grid = small_grid();
-  const std::vector<RunResult> serial = SweepRunner(1).run_or_throw(grid);
+  const std::vector<RunResult> serial =
+      results_or_throw(grid, SweepRunner(1).run(grid));
   // 8 workers on any machine (threads multiplex fine on fewer cores); the
   // scheduling order differs from serial but the results must not.
-  const std::vector<RunResult> parallel = SweepRunner(8).run_or_throw(grid);
+  const std::vector<RunResult> parallel =
+      results_or_throw(grid, SweepRunner(8).run(grid));
 
   ASSERT_EQ(serial.size(), grid.size());
   ASSERT_EQ(parallel.size(), grid.size());
@@ -61,8 +63,10 @@ TEST(SweepRunner, SerialAndParallelResultsAreIdentical) {
 
 TEST(SweepRunner, RepeatedParallelRunsAreIdentical) {
   const auto grid = small_grid();
-  const std::vector<RunResult> a = SweepRunner(4).run_or_throw(grid);
-  const std::vector<RunResult> b = SweepRunner(4).run_or_throw(grid);
+  const std::vector<RunResult> a =
+      results_or_throw(grid, SweepRunner(4).run(grid));
+  const std::vector<RunResult> b =
+      results_or_throw(grid, SweepRunner(4).run(grid));
   EXPECT_EQ(a, b);
 }
 
@@ -88,8 +92,8 @@ TEST(SweepRunner, RunOrThrowReportsFirstFailingJob) {
   std::vector<SweepJob> grid = small_grid();
   grid.push_back({"no-such-benchmark", small_options(), "bad"});
   try {
-    SweepRunner(2).run_or_throw(grid);
-    FAIL() << "expected run_or_throw to throw";
+    results_or_throw(grid, SweepRunner(2).run(grid));
+    FAIL() << "expected results_or_throw to throw";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("no-such-benchmark"), std::string::npos) << what;
@@ -129,7 +133,8 @@ TEST(SweepRunner, WriteBufferFreeListStaysBounded) {
   // Recycled line storage must never outgrow min(capacity, kFreeListBound),
   // and every run should report the high-water mark it actually reached.
   const auto grid = small_grid();
-  const std::vector<RunResult> results = SweepRunner(2).run_or_throw(grid);
+  const std::vector<RunResult> results =
+      results_or_throw(grid, SweepRunner(2).run(grid));
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     EXPECT_LE(r.wbuf.free_list_peak,
@@ -144,8 +149,10 @@ TEST(SweepRunner, WriteBufferFreeListStaysBounded) {
 TEST(RunSuite, ParallelSuiteMatchesSerialSuite) {
   const ExperimentOptions eo = small_options();
   const std::vector<std::string> names = {"gzip", "mcf", "swim"};
-  const auto serial = run_suite(names, eo, 1);
-  const auto parallel = run_suite(names, eo, 4);
+  std::vector<SweepJob> grid;
+  for (const auto& name : names) grid.push_back({name, eo, {}});
+  const auto serial = results_or_throw(grid, SweepRunner(1).run(grid));
+  const auto parallel = results_or_throw(grid, SweepRunner(4).run(grid));
   ASSERT_EQ(serial.size(), names.size());
   EXPECT_EQ(serial, parallel);
   for (std::size_t i = 0; i < names.size(); ++i)
