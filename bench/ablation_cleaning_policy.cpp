@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const bench::CommonOptions opt = bench::parse_common(args);
   const u64 interval = args.get_u64("interval", u64{1} << 20);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("Ablation: cleaning policies", opt);
   std::printf("cleaning interval: %s cycles\n\n",
               bench::interval_label(interval).c_str());

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const bench::CommonOptions opt = bench::parse_common(args);
   const u64 interval = args.get_u64("interval", u64{1} << 20);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("Ablation: shared ECC array entries per set", opt);
 
   const unsigned jobs = bench::resolve_jobs(opt);

@@ -27,7 +27,7 @@ void print_report(const protect::AreaReport& r) {
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   std::printf("=== Area overhead for error protection (paper §5.2) ===\n\n");
 
   const cache::CacheGeometry l2 = cache::kL2Geometry;

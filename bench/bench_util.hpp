@@ -24,7 +24,7 @@ struct CommonOptions {
   std::string suite = "all";      ///< all | fp | int | smoke
   unsigned jobs = 0;              ///< sweep workers; 0 = hardware concurrency
   std::string json_path;          ///< --json=<path>: machine-readable results
-  std::string frontend = "exec";  ///< exec | trace (see --trace-dir)
+  sim::Frontend frontend = sim::Frontend::kExec;  ///< see --trace-dir
   std::string trace_dir;          ///< frontend=trace: <dir>/<benchmark>.aeept
   std::string store_dir;          ///< --store=DIR: result-store cache
 };
@@ -37,15 +37,12 @@ inline CommonOptions parse_common(const CliArgs& args) {
   o.suite = args.get("suite", o.suite);
   o.jobs = static_cast<unsigned>(args.get_u64("jobs", o.jobs));
   o.json_path = args.get("json", o.json_path);
-  o.frontend = args.get("frontend", o.frontend);
+  o.frontend = get_choice<sim::Frontend>(
+      args, "frontend", "exec",
+      {{"exec", sim::Frontend::kExec}, {"trace", sim::Frontend::kTrace}});
   o.trace_dir = args.get("trace-dir", o.trace_dir);
   o.store_dir = args.get("store", o.store_dir);
-  if (o.frontend != "exec" && o.frontend != "trace") {
-    std::fprintf(stderr, "unknown --frontend=%s (exec | trace)\n",
-                 o.frontend.c_str());
-    std::exit(2);
-  }
-  if (o.frontend == "trace" && o.trace_dir.empty()) {
+  if (o.frontend == sim::Frontend::kTrace && o.trace_dir.empty()) {
     std::fprintf(stderr,
                  "--frontend=trace needs --trace-dir=DIR with one "
                  "<benchmark>.aeept per benchmark (see: aeep_trace capture)\n");
@@ -56,16 +53,14 @@ inline CommonOptions parse_common(const CliArgs& args) {
 
 /// Copy the frontend selection into a sweep cell's options.
 inline void apply_frontend(sim::ExperimentOptions& eo, const CommonOptions& o) {
-  if (o.frontend == "trace") {
-    eo.frontend = sim::Frontend::kTrace;
-    eo.trace_dir = o.trace_dir;
-  }
+  eo.frontend = o.frontend;
+  eo.trace_dir = o.trace_dir;
 }
 
 /// For benches whose metrics only exist execution-driven (core IPC, online
 /// strike campaigns): refuse --frontend=trace with a clear reason.
 inline void require_exec_frontend(const CommonOptions& o, const char* why) {
-  if (o.frontend != "exec") {
+  if (o.frontend != sim::Frontend::kExec) {
     std::fprintf(stderr, "--frontend=trace is not supported here: %s\n", why);
     std::exit(2);
   }
@@ -125,18 +120,6 @@ inline std::vector<std::string> suite_benchmarks(const std::string& suite) {
   return sim::all_benchmarks();
 }
 
-inline void reject_unknown_flags(const CliArgs& args) {
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& k : unused) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\naccepted flags:");
-    for (const auto& k : args.queried()) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
-}
-
 inline void print_header(const char* experiment, const CommonOptions& o) {
   std::printf("=== %s ===\n", experiment);
   std::printf("machine: Table-1 four-issue OoO, 1MB 4-way 64B write-back L2\n");
@@ -144,7 +127,7 @@ inline void print_header(const char* experiment, const CommonOptions& o) {
               static_cast<unsigned long long>(o.instructions),
               static_cast<unsigned long long>(o.warmup),
               static_cast<unsigned long long>(o.seed));
-  std::printf("frontend: %s%s%s\n", o.frontend.c_str(),
+  std::printf("frontend: %s%s%s\n", sim::to_string(o.frontend),
               o.trace_dir.empty() ? "" : ", traces from ",
               o.trace_dir.c_str());
   std::printf("sweep workers: %u\n\n", resolve_jobs(o));

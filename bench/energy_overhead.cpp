@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   bench::CommonOptions opt = bench::parse_common(args);
   const std::string bench_name = args.get("benchmark", "gcc");
   const u64 interval = args.get_u64("interval", u64{1} << 20);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("Protection energy comparison", opt);
   std::printf("benchmark: %s, cleaning interval %s\n\n", bench_name.c_str(),
               bench::interval_label(interval).c_str());

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   opt.warmup = args.get_u64("warmup", 200'000);
   const u64 injections = args.get_u64("injections", 2000);
   const std::string bench_name = args.get("benchmark", "gzip");
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("Fault injection: protection guarantees", opt);
   std::printf("benchmark %s, %llu injections per cell\n\n", bench_name.c_str(),
               static_cast<unsigned long long>(injections));

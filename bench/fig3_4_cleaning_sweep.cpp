@@ -14,7 +14,7 @@ using namespace aeep;
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const bench::CommonOptions opt = bench::parse_common(args);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header(
       "Figures 3/4: dirty lines per cycle vs cleaning interval", opt);
 

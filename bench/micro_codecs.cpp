@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   const u64 lines = args.get_u64("lines", u64{1} << 16);
   const double min_secded_speedup =
       args.get_double("min-secded-speedup", 0.0);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
 
   std::printf("=== micro_codecs: line codec throughput ===\n");
   std::printf("64B lines (8 words), %llu lines per timed loop\n\n",

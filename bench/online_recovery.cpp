@@ -9,7 +9,7 @@
 // the strike-free baseline each scheme's IPC delta is measured against.
 //
 //   online_recovery [--benchmark=gzip] [--instructions=400K] [--mbu=0.25]
-//                   [--threshold=8] [--due-policy=drop]
+//                   [--threshold=8] [--due-policy=drop|panic|poison]
 //                   [--jobs=N] [--json=out.json]
 #include "bench_util.hpp"
 #include "json_reporter.hpp"
@@ -36,12 +36,12 @@ int main(int argc, char** argv) {
   const double mbu = args.get_double("mbu", 0.25);
   const unsigned threshold =
       static_cast<unsigned>(args.get_u64("threshold", 8));
-  const std::string due = args.get("due-policy", "drop");
-  const protect::DuePolicy policy =
-      due == "panic"    ? protect::DuePolicy::kPanic
-      : due == "poison" ? protect::DuePolicy::kPoison
-                        : protect::DuePolicy::kDropRefetch;
-  bench::reject_unknown_flags(args);
+  const protect::DuePolicy policy = get_choice<protect::DuePolicy>(
+      args, "due-policy", "drop",
+      {{"drop", protect::DuePolicy::kDropRefetch},
+       {"panic", protect::DuePolicy::kPanic},
+       {"poison", protect::DuePolicy::kPoison}});
+  reject_unknown_flags(args);
   opt.warmup = 0;
   bench::print_header("Online recovery: strike-rate sweep", opt);
   std::printf("benchmark %s, MBU fraction %.2f, retirement threshold %u, "

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const bench::CommonOptions opt = bench::parse_common(args);
   bench::require_exec_frontend(opt, "IPC loss is a core-timing metric");
   const u64 interval = args.get_u64("interval", u64{1} << 20);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("§5.2: IPC loss of the proposed scheme", opt);
 
   const unsigned jobs = bench::resolve_jobs(opt);

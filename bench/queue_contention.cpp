@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       args.get_u64("threads", hw > 2 ? hw / 2 : 1));
   const auto capacity = static_cast<std::size_t>(
       std::max<u64>(2, ceil_pow2(args.get_u64("capacity", 1024))));
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
 
   std::printf("=== queue_contention: MpmcQueue vs mutex+deque ===\n");
   std::printf("%llu ops per config, capacity %zu\n\n",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const std::string bench_name = args.get("benchmark", "swim");
   const double lambda = args.get_double("fitlambda", 1e-19);
   const u64 interval = args.get_u64("interval", u64{1} << 20);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("Reliability projection (SDC/DUE windows)", opt);
 
   auto run_with = [&](Cycle clean_interval) {

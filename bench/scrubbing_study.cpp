@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   const unsigned epochs = static_cast<unsigned>(args.get_u64("epochs", 40));
   const unsigned strikes =
       static_cast<unsigned>(args.get_u64("strikes", 300));
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
   bench::print_header("Scrubbing study: latent-error accumulation", opt);
   std::printf("%u epochs x %u strikes into a warm vpr L2 image\n\n", epochs,
               strikes);

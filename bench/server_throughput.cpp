@@ -80,7 +80,7 @@ void worker(const std::string& host, u16 port, u64 jobs,
       spec.benchmark = benchmarks[(worker_id + i) % benchmarks.size()];
       spec.frontend = sim::Frontend::kTrace;
       spec.instructions = o.instructions;
-      spec.warmup = o.warmup;
+      spec.warmup_instructions = o.warmup;
       spec.seed = o.seed;
       const auto t0 = std::chrono::steady_clock::now();
       u64 job_id = 0;
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   const u16 ext_port = static_cast<u16>(args.get_u64("port", 0));
   const u64 queue_capacity = args.get_u64("queue-capacity", 256);
   const u64 max_batch = args.get_u64("max-batch", 16);
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
 
   // Self-host unless pointed at an external server.
   std::unique_ptr<server::JobServer> local;

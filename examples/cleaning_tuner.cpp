@@ -21,9 +21,11 @@ int main(int argc, char** argv) {
   base.instructions = args.get_u64("instructions", 2'000'000);
   base.warmup_instructions = args.get_u64("warmup", 2'000'000);
   base.seed = args.get_u64("seed", 42);
-  base.scheme = scheme_name == "shared"
-                    ? protect::SchemeKind::kSharedEccArray
-                    : protect::SchemeKind::kNonUniform;
+  base.scheme = get_choice<protect::SchemeKind>(
+      args, "scheme", "nonuniform",
+      {{"nonuniform", protect::SchemeKind::kNonUniform},
+       {"shared", protect::SchemeKind::kSharedEccArray}});
+  reject_unknown_flags(args);
 
   std::printf("cleaning-interval tuner: %s under %s\n\n", bench.c_str(),
               scheme_name.c_str());

@@ -4,7 +4,8 @@
 // paper's guarantee: the proposed scheme matches uniform ECC's protection
 // of dirty data while clean lines ride on parity + refetch.
 //
-//   ./fault_campaign --scheme=shared --benchmark=vpr --injections=5000
+//   ./fault_campaign --scheme=uniform|nonuniform|shared --benchmark=vpr
+//                    --injections=5000
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -27,12 +28,12 @@ int main(int argc, char** argv) {
   cfg.warmup_instructions = 0;
   cfg.instructions = args.get_u64("instructions", 500'000);
   cfg.hierarchy.l2.maintain_codes = true;
-  if (scheme_name == "uniform")
-    cfg.hierarchy.l2.scheme = protect::SchemeKind::kUniformEcc;
-  else if (scheme_name == "nonuniform")
-    cfg.hierarchy.l2.scheme = protect::SchemeKind::kNonUniform;
-  else
-    cfg.hierarchy.l2.scheme = protect::SchemeKind::kSharedEccArray;
+  cfg.hierarchy.l2.scheme = get_choice<protect::SchemeKind>(
+      args, "scheme", "shared",
+      {{"uniform", protect::SchemeKind::kUniformEcc},
+       {"nonuniform", protect::SchemeKind::kNonUniform},
+       {"shared", protect::SchemeKind::kSharedEccArray}});
+  reject_unknown_flags(args);
 
   std::printf("warming %s on %s...\n", scheme_name.c_str(), bench.c_str());
   sim::System system(cfg);

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   base.instructions = args.get_u64("instructions", 1'000'000);
   base.warmup_instructions = args.get_u64("warmup", 1'000'000);
   base.seed = args.get_u64("seed", 42);
+  reject_unknown_flags(args);
 
   struct Variant {
     const char* label;

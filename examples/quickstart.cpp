@@ -19,6 +19,8 @@ int main(int argc, char** argv) {
   base.instructions = args.get_u64("instructions", 2'000'000);
   base.warmup_instructions = args.get_u64("warmup", 2'000'000);
   base.seed = args.get_u64("seed", 42);
+  const Cycle interval = args.get_u64("interval", u64{1} << 20);
+  reject_unknown_flags(args);
 
   std::printf("%s\n", sim::table1_text().c_str());
   std::printf("benchmark: %s, %llu committed micro-ops\n\n", bench.c_str(),
@@ -32,7 +34,7 @@ int main(int argc, char** argv) {
   // The paper's scheme: shared ECC array (1 entry/set) + 1M-cycle cleaning.
   sim::ExperimentOptions ours = base;
   ours.scheme = protect::SchemeKind::kSharedEccArray;
-  ours.cleaning_interval = args.get_u64("interval", u64{1} << 20);
+  ours.cleaning_interval = interval;
   const sim::RunResult prop = sim::run_benchmark(bench, ours);
 
   auto show = [](const char* label, const sim::RunResult& r) {

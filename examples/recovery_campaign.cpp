@@ -6,7 +6,8 @@
 // head, and the capacity the cache gave up to keep running.
 //
 //   ./recovery_campaign --benchmark=gzip --rate-scale=2e9 --mbu=0.25
-//                       --threshold=4 --due-policy=drop
+//                       --threshold=4 --due-policy=drop|panic|poison
+//                       --scheme=uniform|nonuniform|shared
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -20,10 +21,12 @@ int main(int argc, char** argv) {
 
   sim::ExperimentOptions eo;
   const std::string bench = args.get("benchmark", "gzip");
-  eo.scheme = protect::SchemeKind::kSharedEccArray;
   const std::string scheme_name = args.get("scheme", "shared");
-  if (scheme_name == "uniform") eo.scheme = protect::SchemeKind::kUniformEcc;
-  if (scheme_name == "nonuniform") eo.scheme = protect::SchemeKind::kNonUniform;
+  eo.scheme = get_choice<protect::SchemeKind>(
+      args, "scheme", "shared",
+      {{"uniform", protect::SchemeKind::kUniformEcc},
+       {"nonuniform", protect::SchemeKind::kNonUniform},
+       {"shared", protect::SchemeKind::kSharedEccArray}});
   eo.instructions = args.get_u64("instructions", 400'000);
   eo.warmup_instructions = args.get_u64("warmup", 0);
   eo.seed = args.get_u64("seed", 42);
@@ -34,10 +37,12 @@ int main(int argc, char** argv) {
   eo.strike_double_bit_fraction = args.get_double("mbu", 0.25);
   eo.retirement_threshold =
       static_cast<unsigned>(args.get_u64("threshold", 4));
-  const std::string due = args.get("due-policy", "drop");
-  eo.due_policy = due == "panic"    ? protect::DuePolicy::kPanic
-                  : due == "poison" ? protect::DuePolicy::kPoison
-                                    : protect::DuePolicy::kDropRefetch;
+  eo.due_policy = get_choice<protect::DuePolicy>(
+      args, "due-policy", "drop",
+      {{"drop", protect::DuePolicy::kDropRefetch},
+       {"panic", protect::DuePolicy::kPanic},
+       {"poison", protect::DuePolicy::kPoison}});
+  reject_unknown_flags(args);
 
   // A permanently stuck data cell in each of four sets: every re-fetch of a
   // resident line re-corrupts, retries exhaust, and the fault map walks the

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 namespace aeep {
@@ -46,7 +47,12 @@ u64 CliArgs::get_u64(const std::string& key, u64 def) const {
   // Accept suffixes K/M/G (binary) for convenience: --interval=1M.
   const std::string& s = it->second;
   std::size_t pos = 0;
-  u64 v = std::stoull(s, &pos);
+  u64 v = 0;
+  try {
+    v = std::stoull(s, &pos);
+  } catch (const std::logic_error&) {  // not a number, or out of range
+    throw std::invalid_argument("bad number in --" + key + "=" + s);
+  }
   if (pos < s.size()) {
     switch (s[pos]) {
       case 'k': case 'K': v <<= 10; break;
@@ -69,6 +75,15 @@ bool CliArgs::get_bool(const std::string& key, bool def) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::vector<std::string> CliArgs::get_list(const std::string& key,
+                                           const std::string& def) const {
+  std::vector<std::string> out;
+  std::istringstream in(get(key, def));
+  for (std::string item; std::getline(in, item, ',');)
+    if (!item.empty()) out.push_back(item);
+  return out;
 }
 
 std::vector<std::string> CliArgs::queried() const {
@@ -96,6 +111,17 @@ std::vector<std::string> CliArgs::unused() const {
     if (!queried_.count(k)) out.push_back(k);
   }
   return out;
+}
+
+void reject_unknown_flags(const CliArgs& args) {
+  const auto unused = args.unused();
+  if (unused.empty()) return;
+  std::fprintf(stderr, "unknown flag(s):");
+  for (const auto& k : unused) std::fprintf(stderr, " --%s", k.c_str());
+  std::fprintf(stderr, "\naccepted flags:");
+  for (const auto& k : args.queried()) std::fprintf(stderr, " --%s", k.c_str());
+  std::fprintf(stderr, "\n");
+  std::exit(2);
 }
 
 }  // namespace aeep

@@ -1,9 +1,13 @@
-// Minimal --key=value command-line parsing for benches and examples.
+// Minimal --key=value command-line parsing for benches, examples and tools.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -25,6 +29,9 @@ class CliArgs {
   u64 get_u64(const std::string& key, u64 def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
+  /// Comma-separated --key=a,b,c (empty items dropped).
+  std::vector<std::string> get_list(const std::string& key,
+                                    const std::string& def) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
   /// Keys that were supplied but never queried; benches use this to reject
@@ -44,5 +51,28 @@ class CliArgs {
 /// CliArgs for a main(): constructor errors (duplicate flags) print to
 /// stderr and exit(2) instead of escaping as an unhandled exception.
 CliArgs parse_cli_or_exit(int argc, const char* const* argv);
+
+/// Call once every flag has been read: any supplied flag the program never
+/// queried (a typo such as --due-polcy) prints with the accepted flags to
+/// stderr and exits 2, instead of silently running the defaults.
+void reject_unknown_flags(const CliArgs& args);
+
+/// The value `--key` selects among `choices` ({spelling, value} pairs);
+/// `def` is the spelling used when the flag is absent. An unknown spelling
+/// exits 2 naming the accepted ones.
+template <typename T>
+T get_choice(const CliArgs& args, const std::string& key,
+             const std::string& def,
+             std::initializer_list<std::pair<const char*, T>> choices) {
+  const std::string s = args.get(key, def);
+  std::string accepted;
+  for (const auto& [spelling, value] : choices) {
+    if (s == spelling) return value;
+    accepted += (accepted.empty() ? "" : "|") + std::string(spelling);
+  }
+  std::fprintf(stderr, "unknown --%s=%s (%s)\n", key.c_str(), s.c_str(),
+               accepted.c_str());
+  std::exit(2);
+}
 
 }  // namespace aeep

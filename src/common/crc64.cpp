@@ -35,12 +35,6 @@ void Crc64::update(const void* data, std::size_t n) {
   state_ = c;
 }
 
-void Crc64::update_u64(u64 v) {
-  u8 b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<u8>(v >> (8 * i));
-  update(b, 8);
-}
-
 u64 crc64(const void* data, std::size_t n) {
   Crc64 c;
   c.update(data, n);

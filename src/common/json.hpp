@@ -54,7 +54,7 @@ class JsonValue {
   std::string as_string(const std::string& def = {}) const;
 
   /// Convenience: object member's accessor, with `def` when the member is
-  /// absent or kind-mismatched. `j.get_u64("seed", 42)` style.
+  /// absent or kind-mismatched. `j.get_u64("job_id", 0)` style.
   bool get_bool(const std::string& key, bool def = false) const;
   u64 get_u64(const std::string& key, u64 def = 0) const;
   double get_double(const std::string& key, double def = 0.0) const;

@@ -71,7 +71,6 @@ class OutOfOrderCore {
   const CoreStats& stats() const { return stats_; }
   /// Zero statistics (not pipeline state) — used after warm-up.
   void reset_stats();
-  const BranchPredictor& predictor() const { return bp_; }
 
  private:
   struct RuuEntry {

@@ -19,10 +19,6 @@ struct TlbConfig {
 struct TlbStats {
   u64 accesses = 0;
   u64 misses = 0;
-  double miss_rate() const {
-    return accesses ? static_cast<double>(misses) / static_cast<double>(accesses) : 0.0;
-  }
-
   bool operator==(const TlbStats&) const = default;
 };
 

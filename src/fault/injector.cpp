@@ -26,12 +26,23 @@ const char* to_string(FaultClass c) {
   return "?";
 }
 
+u64 line_bits(FaultTarget target, const cache::CacheGeometry& geometry) {
+  const u64 words = geometry.words_per_line();
+  switch (target) {
+    case FaultTarget::kData: return words * 64;
+    case FaultTarget::kParity: return words;
+    case FaultTarget::kEcc: return words * 8;
+  }
+  return 0;
+}
+
 LineBit draw_line_bit(const protect::L2Config& cfg, Xorshift64Star& rng) {
-  const u64 words = cfg.geometry.words_per_line();
-  const u64 data_bits = words * 64;
-  const u64 parity_bits =
-      cfg.scheme == protect::SchemeKind::kUniformEcc ? 0 : words;
-  const u64 index = rng.next_below(data_bits + parity_bits + words * 8);
+  const u64 data_bits = line_bits(FaultTarget::kData, cfg.geometry);
+  const u64 parity_bits = cfg.scheme == protect::SchemeKind::kUniformEcc
+                              ? 0
+                              : line_bits(FaultTarget::kParity, cfg.geometry);
+  const u64 index = rng.next_below(data_bits + parity_bits +
+                                   line_bits(FaultTarget::kEcc, cfg.geometry));
   if (index < data_bits) return {FaultTarget::kData, index};
   if (index < data_bits + parity_bits)
     return {FaultTarget::kParity, index - data_bits};

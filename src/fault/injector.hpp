@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/enum_string.hpp"
 #include "common/rng.hpp"
 #include "protect/protected_l2.hpp"
 
@@ -32,11 +33,17 @@ enum class FaultClass {
 inline constexpr unsigned kNumFaultClasses = 4;
 
 const char* to_string(FaultTarget t);
+/// Inverse of to_string; std::invalid_argument on an unknown spelling.
+inline FaultTarget fault_target_from_string(const std::string& s) {
+  return enum_from_string<FaultTarget>(s, "fault target");
+}
 const char* to_string(FaultClass c);
 
-/// One bit of a line's stored arrays. Bit indices per target: data
-/// [0, 64*words), parity [0, words) (one live bit per word), ECC
-/// [0, 8*words).
+/// Bits one line holds in `target`'s array: data 64 per word, parity one
+/// per word, ECC 8 per word.
+u64 line_bits(FaultTarget target, const cache::CacheGeometry& geometry);
+
+/// One bit of a line's stored arrays; `bit` < line_bits(target).
 struct LineBit {
   FaultTarget target = FaultTarget::kData;
   u64 bit = 0;

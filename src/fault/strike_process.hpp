@@ -38,14 +38,15 @@ struct StuckFault {
   FaultTarget target = FaultTarget::kData;
   u64 set = 0;
   unsigned way = 0;
-  /// Bit index inside the line's target array: data [0, 64*words),
-  /// parity [0, words) (one live bit per word), ECC [0, 8*words).
+  /// Bit index inside the line's target array, below line_bits(target).
   u64 bit = 0;
   bool stuck_high = true;  ///< value the cell is forced to
   Cycle start = 0;         ///< activation cycle
   /// 0 = permanent. Otherwise the fault is intermittent: asserted during
   /// every other `period`-cycle window after `start`.
   Cycle period = 0;
+
+  bool operator==(const StuckFault&) const = default;
 };
 
 struct StrikeConfig {

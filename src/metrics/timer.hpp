@@ -37,9 +37,6 @@ class ScopedTimer {
   /// Disarm: destroy without recording.
   void cancel() { into_ = nullptr; }
 
-  /// Microseconds elapsed so far (does not record).
-  u64 elapsed_us() const { return us_since(start_); }
-
  private:
   Histogram* into_;
   TimePoint start_;

@@ -28,7 +28,6 @@ class CleaningLogic {
   bool enabled() const { return interval_ != 0; }
   Cycle interval() const { return interval_; }
   Cycle set_period() const { return set_period_; }
-  u64 next_set() const { return next_set_; }
 
   /// Storage cost of the FSM: the set-number latch (paper: 12 bits for 4K
   /// sets). The cycle counter is shared with existing performance counters.

@@ -14,6 +14,7 @@
 #include <span>
 
 #include "cache/cache.hpp"
+#include "common/enum_string.hpp"
 #include "common/stats.hpp"
 #include "mem/bus.hpp"
 #include "mem/memory_store.hpp"
@@ -47,6 +48,10 @@ enum class CleaningPolicy {
 };
 
 const char* to_string(CleaningPolicy p);
+/// Inverse of to_string; std::invalid_argument on an unknown spelling.
+inline CleaningPolicy cleaning_policy_from_string(const std::string& s) {
+  return enum_from_string<CleaningPolicy>(s, "cleaning policy");
+}
 
 /// Why a line was written back (the three cases of §3.3 / Figure 8).
 enum class WbCause : unsigned {
@@ -130,7 +135,6 @@ class ProtectedL2 {
   double retired_capacity_fraction() const;
   ProtectionScheme& scheme() { return *scheme_; }
   const L2Config& config() const { return config_; }
-  const CleaningLogic& cleaner() const { return cleaner_; }
   mem::MemoryStore& memory() { return *memory_; }
 
   /// Observer called after every externally visible operation (read, write,
@@ -193,5 +197,9 @@ class ProtectedL2 {
 
 const char* to_string(WbCause c);
 const char* to_string(SchemeKind k);
+/// Inverse of to_string; std::invalid_argument on an unknown spelling.
+inline SchemeKind scheme_from_string(const std::string& s) {
+  return enum_from_string<SchemeKind>(s, "protection scheme");
+}
 
 }  // namespace aeep::protect

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/enum_string.hpp"
 #include "mem/bus.hpp"
 #include "mem/memory_store.hpp"
 #include "protect/scheme.hpp"
@@ -42,6 +43,10 @@ enum class DuePolicy {
 };
 
 const char* to_string(DuePolicy p);
+/// Inverse of to_string; std::invalid_argument on an unknown spelling.
+inline DuePolicy due_policy_from_string(const std::string& s) {
+  return enum_from_string<DuePolicy>(s, "DUE policy");
+}
 
 /// The concrete action the controller took for one error (log vocabulary).
 enum class RecoveryAction {

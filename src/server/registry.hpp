@@ -28,9 +28,6 @@ class TraceRegistry {
   /// Path for a registered name. Throws ServerError(kNotFound).
   const std::string& path_of(const std::string& name) const;
 
-  bool contains(const std::string& name) const {
-    return traces_.count(name) != 0;
-  }
   std::size_t size() const { return traces_.size(); }
   std::vector<std::string> names() const;
 

@@ -209,7 +209,7 @@ void JobServer::dispatch_loop() {
         ++running_count_;
         sim::SweepJob sj;
         sj.benchmark = job.spec.benchmark;
-        sj.options = job.options;
+        sj.options = job.spec;
         sj.tag = std::to_string(id);
         grid.push_back(std::move(sj));
         ids.push_back(id);
@@ -479,18 +479,15 @@ JsonValue JobServer::handle_request(const JsonValue& req, u64 conn_id) {
 u64 JobServer::submit_job(const JsonValue& req) {
   const JsonValue* jv = req.find("job");
   JobSpec spec = jv ? job_spec_from_json(*jv) : JobSpec{};
-  sim::ExperimentOptions options = to_experiment_options(spec);
   if (spec.frontend == sim::Frontend::kTrace)
-    options.trace_path = registry_.path_of(spec.trace_name());
+    spec.trace_path = registry_.path_of(spec.trace_name());
 
   // Consult the result store before the queue: a hit is born terminal and
   // never consumes a pool slot. The cache lock is taken and released here,
   // before mutex_ — the two are never held together in this order or the
   // other (inserts in dispatch_loop also run unlocked).
   if (cache_) {
-    sim::SweepJob probe;
-    probe.benchmark = spec.benchmark;
-    probe.options = options;
+    const sim::SweepJob probe{spec.benchmark, spec, {}};
     std::optional<sim::RunResult> hit;
     {
       const metrics::ScopedTimer span(h_store_lookup_);
@@ -509,7 +506,6 @@ u64 JobServer::submit_job(const JsonValue& req) {
         Job job;
         job.id = id;
         job.spec = std::move(spec);
-        job.options = std::move(options);
         job.submitted_at = metrics::now();
         job.result = std::move(*hit);
         const auto [it, inserted] = jobs_.emplace(id, std::move(job));
@@ -561,7 +557,6 @@ u64 JobServer::submit_job(const JsonValue& req) {
     Job job;
     job.id = id;
     job.spec = std::move(spec);
-    job.options = std::move(options);
     job.submitted_at = metrics::now();
     const u64 timeout_ms =
         job.spec.timeout_ms != 0 ? job.spec.timeout_ms

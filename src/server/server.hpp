@@ -136,8 +136,7 @@ class JobServer {
  private:
   struct Job {
     u64 id = 0;
-    JobSpec spec{};
-    sim::ExperimentOptions options{};  ///< trace_path already resolved
+    JobSpec spec{};  ///< trace_path already resolved
     JobState state = JobState::kQueued;
     ServerErrorKind error_kind = ServerErrorKind::kInternal;
     std::string error;  ///< kFailed / kTimeout detail

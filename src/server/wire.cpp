@@ -1,6 +1,7 @@
 #include "server/wire.hpp"
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 namespace aeep::server {
@@ -59,44 +60,9 @@ std::optional<JsonValue> recv_frame(Socket& sock, int timeout_ms) {
   return doc;
 }
 
-protect::SchemeKind scheme_from_string(const std::string& s) {
-  if (s == "uniform-ecc") return protect::SchemeKind::kUniformEcc;
-  if (s == "non-uniform") return protect::SchemeKind::kNonUniform;
-  if (s == "shared-ecc-array") return protect::SchemeKind::kSharedEccArray;
-  bad_request("unknown scheme '" + s +
-              "' (uniform-ecc | non-uniform | shared-ecc-array)");
-}
-
-protect::CleaningPolicy cleaning_policy_from_string(const std::string& s) {
-  if (s == "written-bit") return protect::CleaningPolicy::kWrittenBit;
-  if (s == "naive") return protect::CleaningPolicy::kNaive;
-  if (s == "decay-counter") return protect::CleaningPolicy::kDecayCounter;
-  if (s == "eager-idle") return protect::CleaningPolicy::kEagerIdle;
-  bad_request("unknown cleaning_policy '" + s +
-              "' (written-bit | naive | decay-counter | eager-idle)");
-}
-
-sim::Frontend frontend_from_string(const std::string& s) {
-  if (s == "exec") return sim::Frontend::kExec;
-  if (s == "trace") return sim::Frontend::kTrace;
-  bad_request("unknown frontend '" + s + "' (exec | trace)");
-}
-
 JsonValue job_spec_to_json(const JobSpec& spec) {
-  JsonValue j = JsonValue::object();
+  JsonValue j = sim::options_to_json(spec);
   j.set("benchmark", JsonValue::string(spec.benchmark));
-  j.set("frontend", JsonValue::string(sim::to_string(spec.frontend)));
-  j.set("scheme", JsonValue::string(protect::to_string(spec.scheme)));
-  j.set("cleaning_policy",
-        JsonValue::string(protect::to_string(spec.cleaning_policy)));
-  j.set("cleaning_interval", JsonValue::number(spec.cleaning_interval));
-  j.set("decay_threshold", JsonValue::number(u64{spec.decay_threshold}));
-  j.set("ecc_entries_per_set",
-        JsonValue::number(u64{spec.ecc_entries_per_set}));
-  j.set("instructions", JsonValue::number(spec.instructions));
-  j.set("warmup", JsonValue::number(spec.warmup));
-  j.set("seed", JsonValue::number(spec.seed));
-  j.set("maintain_codes", JsonValue::boolean(spec.maintain_codes));
   if (!spec.trace.empty()) j.set("trace", JsonValue::string(spec.trace));
   if (spec.timeout_ms != 0)
     j.set("timeout_ms", JsonValue::number(spec.timeout_ms));
@@ -106,74 +72,35 @@ JsonValue job_spec_to_json(const JobSpec& spec) {
 JobSpec job_spec_from_json(const JsonValue& doc) {
   if (!doc.is_object()) bad_request("job descriptor must be an object");
   JobSpec spec;
-  // Unknown keys are rejected, mirroring reject_unknown_flags(): a typo'd
-  // knob must fail loudly, not silently run the default experiment.
-  static const char* const kKnown[] = {
-      "benchmark",       "frontend",     "scheme",
-      "cleaning_policy", "cleaning_interval", "decay_threshold",
-      "ecc_entries_per_set", "instructions", "warmup",
-      "seed",            "maintain_codes",   "trace",
-      "timeout_ms"};
   for (const auto& [key, value] : doc.members()) {
-    bool known = false;
-    for (const char* k : kKnown) known = known || key == k;
-    if (!known) bad_request("unknown job field '" + key + "'");
-    (void)value;
+    if (key == "benchmark" || key == "trace") {
+      if (!value.is_string())
+        bad_request("job field '" + key + "' must be a string");
+      (key == "benchmark" ? spec.benchmark : spec.trace) = value.as_string();
+    } else if (key == "timeout_ms") {
+      // as_u64 answers its fallback exactly when value is not a u64.
+      spec.timeout_ms = value.as_u64(0);
+      if (spec.timeout_ms != value.as_u64(1))
+        bad_request("job field 'timeout_ms' must be an unsigned integer");
+    }
   }
-  spec.benchmark = doc.get_string("benchmark", spec.benchmark);
+  // The options decoder is the validation: a typo'd knob, a value of the
+  // wrong kind or size and an impossible stuck-fault site all fail loudly
+  // instead of silently running the default experiment.
+  try {
+    static_cast<sim::ExperimentOptions&>(spec) = sim::options_from_json(
+        doc, {"benchmark", "trace", "timeout_ms"});
+  } catch (const std::invalid_argument& e) {
+    bad_request(e.what());
+  }
   if (spec.benchmark.empty()) bad_request("benchmark must be non-empty");
-  if (const JsonValue* v = doc.find("frontend"))
-    spec.frontend = frontend_from_string(v->as_string("?"));
-  if (const JsonValue* v = doc.find("scheme"))
-    spec.scheme = scheme_from_string(v->as_string("?"));
-  if (const JsonValue* v = doc.find("cleaning_policy"))
-    spec.cleaning_policy = cleaning_policy_from_string(v->as_string("?"));
-  spec.cleaning_interval =
-      doc.get_u64("cleaning_interval", spec.cleaning_interval);
-  spec.decay_threshold = static_cast<unsigned>(
-      doc.get_u64("decay_threshold", spec.decay_threshold));
-  spec.ecc_entries_per_set = static_cast<unsigned>(
-      doc.get_u64("ecc_entries_per_set", spec.ecc_entries_per_set));
-  spec.instructions = doc.get_u64("instructions", spec.instructions);
   if (spec.instructions == 0) bad_request("instructions must be > 0");
-  spec.warmup = doc.get_u64("warmup", spec.warmup);
-  spec.seed = doc.get_u64("seed", spec.seed);
-  spec.maintain_codes = doc.get_bool("maintain_codes", spec.maintain_codes);
-  spec.trace = doc.get_string("trace", spec.trace);
-  spec.timeout_ms = doc.get_u64("timeout_ms", spec.timeout_ms);
   return spec;
-}
-
-sim::ExperimentOptions to_experiment_options(const JobSpec& spec) {
-  sim::ExperimentOptions opts;
-  opts.scheme = spec.scheme;
-  opts.cleaning_interval = spec.cleaning_interval;
-  opts.cleaning_policy = spec.cleaning_policy;
-  opts.decay_threshold = spec.decay_threshold;
-  opts.ecc_entries_per_set = spec.ecc_entries_per_set;
-  opts.instructions = spec.instructions;
-  opts.warmup_instructions = spec.warmup;
-  opts.seed = spec.seed;
-  opts.maintain_codes = spec.maintain_codes;
-  opts.frontend = spec.frontend;
-  return opts;
 }
 
 JobSpec job_spec_from_options(const std::string& benchmark,
                               const sim::ExperimentOptions& options) {
-  JobSpec spec;
-  spec.benchmark = benchmark;
-  spec.frontend = options.frontend;
-  spec.scheme = options.scheme;
-  spec.cleaning_policy = options.cleaning_policy;
-  spec.cleaning_interval = options.cleaning_interval;
-  spec.decay_threshold = options.decay_threshold;
-  spec.ecc_entries_per_set = options.ecc_entries_per_set;
-  spec.instructions = options.instructions;
-  spec.warmup = options.warmup_instructions;
-  spec.seed = options.seed;
-  spec.maintain_codes = options.maintain_codes;
-  return spec;
+  return {options, benchmark, {}, 0};
 }
 
 JsonValue ok_reply(const std::string& type) {

@@ -6,11 +6,23 @@
 // carry a "type" ("ping", "submit", "status", "result", "run", "stats",
 // "traces", "health", "drain");
 // replies always carry "ok" (bool) and, when ok is false, a stable "error"
-// wire code from error.hpp plus a human "message". The job descriptor —
-// the JSON shape of one experiment — maps 1:1 onto sim::ExperimentOptions
-// for the knobs the service exposes; everything the paper fixes (Table-1
-// geometry) stays fixed server-side so a request cannot ask for a machine
-// the reproduction does not model.
+// wire code from error.hpp plus a human "message".
+//
+// A job descriptor is one flat object: the cell's options document
+// (sim::options_to_json — every semantic sim::ExperimentOptions field under
+// its struct name: scheme, cleaning_interval, cleaning_policy,
+// decay_threshold, ecc_entries_per_set, instructions, warmup_instructions,
+// seed, maintain_codes, frontend, strikes_enabled, strike_lambda,
+// strike_rate_scale, strike_double_bit_fraction, stuck_faults, due_policy,
+// retirement_threshold, max_refetch_retries) plus its envelope: benchmark,
+// trace (a registered trace name) and timeout_ms. It is the same document
+// the result store keys the cell by (store/digest.hpp), so a worker runs
+// exactly the cell the coordinator keyed. Location fields (trace_dir,
+// trace_path, capture_path) never cross: clients name traces, never paths.
+// The warm-up key is warmup_instructions (it was `warmup` before the
+// descriptor became the options document). Everything the paper fixes
+// (Table-1 geometry) stays fixed server-side, so a request cannot ask for
+// a machine the reproduction does not model.
 #pragma once
 
 #include <optional>
@@ -35,53 +47,37 @@ void send_frame(Socket& sock, const JsonValue& doc);
 /// unparsable payload, ServerError(kIo) on socket trouble / timeout.
 std::optional<JsonValue> recv_frame(Socket& sock, int timeout_ms = -1);
 
-/// One experiment job as it crosses the wire. Defaults mirror
-/// sim::ExperimentOptions; `trace` names a server-side registered .aeept
-/// file (defaults to the benchmark's name) and is only read when
-/// frontend == kTrace.
-struct JobSpec {
+/// One experiment job as it crosses the wire: the cell's options plus the
+/// envelope. `trace` names a server-side registered .aeept file (defaults
+/// to the benchmark's name) and is only read when frontend == kTrace; the
+/// server resolves it into the inherited trace_path.
+struct JobSpec : sim::ExperimentOptions {
   std::string benchmark = "gzip";
-  sim::Frontend frontend = sim::Frontend::kExec;
-  protect::SchemeKind scheme = protect::SchemeKind::kUniformEcc;
-  protect::CleaningPolicy cleaning_policy =
-      protect::CleaningPolicy::kWrittenBit;
-  u64 cleaning_interval = 0;
-  unsigned decay_threshold = 2;
-  unsigned ecc_entries_per_set = 1;
-  u64 instructions = 2'000'000;
-  u64 warmup = 200'000;
-  u64 seed = 42;
-  bool maintain_codes = false;
-  std::string trace;       ///< registered trace name; empty = benchmark
-  u64 timeout_ms = 0;      ///< per-job wall clock; 0 = server default
+  std::string trace;   ///< registered trace name; empty = benchmark
+  u64 timeout_ms = 0;  ///< per-job wall clock; 0 = server default
 
   /// The registered name a kTrace job replays.
   std::string trace_name() const {
     return trace.empty() ? benchmark : trace;
   }
+
+  bool operator==(const JobSpec&) const = default;
 };
 
 /// JSON <-> JobSpec. from_json throws ServerError(kBadRequest) naming the
-/// offending field for unknown enum spellings and kind-mismatched values.
+/// offending field for unknown keys, kind-mismatched values (envelope
+/// included), values that do not fit their field, unknown enum spellings,
+/// stuck-fault sites outside the Table-1 L2, an empty benchmark and zero
+/// instructions.
 JsonValue job_spec_to_json(const JobSpec& spec);
 JobSpec job_spec_from_json(const JsonValue& doc);
 
-/// The ExperimentOptions this job runs under. For kTrace jobs the caller
-/// (the server) must still fill options.trace_path from its registry.
-sim::ExperimentOptions to_experiment_options(const JobSpec& spec);
-
-/// Inverse of to_experiment_options: the JobSpec that makes a remote worker
-/// run exactly this local experiment. This is how the fabric coordinator
-/// ships a sim::SweepJob over the wire; round-tripping through it and back
-/// must reproduce the options bit-for-bit, or fabric results could not be
-/// compared against a local SweepRunner.
+/// The JobSpec that makes a remote worker run exactly this local
+/// experiment: how the fabric coordinator ships a sim::SweepJob. Lossless
+/// through job_spec_to_json / job_spec_from_json except for the location
+/// fields, which the worker resolves itself.
 JobSpec job_spec_from_options(const std::string& benchmark,
                               const sim::ExperimentOptions& options);
-
-/// Enum spellings shared with the table/CLI output (to_string inverses).
-protect::SchemeKind scheme_from_string(const std::string& s);
-protect::CleaningPolicy cleaning_policy_from_string(const std::string& s);
-sim::Frontend frontend_from_string(const std::string& s);
 
 /// Reply scaffolding: {"ok": true, "type": <type>} / {"ok": false,
 /// "error": <wire code>, "message": <text>}.

@@ -1,11 +1,18 @@
 // Experiment-runner helpers shared by the benches, examples and tests:
 // building Table-1 system configurations with the protection scheme under
 // study, running one benchmark, and pretty-printing the machine description.
+// Also the one JSON document of a cell's options, which is both the body of
+// a wire job (server/wire.hpp) and the heart of its store key
+// (store/digest.hpp).
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/enum_string.hpp"
+#include "common/json.hpp"
 #include "fault/strike_process.hpp"
 #include "sim/system.hpp"
 
@@ -18,6 +25,10 @@ enum class Frontend {
 };
 
 const char* to_string(Frontend f);
+/// Inverse of to_string; std::invalid_argument on an unknown spelling.
+inline Frontend frontend_from_string(const std::string& s) {
+  return enum_from_string<Frontend>(s, "simulation frontend");
+}
 
 /// Per-experiment knobs on top of the fixed Table-1 machine.
 struct ExperimentOptions {
@@ -61,7 +72,25 @@ struct ExperimentOptions {
   unsigned retirement_threshold = 0;
   /// Re-fetch retries before a persistently failing line is dropped.
   unsigned max_refetch_retries = 3;
+
+  bool operator==(const ExperimentOptions&) const = default;
 };
+
+/// The options document: every semantic field under its struct name, enums
+/// by their to_string spelling, stuck faults as objects keyed like
+/// fault::StuckFault. The location fields (trace_dir, trace_path,
+/// capture_path) name files on one host, not the experiment: never written.
+JsonValue options_to_json(const ExperimentOptions& opts);
+
+/// Strict inverse of options_to_json; absent keys keep their defaults and
+/// the `envelope` keys, which a containing document adds, are skipped.
+/// Unknown keys, kind mismatches, numbers that do not fit their field,
+/// unknown enum spellings and stuck-fault sites outside the Table-1 L2
+/// (4096 sets, 4 ways, fault::line_bits) throw std::invalid_argument
+/// naming the key.
+ExperimentOptions options_from_json(
+    const JsonValue& doc,
+    std::initializer_list<std::string_view> envelope = {});
 
 /// The Table-1 machine with `opts` applied, ready for System().
 SystemConfig make_system_config(const std::string& benchmark,
@@ -87,14 +116,5 @@ std::vector<std::string> smoke_benchmarks();
 
 /// Human-readable Table-1 processor description (printed by bench headers).
 std::string table1_text();
-
-/// Arithmetic mean of a projection over results.
-template <typename Proj>
-double mean_of(const std::vector<RunResult>& rs, Proj proj) {
-  if (rs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : rs) sum += proj(r);
-  return sum / static_cast<double>(rs.size());
-}
 
 }  // namespace aeep::sim

@@ -1,10 +1,7 @@
 #include "store/digest.hpp"
 
 #include "common/crc64.hpp"
-#include "fault/injector.hpp"
 #include "store/build_digest.hpp"
-#include "protect/protected_l2.hpp"
-#include "protect/recovery.hpp"
 #include "trace/error.hpp"
 #include "trace/io.hpp"
 
@@ -37,48 +34,14 @@ JsonValue canonical_job_json(const std::string& benchmark,
                              const sim::ExperimentOptions& opts,
                              u64 trace_crc64) {
   JsonValue j = JsonValue::object();
-  j.set("v", JsonValue::number(u64{2}));
+  j.set("v", JsonValue::number(u64{3}));
   // The simulator build is part of a cell's identity: a changed binary
   // must cold-miss rather than serve results the old code computed.
   j.set("build", JsonValue::string(Digest{build_digest()}.hex()));
   j.set("benchmark", JsonValue::string(benchmark));
-  j.set("scheme", JsonValue::string(protect::to_string(opts.scheme)));
-  j.set("cleaning_interval", JsonValue::number(opts.cleaning_interval));
-  j.set("cleaning_policy",
-        JsonValue::string(protect::to_string(opts.cleaning_policy)));
-  j.set("decay_threshold", JsonValue::number(u64{opts.decay_threshold}));
-  j.set("ecc_entries_per_set",
-        JsonValue::number(u64{opts.ecc_entries_per_set}));
-  j.set("instructions", JsonValue::number(opts.instructions));
-  j.set("warmup_instructions", JsonValue::number(opts.warmup_instructions));
-  j.set("seed", JsonValue::number(opts.seed));
-  j.set("maintain_codes", JsonValue::boolean(opts.maintain_codes));
-  j.set("frontend", JsonValue::string(sim::to_string(opts.frontend)));
+  j.set("options", sim::options_to_json(opts));
   if (opts.frontend == sim::Frontend::kTrace)
     j.set("trace_crc64", JsonValue::string(Digest{trace_crc64}.hex()));
-  j.set("strikes_enabled", JsonValue::boolean(opts.strikes_enabled));
-  j.set("strike_lambda", JsonValue::number(opts.strike_lambda));
-  j.set("strike_rate_scale", JsonValue::number(opts.strike_rate_scale));
-  j.set("strike_double_bit_fraction",
-        JsonValue::number(opts.strike_double_bit_fraction));
-  JsonValue faults = JsonValue::array();
-  for (const fault::StuckFault& f : opts.stuck_faults) {
-    JsonValue fj = JsonValue::object();
-    fj.set("target", JsonValue::string(fault::to_string(f.target)));
-    fj.set("set", JsonValue::number(f.set));
-    fj.set("way", JsonValue::number(u64{f.way}));
-    fj.set("bit", JsonValue::number(f.bit));
-    fj.set("stuck_high", JsonValue::boolean(f.stuck_high));
-    fj.set("start", JsonValue::number(f.start));
-    fj.set("period", JsonValue::number(f.period));
-    faults.push(std::move(fj));
-  }
-  j.set("stuck_faults", std::move(faults));
-  j.set("due_policy", JsonValue::string(protect::to_string(opts.due_policy)));
-  j.set("retirement_threshold",
-        JsonValue::number(u64{opts.retirement_threshold}));
-  j.set("max_refetch_retries",
-        JsonValue::number(u64{opts.max_refetch_retries}));
   return j;
 }
 

@@ -1,19 +1,21 @@
 // Content addressing for sweep cells.
 //
-// Every cell is a pure function of (canonical job spec, seed, trace file
+// Every cell is a pure function of (benchmark, options, trace file
 // contents): SweepRunner's determinism guarantee means two jobs with the
 // same canonical JSON and the same trace bytes compute bit-identical
 // RunResults, on any worker, in any batch order. A cell's identity is
-// therefore the CRC64 of its canonical spec JSON — with the trace file's
-// whole-file CRC64 folded in as a field for trace-driven runs — so
-// semantically identical jobs collide on purpose and any spec or trace
-// change misses.
+// therefore the CRC64 of its canonical JSON — the key version, the build
+// digest, the benchmark, the options document and, for trace-driven runs,
+// the trace file's whole-file CRC64 — so semantically identical jobs
+// collide on purpose and any option or trace change misses.
 //
-// The canonical JSON deliberately excludes every *location* field
-// (trace_dir, trace_path): two hosts replaying the same trace bytes from
-// different paths must share a cache line. capture_path makes a job
-// uncacheable — answering it from the store would silently skip the side
-// effect the caller asked for.
+// The options document is sim::options_to_json, the same document a wire
+// job carries (server/wire.hpp): the key a coordinator files a cell under
+// and the job a worker runs cannot disagree on a field. It excludes every
+// *location* field (trace_dir, trace_path): two hosts replaying the same
+// trace bytes from different paths must share a cache line. capture_path
+// makes a job uncacheable — answering it from the store would silently
+// skip the side effect the caller asked for.
 #pragma once
 
 #include <optional>
@@ -36,12 +38,12 @@ struct Digest {
   bool operator==(const Digest&) const = default;
 };
 
-/// The canonical spec JSON the digest hashes: every semantic knob of the
-/// experiment in one fixed key order, rendered with dump(0), plus the
+/// The canonical JSON the digest hashes, rendered with dump(0): {"v",
+/// "build", "benchmark", "options", "trace_crc64"}. "build" is the
 /// simulator's own build_digest() (a new build must miss, never serve
-/// results the old code computed). For kTrace jobs `trace_crc64` carries
-/// the trace file's content digest; pass 0 for non-trace jobs (the field
-/// is then omitted).
+/// results the old code computed); "options" is sim::options_to_json(opts).
+/// For kTrace jobs `trace_crc64` carries the trace file's content digest;
+/// pass 0 for non-trace jobs (the field is then omitted).
 JsonValue canonical_job_json(const std::string& benchmark,
                              const sim::ExperimentOptions& opts,
                              u64 trace_crc64);

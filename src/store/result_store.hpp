@@ -120,7 +120,6 @@ class ResultStore {
     std::size_t count = 0;
   };
 
-  void open_segment_locked() AEEP_REQUIRES(mutex_);
   void scan_segment_locked() AEEP_REQUIRES(mutex_);
   u32 find_slot_locked(u64 key) const AEEP_REQUIRES(mutex_);
   void table_insert_locked(u64 key, u32 slot) AEEP_REQUIRES(mutex_);

@@ -36,7 +36,6 @@ class CaptureSink {
     writer_.finish({end_tick, committed, loads, stores, 0});
   }
 
-  u64 events() const { return writer_.events_written(); }
   const std::string& path() const { return writer_.path(); }
 
  private:

@@ -42,7 +42,6 @@ sim::RunResult ReplayDriver::run() {
           // buffer can only be full for externally ingested streams whose
           // issue cycles never let it drain. Force room rather than drop.
           hier.flush_write_buffer(e.tick);
-          ++forced_flushes_;
           (void)hier.store(e.tick, e.addr, e.value);
         }
         break;

@@ -34,14 +34,10 @@ class ReplayDriver {
   sim::RunResult run();
 
   u64 events_replayed() const { return events_; }
-  /// Stores a foreign trace forced through a full write buffer (always 0
-  /// for self-captured traces; the capture only records accepted stores).
-  u64 forced_flushes() const { return forced_flushes_; }
 
  private:
   ReplayConfig config_;
   u64 events_ = 0;
-  u64 forced_flushes_ = 0;
 };
 
 }  // namespace aeep::trace

@@ -28,7 +28,6 @@ class TraceWriter {
   /// logic error. Safe to call twice.
   void finish(TraceSummary summary);
 
-  u64 events_written() const { return events_; }
   const std::string& path() const { return file_.path(); }
 
  private:

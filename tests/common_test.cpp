@@ -14,6 +14,10 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "fault/injector.hpp"
+#include "protect/protected_l2.hpp"
+#include "protect/recovery.hpp"
+#include "sim/experiment.hpp"
 
 namespace aeep {
 namespace {
@@ -223,6 +227,68 @@ TEST(Cli, UnknownFlagSurfacesInUnusedAndQueriedListsAccepted) {
   const auto accepted = args.queried();
   EXPECT_NE(std::find(accepted.begin(), accepted.end(), "instructions"),
             accepted.end());
+}
+
+TEST(Cli, OverflowingNumberIsInvalidArgumentNamingTheFlag) {
+  const char* argv[] = {"prog", "--seed=99999999999999999999999"};
+  CliArgs args(2, argv);
+  try {
+    (void)args.get_u64("seed", 0);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed="), std::string::npos);
+  }
+}
+
+TEST(Cli, GetListSplitsOnCommasAndDropsEmptyItems) {
+  const char* argv[] = {"prog", "--workers=a:1,,b:2,"};
+  CliArgs args(2, argv);
+  EXPECT_EQ(args.get_list("workers", ""),
+            (std::vector<std::string>{"a:1", "b:2"}));
+  EXPECT_EQ(args.get_list("benchmarks", "gzip,mcf"),
+            (std::vector<std::string>{"gzip", "mcf"}));
+  EXPECT_TRUE(args.get_list("none", "").empty());
+}
+
+TEST(Cli, GetChoiceMapsSpellingsAndExitsTwoOnAnUnknownOne) {
+  const char* argv[] = {"prog", "--due-policy=poison", "--scheme=uniform-ecc"};
+  CliArgs args(3, argv);
+  EXPECT_EQ(get_choice<int>(args, "due-policy", "drop",
+                            {{"drop", 1}, {"poison", 2}}),
+            2);
+  EXPECT_EQ(get_choice<int>(args, "absent", "drop", {{"drop", 1}}), 1);
+  EXPECT_EXIT(get_choice<int>(args, "scheme", "shared",
+                              {{"uniform", 0}, {"shared", 2}}),
+              testing::ExitedWithCode(2),
+              "unknown --scheme=uniform-ecc \\(uniform\\|shared\\)");
+}
+
+/// Every enumerator of E survives to_string -> from_string, and an unknown
+/// spelling throws naming all `n` accepted ones.
+template <typename E>
+void expect_spellings_invert(E (*from_string)(const std::string&), int n) {
+  for (int i = 0; i < n; ++i) {
+    const E e = static_cast<E>(i);
+    EXPECT_EQ(from_string(to_string(e)), e) << to_string(e);
+  }
+  try {
+    from_string("bogus");
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    for (int i = 0; i < n; ++i)
+      EXPECT_NE(std::string(e.what()).find(to_string(static_cast<E>(i))),
+                std::string::npos)
+          << e.what();
+  }
+}
+
+TEST(EnumSpellings, FromStringInvertsToStringForEveryEnumerator) {
+  expect_spellings_invert(protect::scheme_from_string, 3);
+  expect_spellings_invert(protect::cleaning_policy_from_string, 4);
+  expect_spellings_invert(protect::due_policy_from_string, 3);
+  expect_spellings_invert(fault::fault_target_from_string,
+                          static_cast<int>(fault::kNumFaultTargets));
+  expect_spellings_invert(sim::frontend_from_string, 2);
 }
 
 TEST(Table, RendersAlignedRows) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -459,20 +460,89 @@ TEST(Coordinator, JobSpecFromOptionsRoundTripsExactly) {
   options.warmup_instructions = 7'890;
   options.seed = 99;
   options.maintain_codes = true;
+  options.frontend = sim::Frontend::kTrace;
+  options.strikes_enabled = true;
+  options.strike_lambda = std::nextafter(1e-19, 1.0);  // all 17 digits
+  options.strike_rate_scale = 8e9;
+  options.strike_double_bit_fraction = 0.25;
+  options.stuck_faults = {
+      {fault::FaultTarget::kParity, 12, 2, 7, false, 1'000, 64},
+      {fault::FaultTarget::kData, 0, 0, 5, true, 0, 0}};
+  options.due_policy = protect::DuePolicy::kPanic;
+  options.retirement_threshold = 4;
+  options.max_refetch_retries = 1;
+  const JsonValue defaults = sim::options_to_json(sim::ExperimentOptions{});
+  const JsonValue set = sim::options_to_json(options);
+  for (const auto& [key, value] : set.members())
+    EXPECT_NE(value.dump(0), defaults.find(key)->dump(0)) << key;
+
   const server::JobSpec spec =
       server::job_spec_from_options("mcf", options);
   EXPECT_EQ(spec.benchmark, "mcf");
-  const sim::ExperimentOptions back = server::to_experiment_options(spec);
-  EXPECT_EQ(back.scheme, options.scheme);
-  EXPECT_EQ(back.cleaning_policy, options.cleaning_policy);
-  EXPECT_EQ(back.cleaning_interval, options.cleaning_interval);
-  EXPECT_EQ(back.decay_threshold, options.decay_threshold);
-  EXPECT_EQ(back.ecc_entries_per_set, options.ecc_entries_per_set);
-  EXPECT_EQ(back.instructions, options.instructions);
-  EXPECT_EQ(back.warmup_instructions, options.warmup_instructions);
-  EXPECT_EQ(back.seed, options.seed);
-  EXPECT_EQ(back.maintain_codes, options.maintain_codes);
-  EXPECT_EQ(back.frontend, options.frontend);
+  const server::JobSpec back =
+      server::job_spec_from_json(server::job_spec_to_json(spec));
+  EXPECT_EQ(back, spec);
+  EXPECT_EQ(static_cast<const sim::ExperimentOptions&>(back), options);
+
+  // A local trace directory is not part of the job: the worker resolves
+  // the benchmark's registered trace itself.
+  sim::ExperimentOptions located = options;
+  located.trace_dir = "/local/traces";
+  EXPECT_EQ(server::job_spec_to_json(
+                server::job_spec_from_options("mcf", located)).dump(0),
+            server::job_spec_to_json(spec).dump(0));
+}
+
+TEST(Coordinator, StrikeCellThroughTheFleetMatchesLocal) {
+  // gzip on the shared ECC array with live strikes, poison DUE policy and
+  // way retirement: every knob the wire job carries beyond the paper's
+  // protection config must reach the worker, and the store must file the
+  // result under the cell that actually ran.
+  sim::SweepJob job;
+  job.benchmark = "gzip";
+  job.tag = "strikes";
+  job.options.scheme = protect::SchemeKind::kSharedEccArray;
+  job.options.cleaning_interval = 256 * 1024;
+  job.options.instructions = 20'000;
+  job.options.warmup_instructions = 0;
+  job.options.seed = 7;
+  job.options.strikes_enabled = true;
+  job.options.strike_rate_scale = 8e9;
+  job.options.strike_double_bit_fraction = 0.25;
+  job.options.due_policy = protect::DuePolicy::kPoison;
+  job.options.retirement_threshold = 4;
+  const std::vector<sim::SweepJob> grid = {job};
+  const sim::RunResult expected = baseline_results(grid)[0];
+  ASSERT_GT(expected.strikes.strikes, 0u);
+  ASSERT_GT(expected.recovery.checks, 0u);
+
+  const std::string dir = testing::TempDir() + "aeep_fabric_strike_store";
+  std::filesystem::remove_all(dir);
+  server::JobServer worker(worker_config());
+  worker.start();
+  {
+    FabricConfig cfg = test_config();
+    cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
+    cfg.store_dir = dir;
+    Coordinator coord(std::move(cfg));
+    const auto outcomes = coord.run(grid);
+    ASSERT_EQ(outcomes.size(), 1u);
+    ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
+    EXPECT_NE(outcomes[0].worker, "local");
+    // The counters first, for a readable failure; then every field.
+    const sim::RunResult& got = outcomes[0].result;
+    EXPECT_EQ(got.strikes.strikes, expected.strikes.strikes);
+    EXPECT_EQ(got.recovery.due_events, expected.recovery.due_events);
+    EXPECT_EQ(got.recovery.checks, expected.recovery.checks);
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(coord.stats().store_inserts, 1u);
+  }
+  worker.drain();
+
+  store::SweepCache cache({dir, 4096});
+  const std::optional<sim::RunResult> stored = cache.lookup(job);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(*stored, expected);
 }
 
 TEST(Coordinator, NoWorkersRunsLocallyBitExact) {

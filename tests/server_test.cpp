@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,14 +61,33 @@ TEST(ServerWire, JobSpecRoundTripsThroughJson) {
   spec.decay_threshold = 3;
   spec.ecc_entries_per_set = 2;
   spec.instructions = 123'456;
-  spec.warmup = 7'890;
+  spec.warmup_instructions = 7'890;
   spec.seed = 99;
   spec.maintain_codes = true;
+  spec.strikes_enabled = true;
+  spec.strike_lambda = std::nextafter(1e-19, 1.0);  // needs all 17 digits
+  spec.strike_rate_scale = 8e9;
+  spec.strike_double_bit_fraction = 0.25;
+  spec.stuck_faults = {
+      {fault::FaultTarget::kData, 4'095, 3, 511, false, 100, 50},
+      {fault::FaultTarget::kEcc, 7, 1, 63, true, 0, 0}};
+  spec.due_policy = protect::DuePolicy::kPoison;
+  spec.retirement_threshold = 4;
+  spec.max_refetch_retries = 5;
   spec.trace = "mcf_long";
   spec.timeout_ms = 5'000;
+
+  // Every semantic field is off its default, so the round trip below
+  // exercises each key of the options document.
+  const JsonValue defaults = sim::options_to_json(sim::ExperimentOptions{});
+  const JsonValue set = sim::options_to_json(spec);
+  for (const auto& [key, value] : set.members())
+    EXPECT_NE(value.dump(0), defaults.find(key)->dump(0)) << key;
+
   const JsonValue j = job_spec_to_json(spec);
+  EXPECT_NE(j.find("warmup_instructions"), nullptr);
   const JobSpec back = job_spec_from_json(j);
-  EXPECT_EQ(job_spec_to_json(back).dump(0), j.dump(0));
+  EXPECT_EQ(back, spec);
   EXPECT_EQ(back.trace_name(), "mcf_long");
 }
 
@@ -83,13 +104,62 @@ TEST(ServerWire, UnknownJobFieldIsBadRequest) {
             ServerErrorKind::kBadRequest);
 }
 
+/// kind_of(job_spec_from_json(doc)), for a doc given as JSON text.
+ServerErrorKind job_refusal(const char* text) {
+  const std::optional<JsonValue> doc = json_parse(text);
+  if (!doc) {
+    ADD_FAILURE() << "unparsable test document " << text;
+    return ServerErrorKind::kInternal;
+  }
+  return kind_of([&] { job_spec_from_json(*doc); });
+}
+
 TEST(ServerWire, BadEnumSpellingsAreBadRequests) {
-  EXPECT_EQ(kind_of([] { scheme_from_string("parity"); }),
-            ServerErrorKind::kBadRequest);
-  EXPECT_EQ(kind_of([] { cleaning_policy_from_string("lazy"); }),
-            ServerErrorKind::kBadRequest);
-  EXPECT_EQ(kind_of([] { frontend_from_string("dramsim"); }),
-            ServerErrorKind::kBadRequest);
+  for (const char* doc :
+       {R"({"scheme": "parity"})", R"({"cleaning_policy": "lazy"})",
+        R"({"frontend": "dramsim"})", R"({"due_policy": "posion"})",
+        R"({"stuck_faults": [{"target": "tag"}]})"})
+    EXPECT_EQ(job_refusal(doc), ServerErrorKind::kBadRequest) << doc;
+}
+
+TEST(ServerWire, LocationFieldsNeverCross) {
+  // Clients name traces; a path on the wire is refused, not ignored.
+  for (const char* doc :
+       {R"({"trace_path": "/tmp/x.aeept"})", R"({"trace_dir": "/tmp"})",
+        R"({"capture_path": "/tmp/out.aeept"})"})
+    EXPECT_EQ(job_refusal(doc), ServerErrorKind::kBadRequest) << doc;
+}
+
+TEST(ServerWire, KindMismatchesAndOverflowsAreBadRequests) {
+  for (const char* doc :
+       {R"({"cleaning_interval": "1M"})", R"({"maintain_codes": "true"})",
+        R"({"decay_threshold": 4294967296})", R"({"seed": -1})",
+        R"({"instructions": 1.5})", R"({"strike_rate_scale": "8e9"})",
+        R"({"stuck_faults": {"set": 1}})", R"({"benchmark": 7})",
+        R"({"trace": false})", R"({"timeout_ms": "5s"})"})
+    EXPECT_EQ(job_refusal(doc), ServerErrorKind::kBadRequest) << doc;
+  // An integer is a fine double; the largest 32-bit value fits.
+  const JobSpec fits = job_spec_from_json(*json_parse(
+      R"({"strike_rate_scale": 8, "decay_threshold": 4294967295})"));
+  EXPECT_EQ(fits.strike_rate_scale, 8.0);
+  EXPECT_EQ(fits.decay_threshold, 4'294'967'295u);
+}
+
+TEST(ServerWire, StuckFaultSitesOutsideTheL2AreBadRequests) {
+  for (const char* doc :
+       {R"({"stuck_faults": [{"way": 4}]})",
+        R"({"stuck_faults": [{"target": "data", "bit": 512}]})",
+        R"({"stuck_faults": [{"set": 4096}]})",
+        R"({"stuck_faults": [{"target": "parity", "bit": 8}]})",
+        R"({"stuck_faults": [{"target": "ecc", "bit": 64}]})"})
+    EXPECT_EQ(job_refusal(doc), ServerErrorKind::kBadRequest) << doc;
+  // The last set, way and bit of each array are real sites.
+  const JobSpec edge = job_spec_from_json(*json_parse(
+      R"({"stuck_faults": [{"set": 4095, "way": 3, "bit": 511},)"
+      R"( {"target": "parity", "bit": 7}, {"target": "ecc", "bit": 63}]})"));
+  ASSERT_EQ(edge.stuck_faults.size(), 3u);
+  EXPECT_EQ(edge.stuck_faults[0].set, 4'095u);
+  EXPECT_EQ(edge.stuck_faults[2].target, fault::FaultTarget::kEcc);
 }
 
 TEST(ServerWire, WireCodesRoundTrip) {
@@ -163,7 +233,7 @@ JobSpec small_exec_job(u64 instructions = 30'000) {
   JobSpec spec;
   spec.benchmark = "gzip";
   spec.instructions = instructions;
-  spec.warmup = 5'000;
+  spec.warmup_instructions = 5'000;
   return spec;
 }
 

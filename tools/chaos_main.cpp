@@ -43,16 +43,7 @@ int main(int argc, char** argv) {
   policy.delay = args.get_double("delay", policy.delay);
   policy.delay_ms = args.get_u64("delay-ms", policy.delay_ms);
   policy.seed = args.get_u64("seed", policy.seed);
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& k : unused) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\naccepted flags:");
-    for (const auto& k : args.queried())
-      std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
+  reject_unknown_flags(args);
   if (upstream.empty()) {
     std::fprintf(stderr, "aeep_chaos: need --upstream=HOST:PORT\n");
     return 2;

@@ -32,13 +32,16 @@
 // non-uniform|shared-ecc-array --cleaning-policy=written-bit|naive|
 // decay-counter|eager-idle --interval=N --decay-threshold=N --entries=N
 // --instructions=N --warmup=N --seed=N --maintain-codes --trace=NAME
-// --timeout-ms=N
+// --timeout-ms=N. --warmup fills the job's warmup_instructions. An unknown
+// spelling or a malformed number exits 2 before anything is sent.
 //
 // `run --json=FILE` writes the bench pipeline's schema-v1 document (one
 // cell, tag "server"), so a remote run diffs key-for-key against a local
 // bench cell. Exit codes: 0 ok, 2 usage, 3 busy (backpressure), 4 not
 // found, 5 job timeout, 6 cannot connect, 7 unauthorized, 1 anything else.
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -95,26 +98,13 @@ server::Client connect_or_exit(const std::string& host, u16 port,
   }
 }
 
-void check_flags(const CliArgs& args) {
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& k : unused) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\naccepted flags:");
-    for (const auto& k : args.queried())
-      std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-  }
-}
-
+/// Job flags -> JobSpec; std::invalid_argument on a bad spelling or number.
 server::JobSpec parse_job(const CliArgs& args) {
   server::JobSpec spec;
   spec.benchmark = args.get("benchmark", spec.benchmark);
-  spec.frontend = server::frontend_from_string(args.get("frontend", "exec"));
-  spec.scheme =
-      server::scheme_from_string(args.get("scheme", "uniform-ecc"));
-  spec.cleaning_policy = server::cleaning_policy_from_string(
+  spec.frontend = sim::frontend_from_string(args.get("frontend", "exec"));
+  spec.scheme = protect::scheme_from_string(args.get("scheme", "uniform-ecc"));
+  spec.cleaning_policy = protect::cleaning_policy_from_string(
       args.get("cleaning-policy", "written-bit"));
   spec.cleaning_interval = args.get_u64("interval", spec.cleaning_interval);
   spec.decay_threshold = static_cast<unsigned>(
@@ -122,7 +112,8 @@ server::JobSpec parse_job(const CliArgs& args) {
   spec.ecc_entries_per_set = static_cast<unsigned>(
       args.get_u64("entries", spec.ecc_entries_per_set));
   spec.instructions = args.get_u64("instructions", spec.instructions);
-  spec.warmup = args.get_u64("warmup", spec.warmup);
+  spec.warmup_instructions =
+      args.get_u64("warmup", spec.warmup_instructions);
   spec.seed = args.get_u64("seed", spec.seed);
   spec.maintain_codes = args.get_bool("maintain-codes", spec.maintain_codes);
   spec.trace = args.get("trace", spec.trace);
@@ -173,20 +164,17 @@ int print_reply(const JsonValue& reply, const OutputOptions& out) {
   return 0;
 }
 
-int run_command(server::Client& client, const CliArgs& args,
-                const OutputOptions& out) {
-  const server::JobSpec spec = parse_job(args);
-  const std::string json_path = args.get("json", "");
-  check_flags(args);
+int run_command(server::Client& client, const server::JobSpec& spec,
+                const std::string& json_path, const OutputOptions& out) {
   const JsonValue reply = client.run(spec);
   const JsonValue* metrics = reply.find("metrics");
   if (!json_path.empty() && metrics) {
     bench::CommonOptions o;
     o.instructions = spec.instructions;
-    o.warmup = spec.warmup;
+    o.warmup = spec.warmup_instructions;
     o.seed = spec.seed;
     o.suite = spec.benchmark;
-    o.frontend = sim::to_string(spec.frontend);
+    o.frontend = spec.frontend;
     bench::JsonReporter reporter("server_run", o, 0);
     reporter.set_config("scheme",
                         JsonValue::string(protect::to_string(spec.scheme)));
@@ -214,64 +202,75 @@ int main(int argc, char** argv) {
     cmd = "metrics";
   } else if (cmd.rfind("--", 0) == 0) {
     // A flag where the command should be: let parse_cli see it and fail
-    // with the usual unknown-flag message via check_flags below.
+    // with the usual unknown-flag message via reject_unknown_flags below.
     arg_offset = 0;
     cmd = "";
   }
   const CliArgs args =
       parse_cli_or_exit(argc - arg_offset, argv + arg_offset);
-  const std::string host = args.get("host", "127.0.0.1");
-  const u16 port = static_cast<u16>(args.get_u64("port", 7421));
-  const unsigned retries =
-      static_cast<unsigned>(args.get_u64("retries", 0));
-  const u64 backoff_ms = args.get_u64("backoff-ms", 100);
-  const std::string token = args.get("token", "");
-  OutputOptions out;
-  out.quiet = args.get_bool("quiet", false);
-  out.field = args.get("field", "");
-  if (cmd.empty()) return usage();
   try {
+    const std::string host = args.get("host", "127.0.0.1");
+    const u16 port = static_cast<u16>(args.get_u64("port", 7421));
+    const unsigned retries =
+        static_cast<unsigned>(args.get_u64("retries", 0));
+    const u64 backoff_ms = args.get_u64("backoff-ms", 100);
+    const std::string token = args.get("token", "");
+    OutputOptions out;
+    out.quiet = args.get_bool("quiet", false);
+    out.field = args.get("field", "");
+    if (cmd.empty()) return usage();
+    // Job flags are read before connecting: a bad spelling or a typo'd
+    // flag is a usage error whether or not a server is listening.
+    std::optional<server::JobSpec> spec;
+    std::string json_path;
+    if (cmd == "submit" || cmd == "run") {
+      spec = parse_job(args);
+      if (cmd == "run") json_path = args.get("json", "");
+      reject_unknown_flags(args);
+    }
     server::Client client = connect_or_exit(host, port, retries, backoff_ms);
     if (!token.empty()) client.set_token(token);
     if (cmd == "ping") {
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.ping(), out);
     } else if (cmd == "traces") {
-      check_flags(args);
+      reject_unknown_flags(args);
       for (const auto& name : client.traces())
         std::printf("%s\n", name.c_str());
     } else if (cmd == "stats") {
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.stats(), out);
     } else if (cmd == "metrics") {
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.metrics(), out);
     } else if (cmd == "health") {
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.health(), out);
     } else if (cmd == "drain") {
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.drain(), out);
     } else if (cmd == "submit") {
-      const server::JobSpec spec = parse_job(args);
-      check_flags(args);
-      const u64 id = client.submit(spec);
+      const u64 id = client.submit(*spec);
       if (!out.quiet)
         std::printf("job %llu queued\n", static_cast<unsigned long long>(id));
     } else if (cmd == "status") {
       const u64 id = args.get_u64("job", 0);
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.status(id), out);
     } else if (cmd == "result") {
       const u64 id = args.get_u64("job", 0);
       const u64 wait_ms = args.get_u64("wait-ms", 60'000);
-      check_flags(args);
+      reject_unknown_flags(args);
       return print_reply(client.result(id, /*wait=*/true, wait_ms), out);
     } else if (cmd == "run") {
-      return run_command(client, args, out);
+      return run_command(client, *spec, json_path, out);
     } else {
       return usage();
     }
+  } catch (const std::logic_error& e) {
+    // std::invalid_argument / std::out_of_range: a bad flag value.
+    std::fprintf(stderr, "aeep_client: %s\n", e.what());
+    return 2;
   } catch (const server::ServerError& e) {
     std::fprintf(stderr, "aeep_client: %s\n", e.what());
     switch (e.kind()) {

@@ -46,21 +46,6 @@ using namespace aeep;
 
 namespace {
 
-std::vector<fabric::WorkerEndpoint> parse_workers(const std::string& list) {
-  std::vector<fabric::WorkerEndpoint> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string item =
-        list.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    if (!item.empty()) out.push_back(fabric::parse_endpoint(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 /// The sweep every aeep_coord invocation runs: suite benchmarks × the three
 /// protection schemes, tagged by scheme label.
 std::vector<sim::SweepJob> build_grid(const bench::CommonOptions& o) {
@@ -115,7 +100,7 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const bench::CommonOptions o = bench::parse_common(args);
   const bool local_only = args.get_bool("local", false);
-  const std::string workers_list = args.get("workers", "");
+  const std::vector<std::string> workers = args.get_list("workers", "");
   const std::string retirement_log_path = args.get("retirement-log", "");
 
   fabric::FabricConfig cfg;
@@ -142,16 +127,18 @@ int main(int argc, char** argv) {
   const std::string store_dir = args.get("store", "");
   cfg.token = args.get("token", "");
   cfg.store_dir = store_dir;
-  bench::reject_unknown_flags(args);
+  reject_unknown_flags(args);
 
-  if (!local_only && workers_list.empty()) {
+  if (!local_only && workers.empty()) {
     std::fprintf(stderr,
                  "aeep_coord: need --workers=HOST:PORT[,...] or --local\n");
     return 2;
   }
 
   try {
-    if (!local_only) cfg.workers = parse_workers(workers_list);
+    if (!local_only)
+      for (const std::string& w : workers)
+        cfg.workers.push_back(fabric::parse_endpoint(w));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "aeep_coord: %s\n", e.what());
     return 2;

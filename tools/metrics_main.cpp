@@ -71,13 +71,7 @@ int dump_command(const CliArgs& args) {
   const u16 port = static_cast<u16>(args.get_u64("port", 7421));
   const std::string token = args.get("token", "");
   const std::string out_path = args.get("out", "");
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& k : unused) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
+  reject_unknown_flags(args);
 
   JsonValue snapshot;
   try {

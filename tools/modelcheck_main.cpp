@@ -203,17 +203,11 @@ int run_replay(const CliArgs& args, const std::string& replay) {
     return 2;
   }
   ModelCheckConfig cfg;
-  const std::string scheme = args.get("scheme", "shared");
-  if (scheme == "uniform") {
-    cfg.scheme = protect::SchemeKind::kUniformEcc;
-  } else if (scheme == "nonuniform") {
-    cfg.scheme = protect::SchemeKind::kNonUniform;
-  } else if (scheme == "shared") {
-    cfg.scheme = protect::SchemeKind::kSharedEccArray;
-  } else {
-    std::printf("error: unknown --scheme '%s'\n", scheme.c_str());
-    return 2;
-  }
+  cfg.scheme = get_choice<protect::SchemeKind>(
+      args, "scheme", "shared",
+      {{"uniform", protect::SchemeKind::kUniformEcc},
+       {"nonuniform", protect::SchemeKind::kNonUniform},
+       {"shared", protect::SchemeKind::kSharedEccArray}});
   cfg.entries_per_set = static_cast<unsigned>(args.get_u64("entries", 1));
   cfg.cleaning_interval = args.get_u64("cleaning", 0);
   cfg.inject_faults = args.get_bool("faults", false);

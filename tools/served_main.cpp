@@ -61,16 +61,7 @@ int main(int argc, char** argv) {
   cfg.metrics_log_every =
       args.get_u64("metrics-log-every", cfg.metrics_log_every);
   cfg.token = args.get("token", "");
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& k : unused) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\naccepted flags:");
-    for (const auto& k : args.queried())
-      std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
+  reject_unknown_flags(args);
 
   server::JobServer served(cfg);
   try {

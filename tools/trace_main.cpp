@@ -47,30 +47,12 @@ sim::ExperimentOptions parse_experiment(const CliArgs& args) {
   eo.cleaning_interval = args.get_u64("interval", 256 * 1024);
   eo.ecc_entries_per_set =
       static_cast<unsigned>(args.get_u64("entries", 1));
-  const std::string scheme = args.get("scheme", "shared");
-  if (scheme == "uniform") eo.scheme = protect::SchemeKind::kUniformEcc;
-  else if (scheme == "nonuniform") eo.scheme = protect::SchemeKind::kNonUniform;
-  else if (scheme == "shared") eo.scheme = protect::SchemeKind::kSharedEccArray;
-  else {
-    std::fprintf(stderr, "unknown --scheme=%s (uniform|nonuniform|shared)\n",
-                 scheme.c_str());
-    std::exit(2);
-  }
+  eo.scheme = get_choice<protect::SchemeKind>(
+      args, "scheme", "shared",
+      {{"uniform", protect::SchemeKind::kUniformEcc},
+       {"nonuniform", protect::SchemeKind::kNonUniform},
+       {"shared", protect::SchemeKind::kSharedEccArray}});
   return eo;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::string item = s.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
 }
 
 void print_run(const sim::RunResult& r) {
@@ -127,7 +109,7 @@ int cmd_validate(const CliArgs& args) {
   const std::string dir = args.get("trace-dir", ".");
   const double tolerance = args.get_double("tolerance", 0.01);
   const std::vector<std::string> benchmarks =
-      split_csv(args.get("benchmarks", "gzip,mcf"));
+      args.get_list("benchmarks", "gzip,mcf");
   const sim::ExperimentOptions eo = parse_experiment(args);
   bool all_pass = true;
   double exec_total = 0.0, replay_total = 0.0;
