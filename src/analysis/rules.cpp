@@ -417,10 +417,11 @@ void check_sleep(FileContext& ctx) {
 }
 
 // --- rule: deque-in-hot-path -----------------------------------------------
-// std::deque / std::queue under src/sim and src/server: the sweep pool and
-// the job server dispatch on the lock-free aeep::MpmcQueue, and per-entry
-// state belongs in dense SoA arrays — a node-based queue there reintroduces
-// either a mutex-guarded hot path or pointer-chasing scans.
+// std::deque / std::queue under src/sim, src/server and src/cpu: the sweep
+// pool and the job server dispatch on the lock-free aeep::MpmcQueue, and
+// per-entry state (the core's RUU and fetch queue included) belongs in
+// dense fixed rings — a node-based queue there reintroduces either a
+// mutex-guarded hot path or pointer-chasing scans.
 void check_hot_queue(FileContext& ctx) {
   const auto& code = ctx.code;
   for (std::size_t i = 0; i + 3 < code.size(); ++i) {
@@ -430,9 +431,10 @@ void check_hot_queue(FileContext& ctx) {
       continue;
     ctx.report(kHotQueue, code[i + 2].line,
                "std::" + code[i + 2].text +
-                   " in src/sim|src/server is banned; use aeep::MpmcQueue "
-                   "for work hand-off or a dense SoA ring for per-entry "
-                   "state (deliberate: aeep-lint: allow(deque-in-hot-path))");
+                   " in src/sim|src/server|src/cpu is banned; use "
+                   "aeep::MpmcQueue for work hand-off or a dense SoA ring "
+                   "for per-entry state (deliberate: aeep-lint: "
+                   "allow(deque-in-hot-path))");
   }
 }
 
@@ -481,8 +483,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {kNakedNew, "no naked new/delete in src/ outside free-list code"},
       {kSleep, "no sleep_for/sleep_until in src/; wait on a condvar"},
       {kHotQueue,
-       "no std::deque/std::queue under src/sim|src/server; use MpmcQueue "
-       "or a dense SoA ring"},
+       "no std::deque/std::queue under src/sim|src/server|src/cpu; use "
+       "MpmcQueue or a dense SoA ring"},
       {kRawClock,
        "no std::chrono::steady_clock outside src/metrics; time through "
        "metrics::now()/ScopedTimer"},
@@ -519,7 +521,8 @@ std::vector<Finding> lint_file(const std::string& path,
   check_thread_detach(ctx);
   if (in_src) check_naked_new(ctx);
   if (in_src) check_sleep(ctx);
-  if (starts_with(path, "src/sim/") || starts_with(path, "src/server/"))
+  if (starts_with(path, "src/sim/") || starts_with(path, "src/server/") ||
+      starts_with(path, "src/cpu/"))
     check_hot_queue(ctx);
   if (in_src && !starts_with(path, "src/metrics/")) check_raw_clock(ctx);
 

@@ -68,7 +68,8 @@ T get_choice(const CliArgs& args, const std::string& key,
   std::string accepted;
   for (const auto& [spelling, value] : choices) {
     if (s == spelling) return value;
-    accepted += (accepted.empty() ? "" : "|") + std::string(spelling);
+    if (!accepted.empty()) accepted += '|';
+    accepted += spelling;
   }
   std::fprintf(stderr, "unknown --%s=%s (%s)\n", key.c_str(), s.c_str(),
                accepted.c_str());

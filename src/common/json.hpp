@@ -32,6 +32,12 @@ class JsonValue {
   static JsonValue string(std::string s);
   static JsonValue array();
   static JsonValue object();
+  /// Object of `members` as if set() one by one: a repeated key keeps its
+  /// first position and takes its last value. O(n log n) in the member
+  /// count, where n set() calls are quadratic (the parser's path for
+  /// untrusted input).
+  static JsonValue object(
+      std::vector<std::pair<std::string, JsonValue>> members);
 
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }

@@ -31,4 +31,7 @@ inline constexpr u64 MiB = 1024 * KiB;
 /// An invalid / "no address" sentinel.
 inline constexpr Addr kNoAddr = ~Addr{0};
 
+/// A cycle that never comes: "no event pending" for next-event queries.
+inline constexpr Cycle kNever = ~Cycle{0};
+
 }  // namespace aeep

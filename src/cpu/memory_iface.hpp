@@ -23,6 +23,12 @@ class MemoryInterface {
 
   /// Per-cycle housekeeping: write-buffer drains, L2 cleaning FSM.
   virtual void tick(Cycle now) = 0;
+
+  /// Earliest cycle >= `now` at which tick() can change state (kNever when
+  /// nothing is pending). A caller with nothing else to do may skip the
+  /// ticks of the cycles before it. The default, `now`, asks to be ticked
+  /// every cycle.
+  virtual Cycle next_event(Cycle now) const { return now; }
 };
 
 }  // namespace aeep::cpu

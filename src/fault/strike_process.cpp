@@ -95,15 +95,17 @@ void StrikeProcess::reassert_line(u64 set, unsigned way) {
   }
 }
 
+Cycle StrikeProcess::next_event() const {
+  return std::min(next_strike(), next_reassert());
+}
+
 void StrikeProcess::tick(Cycle now) {
   last_tick_ = now;
-  if (!never_) {
-    while (next_strike_ <= now) {
-      apply_random_strike();
-      schedule_next(next_strike_);
-    }
+  while (next_strike() <= now) {
+    apply_random_strike();
+    schedule_next(next_strike_);
   }
-  if (!config_.stuck_faults.empty() && now >= next_reassert_) {
+  if (next_reassert() <= now) {
     for (const StuckFault& f : config_.stuck_faults) {
       if (!stuck_active(f, now)) continue;
       if (apply_stuck(f)) ++stats_.stuck_reasserts;

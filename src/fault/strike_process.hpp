@@ -83,6 +83,9 @@ class StrikeProcess {
   /// by then. Call once per cycle (cheap when nothing is due).
   void tick(Cycle now);
 
+  /// Cycle of the next strike or stuck-at re-assertion (kNever if none).
+  Cycle next_event() const;
+
   /// Re-assert any stuck-at faults on (set, way) right now — wired as the
   /// RecoveryController's post-re-fetch hook so persistent faults re-corrupt
   /// a freshly fetched line before its re-validation.
@@ -98,6 +101,12 @@ class StrikeProcess {
   void reset_stats() { stats_ = {}; }
 
  private:
+  /// Cycle of the next random strike (kNever if the rate is zero).
+  Cycle next_strike() const { return never_ ? kNever : next_strike_; }
+  /// Cycle of the next stuck-at re-assertion (kNever without stuck faults).
+  Cycle next_reassert() const {
+    return config_.stuck_faults.empty() ? kNever : next_reassert_;
+  }
   void schedule_next(Cycle now);
   void apply_random_strike();
   /// Force one stored bit; returns true if a live bit changed value.

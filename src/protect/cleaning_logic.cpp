@@ -15,7 +15,7 @@ CleaningLogic::CleaningLogic(u64 num_sets, Cycle interval)
 }
 
 std::optional<u64> CleaningLogic::due(Cycle now) {
-  if (!enabled() || now < next_due_) return std::nullopt;
+  if (now < next_due()) return std::nullopt;
   const u64 set = next_set_;
   next_set_ = (next_set_ + 1) % num_sets_;
   next_due_ += set_period_;

@@ -25,6 +25,9 @@ class CleaningLogic {
   /// jump can make several sets due).
   std::optional<u64> due(Cycle now);
 
+  /// Cycle of the next inspection (kNever when disabled).
+  Cycle next_due() const { return enabled() ? next_due_ : kNever; }
+
   bool enabled() const { return interval_ != 0; }
   Cycle interval() const { return interval_; }
   Cycle set_period() const { return set_period_; }

@@ -89,8 +89,7 @@ void ProtectedL2::do_writeback(Cycle now, u64 set, unsigned way,
                                WbCause cause) {
   assert(cache_.meta(set, way).dirty);
   // Outbound validation: corrupt dirty data must not silently reach memory.
-  if (config_.recovery.check_on_access && config_.maintain_codes &&
-      !recovery_.validate_writeback(now, set, way)) {
+  if (validating() && !recovery_.validate_writeback(now, set, way)) {
     note_dirty(now);  // the line was dropped instead of written back
     return;
   }
@@ -128,8 +127,7 @@ ProtectedL2::Located ProtectedL2::locate_or_fill(Cycle now, Addr addr,
 
     // Online validation: every hit runs the scheme's read check and pays
     // for whatever recovery the outcome demands.
-    if (config_.recovery.check_on_access && config_.maintain_codes &&
-        depth == 0) {
+    if (validating() && depth == 0) {
       const RecoveryController::Result res =
           recovery_.validate(now, pr.set, pr.way);
       ready += res.extra_latency;
@@ -315,7 +313,7 @@ void ProtectedL2::tick(Cycle now) {
     inspect_set(now, *set);
     did_work = true;
   }
-  if (config_.recovery.check_on_access && config_.maintain_codes) {
+  if (validating()) {
     // Execute retirements queued by the recovery controller (threshold
     // crossings on the write-back path) now that no access is in flight.
     // do_writeback re-validates the evicted dirty data, so corruption the
@@ -328,6 +326,11 @@ void ProtectedL2::tick(Cycle now) {
     }
   }
   if (did_work && audit_hook_) audit_hook_(now);
+}
+
+Cycle ProtectedL2::next_event(Cycle now) const {
+  if (validating() && recovery_.retirement_pending()) return now;
+  return std::max(now, cleaner_.next_due());
 }
 
 void ProtectedL2::finalize(Cycle now) { note_dirty(now, /*force=*/true); }

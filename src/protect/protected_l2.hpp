@@ -105,6 +105,10 @@ class ProtectedL2 {
   /// (cheap when nothing is due).
   void tick(Cycle now);
 
+  /// Earliest cycle >= `now` at which tick() can change state: the next
+  /// cleaning inspection, or `now` while a retirement is queued.
+  Cycle next_event(Cycle now) const;
+
   /// Flush the dirty-residency integral at end of run.
   void finalize(Cycle now);
 
@@ -146,6 +150,12 @@ class ProtectedL2 {
   }
 
  private:
+  /// Codes are validated on access and write-back, so faults are tallied
+  /// and sites retired.
+  bool validating() const {
+    return config_.recovery.check_on_access && config_.maintain_codes;
+  }
+
   struct Located {
     u64 set;
     unsigned way;

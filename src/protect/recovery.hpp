@@ -160,6 +160,8 @@ class RecoveryController {
   /// skipped. ProtectedL2 drains this once per tick, outside any access,
   /// so write-back-path faults retire ways too. Returns false when empty.
   bool take_pending_retirement(u64& set, unsigned& way);
+  /// Something is queued for take_pending_retirement.
+  bool retirement_pending() const { return !pending_retire_.empty(); }
 
   /// Bookkeeping for a retirement executed by ProtectedL2.
   void note_way_retired(Cycle now, u64 set, unsigned way);

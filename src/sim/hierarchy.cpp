@@ -102,16 +102,29 @@ void MemoryHierarchy::drain_front(Cycle now) {
   wbuf_.recycle(std::move(e));
 }
 
+Cycle MemoryHierarchy::drain_due() const {
+  if (wbuf_.empty()) return kNever;
+  // The front drains once the port is free and the buffer is over its
+  // watermark or the front has aged out.
+  const Cycle aged = wbuf_.size() > config_.wb_high_watermark
+                         ? 0
+                         : wbuf_.front_stamp() + config_.wb_min_residency;
+  return std::max(aged, wb_issue_free_);
+}
+
 void MemoryHierarchy::tick(Cycle now) {
   // Strikes land before this cycle's drains/inspections touch the arrays.
   if (strikes_) strikes_->tick(now);
-  while (!wbuf_.empty() && wb_issue_free_ <= now) {
-    const bool over_watermark = wbuf_.size() > config_.wb_high_watermark;
-    const bool aged = now >= wbuf_.front_stamp() + config_.wb_min_residency;
-    if (!over_watermark && !aged) break;
-    drain_front(now);
-  }
+  while (drain_due() <= now) drain_front(now);
   l2_.tick(now);
+}
+
+Cycle MemoryHierarchy::next_event(Cycle now) const {
+  // Only a store or a drain moves drain_due(), and a store comes from a
+  // cycle the caller steps anyway.
+  Cycle next = std::min(l2_.next_event(now), drain_due());
+  if (strikes_) next = std::min(next, strikes_->next_event());
+  return std::max(now, next);
 }
 
 void MemoryHierarchy::flush_write_buffer(Cycle now) {

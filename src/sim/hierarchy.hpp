@@ -47,6 +47,10 @@ class MemoryHierarchy final : public cpu::MemoryInterface {
   Cycle load(Cycle now, Addr addr) override;
   bool store(Cycle now, Addr addr, u64 value) override;
   void tick(Cycle now) override;
+  /// The earliest of the next write-buffer drain, the L2's next event
+  /// (cleaning inspection, queued retirement) and the next strike or
+  /// stuck-at re-assert.
+  Cycle next_event(Cycle now) const override;
 
   /// Drain every write-buffer entry (end of run / before fault campaigns).
   void flush_write_buffer(Cycle now);
@@ -72,6 +76,8 @@ class MemoryHierarchy final : public cpu::MemoryInterface {
 
  private:
   void drain_front(Cycle now);
+  /// First cycle tick() drains the write buffer's front (kNever if empty).
+  Cycle drain_due() const;
 
   HierarchyConfig config_;
   std::unique_ptr<trace::CaptureSink> capture_;

@@ -1,8 +1,23 @@
 #include "trace/replay.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace aeep::trace {
+
+namespace {
+
+/// Fire tick(c) for every cycle c in [ticked, until) in which the hierarchy
+/// has work (MemoryInterface::next_event); the others are no-ops.
+void tick_until(sim::MemoryHierarchy& hier, Cycle& ticked, Cycle until) {
+  while (ticked < until) {
+    ticked = std::min(until, hier.next_event(ticked));
+    if (ticked == until) return;
+    hier.tick(ticked++);
+  }
+}
+
+}  // namespace
 
 ReplayDriver::ReplayDriver(ReplayConfig config) : config_(std::move(config)) {
   // Replay never re-captures; a capture path here is almost certainly a
@@ -21,14 +36,19 @@ sim::RunResult ReplayDriver::run() {
     if (e.kind == EventKind::kStatsReset) {
       // The core resets stats between steps: after tick(T-1), before
       // tick(T). Catch the clock up to (not including) the reset cycle.
-      while (ticked < e.tick) hier.tick(ticked++);
+      tick_until(hier, ticked, e.tick);
       hier.reset_stats(e.tick);
       reset_tick = e.tick;
       continue;
     }
-    // tick(T) precedes any access issued at T (the core ticks the hierarchy
-    // at the top of every cycle).
-    while (ticked <= e.tick) hier.tick(ticked++);
+    // tick(T) precedes any access issued at T: the core ticks the
+    // hierarchy at the top of every cycle it steps, and it steps every
+    // cycle it issues an access in. tick(T) always fires, since an access
+    // reads state a tick stamps (the stuck-fault clock of reassert_line).
+    if (ticked <= e.tick) {
+      tick_until(hier, ticked, e.tick);
+      hier.tick(ticked++);
+    }
     switch (e.kind) {
       case EventKind::kFetch:
         (void)hier.fetch(e.tick, e.addr);
@@ -52,7 +72,7 @@ sim::RunResult ReplayDriver::run() {
   }
 
   const TraceSummary& s = reader.summary();
-  while (ticked < s.end_tick) hier.tick(ticked++);
+  tick_until(hier, ticked, s.end_tick);
   hier.l2().finalize(s.end_tick);
 
   sim::RunResult r = sim::hierarchy_result(hier);

@@ -1,9 +1,10 @@
 // Trace-driven frontend: re-drives the real L1/write-buffer/L2 models (and
 // whichever protection scheme is configured) from a recorded access stream,
 // skipping the out-of-order core entirely. Cycle semantics mirror the core
-// exactly — tick(c) fires for every cycle c, before any access issued at c —
-// so replaying a trace under the configuration it was captured with
-// reproduces the execution-driven dirty/write-back metrics bit-for-bit.
+// exactly — tick(c) fires before any access issued at c, and in every other
+// cycle c in which the hierarchy has work (its next_event()) — so replaying
+// a trace under the configuration it was captured with reproduces the
+// execution-driven dirty/write-back metrics bit-for-bit.
 // Replaying under a *different* protection configuration is the usual
 // trace-driven approximation: the stream's issue cycles are those of the
 // captured machine.

@@ -463,6 +463,13 @@ TEST(HotQueue, FiresOnDequeAndQueueInSimAndServer) {
                     "deque-in-hot-path"));
 }
 
+TEST(HotQueue, FiresInTheCorePipeline) {
+  EXPECT_TRUE(fired("src/cpu/core.hpp", "std::deque<MicroOp> fetchq_;",
+                    "deque-in-hot-path"));
+  EXPECT_TRUE(fired("src/cpu/x.cpp", "std::queue<u64> wakeups;",
+                    "deque-in-hot-path"));
+}
+
 TEST(HotQueue, OtherDirsAndOtherContainersQuiet) {
   // The ban is scoped to the lock-free hot paths, not the whole tree.
   EXPECT_FALSE(fired("src/trace/x.hpp", "std::deque<Record> backlog_;",

@@ -499,5 +499,36 @@ TEST(JsonParse, NumbersSplitIntegerAndDouble) {
   EXPECT_DOUBLE_EQ(e[4].as_double(), 1000.0);
 }
 
+TEST(JsonParse, RepeatedKeyKeepsFirstPositionAndTakesLastValue) {
+  // set()'s rule, for short objects and for long ones (past the length at
+  // which the parser sorts keys instead of scanning them).
+  for (const int n : {3, 40}) {
+    std::string text = "{";
+    JsonValue built;
+    for (int i = 0; i < n; ++i) {
+      std::string key = "k";
+      key += std::to_string(i);
+      text += '"';
+      text += key;
+      text += "\": ";
+      text += std::to_string(i);
+      text += ", ";
+      built.set(key, JsonValue::number(u64(i)));
+    }
+    text += "\"k1\": 100, \"k0\": {\"k0\": 1, \"k0\": 2}, \"k1\": 101}";
+    built.set("k1", JsonValue::number(u64{100}));
+    built.set("k0", JsonValue::object().set("k0", JsonValue::number(u64{2})));
+    built.set("k1", JsonValue::number(u64{101}));
+    const auto v = json_parse(text);
+    ASSERT_TRUE(v.has_value()) << n;
+    EXPECT_EQ(v->dump(0), built.dump(0)) << n;
+    ASSERT_EQ(v->members().size(), static_cast<std::size_t>(n)) << n;
+    EXPECT_EQ(v->members()[0].first, "k0");
+    EXPECT_EQ(v->members()[1].first, "k1");
+    EXPECT_EQ(v->get_u64("k1"), 101u);
+    EXPECT_EQ(v->find("k0")->get_u64("k0"), 2u);
+  }
+}
+
 }  // namespace
 }  // namespace aeep

@@ -3,7 +3,7 @@
 // behaviour against a scripted micro-op source and a stub memory.
 #include <gtest/gtest.h>
 
-#include <deque>
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -151,8 +151,11 @@ class PerfectMemory : public MemoryInterface {
     ++stores;
     return true;
   }
-  void tick(Cycle) override {}
+  void tick(Cycle) override { ++ticks; }
+  /// What a next_event() override answers: nothing to do at tick().
+  Cycle pending_tick_work(Cycle) const { return kNever; }
   u64 stores = 0;
+  u64 ticks = 0;
 };
 
 /// Memory whose loads take a fixed latency.
@@ -179,6 +182,56 @@ class FullBufferMemory : public PerfectMemory {
 
  private:
   unsigned reject_;
+};
+
+/// I-cache misses on every fifth fetch block; loads to every third line
+/// miss for 90 cycles.
+class MissyMemory : public PerfectMemory {
+ public:
+  Cycle fetch(Cycle now, Addr) override {
+    return ++fetches_ % 5 == 0 ? now + 25 : now + 1;
+  }
+  Cycle load(Cycle now, Addr a) override {
+    return (a / 64) % 3 == 0 ? now + 90 : now + 2;
+  }
+
+ private:
+  u64 fetches_ = 0;
+};
+
+/// A two-entry store buffer whose tick() drains one entry every 16 cycles:
+/// commit keeps retrying stores against it while tick work is pending.
+class DrainingMemory : public PerfectMemory {
+ public:
+  bool store(Cycle now, Addr a, u64 v) override {
+    if (held_ == 2) return false;
+    ++held_;
+    return PerfectMemory::store(now, a, v);
+  }
+  void tick(Cycle now) override {
+    PerfectMemory::tick(now);
+    if (held_ > 0 && now >= next_drain_) {
+      --held_;
+      next_drain_ = now + 16;
+    }
+  }
+  Cycle pending_tick_work(Cycle now) const {
+    return held_ > 0 ? std::max(now, next_drain_) : kNever;
+  }
+
+ private:
+  unsigned held_ = 0;
+  Cycle next_drain_ = 0;
+};
+
+/// `Memory` answering next_event(), so the core may skip idle cycles.
+template <typename Memory>
+class Skipping : public Memory {
+ public:
+  using Memory::Memory;
+  Cycle next_event(Cycle now) const override {
+    return Memory::pending_tick_work(now);
+  }
 };
 
 /// Repeats a fixed list of uops forever, advancing PCs sequentially.
@@ -353,6 +406,80 @@ TEST(Core, LsqLimitRespected) {
   OutOfOrderCore core(cfg, src, mem);
   const CoreStats s = core.run(3000);
   EXPECT_EQ(s.committed, 3000u);
+}
+
+// ---------------------------------------------------------------------------
+// Idle-cycle skipping is invisible in the results
+// ---------------------------------------------------------------------------
+
+/// Runs `script` on a memory that keeps the default next_event() (ticked
+/// every cycle) and on the same memory answering it; warm-up, stats reset
+/// and measured run as System::run does them. Returns the tick counts.
+template <typename Memory, typename... Args>
+std::pair<u64, u64> expect_skip_matches_stepping(
+    const std::vector<MicroOp>& script, const CoreConfig& cfg, Args... args) {
+  ScriptSource stepped_src(script), skipping_src(script);
+  Memory stepped_mem(args...);
+  Skipping<Memory> skipping_mem(args...);
+  OutOfOrderCore stepped(cfg, stepped_src, stepped_mem);
+  OutOfOrderCore skipping(cfg, skipping_src, skipping_mem);
+  for (OutOfOrderCore* core : {&stepped, &skipping}) {
+    core->run(1'000);
+    core->reset_stats();
+    core->run(4'000);
+  }
+  EXPECT_EQ(stepped.stats(), skipping.stats());
+  EXPECT_EQ(stepped.stats().cycles, skipping.stats().cycles);
+  EXPECT_EQ(stepped.stats().fetch_stall_cycles,
+            skipping.stats().fetch_stall_cycles);
+  EXPECT_EQ(stepped.stats().commit_stall_wb_full,
+            skipping.stats().commit_stall_wb_full);
+  EXPECT_EQ(stepped.now(), skipping.now());
+  EXPECT_EQ(stepped_mem.ticks, stepped.now());
+  EXPECT_EQ(stepped_mem.stores, skipping_mem.stores);
+  return {stepped_mem.ticks, skipping_mem.ticks};
+}
+
+TEST(Core, IdleSkipMatchesCycleStepping) {
+  MicroOp chase = load_at(0x1000);
+  chase.dep1 = 1;
+  MicroOp use = alu();
+  use.dep1 = 1;
+  MicroOp taken = alu();
+  taken.cls = OpClass::kBranch;  // sequential PCs: every taken branch
+  taken.branch_taken = true;     // misses the BTB and mispredicts
+  taken.branch_target = 0x400000;
+  MicroOp fmul;
+  fmul.cls = OpClass::kFpMul;
+  fmul.dep2 = 3;
+  MicroOp both = alu();
+  both.dep1 = 2;
+  both.dep2 = 5;
+  const std::vector<MicroOp> mixed = {
+      chase, use, store_at(0x40C0, 3), load_at(0x40C0), taken,
+      fmul,  both, load_at(0x2000),    store_at(0x2040), alu()};
+
+  CoreConfig small_lsq;
+  small_lsq.lsq_entries = 4;
+  for (const CoreConfig& cfg : {CoreConfig{}, small_lsq}) {
+    const auto [slow_stepped, slow_skipping] =
+        expect_skip_matches_stepping<SlowLoadMemory>({chase, use}, cfg, 100);
+    EXPECT_LT(slow_skipping * 4, slow_stepped);  // a pointer chase is idle
+    const auto [missy_stepped, missy_skipping] =
+        expect_skip_matches_stepping<MissyMemory>(mixed, cfg);
+    EXPECT_LT(missy_skipping, missy_stepped);
+    expect_skip_matches_stepping<PerfectMemory>(mixed, cfg);
+    // Rejected stores are retried, and counted, every cycle.
+    expect_skip_matches_stepping<FullBufferMemory>({store_at(0x100), chase},
+                                                   cfg, 50u);
+    expect_skip_matches_stepping<DrainingMemory>(mixed, cfg);
+    // A store stream outruns the draining buffer: some store always waits
+    // at the head, so the core never has an idle cycle to skip.
+    const auto [drain_stepped, drain_skipping] =
+        expect_skip_matches_stepping<DrainingMemory>(
+            {store_at(0x100), store_at(0x200), alu()}, cfg);
+    EXPECT_EQ(drain_skipping, drain_stepped);
+  }
 }
 
 }  // namespace

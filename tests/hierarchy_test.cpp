@@ -1,8 +1,14 @@
 // Focused tests for sim::MemoryHierarchy: the write-through L1D + write
 // buffer path, L1I/L1D fill-through-L2 timing, TLB penalties, and the
-// drain policy (coalescing window, watermark).
+// drain policy (coalescing window, watermark), and the next_event()
+// contract that lets a caller skip idle ticks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
+#include "fault/injector.hpp"
+#include "sim/experiment.hpp"
 #include "sim/hierarchy.hpp"
 
 namespace aeep::sim {
@@ -144,6 +150,149 @@ TEST(Hierarchy, StatsResetPreservesCacheContents) {
   EXPECT_EQ(h.l1d().stats().accesses(), 0u);
   EXPECT_EQ(h.l2().wb_total(), 0u);
   EXPECT_TRUE(h.l1d().probe(0xA000).hit);  // contents intact
+}
+
+/// Two copies of one hierarchy: `every` is ticked in every cycle, `sparse`
+/// only in the cycles its next_event() names and in each cycle it is
+/// accessed in, as the core and the trace replayer tick it.
+struct EveryAndSparse {
+  explicit EveryAndSparse(const HierarchyConfig& cfg)
+      : every(cfg), sparse(cfg) {}
+
+  /// Fire both copies' ticks up to and including cycle `now`, before an
+  /// access at `now`.
+  void tick_through(Cycle now) {
+    while (every_ticked <= now) every.tick(every_ticked++);
+    while (sparse_ticked < now) {
+      sparse_ticked = std::min(now, sparse.next_event(sparse_ticked));
+      if (sparse_ticked == now) break;
+      sparse.tick(sparse_ticked++);
+      ++sparse_ticks;
+    }
+    if (sparse_ticked == now) {
+      sparse.tick(sparse_ticked++);
+      ++sparse_ticks;
+    }
+  }
+
+  /// Tick through `last` and close both copies' dirty-residency integrals.
+  void finish(Cycle last) {
+    tick_through(last);
+    every.l2().finalize(last + 1);
+    sparse.l2().finalize(last + 1);
+  }
+
+  MemoryHierarchy every;
+  MemoryHierarchy sparse;
+  Cycle every_ticked = 0;
+  Cycle sparse_ticked = 0;
+  u64 sparse_ticks = 0;
+};
+
+TEST(Hierarchy, TickingOnlyAtNextEventMatchesTickingEveryCycle) {
+  // A 16 KB L2 under a working set four times its size, so the lines the
+  // tick work touches are soon accessed: strikes with MBUs, a permanent
+  // and an intermittent stuck cell, cleaning at 64K with check bits, way
+  // retirement, and store bursts that fill the write buffer. Tick work
+  // that fired late would change what a later access sees.
+  ExperimentOptions o;
+  o.scheme = protect::SchemeKind::kSharedEccArray;
+  o.cleaning_interval = 64 * 1024;
+  o.strikes_enabled = true;
+  o.strike_rate_scale = 2e12;
+  o.strike_double_bit_fraction = 0.25;
+  o.retirement_threshold = 4;
+  o.stuck_faults = {
+      {fault::FaultTarget::kData, 0, 0, 5, true, 0, 0},
+      {fault::FaultTarget::kData, 1, 1, 70, false, 500, 2'000}};
+  HierarchyConfig cfg = make_system_config("gzip", o).hierarchy;
+  cfg.l2.geometry = cache::CacheGeometry{16 * KiB, 4, 64};
+  cfg.strikes.stuck_reassert_interval = 300;
+  const u64 lines = 4 * cfg.l2.geometry.total_lines();
+
+  EveryAndSparse h(cfg);
+  Xorshift64Star rng(5);
+  Cycle now = 0;
+  for (int i = 0; i < 30'000; ++i) {
+    now += rng.chance(0.2) ? rng.next_below(400) : rng.next_below(3);
+    h.tick_through(now);
+    const Addr addr = rng.next_below(lines) * 64 + 8 * rng.next_below(8);
+    switch (rng.next_below(4)) {
+      case 0:
+        EXPECT_EQ(h.every.fetch(now, addr), h.sparse.fetch(now, addr));
+        break;
+      case 1:
+        EXPECT_EQ(h.every.load(now, addr), h.sparse.load(now, addr));
+        break;
+      default:
+        EXPECT_EQ(h.every.store(now, addr, i), h.sparse.store(now, addr, i));
+        break;
+    }
+  }
+  h.finish(now);
+
+  const RunResult a = hierarchy_result(h.every);
+  const RunResult b = hierarchy_result(h.sparse);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.strikes.strikes, 0u);
+  EXPECT_GT(a.strikes.stuck_reasserts, 0u);
+  EXPECT_GT(a.wb_cleaning, 0u);
+  EXPECT_GT(a.wbuf.full_events, 0u);
+  EXPECT_GT(a.recovery.corrected, 0u);
+  EXPECT_GT(a.retired_ways, 0u);
+  EXPECT_LT(h.sparse_ticks * 2, h.every_ticked);
+}
+
+TEST(Hierarchy, QueuedRetirementIsTickWorkNow) {
+  // A fault corrected while a miss writes back its dirty victim crosses the
+  // retirement threshold off the access path, so the retirement waits for
+  // the next tick. next_event() must call for that tick at once: skipped
+  // to the next drain, it would run after the drain had written into the
+  // way being retired.
+  HierarchyConfig cfg = small_config();
+  cfg.l2.recovery.check_on_access = true;
+  cfg.l2.recovery.retirement_threshold = 1;
+  const Addr a = 0x10000;
+  const Addr set_stride =
+      cfg.l2.geometry.num_sets() * cfg.l2.geometry.line_bytes;
+  EveryAndSparse h(cfg);
+
+  // A drains into the L2 (write-allocate) and sits there dirty; then one
+  // of its data bits flips.
+  h.tick_through(0);
+  ASSERT_TRUE(h.every.store(0, a, 1));
+  ASSERT_TRUE(h.sparse.store(0, a, 1));
+  Cycle now = 2 * cfg.wb_min_residency;
+  h.tick_through(now);
+  for (MemoryHierarchy* m : {&h.every, &h.sparse}) {
+    const cache::ProbeResult pr = m->l2().cache_model().probe(a);
+    ASSERT_TRUE(pr.hit);
+    ASSERT_TRUE(fault::flip_stored_bit(m->l2(), pr.set, pr.way,
+                                       {fault::FaultTarget::kData, 3}));
+  }
+  // Four more lines of A's set: the fourth evicts A, whose write-back
+  // corrects the bit and queues A's way for retirement, and fills that
+  // way. A store to the fourth line in the same cycle drains into that way
+  // if the retirement has not run by then.
+  for (unsigned k = 1; k <= 4; ++k) {
+    now += 200;
+    h.tick_through(now);
+    const Addr line = a + k * set_stride;
+    if (k == 4) {
+      ASSERT_TRUE(h.every.store(now, line, 2));
+      ASSERT_TRUE(h.sparse.store(now, line, 2));
+    }
+    EXPECT_EQ(h.every.load(now, line), h.sparse.load(now, line));
+  }
+  EXPECT_TRUE(h.sparse.l2().recovery().retirement_pending());
+  EXPECT_EQ(h.sparse.next_event(now + 1), now + 1);
+  h.finish(now + 4 * cfg.wb_min_residency);
+
+  const RunResult r = hierarchy_result(h.every);
+  EXPECT_EQ(r, hierarchy_result(h.sparse));
+  EXPECT_EQ(r.recovery.corrected, 1u);
+  EXPECT_EQ(r.retired_ways, 1u);
+  EXPECT_EQ(r.wb_replacement, 1u);  // A's; the store drains after retiring
 }
 
 }  // namespace

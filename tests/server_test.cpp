@@ -237,6 +237,43 @@ JobSpec small_exec_job(u64 instructions = 30'000) {
   return spec;
 }
 
+/// An exec job long enough to keep a worker busy well past a burst of
+/// follow-up submits.
+constexpr u64 kOccupyingInstructions = 3'000'000;
+
+/// Wait until the server's one worker has taken the occupying job off the
+/// queue, so what is submitted next queues behind it.
+void wait_until_occupied(JobServer& served) {
+  for (int i = 0; i < 30'000; ++i) {
+    const ServerStats s = served.stats();
+    if (s.running == 1 && s.queued == 0) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "the occupying job never started";
+}
+
+TEST(Wire, ObjectOfDistinctKeysAtTheFrameLimitParsesWithoutQuadraticCost) {
+  // json_parse runs on every frame before any auth or field check, so a
+  // frame-sized object of tiny distinct keys must not cost n^2 compares
+  // (~100K keys here; quadratic key handling took ~30 s).
+  std::string text = "{";
+  for (u64 i = 0; text.size() + 32 < kMaxFrameBytes; ++i) {
+    text += '"';
+    text += std::to_string(i);
+    text += "\":0,";
+  }
+  text += "\"end\":1}";
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto v = json_parse(text);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_GT(v->members().size(), 90'000u);
+  EXPECT_EQ(v->get_u64("end"), 1u);
+  EXPECT_LT(seconds, 5.0);
+}
+
 TEST(JobServer, PingSubmitStatusResultLifecycle) {
   ServerConfig cfg;
   cfg.port = 0;
@@ -335,8 +372,8 @@ TEST(JobServer, FullQueueAnswersBusyInsteadOfQueueingUnboundedly) {
 
   // One slow job to occupy the single worker...
   std::vector<u64> accepted;
-  accepted.push_back(client.submit(small_exec_job(300'000)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  accepted.push_back(client.submit(small_exec_job(kOccupyingInstructions)));
+  wait_until_occupied(served);
   // ...then flood: with capacity 1, at most one more fits; the rest must
   // be answered `busy` — an explicit reply, not a hang or a drop.
   u64 busy = 0;
@@ -366,8 +403,8 @@ TEST(JobServer, QueuedJobPastDeadlineTimesOutWithoutRunning) {
   served.start();
   Client client("127.0.0.1", served.port());
 
-  client.submit(small_exec_job(300'000));  // occupies the worker
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  client.submit(small_exec_job(kOccupyingInstructions));
+  wait_until_occupied(served);
   JobSpec hurried = small_exec_job();
   hurried.timeout_ms = 1;  // will expire while queued behind the slow job
   const u64 id = client.submit(hurried);

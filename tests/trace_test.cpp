@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/memory_store.hpp"
 #include "sim/experiment.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
@@ -319,6 +320,67 @@ TEST(TraceReplay, FinalChunkExactlyAtCrcBoundary) {
   EXPECT_EQ(driver.events_replayed(), 16u);
   EXPECT_EQ(r.core.committed, 123u);
   std::remove(path.c_str());
+}
+
+// Replay fires tick(T) before every access at T, even when the hierarchy
+// reports no tick work then, as the core does by stepping every cycle it
+// accesses memory in: an access reads the clock the last tick stamped.
+// Here an intermittent stuck cell corrupts a clean line, then goes quiet at
+// a period boundary; the first access after it finds the parity error and
+// re-fetches the line, and the re-fetch's re-assert must see the cell quiet.
+// With a stale clock it would re-corrupt the copy until retries ran out.
+TEST(TraceReplay, AccessCyclesTickAsIfEveryCycleWereTicked) {
+  const Addr line = 0x40000;
+  const u64 bit = 3;
+  const bool stored = (mem::MemoryStore().read_word(line) >> bit) & 1;
+  sim::ExperimentOptions eo;
+  eo.scheme = protect::SchemeKind::kNonUniform;  // clean lines under parity
+  eo.strikes_enabled = true;                     // stuck cells only
+  eo.stuck_faults = {{fault::FaultTarget::kData,
+                      cache::kL2Geometry.set_index(line), 0, bit, !stored, 0,
+                      1'000}};
+  const sim::HierarchyConfig cfg =
+      sim::make_system_config("gzip", eo).hierarchy;
+  ASSERT_EQ(cfg.strikes.stuck_reassert_interval, 64u);
+
+  // Stuck for [0, 1000), re-asserted every 64 cycles; quiet from 1000 and
+  // next re-asserted at 1024. The fetch misses the L1I and reads the line
+  // from the L2.
+  std::vector<TraceEvent> events(2);
+  events[0].kind = EventKind::kLoad;
+  events[0].tick = 10;
+  events[0].addr = line;
+  events[1].kind = EventKind::kFetch;
+  events[1].tick = 1'010;
+  events[1].addr = line;
+  const std::string path = temp_path("replay_access_tick");
+  write_trace(path, events);
+
+  ReplayConfig rc;
+  rc.hierarchy = cfg;
+  rc.trace_path = path;
+  const sim::RunResult got = ReplayDriver(std::move(rc)).run();
+  std::remove(path.c_str());
+
+  sim::MemoryHierarchy every(cfg);
+  Cycle ticked = 0;
+  for (const TraceEvent& e : events) {
+    while (ticked <= e.tick) every.tick(ticked++);
+    if (e.kind == EventKind::kLoad)
+      (void)every.load(e.tick, e.addr);
+    else
+      (void)every.fetch(e.tick, e.addr);
+  }
+  const Cycle end = events.back().tick + 1;  // write_trace's end_tick
+  while (ticked < end) every.tick(ticked++);
+  every.l2().finalize(end);
+  sim::RunResult want = sim::hierarchy_result(every);
+  want.core = got.core;  // the trace's summary, not the hierarchy's
+
+  EXPECT_EQ(got, want);
+  EXPECT_GT(want.strikes.stuck_reasserts, 0u);
+  EXPECT_EQ(want.recovery.refetched, 1u);
+  EXPECT_EQ(want.recovery.retry_exhausted, 0u);
 }
 
 }  // namespace
