@@ -14,7 +14,10 @@ OutOfOrderCore::OutOfOrderCore(const CoreConfig& config, UopSource& source,
       bp_(config.bp),
       fu_(config.fu),
       ruu_(config.ruu_entries),
-      ready_((config.ruu_entries + 63) / 64, 0) {
+      arrival_(config.ruu_entries, 0),
+      arrived_((config.ruu_entries + 63) / 64, 0),
+      pending_((config.ruu_entries + 63) / 64, 0),
+      store_words_(config.lsq_entries, 0) {
   assert(config.width > 0);
   assert(config.ruu_entries > 0 && config.lsq_entries > 0);
   fetchq_.slots.resize(config.fetch_queue);
@@ -32,9 +35,9 @@ void OutOfOrderCore::FetchQueue::pop() {
   --size;
 }
 
-unsigned OutOfOrderCore::find_ready(unsigned from, unsigned end) const {
+unsigned OutOfOrderCore::find_arrived(unsigned from, unsigned end) const {
   while (from < end) {
-    const u64 word = ready_[from / 64] >> (from % 64);
+    const u64 word = arrived_[from / 64] >> (from % 64);
     if (word != 0) {
       const auto skip = static_cast<unsigned>(std::countr_zero(word));
       return std::min(end, from + skip);
@@ -44,26 +47,51 @@ unsigned OutOfOrderCore::find_ready(unsigned from, unsigned end) const {
   return end;
 }
 
+void OutOfOrderCore::make_ready(unsigned i, Cycle by) {
+  if (arrival_[i] <= by) {
+    set_bit(arrived_, i);
+  } else {
+    set_bit(pending_, i);
+    next_arrival_ = std::min(next_arrival_, arrival_[i]);
+  }
+}
+
+void OutOfOrderCore::admit_arrivals() {
+  next_arrival_ = kNever;
+  for (unsigned w = 0; w < pending_.size(); ++w) {
+    for (u64 bits = pending_[w]; bits != 0; bits &= bits - 1) {
+      const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+      const Cycle arrival = arrival_[w * 64 + b];
+      if (arrival <= now_) {
+        pending_[w] &= ~(u64{1} << b);
+        arrived_[w] |= u64{1} << b;
+      } else {
+        next_arrival_ = std::min(next_arrival_, arrival);
+      }
+    }
+  }
+}
+
 void OutOfOrderCore::wake_consumers(RuuEntry& producer) {
   for (u32 link = producer.first_consumer; link != kNoLink;) {
     const unsigned i = link >> 1;
     RuuEntry& c = ruu_[i];
-    c.ready_cycle = std::max(c.ready_cycle, producer.complete_cycle);
-    if (--c.waiting == 0) set_ready(i);
+    arrival_[i] = std::max(arrival_[i], producer.complete_cycle);
+    // A result due this very cycle lets the consumer issue in this walk.
+    if (--c.waiting == 0) make_ready(i, now_);
     link = c.next_consumer[link & 1];
   }
   producer.first_consumer = kNoLink;
 }
 
-bool OutOfOrderCore::forwarding_store(unsigned load_index) const {
-  const Addr word = ruu_[load_index].op.mem_addr & ~Addr{7};
-  // Scan older window entries for a store to the same word.
-  for (unsigned i = head_; i != load_index; i = index_after(i, 1)) {
-    const MicroOp& op = ruu_[i].op;
-    if (op.cls == OpClass::kStore && (op.mem_addr & ~Addr{7}) == word)
-      return true;
+u64 OutOfOrderCore::youngest_store_to(Addr word) const {
+  // Youngest first over the stores in the window; older ones committed.
+  unsigned slot = store_tail_;
+  for (u64 n = stores_dispatched_; n > stores_committed_; --n) {
+    slot = (slot == 0 ? config_.lsq_entries : slot) - 1;
+    if (store_words_[slot] == word) return n;
   }
-  return false;
+  return 0;
 }
 
 unsigned OutOfOrderCore::commit_stage() {
@@ -71,19 +99,20 @@ unsigned OutOfOrderCore::commit_stage() {
   while (done < config_.width && count_ > 0) {
     RuuEntry& e = ruu_[head_];
     if (!e.issued || e.complete_cycle > now_) break;
-    if (e.op.cls == OpClass::kStore) {
+    if (e.cls == OpClass::kStore) {
       // Write-through path: the store leaves the pipeline only once the
       // write buffer accepts it.
-      if (!mem_->store(now_, e.op.mem_addr, e.op.store_value)) {
+      if (!mem_->store(now_, e.mem_addr, e.store_value)) {
         ++stats_.commit_stall_wb_full;
         break;
       }
       ++stats_.stores;
+      ++stores_committed_;
       --lsq_count_;
-    } else if (e.op.cls == OpClass::kLoad) {
+    } else if (e.cls == OpClass::kLoad) {
       ++stats_.loads;
       --lsq_count_;
-    } else if (e.op.cls == OpClass::kBranch) {
+    } else if (e.cls == OpClass::kBranch) {
       ++stats_.branches;
     }
     head_ = index_after(head_, 1);
@@ -95,39 +124,31 @@ unsigned OutOfOrderCore::commit_stage() {
 }
 
 void OutOfOrderCore::issue_stage() {
+  if (next_arrival_ <= now_) admit_arrivals();
   unsigned issued = 0;
   // Oldest first: from the head to the end of the ring, then the wrapped
   // part. The bitmap is re-read after every issue, so a consumer woken with
   // a result due this very cycle is still seen in order.
   for (unsigned pass = 0; pass < 2; ++pass) {
     const unsigned end = pass == 0 ? config_.ruu_entries : head_;
-    for (unsigned i = find_ready(pass == 0 ? head_ : 0, end); i < end;
-         i = find_ready(i + 1, end)) {
+    for (unsigned i = find_arrived(pass == 0 ? head_ : 0, end); i < end;
+         i = find_arrived(i + 1, end)) {
       if (issued == config_.width) return;
       RuuEntry& e = ruu_[i];
-      if (e.ready_cycle > now_) continue;
-
-      const Cycle fu_done = fu_.try_issue(e.op.cls, now_);
+      const Cycle fu_done = fu_.try_issue(e.cls, now_);
       if (fu_done == 0) continue;  // structural hazard
 
-      switch (e.op.cls) {
-        case OpClass::kLoad:
-          if (forwarding_store(i)) {
-            e.complete_cycle = now_ + 1;  // store-to-load forwarding
-          } else {
-            e.complete_cycle = mem_->load(now_, e.op.mem_addr);
-          }
-          break;
-        case OpClass::kStore:
-          // Address generation only; data goes to memory at commit.
-          e.complete_cycle = fu_done;
-          break;
-        default:
-          e.complete_cycle = fu_done;
-          break;
+      if (e.cls == OpClass::kLoad) {
+        e.complete_cycle = stores_committed_ < e.forward_until
+                               ? now_ + 1  // store-to-load forwarding
+                               : mem_->load(now_, e.mem_addr);
+      } else {
+        // Stores generate their address only; data goes to memory at
+        // commit.
+        e.complete_cycle = fu_done;
       }
       e.issued = true;
-      clear_ready(i);
+      clear_bit(arrived_, i);
       wake_consumers(e);
       ++issued;
 
@@ -147,32 +168,47 @@ void OutOfOrderCore::dispatch_stage() {
          count_ < config_.ruu_entries) {
     if (is_mem(fetchq_.front().cls) && lsq_count_ >= config_.lsq_entries)
       break;
-    const MicroOp op = fetchq_.front();
+    // The slot stays intact until fetch_stage refills it.
+    const MicroOp& op = fetchq_.front();
     fetchq_.pop();
 
     const unsigned idx = index_after(head_, count_);
     RuuEntry& e = ruu_[idx];
     e = RuuEntry{};
-    e.op = op;
+    e.cls = op.cls;
+    e.mem_addr = op.mem_addr;
+    e.store_value = op.store_value;
+    if (op.cls == OpClass::kStore) {
+      // The LSQ has room, so the ring slot holds no store in the window.
+      assert(stores_dispatched_ - stores_committed_ < config_.lsq_entries);
+      store_words_[store_tail_] = op.mem_addr & ~Addr{7};
+      if (++store_tail_ == config_.lsq_entries) store_tail_ = 0;
+      ++stores_dispatched_;
+    } else if (op.cls == OpClass::kLoad) {
+      e.forward_until = youngest_store_to(op.mem_addr & ~Addr{7});
+    }
     if (is_mem(op.cls)) ++lsq_count_;
 
     // Producers older than the window have committed (their results are
     // ready); one in the window has either issued, fixing when its result
     // arrives, or links this op onto its consumer chain.
+    Cycle arrival = 0;
     const u8 deps[2] = {op.dep1, op.dep2};
     for (unsigned slot = 0; slot < 2; ++slot) {
       const unsigned dist = deps[slot];
       if (dist == 0 || dist > count_) continue;
       RuuEntry& p = ruu_[index_after(idx, config_.ruu_entries - dist)];
       if (p.issued) {
-        e.ready_cycle = std::max(e.ready_cycle, p.complete_cycle);
+        arrival = std::max(arrival, p.complete_cycle);
       } else {
         e.next_consumer[slot] = p.first_consumer;
         p.first_consumer = idx << 1 | slot;
         ++e.waiting;
       }
     }
-    if (e.waiting == 0) set_ready(idx);
+    arrival_[idx] = arrival;
+    // It can issue next cycle at the earliest.
+    if (e.waiting == 0) make_ready(idx, now_ + 1);
 
     if (op.cls == OpClass::kBranch) {
       const bool correct = bp_.update(op.pc, op.branch_taken, op.branch_target);
@@ -239,15 +275,13 @@ Cycle OutOfOrderCore::next_active_cycle() const {
     if (ruu_[head_].complete_cycle <= now_) return now_;
     next = ruu_[head_].complete_cycle;
   }
-  // Issue: a ready op's operands arrive. One whose operands are here acts
-  // now even if it then loses FU arbitration.
-  for (unsigned w = 0; w < ready_.size(); ++w) {
-    for (u64 bits = ready_[w]; bits != 0; bits &= bits - 1) {
-      const unsigned i = w * 64 + static_cast<unsigned>(std::countr_zero(bits));
-      if (ruu_[i].ready_cycle <= now_) return now_;
-      next = std::min(next, ruu_[i].ready_cycle);
-    }
-  }
+  // Issue: an op whose operands are here acts now even if it then loses
+  // FU arbitration; otherwise the earliest pending op's operands arrive.
+  if (next_arrival_ <= now_ ||
+      std::any_of(arrived_.begin(), arrived_.end(),
+                  [](u64 bits) { return bits != 0; }))
+    return now_;
+  next = std::min(next, next_arrival_);
   // Dispatch: room for the front of the fetch queue. Otherwise it waits on
   // a commit, which the head's completion above already bounds.
   if (fetchq_.size > 0 && count_ < config_.ruu_entries &&

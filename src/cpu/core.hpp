@@ -21,20 +21,35 @@
 // Wakeup: at dispatch an op links itself onto the consumer chain of each
 // producer still waiting to issue (sim-outorder's dependency chains); a
 // producer that issues walks its chain, and a consumer whose last producer
-// issued joins the ready set with the cycle its operands arrive. Issue scans
-// only that set, oldest first from the RUU head, so issue order and FU
-// arbitration are those of a full window scan.
+// issued joins the ready set with the cycle its operands arrive. The ready
+// set is two bitmaps over RUU indices, beside a dense per-index array of
+// arrival cycles: `arrived_` holds the ops whose operands are here, and
+// `pending_` the ones still waiting for a result in flight. Pending ops
+// move across only in a cycle in which the earliest of them arrives, and
+// issue walks `arrived_` alone, oldest first from the RUU head, so issue
+// order and FU arbitration are those of a full window scan while an op
+// whose operands have not arrived is never visited. A consumer woken by a
+// result due this very cycle (a load that completes as it issues) joins
+// `arrived_` at once and issues in the same walk.
+//
+// Forwarding: stores are numbered in dispatch order, and a ring of
+// `lsq_entries` slots holds the words of the stores in the window. At
+// dispatch a load records the youngest older store to its word among them;
+// at issue it forwards iff that store has not committed. Stores commit in
+// order and dispatched ops are never squashed, so this is exactly "an older
+// store to the word is still in the window".
 //
 // Idle cycles: run() asks whether any stage can act at the current cycle —
-// a completed head (a store retried against a full write buffer counts), a
-// ready op (even one that lost FU arbitration), a dispatchable fetch-queue
+// a completed head (a store retried against a full write buffer counts), an
+// arrived op (even one that lost FU arbitration), a dispatchable fetch-queue
 // op, or an unblocked fetch with queue room. If none can, it jumps to the
-// earliest of the next completion, operand arrival, fetch_ready_ and
-// MemoryInterface::next_event(), adding the skipped cycles (and the fetch
-// stall cycles among them) to the stats arithmetically. A skipped cycle is
-// one in which stepping would have changed nothing else, so results are
-// bit-identical to stepping every cycle; a memory that keeps the default
-// next_event() is ticked every cycle. step() always advances one cycle.
+// earliest of the next completion, the next pending arrival, fetch_ready_
+// and MemoryInterface::next_event(), adding the skipped cycles (and the
+// fetch stall cycles among them) to the stats arithmetically. A skipped
+// cycle is one in which stepping would have changed nothing else, so
+// results are bit-identical to stepping every cycle; a memory that keeps
+// the default next_event() is ticked every cycle. step() always advances
+// one cycle.
 #pragma once
 
 #include <vector>
@@ -94,20 +109,26 @@ class OutOfOrderCore {
   /// Wakeup-chain link: RUU index << 1 | producer slot (0: dep1, 1: dep2).
   static constexpr u32 kNoLink = ~u32{0};
 
+  /// What the stages read of an op after dispatch (48 bytes; the MicroOp
+  /// stays in the fetch queue). Its operand-arrival cycle is `arrival_`.
   struct RuuEntry {
-    MicroOp op;
-    bool issued = false;
-    bool mispredicted = false;
+    Addr mem_addr = 0;
+    u64 store_value = 0;
     Cycle complete_cycle = 0;
-    /// Cycle the operands of the producers that already issued arrive.
-    Cycle ready_cycle = 0;
-    /// Producers that have not issued yet; the op is in the ready set
-    /// once this is zero.
-    u8 waiting = 0;
+    /// Loads: the number of stores dispatched up to and including the
+    /// youngest older store to the same word in the window at dispatch
+    /// (0: none). The load forwards iff fewer stores have committed.
+    u64 forward_until = 0;
     /// Head of this op's consumer chain, and this op's link in the chain
     /// of each of its producers.
     u32 first_consumer = kNoLink;
     u32 next_consumer[2] = {kNoLink, kNoLink};
+    OpClass cls = OpClass::kIntAlu;
+    bool issued = false;
+    bool mispredicted = false;
+    /// Producers that have not issued yet; the op is in the ready set
+    /// once this is zero.
+    u8 waiting = 0;
   };
 
   /// The fetch queue: a FIFO over a fixed ring of `fetch_queue` slots.
@@ -138,15 +159,23 @@ class OutOfOrderCore {
     const unsigned j = i + n;
     return j >= config_.ruu_entries ? j - config_.ruu_entries : j;
   }
-  /// Ready set: bit i marks RUU entry i as waiting on no producer.
-  void set_ready(unsigned i) { ready_[i / 64] |= u64{1} << (i % 64); }
-  void clear_ready(unsigned i) { ready_[i / 64] &= ~(u64{1} << (i % 64)); }
-  /// First ready entry in [from, end), or `end`.
-  unsigned find_ready(unsigned from, unsigned end) const;
+  static void set_bit(std::vector<u64>& bits, unsigned i) {
+    bits[i / 64] |= u64{1} << (i % 64);
+  }
+  static void clear_bit(std::vector<u64>& bits, unsigned i) {
+    bits[i / 64] &= ~(u64{1} << (i % 64));
+  }
+  /// First arrived entry in [from, end), or `end`.
+  unsigned find_arrived(unsigned from, unsigned end) const;
+  /// Entry `i` waits on no producer: it joins `arrived_` if its operands
+  /// are here by cycle `by`, else `pending_`.
+  void make_ready(unsigned i, Cycle by);
+  /// Move the pending entries whose operands have arrived to `arrived_`.
+  void admit_arrivals();
   /// A producer issued: hand its completion cycle down its consumer chain.
   void wake_consumers(RuuEntry& producer);
-  /// Older store to the same 8-byte word still in the window?
-  bool forwarding_store(unsigned load_index) const;
+  /// `forward_until` for a load to `word` dispatched now.
+  u64 youngest_store_to(Addr word) const;
 
   CoreConfig config_;
   UopSource* source_;
@@ -155,10 +184,20 @@ class OutOfOrderCore {
   FuncUnitPool fu_;
 
   std::vector<RuuEntry> ruu_;  ///< ring buffer
-  std::vector<u64> ready_;     ///< ready-set bitmap over RUU indices
+  std::vector<Cycle> arrival_; ///< per RUU index: operands arrive here
+  std::vector<u64> arrived_;   ///< ready, operands here: issue candidates
+  std::vector<u64> pending_;   ///< ready, operands still in flight
+  Cycle next_arrival_ = kNever;  ///< earliest arrival_ in pending_
   unsigned head_ = 0;
   unsigned count_ = 0;
   unsigned lsq_count_ = 0;
+
+  /// Word addresses of the stores in the window, oldest first, over a ring
+  /// of `lsq_entries` slots (every store in the window holds an LSQ slot).
+  std::vector<Addr> store_words_;
+  unsigned store_tail_ = 0;  ///< ring slot of the next dispatched store
+  u64 stores_dispatched_ = 0;
+  u64 stores_committed_ = 0;
 
   FetchQueue fetchq_;
   /// Waiting on a mispredicted branch. Nothing is fetched behind it until

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -224,6 +226,25 @@ class DrainingMemory : public PerfectMemory {
   Cycle next_drain_ = 0;
 };
 
+/// `Memory` counting the loads that reach it; a forwarded load does not.
+template <typename Memory>
+class Counted : public Memory {
+ public:
+  using Memory::Memory;
+  Cycle load(Cycle now, Addr a) override {
+    ++loads;
+    return Memory::load(now, a);
+  }
+  u64 loads = 0;
+};
+
+/// Loads complete in the cycle they issue, so a consumer woken by one can
+/// issue in that same cycle.
+class InstantLoadMemory : public PerfectMemory {
+ public:
+  Cycle load(Cycle now, Addr) override { return now; }
+};
+
 /// `Memory` answering next_event(), so the core may skip idle cycles.
 template <typename Memory>
 class Skipping : public Memory {
@@ -412,15 +433,25 @@ TEST(Core, LsqLimitRespected) {
 // Idle-cycle skipping is invisible in the results
 // ---------------------------------------------------------------------------
 
+/// How a scripted run ends: the measured stats, the loads that reached
+/// memory over the whole run, and the ticks each memory received.
+struct ScriptedRun {
+  CoreStats stats;
+  u64 memory_loads = 0;
+  u64 stepped_ticks = 0;
+  u64 skipping_ticks = 0;
+};
+
 /// Runs `script` on a memory that keeps the default next_event() (ticked
 /// every cycle) and on the same memory answering it; warm-up, stats reset
-/// and measured run as System::run does them. Returns the tick counts.
+/// and measured run as System::run does them. Both must end alike.
 template <typename Memory, typename... Args>
-std::pair<u64, u64> expect_skip_matches_stepping(
-    const std::vector<MicroOp>& script, const CoreConfig& cfg, Args... args) {
+ScriptedRun expect_skip_matches_stepping(const std::vector<MicroOp>& script,
+                                         const CoreConfig& cfg,
+                                         Args... args) {
   ScriptSource stepped_src(script), skipping_src(script);
-  Memory stepped_mem(args...);
-  Skipping<Memory> skipping_mem(args...);
+  Counted<Memory> stepped_mem(args...);
+  Skipping<Counted<Memory>> skipping_mem(args...);
   OutOfOrderCore stepped(cfg, stepped_src, stepped_mem);
   OutOfOrderCore skipping(cfg, skipping_src, skipping_mem);
   for (OutOfOrderCore* core : {&stepped, &skipping}) {
@@ -437,7 +468,9 @@ std::pair<u64, u64> expect_skip_matches_stepping(
   EXPECT_EQ(stepped.now(), skipping.now());
   EXPECT_EQ(stepped_mem.ticks, stepped.now());
   EXPECT_EQ(stepped_mem.stores, skipping_mem.stores);
-  return {stepped_mem.ticks, skipping_mem.ticks};
+  EXPECT_EQ(stepped_mem.loads, skipping_mem.loads);
+  return {stepped.stats(), stepped_mem.loads, stepped_mem.ticks,
+          skipping_mem.ticks};
 }
 
 TEST(Core, IdleSkipMatchesCycleStepping) {
@@ -462,12 +495,12 @@ TEST(Core, IdleSkipMatchesCycleStepping) {
   CoreConfig small_lsq;
   small_lsq.lsq_entries = 4;
   for (const CoreConfig& cfg : {CoreConfig{}, small_lsq}) {
-    const auto [slow_stepped, slow_skipping] =
+    const ScriptedRun slow =
         expect_skip_matches_stepping<SlowLoadMemory>({chase, use}, cfg, 100);
-    EXPECT_LT(slow_skipping * 4, slow_stepped);  // a pointer chase is idle
-    const auto [missy_stepped, missy_skipping] =
+    EXPECT_LT(slow.skipping_ticks * 4, slow.stepped_ticks);  // chase is idle
+    const ScriptedRun missy =
         expect_skip_matches_stepping<MissyMemory>(mixed, cfg);
-    EXPECT_LT(missy_skipping, missy_stepped);
+    EXPECT_LT(missy.skipping_ticks, missy.stepped_ticks);
     expect_skip_matches_stepping<PerfectMemory>(mixed, cfg);
     // Rejected stores are retried, and counted, every cycle.
     expect_skip_matches_stepping<FullBufferMemory>({store_at(0x100), chase},
@@ -475,11 +508,161 @@ TEST(Core, IdleSkipMatchesCycleStepping) {
     expect_skip_matches_stepping<DrainingMemory>(mixed, cfg);
     // A store stream outruns the draining buffer: some store always waits
     // at the head, so the core never has an idle cycle to skip.
-    const auto [drain_stepped, drain_skipping] =
-        expect_skip_matches_stepping<DrainingMemory>(
-            {store_at(0x100), store_at(0x200), alu()}, cfg);
-    EXPECT_EQ(drain_skipping, drain_stepped);
+    const ScriptedRun drain = expect_skip_matches_stepping<DrainingMemory>(
+        {store_at(0x100), store_at(0x200), alu()}, cfg);
+    EXPECT_EQ(drain.skipping_ticks, drain.stepped_ticks);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden CoreStats of scripted streams
+// ---------------------------------------------------------------------------
+
+/// A scripted run's stats and the loads that reached memory.
+struct GoldenRow {
+  std::string label;
+  u64 cycles, committed, loads, stores, branches, commit_stall_wb_full,
+      fetch_stall_cycles, mispredicts, memory_loads;
+  bool operator==(const GoldenRow&) const = default;
+};
+
+/// `copies` blocks of `block(i)`, each followed by `pad` ALU ops, so that
+/// block i's ops meet only each other in the window.
+template <typename Block>
+std::vector<MicroOp> padded_blocks(unsigned copies, unsigned pad,
+                                   Block block) {
+  std::vector<MicroOp> script;
+  for (unsigned i = 0; i < copies; ++i) {
+    for (const MicroOp& op : block(i)) script.push_back(op);
+    script.insert(script.end(), pad, alu());
+  }
+  return script;
+}
+
+std::vector<GoldenRow> actual_golden_rows() {
+  MicroOp chase = load_at(0x1000);
+  chase.dep1 = 1;
+  MicroOp use = alu();
+  use.dep1 = 1;
+  auto after = [](MicroOp op, u8 dist) {
+    op.dep1 = dist;
+    return op;
+  };
+  MicroOp fmul;
+  fmul.cls = OpClass::kFpMul;
+  MicroOp fadd;
+  fadd.cls = OpClass::kFpAlu;
+
+  // Loads to the words of stores that wait at commit for the write buffer.
+  const std::vector<MicroOp> held = {
+      store_at(0x100, 5), load_at(0x100), use, store_at(0x140, 6),
+      load_at(0x148),     load_at(0x140), alu()};
+  // A store to the load's word commits while the load waits ~60 cycles on
+  // its address: the load must not forward.
+  const std::vector<MicroOp> committed_before_issue =
+      padded_blocks(4, 100, [&](unsigned i) {
+        return std::vector<MicroOp>{store_at(0x400 + 8 * i),
+                                    load_at(0x20000 + 64 * i),
+                                    after(load_at(0x400 + 8 * i), 1), use};
+      });
+  // Only a younger store writes the load's word: no forwarding.
+  const std::vector<MicroOp> younger_store =
+      padded_blocks(4, 100, [&](unsigned i) {
+        return std::vector<MicroOp>{load_at(0x30000 + 64 * i),
+                                    after(load_at(0x800 + 8 * i), 1),
+                                    store_at(0x800 + 8 * i), use};
+      });
+  // One dependence chain through loads that complete in their issue cycle:
+  // each wakes its consumer in time to issue beside it.
+  const std::vector<MicroOp> same_cycle = {after(load_at(0x200), 2), use,
+                                           after(load_at(0x208), 1), use,
+                                           alu()};
+  // Three FP multiplies and five ALU ops wait on one slow load and arrive
+  // together: one multiplier and four issue slots leave losers behind.
+  const std::vector<MicroOp> losers = {
+      load_at(0x50000), after(fmul, 1),   after(fmul, 2),   after(fmul, 3),
+      after(fadd, 4),   after(alu(), 5),  after(alu(), 6),  after(alu(), 7),
+      after(alu(), 8),  after(alu(), 9),  store_at(0x50000), chase,
+      use};
+  // The same with a taken branch, which mispredicts (sequential PCs never
+  // hit the BTB) and blocks fetch until the cycle after it issues.
+  MicroOp taken;
+  taken.cls = OpClass::kBranch;
+  taken.branch_taken = true;
+  taken.branch_target = 0x400000;
+  std::vector<MicroOp> losers_branch = losers;
+  losers_branch.push_back(taken);
+
+  CoreConfig small_lsq;
+  small_lsq.lsq_entries = 4;
+  std::vector<GoldenRow> rows;
+  for (const CoreConfig& cfg : {CoreConfig{}, small_lsq}) {
+    const std::string lsq = cfg.lsq_entries == 4 ? "lsq4/" : "lsq32/";
+    auto add = [&](const std::string& label, const ScriptedRun& run) {
+      const CoreStats& s = run.stats;
+      rows.push_back({lsq + label, s.cycles, s.committed, s.loads, s.stores,
+                      s.branches, s.commit_stall_wb_full,
+                      s.fetch_stall_cycles, s.bp.mispredicts(),
+                      run.memory_loads});
+    };
+    add("held/full-buffer",
+        expect_skip_matches_stepping<FullBufferMemory>(held, cfg, 300u));
+    add("held/draining",
+        expect_skip_matches_stepping<DrainingMemory>(held, cfg));
+    add("committed-before-issue",
+        expect_skip_matches_stepping<SlowLoadMemory>(committed_before_issue,
+                                                     cfg, 60));
+    add("younger-store", expect_skip_matches_stepping<SlowLoadMemory>(
+                             younger_store, cfg, 60));
+    add("same-cycle-wakeup",
+        expect_skip_matches_stepping<InstantLoadMemory>(same_cycle, cfg));
+    add("fu-losers",
+        expect_skip_matches_stepping<SlowLoadMemory>(losers, cfg, 40));
+    add("fu-losers/missy",
+        expect_skip_matches_stepping<MissyMemory>(losers, cfg));
+    add("fu-losers/branch",
+        expect_skip_matches_stepping<MissyMemory>(losers_branch, cfg));
+  }
+  return rows;
+}
+
+std::string golden_source_form(const std::vector<GoldenRow>& rows) {
+  std::ostringstream os;
+  for (const GoldenRow& r : rows) {
+    os << "    {\"" << r.label << "\", " << r.cycles << ", " << r.committed
+       << ", " << r.loads << ", " << r.stores << ", " << r.branches << ", "
+       << r.commit_stall_wb_full << ", " << r.fetch_stall_cycles << ", "
+       << r.mispredicts << ", " << r.memory_loads << "},\n";
+  }
+  return os.str();
+}
+
+// Generated by the core that scanned the window for a forwarding store at
+// each load's issue and visited every ready op, arrived or not.
+const std::vector<GoldenRow> kGoldenCoreStats = {
+    {"lsq32/held/full-buffer", 1000, 4000, 1714, 1143, 0, 0, 0, 0, 720},
+    {"lsq32/held/draining", 18288, 4000, 1714, 1143, 0, 17717, 0, 0, 720},
+    {"lsq32/committed-before-issue", 5095, 4000, 78, 39, 0, 0, 0, 0, 98},
+    {"lsq32/younger-store", 5056, 4000, 78, 39, 0, 0, 0, 0, 98},
+    {"lsq32/same-cycle-wakeup", 1600, 4000, 1600, 0, 0, 0, 0, 0, 2001},
+    {"lsq32/fu-losers", 2573, 4003, 615, 308, 0, 0, 0, 0, 390},
+    {"lsq32/fu-losers/missy", 3403, 4003, 615, 308, 0, 0, 2400, 0, 456},
+    {"lsq32/fu-losers/branch", 6425, 4001, 372, 324, 323, 0, 5211, 324, 467},
+    {"lsq4/held/full-buffer", 1715, 4000, 1714, 1143, 0, 0, 0, 0, 1430},
+    {"lsq4/held/draining", 18288, 4000, 1714, 1143, 0, 17717, 0, 0, 717},
+    {"lsq4/committed-before-issue", 5095, 4000, 78, 39, 0, 0, 0, 0, 98},
+    {"lsq4/younger-store", 5056, 4000, 78, 39, 0, 0, 0, 0, 98},
+    {"lsq4/same-cycle-wakeup", 1600, 4000, 1600, 0, 0, 0, 0, 0, 2001},
+    {"lsq4/fu-losers", 6928, 4003, 615, 308, 0, 0, 0, 0, 386},
+    {"lsq4/fu-losers/missy", 3403, 4003, 615, 308, 0, 0, 2400, 0, 455},
+    {"lsq4/fu-losers/branch", 6425, 4001, 372, 324, 323, 0, 5211, 324, 467},
+};
+
+TEST(Core, ScriptedStreamsMatchTheGoldenStats) {
+  const std::vector<GoldenRow> actual = actual_golden_rows();
+  EXPECT_EQ(actual, kGoldenCoreStats)
+      << "The whole actual table:\n"
+      << golden_source_form(actual);
 }
 
 }  // namespace
