@@ -40,34 +40,60 @@ std::string CliArgs::get(const std::string& key, const std::string& def) const {
   return it == kv_.end() ? def : it->second;
 }
 
+namespace {
+
+/// A flag value that does not parse exits 2 naming the flag, like an
+/// unknown spelling (get_choice): a typo must not run as some number.
+[[noreturn]] void exit_bad_value(const char* what, const std::string& key,
+                                 const std::string& value) {
+  std::fprintf(stderr, "%s in --%s=%s\n", what, key.c_str(), value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 u64 CliArgs::get_u64(const std::string& key, u64 def) const {
   queried_[key] = true;
   const auto it = kv_.find(key);
   if (it == kv_.end()) return def;
-  // Accept suffixes K/M/G (binary) for convenience: --interval=1M.
+  // Digits, then optionally one binary suffix K/M/G: --interval=1M.
   const std::string& s = it->second;
+  if (s.empty() || s[0] < '0' || s[0] > '9')  // stoull would take "-1"
+    exit_bad_value("bad number", key, s);
   std::size_t pos = 0;
   u64 v = 0;
   try {
     v = std::stoull(s, &pos);
-  } catch (const std::logic_error&) {  // not a number, or out of range
-    throw std::invalid_argument("bad number in --" + key + "=" + s);
+  } catch (const std::out_of_range&) {
+    exit_bad_value("bad number", key, s);
   }
-  if (pos < s.size()) {
-    switch (s[pos]) {
-      case 'k': case 'K': v <<= 10; break;
-      case 'm': case 'M': v <<= 20; break;
-      case 'g': case 'G': v <<= 30; break;
-      default: throw std::invalid_argument("bad numeric suffix in --" + key + "=" + s);
-    }
+  if (pos == s.size()) return v;
+  unsigned shift = 0;
+  switch (s[pos]) {
+    case 'k': case 'K': shift = 10; break;
+    case 'm': case 'M': shift = 20; break;
+    case 'g': case 'G': shift = 30; break;
+    default: exit_bad_value("bad numeric suffix", key, s);
   }
-  return v;
+  if (pos + 1 != s.size()) exit_bad_value("bad numeric suffix", key, s);
+  if (v > (~u64{0} >> shift)) exit_bad_value("bad number", key, s);
+  return v << shift;
 }
 
 double CliArgs::get_double(const std::string& key, double def) const {
   queried_[key] = true;
   const auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::stod(it->second);
+  if (it == kv_.end()) return def;
+  const std::string& s = it->second;
+  std::size_t pos = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(s, &pos);
+  } catch (const std::logic_error&) {  // not a number, or out of range
+    exit_bad_value("bad number", key, s);
+  }
+  if (pos != s.size()) exit_bad_value("bad number", key, s);
+  return v;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {

@@ -26,6 +26,9 @@ class CliArgs {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def) const;
+  /// Numeric getters: a value that is not a number (or, for get_u64, one
+  /// that is negative, has a suffix other than K/M/G, or overflows) prints
+  /// the flag to stderr and exits 2.
   u64 get_u64(const std::string& key, u64 def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;

@@ -1,6 +1,5 @@
 #include "fabric/chaos.hpp"
 
-#include <chrono>
 #include <vector>
 
 #include "server/wire.hpp"
@@ -173,14 +172,6 @@ ChaosProxy::Forward ChaosProxy::forward_frame(Socket& src, Socket& dst,
     payload[rng.next_below(len)] ^= 0xFF;
     const MutexLock lock(mutex_);
     ++stats_.corrupted;
-  } else if (policy_.delay > 0.0 && rng.chance(policy_.delay)) {
-    {
-      const MutexLock lock(mutex_);
-      ++stats_.delayed;
-    }
-    // The delay fault IS a sleep — that is the injected behaviour.
-    // aeep-lint: allow(sleep-in-src)
-    std::this_thread::sleep_for(std::chrono::milliseconds(policy_.delay_ms));
   }
 
   // Counted before the bytes go out: once the peer observes the frame the

@@ -1,19 +1,18 @@
 // Fault injection for the wire protocol itself. A ChaosProxy sits between
 // a coordinator (or any client) and one worker, relays length-prefixed
 // frames byte-for-byte, and — with seeded per-frame probabilities — drops,
-// delays, truncates or corrupts them, or kills the connection outright.
-// This is the strike process for the fabric: just as fault::StrikeProcess
-// flips bits in live cache arrays so RecoveryController's paths are
-// exercised rather than assumed, ChaosProxy damages live frames so every
-// coordinator recovery path (retry, re-dispatch, retirement, fallback) is
-// hit in tests and CI instead of lying dormant until a real outage.
+// truncates or corrupts them, or kills the connection outright. This is the
+// strike process for the fabric: just as fault::StrikeProcess flips bits in
+// live cache arrays so RecoveryController's paths are exercised rather than
+// assumed, ChaosProxy damages live frames so every coordinator recovery
+// path (retry, worker drop, local fallback) is hit in tests and CI instead
+// of lying dormant until a real outage.
 //
 // Faults map onto the typed errors the peers must observe:
 //   corrupt  -> flipped payload byte  -> ServerError(kProtocol) (bad JSON)
 //   truncate -> short payload + close -> ServerError(kIo) mid-frame close
 //   kill     -> close before forward  -> ServerError(kIo) (connection died)
 //   drop     -> frame never forwarded -> caller's read times out (kIo)
-//   delay    -> forwarded late        -> exercises straggler detection
 #pragma once
 
 #include <atomic>
@@ -31,14 +30,12 @@
 namespace aeep::fabric {
 
 /// Per-frame fault probabilities (independent draws, checked in the order
-/// kill, drop, truncate, corrupt, delay; the first that fires wins).
+/// kill, drop, truncate, corrupt; the first that fires wins).
 struct ChaosPolicy {
   double kill = 0.0;      ///< close both directions before forwarding
   double drop = 0.0;      ///< swallow the frame, keep the connection
   double truncate = 0.0;  ///< forward a short payload, then close
   double corrupt = 0.0;   ///< flip one payload byte (breaks the JSON)
-  double delay = 0.0;     ///< sleep delay_ms before forwarding
-  u64 delay_ms = 200;
   u64 seed = 1;           ///< per-connection fault draws derive from this
 };
 
@@ -52,7 +49,6 @@ struct ChaosStats {
   u64 dropped = 0;
   u64 truncated = 0;
   u64 corrupted = 0;
-  u64 delayed = 0;
 };
 
 class ChaosProxy {

@@ -1,6 +1,8 @@
 #include "fabric/coordinator.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "metrics/registry.hpp"
@@ -24,12 +26,9 @@ std::string strip_kind_prefix(const server::ServerError& e) {
 
 }  // namespace
 
-Coordinator::Coordinator(FabricConfig config)
-    : config_(std::move(config)),
-      registry_(config_.workers, config_.retire_after) {
+Coordinator::Coordinator(FabricConfig config) : config_(std::move(config)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.max_attempts == 0) config_.max_attempts = 1;
-  if (config_.straggler_factor < 1.0) config_.straggler_factor = 1.0;
   if (!config_.store_dir.empty())
     cache_ = std::make_unique<store::SweepCache>(
         store::StoreConfig{config_.store_dir, 4096});
@@ -45,41 +44,9 @@ void Coordinator::reset_stats() {
   stats_ = FabricStats{};
 }
 
-std::size_t Coordinator::probe_fleet() {
-  for (std::size_t i = 0; i < registry_.size(); ++i) {
-    if (registry_.retired(i)) continue;
-    const WorkerEndpoint ep = registry_.endpoint(i);
-    {
-      const MutexLock lock(mutex_);
-      ++stats_.probes;
-    }
-    try {
-      server::Client client(ep.host, ep.port);
-      client.set_call_timeout_ms(static_cast<int>(config_.probe_timeout_ms));
-      if (!config_.token.empty()) client.set_token(config_.token);
-      const JsonValue h = client.health();
-      if (h.get_bool("draining", false)) {
-        // A draining worker is leaving voluntarily: stop dispatching to it
-        // now instead of burning its failure budget on kShutdown bounces.
-        registry_.retire(i, "worker is draining");
-        continue;
-      }
-      registry_.note_success(i);
-    } catch (const server::ServerError& e) {
-      {
-        const MutexLock lock(mutex_);
-        ++stats_.probe_failures;
-      }
-      registry_.note_failure(
-          i, std::string("health probe failed: ") + e.what());
-    }
-  }
-  return registry_.live();
-}
-
-bool Coordinator::fleet_degraded() const {
-  const std::size_t live = registry_.live();
-  return live == 0 || live < config_.min_fleet;
+std::vector<DroppedWorker> Coordinator::dropped() const {
+  const MutexLock lock(mutex_);
+  return dropped_;
 }
 
 std::vector<FabricOutcome> Coordinator::run(
@@ -104,56 +71,32 @@ std::vector<FabricOutcome> Coordinator::run(
   }
   {
     const MutexLock lock(mutex_);
+    dropped_.clear();
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (cached[i]) {
-        Cell& c = rs.cells[i];
-        c.done = true;
-        FabricOutcome oc;
-        oc.result = std::move(*cached[i]);
-        oc.worker = "cache";
-        out[i] = std::move(oc);
-        ++rs.completed;
-        ++stats_.jobs_cached;
-        if (rs.progress) {
-          FabricProgress p{rs.completed, grid.size(), i, &grid[i], &out[i]};
-          rs.progress(p);
-        }
+      if (!cached[i]) {
+        rs.pending.push_back(i);
         continue;
       }
-      rs.cells[i].queued = true;
-      rs.pending.push_back(i);
+      FabricOutcome oc;
+      oc.result = std::move(*cached[i]);
+      oc.worker = "cache";
+      out[i] = std::move(oc);
+      ++rs.completed;
+      ++stats_.jobs_cached;
+      if (rs.progress) {
+        FabricProgress p{rs.completed, grid.size(), i, &grid[i], &out[i]};
+        rs.progress(p);
+      }
     }
-    if (rs.completed == grid.size()) rs.finished = true;
   }
 
-  if (!config_.workers.empty()) probe_fleet();
-
+  // Each worker thread runs until every cell is done or it leaves the run.
+  // Once all have returned, whatever is still pending has no worker left.
   std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < registry_.size(); ++i) {
-    if (registry_.retired(i)) continue;
+  for (std::size_t i = 0; i < config_.workers.size(); ++i)
     threads.emplace_back([this, i, &rs] { worker_loop(i, rs); });
-  }
-
-  // Monitor loop: watch for completion, nominate stragglers for
-  // speculative re-dispatch, and absorb pending work locally once the
-  // fleet has degraded below the floor. The lock is scoped per iteration
-  // because speculate_stragglers/run_locally take it themselves.
-  while (true) {
-    {
-      const MutexLock lock(mutex_);
-      if (rs.completed >= grid.size()) break;
-      cv_main_.wait_for(mutex_, std::chrono::milliseconds(200));
-      if (rs.completed >= grid.size()) break;
-    }
-    speculate_stragglers(rs);
-    if (fleet_degraded()) run_locally(rs);
-  }
-  {
-    const MutexLock lock(mutex_);
-    rs.finished = true;
-  }
-  cv_work_.notify_all();
   for (auto& t : threads) t.join();
+  run_locally(rs);
 
   // Persist what the run computed (cache hits are already stored).
   if (cache_) {
@@ -171,121 +114,66 @@ std::vector<FabricOutcome> Coordinator::run(
 
 std::vector<std::size_t> Coordinator::claim_batch(RunState& rs) {
   std::vector<std::size_t> batch;
-  const auto now = metrics::now();
   const MutexLock lock(mutex_);
+  while (rs.completed < rs.grid->size() && rs.pending.empty())
+    cv_work_.wait(mutex_);
+  const auto now = metrics::now();
   while (!rs.pending.empty() && batch.size() < config_.batch_size) {
     const std::size_t idx = rs.pending.front();
     rs.pending.pop_front();
-    Cell& c = rs.cells[idx];
-    c.queued = false;
-    if (c.done) continue;  // a speculative duplicate already finished it
-    ++c.attempts;
-    ++c.inflight;
-    c.dispatched_at = now;
+    ++rs.cells[idx].attempts;
+    rs.cells[idx].dispatched_at = now;
     batch.push_back(idx);
   }
   return batch;
 }
 
-bool Coordinator::deliver(RunState& rs, std::size_t index,
+void Coordinator::deliver(RunState& rs, std::size_t index,
                           FabricOutcome outcome) {
-  {
-    const MutexLock lock(mutex_);
-    Cell& c = rs.cells[index];
-    if (c.inflight > 0) --c.inflight;
-    if (c.done) {
-      // First result won; this duplicate computed identical metrics (same
-      // seed, same options), so discarding it cannot change the output.
-      ++stats_.duplicates_discarded;
-      return false;
-    }
-    c.done = true;
-    outcome.attempts = c.attempts;
-    outcome.speculative = c.speculated;
-    if (outcome.ok()) {
-      if (outcome.worker == "local") ++stats_.jobs_local;
-      else ++stats_.jobs_remote;
-    }
-    const double wall_ms = metrics::ms_since(c.dispatched_at);
-    rs.completion_ms.push_back(wall_ms);
-    static metrics::Histogram& cell_wall_us =
-        metrics::Registry::instance().histogram("fabric.cell_wall_us");
-    cell_wall_us.record(static_cast<u64>(wall_ms * 1000.0));
-    (*rs.out)[index] = std::move(outcome);
-    ++rs.completed;
-    if (rs.progress) {
-      FabricProgress p{rs.completed, rs.grid->size(), index,
-                       &(*rs.grid)[index], &(*rs.out)[index]};
-      rs.progress(p);  // under the lock: serialised, completion order
-    }
-    if (rs.completed == rs.grid->size()) rs.finished = true;
+  static metrics::Histogram& cell_wall_us =
+      metrics::Registry::instance().histogram("fabric.cell_wall_us");
+  const MutexLock lock(mutex_);
+  const Cell& c = rs.cells[index];
+  outcome.attempts = c.attempts;
+  if (outcome.ok()) {
+    if (outcome.worker == "local") ++stats_.jobs_local;
+    else ++stats_.jobs_remote;
   }
-  cv_main_.notify_all();
-  cv_work_.notify_all();
-  return true;
+  cell_wall_us.record(
+      static_cast<u64>(metrics::ms_since(c.dispatched_at) * 1000.0));
+  (*rs.out)[index] = std::move(outcome);
+  ++rs.completed;
+  if (rs.progress) {
+    FabricProgress p{rs.completed, rs.grid->size(), index,
+                     &(*rs.grid)[index], &(*rs.out)[index]};
+    rs.progress(p);  // under the lock: serialised, completion order
+  }
+  if (rs.completed == rs.grid->size()) cv_work_.notify_all();
 }
 
 void Coordinator::requeue(RunState& rs, std::size_t index,
                           const std::string& error, bool charge_attempt) {
-  bool out_of_attempts = false;
   {
     const MutexLock lock(mutex_);
     Cell& c = rs.cells[index];
-    if (c.done || c.queued) {  // finished elsewhere / already waiting
-      if (c.inflight > 0) --c.inflight;
-      return;
-    }
     // A cell bounced by backpressure never reached a worker; claiming it
     // must not burn retry budget, or a saturated-but-healthy fleet would
     // slowly fail its whole grid.
-    if (!charge_attempt && c.attempts > 0) --c.attempts;
-    if (charge_attempt && c.attempts >= config_.max_attempts) {
-      out_of_attempts = true;  // deliver() below decrements inflight
-    } else {
-      if (c.inflight > 0) --c.inflight;
-      c.queued = true;
+    if (!charge_attempt) --c.attempts;
+    if (c.attempts < config_.max_attempts) {
       rs.pending.push_back(index);
       ++stats_.retries;
       static metrics::Counter& retries =
           metrics::Registry::instance().counter("fabric.retries");
       retries.increment();
+      cv_work_.notify_all();
+      return;
     }
   }
-  if (out_of_attempts) {
-    FabricOutcome oc;
-    oc.error = "gave up after " + std::to_string(config_.max_attempts) +
-               " dispatches; last error: " + error;
-    deliver(rs, index, std::move(oc));
-  } else {
-    cv_work_.notify_all();
-  }
-}
-
-void Coordinator::speculate_stragglers(RunState& rs) {
-  bool nominated = false;
-  {
-    const MutexLock lock(mutex_);
-    if (rs.completion_ms.size() < 3) return;  // no meaningful median yet
-    std::vector<double> sorted = rs.completion_ms;
-    const std::size_t mid = sorted.size() / 2;
-    std::nth_element(sorted.begin(), sorted.begin() + static_cast<long>(mid),
-                     sorted.end());
-    const double median = sorted[mid];
-    const double threshold =
-        std::max(static_cast<double>(config_.straggler_min_ms),
-                 config_.straggler_factor * median);
-    for (std::size_t i = 0; i < rs.cells.size(); ++i) {
-      Cell& c = rs.cells[i];
-      if (c.done || c.queued || c.speculated || c.inflight == 0) continue;
-      if (metrics::ms_since(c.dispatched_at) <= threshold) continue;
-      c.speculated = true;
-      c.queued = true;
-      rs.pending.push_back(i);
-      ++stats_.speculative_dispatches;
-      nominated = true;
-    }
-  }
-  if (nominated) cv_work_.notify_all();
+  FabricOutcome oc;
+  oc.error = "gave up after " + std::to_string(config_.max_attempts) +
+             " dispatches; last error: " + error;
+  deliver(rs, index, std::move(oc));
 }
 
 void Coordinator::run_locally(RunState& rs) {
@@ -293,28 +181,14 @@ void Coordinator::run_locally(RunState& rs) {
   {
     const MutexLock lock(mutex_);
     const auto now = metrics::now();
-    while (!rs.pending.empty()) {
-      const std::size_t idx = rs.pending.front();
-      rs.pending.pop_front();
-      Cell& c = rs.cells[idx];
-      c.queued = false;
-      if (c.done) continue;
-      ++c.attempts;
-      ++c.inflight;
-      c.dispatched_at = now;
-      indices.push_back(idx);
+    indices.assign(rs.pending.begin(), rs.pending.end());
+    rs.pending.clear();
+    for (const std::size_t idx : indices) {
+      ++rs.cells[idx].attempts;
+      rs.cells[idx].dispatched_at = now;
     }
   }
   if (indices.empty()) return;
-
-  if (!config_.allow_local_fallback) {
-    for (const std::size_t idx : indices) {
-      FabricOutcome oc;
-      oc.error = "no live workers and local fallback is disabled";
-      deliver(rs, idx, std::move(oc));
-    }
-    return;
-  }
 
   std::vector<sim::SweepJob> subgrid;
   subgrid.reserve(indices.size());
@@ -334,39 +208,23 @@ void Coordinator::run_locally(RunState& rs) {
 void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
   Backoff backoff(config_.backoff,
                   config_.seed + 0x9E3779B97F4A7C15ull * (worker_idx + 1));
-  const WorkerEndpoint ep = registry_.endpoint(worker_idx);
+  const WorkerEndpoint& ep = config_.workers[worker_idx];
   const std::string name = ep.display_name();
   // Per-worker RPC latency: one instrument per endpoint, so a slow worker
   // shows up as its own p99 rather than hiding in the fleet aggregate.
   // Failed calls record too — a timed-out RPC *is* latency.
   metrics::Histogram& rpc_us =
       metrics::Registry::instance().histogram("fabric.rpc_us." + name);
+  unsigned failures = 0;  // consecutive failed round trips
 
   while (true) {
-    {
-      const MutexLock lock(mutex_);
-      while (!rs.finished && rs.pending.empty()) cv_work_.wait(mutex_);
-      if (rs.finished) return;
-    }
-    if (registry_.retired(worker_idx)) return;
+    const std::vector<std::size_t> batch = claim_batch(rs);
+    if (batch.empty()) return;  // every cell is done
 
-    std::vector<std::size_t> outstanding = claim_batch(rs);
-    if (outstanding.empty()) continue;
-
-    const auto settle = [&](std::size_t idx) {
-      const auto it =
-          std::find(outstanding.begin(), outstanding.end(), idx);
-      if (it != outstanding.end()) outstanding.erase(it);
-    };
-    const auto run_finished = [&] {
-      const MutexLock lock(mutex_);
-      return rs.finished;
-    };
-
-    bool worker_failed = false;
-    bool saw_busy = false;
+    std::vector<u64> ids;     // ids[i]: batch[i]'s job id on the worker
+    std::size_t settled = 0;  // batch[0, settled) delivered or re-queued
+    bool failed = false;
     std::string failure;
-    std::vector<std::pair<std::size_t, u64>> submitted;
     try {
       server::Client client(ep.host, ep.port);
       client.set_call_timeout_ms(static_cast<int>(config_.call_timeout_ms));
@@ -378,21 +236,17 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
 
       // Shard the batch onto the worker's queue. A kBusy bounce stops
       // submitting (the rest of the batch is re-queued below) but is not a
-      // health failure — the worker is alive, just saturated.
-      for (const std::size_t idx : outstanding) {
+      // failure — the worker is alive, just saturated.
+      for (const std::size_t idx : batch) {
         const sim::SweepJob& job = (*rs.grid)[idx];
         try {
           const metrics::ScopedTimer span(rpc_us);
-          const u64 id = client.submit(
-              server::job_spec_from_options(job.benchmark, job.options));
-          submitted.emplace_back(idx, id);
+          ids.push_back(client.submit(
+              server::job_spec_from_options(job.benchmark, job.options)));
         } catch (const server::ServerError& e) {
           if (e.kind() != server::ServerErrorKind::kBusy) throw;
-          {
-            const MutexLock lock(mutex_);
-            ++stats_.busy_backoffs;
-          }
-          saw_busy = true;
+          const MutexLock lock(mutex_);
+          ++stats_.busy_backoffs;
           break;
         }
       }
@@ -403,38 +257,35 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
       // socket timeout instead of hanging the thread for the whole
       // job_wait_ms budget. Each cell completes or re-queues individually
       // so one bad cell cannot sink its batch-mates.
-      for (const auto& [idx, id] : submitted) {
+      for (; settled < ids.size(); ++settled) {
+        const std::size_t idx = batch[settled];
         const auto wait_deadline =
             metrics::now() + std::chrono::milliseconds(config_.job_wait_ms);
         try {
           while (true) {
-            if (run_finished()) {  // a duplicate won the whole run already
-              settle(idx);
-              requeue(rs, idx, "run finished elsewhere");
-              break;
-            }
             const double left_ms =
                 metrics::ms_between(metrics::now(), wait_deadline);
             if (left_ms <= 0.0) {
-              settle(idx);
-              requeue(rs, idx, "result not ready within the wait budget");
+              requeue(rs, idx, "result not ready within the wait budget",
+                      true);
               break;
             }
             const u64 chunk = std::min<u64>(
                 static_cast<u64>(left_ms) + 1,
                 std::max<u64>(1, config_.call_timeout_ms / 4));
             const metrics::ScopedTimer span(rpc_us);
-            const JsonValue reply = client.result(id, /*wait=*/true, chunk);
+            const JsonValue reply =
+                client.result(ids[settled], /*wait=*/true, chunk);
             if (!reply.get_bool("ready", false))
               continue;  // still queued/running on the worker
-            settle(idx);
             const JsonValue* doc = reply.find("result");
             std::optional<sim::RunResult> result =
                 doc ? sim::run_result_from_json(*doc) : std::nullopt;
             if (!result) {
               // Never deliver what we cannot read back exactly; another
               // attempt (here or elsewhere) recomputes the same cell.
-              requeue(rs, idx, "result reply carried no decodable result");
+              requeue(rs, idx, "result reply carried no decodable result",
+                      true);
               break;
             }
             FabricOutcome oc;
@@ -450,55 +301,45 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
             FabricOutcome oc;
             oc.error = strip_kind_prefix(e);
             oc.worker = name;
-            settle(idx);
             deliver(rs, idx, std::move(oc));
-            continue;
-          }
-          if (e.kind() == server::ServerErrorKind::kTimeout) {
+          } else if (e.kind() == server::ServerErrorKind::kTimeout) {
             // Blew its deadline on *this* worker; another may be faster.
-            settle(idx);
-            requeue(rs, idx, strip_kind_prefix(e));
-            continue;
+            requeue(rs, idx, strip_kind_prefix(e), true);
+          } else {
+            throw;  // connection-level trouble: the whole batch is suspect
           }
-          throw;  // connection-level trouble: the whole batch is suspect
         }
       }
-    } catch (const server::ServerError& e) {
-      worker_failed = true;
-      failure = e.what();
     } catch (const std::exception& e) {
-      worker_failed = true;
+      failed = true;
       failure = e.what();
     }
 
     // Whatever was neither delivered nor individually re-queued goes back
     // on the queue — a batch abort must never lose a cell. Cells that
-    // never reached the worker (busy bounce) are re-queued without
-    // charging their retry budget.
-    const bool was_submitted_failed = worker_failed;
-    for (const std::size_t idx : std::vector<std::size_t>(outstanding)) {
-      const bool reached_worker =
-          std::any_of(submitted.begin(), submitted.end(),
-                      [&](const auto& p) { return p.first == idx; });
-      requeue(rs, idx,
-              was_submitted_failed ? failure : "batch not completed",
-              /*charge_attempt=*/reached_worker);
-    }
-    outstanding.clear();
+    // never reached the worker (a busy bounce, a failed connect or submit)
+    // cost no attempt.
+    for (std::size_t i = settled; i < batch.size(); ++i)
+      requeue(rs, batch[i], failure, /*charge_attempt=*/i < ids.size());
 
-    if (worker_failed) {
-      {
-        const MutexLock lock(mutex_);
-        ++stats_.worker_failures;
+    if (!failed) {
+      failures = 0;
+      backoff.reset();
+      if (ids.size() < batch.size()) {  // bounced: cool off once
+        backoff_sleep(backoff);
+        backoff.reset();
       }
-      if (registry_.note_failure(worker_idx, failure)) return;  // retired
-      backoff_sleep(backoff);
-    } else {
-      registry_.note_success(worker_idx);
-      backoff.reset();
-      if (saw_busy) backoff_sleep(backoff);  // cool off, then reset again
-      backoff.reset();
+      continue;
     }
+    {
+      const MutexLock lock(mutex_);
+      ++stats_.worker_failures;
+      if (++failures >= kDropAfter) {
+        dropped_.push_back(DroppedWorker{name, failure});
+        return;
+      }
+    }
+    backoff_sleep(backoff);
   }
 }
 

@@ -152,12 +152,17 @@ TEST(Cli, ParsesKeyValueAndFlags) {
 }
 
 TEST(Cli, NumericSuffixes) {
-  const char* argv[] = {"prog", "--a=64K", "--b=1M", "--c=2G", "--d=123"};
-  CliArgs args(5, argv);
+  const char* argv[] = {"prog",       "--a=64K",         "--b=1M",
+                        "--c=2G",     "--d=123",         "--e=0.25",
+                        "--f=1e-19",  "--g=17179869183G"};
+  CliArgs args(8, argv);
   EXPECT_EQ(args.get_u64("a", 0), u64{64} << 10);
   EXPECT_EQ(args.get_u64("b", 0), u64{1} << 20);
   EXPECT_EQ(args.get_u64("c", 0), u64{2} << 30);
   EXPECT_EQ(args.get_u64("d", 0), 123u);
+  EXPECT_EQ(args.get_double("e", 0.0), 0.25);
+  EXPECT_EQ(args.get_double("f", 0.0), 1e-19);
+  EXPECT_EQ(args.get_u64("g", 0), u64{17179869183} << 30);  // 2^64 - 2^30
 }
 
 TEST(Cli, TracksUnusedKeys) {
@@ -200,18 +205,31 @@ TEST(Cli, DistinctFlagsStillParse) {
 
 TEST(Cli, MissingValueFallsBackToDefault) {
   // `--key=` supplies an empty value: string getters return it verbatim,
-  // numeric getters must throw (an empty numeral is a typo, not a zero).
-  const char* argv[] = {"prog", "--name=", "--count="};
-  CliArgs args(3, argv);
+  // numeric getters must exit 2 (an empty numeral is a typo, not a zero).
+  const char* argv[] = {"prog", "--name=", "--count=", "--rate="};
+  CliArgs args(4, argv);
   EXPECT_EQ(args.get("name", "default"), "");
   EXPECT_TRUE(args.has("count"));
-  EXPECT_THROW(args.get_u64("count", 9), std::invalid_argument);
+  EXPECT_EXIT(args.get_u64("count", 9), testing::ExitedWithCode(2),
+              "bad number in --count=");
+  EXPECT_EXIT(args.get_double("rate", 0.5), testing::ExitedWithCode(2),
+              "bad number in --rate=");
 }
 
 TEST(Cli, BadNumericSuffixThrows) {
-  const char* argv[] = {"prog", "--interval=64Q"};
-  CliArgs args(2, argv);
-  EXPECT_THROW(args.get_u64("interval", 0), std::invalid_argument);
+  const char* argv[] = {"prog", "--interval=64Q", "--warmup=64KB",
+                        "--corrupt=0.5xyz", "--instructions=abc"};
+  CliArgs args(5, argv);
+  EXPECT_EXIT(args.get_u64("interval", 0), testing::ExitedWithCode(2),
+              "bad numeric suffix in --interval=64Q");
+  EXPECT_EXIT(args.get_u64("warmup", 0), testing::ExitedWithCode(2),
+              "bad numeric suffix in --warmup=64KB");
+  EXPECT_EXIT(args.get_double("corrupt", 0.0), testing::ExitedWithCode(2),
+              "bad number in --corrupt=0.5xyz");
+  EXPECT_EXIT(args.get_u64("instructions", 0), testing::ExitedWithCode(2),
+              "bad number in --instructions=abc");
+  EXPECT_EXIT(args.get_double("instructions", 0.0),
+              testing::ExitedWithCode(2), "bad number in --instructions=abc");
 }
 
 TEST(Cli, UnknownFlagSurfacesInUnusedAndQueriedListsAccepted) {
@@ -230,14 +248,20 @@ TEST(Cli, UnknownFlagSurfacesInUnusedAndQueriedListsAccepted) {
 }
 
 TEST(Cli, OverflowingNumberIsInvalidArgumentNamingTheFlag) {
-  const char* argv[] = {"prog", "--seed=99999999999999999999999"};
-  CliArgs args(2, argv);
-  try {
-    (void)args.get_u64("seed", 0);
-    ADD_FAILURE() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--seed="), std::string::npos);
-  }
+  // Out of range, wrapped by a suffix, or negative: stoull would quietly
+  // read "-1" as 2^64 - 1 (a listen port of 65535 once).
+  const char* argv[] = {"prog", "--seed=99999999999999999999999",
+                        "--interval=17179869184G", "--listen-port=-1",
+                        "--rate=1e999"};
+  CliArgs args(5, argv);
+  EXPECT_EXIT(args.get_u64("seed", 0), testing::ExitedWithCode(2),
+              "bad number in --seed=99999999999999999999999");
+  EXPECT_EXIT(args.get_u64("interval", 0), testing::ExitedWithCode(2),
+              "bad number in --interval=17179869184G");
+  EXPECT_EXIT(args.get_u64("listen-port", 0), testing::ExitedWithCode(2),
+              "bad number in --listen-port=-1");
+  EXPECT_EXIT(args.get_double("rate", 0.0), testing::ExitedWithCode(2),
+              "bad number in --rate=1e999");
 }
 
 TEST(Cli, GetListSplitsOnCommasAndDropsEmptyItems) {

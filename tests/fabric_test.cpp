@@ -1,10 +1,11 @@
 // Tests for the fault-tolerant sweep fabric (src/fabric/): the shared
-// backoff schedule, fleet registry scoring/retirement, ChaosProxy fault
-// injection and the typed errors each fault must surface as, wire-frame
+// backoff schedule, worker endpoint parsing, ChaosProxy fault injection
+// and the typed errors each fault must surface as, wire-frame
 // robustness of the server against malformed bytes, the health/drain
 // endpoints, bounded access logs, and the coordinator's load-bearing
 // claim: a grid run through a (possibly dying) fleet returns RunResults
-// identical, field for field, to a local SweepRunner run of the same grid.
+// identical, field for field, to a local SweepRunner run of the same grid,
+// with workers that keep failing dropped and their cells run locally.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +21,7 @@
 #include "fabric/backoff.hpp"
 #include "fabric/chaos.hpp"
 #include "fabric/coordinator.hpp"
-#include "fabric/registry.hpp"
+#include "fabric/endpoint.hpp"
 #include "server/access_log.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -79,7 +81,6 @@ FabricConfig test_config() {
   cfg.backoff.max_ms = 50;
   cfg.call_timeout_ms = 10'000;
   cfg.job_wait_ms = 60'000;
-  cfg.straggler_min_ms = 60'000;  // no speculation unless a test asks
   return cfg;
 }
 
@@ -137,7 +138,7 @@ TEST(Backoff, JitteredDelaysStayWithinTheEnvelope) {
   }
 }
 
-// --- registry --------------------------------------------------------------
+// --- endpoints -------------------------------------------------------------
 
 TEST(Registry, ParseEndpointForms) {
   const WorkerEndpoint bare = parse_endpoint("7500");
@@ -154,47 +155,6 @@ TEST(Registry, ParseEndpointForms) {
   EXPECT_THROW(parse_endpoint("host:70000"), std::invalid_argument);
 }
 
-TEST(Registry, ConsecutiveFailuresRetirePermanently) {
-  WorkerRegistry reg({parse_endpoint("7500"), parse_endpoint("7501")}, 3);
-  EXPECT_EQ(reg.live(), 2u);
-  EXPECT_FALSE(reg.note_failure(0, "a"));
-  EXPECT_EQ(reg.state(0), WorkerState::kSuspect);
-  EXPECT_FALSE(reg.note_failure(0, "b"));
-  EXPECT_TRUE(reg.note_failure(0, "c"));  // third strike retires
-  EXPECT_EQ(reg.state(0), WorkerState::kRetired);
-  EXPECT_EQ(reg.live(), 1u);
-  // Retirement is permanent: successes and further failures are no-ops.
-  reg.note_success(0);
-  EXPECT_EQ(reg.state(0), WorkerState::kRetired);
-  EXPECT_FALSE(reg.note_failure(0, "d"));
-  const auto log = reg.retirement_log();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].worker, "127.0.0.1:7500");
-  EXPECT_EQ(log[0].reason, "c");
-  EXPECT_EQ(log[0].consecutive_failures, 3u);
-}
-
-TEST(Registry, SuccessResetsTheFailureStreak) {
-  WorkerRegistry reg({parse_endpoint("7500")}, 3);
-  reg.note_failure(0, "a");
-  reg.note_failure(0, "b");
-  reg.note_success(0);
-  EXPECT_EQ(reg.state(0), WorkerState::kHealthy);
-  EXPECT_EQ(reg.consecutive_failures(0), 0u);
-  // The streak starts over: two more failures still do not retire.
-  reg.note_failure(0, "c");
-  EXPECT_FALSE(reg.note_failure(0, "d"));
-  EXPECT_EQ(reg.live(), 1u);
-}
-
-TEST(Registry, RetireAfterZeroNeverRetires) {
-  WorkerRegistry reg({parse_endpoint("7500")}, 0);
-  for (int i = 0; i < 20; ++i)
-    EXPECT_FALSE(reg.note_failure(0, "flap"));
-  EXPECT_EQ(reg.state(0), WorkerState::kSuspect);
-  EXPECT_EQ(reg.live(), 1u);
-}
-
 // --- chaos proxy: fault taxonomy over a real server ------------------------
 
 TEST(Chaos, ZeroFaultPolicyIsTransparent) {
@@ -209,7 +169,7 @@ TEST(Chaos, ZeroFaultPolicyIsTransparent) {
   const ChaosStats s = proxy.stats();
   EXPECT_EQ(s.connections, 1u);
   EXPECT_GE(s.frames_forwarded, 4u);  // two round trips
-  EXPECT_EQ(s.killed + s.dropped + s.truncated + s.corrupted + s.delayed, 0u);
+  EXPECT_EQ(s.killed + s.dropped + s.truncated + s.corrupted, 0u);
   proxy.stop();
   served.stop();
 }
@@ -585,7 +545,7 @@ TEST(Coordinator, FleetRunIsBitExactAgainstTheLocalBaseline) {
   EXPECT_EQ(progress_calls, grid.size());
   EXPECT_EQ(coord.stats().jobs_remote, grid.size());
   EXPECT_EQ(coord.stats().jobs_local, 0u);
-  EXPECT_TRUE(coord.registry().retirement_log().empty());
+  EXPECT_TRUE(coord.dropped().empty());
   w1.drain();
   w2.drain();
 }
@@ -596,21 +556,25 @@ TEST(Coordinator, DeadWorkerIsRetiredAndTheGridStillCompletes) {
   server::JobServer alive(worker_config());
   alive.start();
   FabricConfig cfg = test_config();
-  cfg.workers = {parse_endpoint(std::to_string(alive.port())),
-                 parse_endpoint(std::to_string(dead_port()))};
-  cfg.retire_after = 2;
+  const WorkerEndpoint dead = parse_endpoint(std::to_string(dead_port()));
+  cfg.workers = {parse_endpoint(std::to_string(alive.port())), dead};
+  // One cell per dispatch keeps work pending while the live worker
+  // simulates, and a 1 ms cool-off lets the dead one burn its three
+  // failures long before the grid is done.
+  cfg.batch_size = 1;
+  cfg.backoff.base_ms = 1;
+  cfg.backoff.max_ms = 1;
   Coordinator coord(std::move(cfg));
-  // Probe once up front (failure #1); run() probes again (failure #2),
-  // which retires the dead endpoint before any dispatch.
-  EXPECT_EQ(coord.probe_fleet(), 2u);  // suspect, but not yet retired
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+    EXPECT_NE(outcomes[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
-  const auto log = coord.registry().retirement_log();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].worker, coord.registry().endpoint(1).display_name());
+  const auto gone = coord.dropped();
+  ASSERT_EQ(gone.size(), 1u);
+  EXPECT_EQ(gone[0].worker, dead.display_name());
+  EXPECT_EQ(coord.stats().worker_failures, Coordinator::kDropAfter);
   EXPECT_EQ(coord.stats().jobs_remote, grid.size());
   alive.drain();
 }
@@ -619,8 +583,8 @@ TEST(Coordinator, SoleWorkerDyingMidRunRetiresThroughDispatchFailures) {
   const auto grid = small_grid();
   const auto expected = baseline_results(grid);
   FabricConfig cfg = test_config();
-  cfg.workers = {parse_endpoint(std::to_string(dead_port()))};
-  cfg.retire_after = 3;  // probe fails once, dispatches burn the rest
+  const WorkerEndpoint dead = parse_endpoint(std::to_string(dead_port()));
+  cfg.workers = {dead};
   Coordinator coord(std::move(cfg));
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -628,10 +592,12 @@ TEST(Coordinator, SoleWorkerDyingMidRunRetiresThroughDispatchFailures) {
     EXPECT_EQ(outcomes[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
-  const auto log = coord.registry().retirement_log();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].consecutive_failures, 3u);
-  EXPECT_GT(coord.stats().worker_failures, 0u);
+  const auto gone = coord.dropped();
+  ASSERT_EQ(gone.size(), 1u);
+  EXPECT_EQ(gone[0].worker, dead.display_name());
+  EXPECT_FALSE(gone[0].reason.empty());
+  EXPECT_EQ(coord.stats().worker_failures, Coordinator::kDropAfter);
+  EXPECT_EQ(coord.stats().jobs_local, grid.size());
 }
 
 TEST(Coordinator, AllWorkersDeadDegradesToLocalBitExact) {
@@ -640,7 +606,6 @@ TEST(Coordinator, AllWorkersDeadDegradesToLocalBitExact) {
   FabricConfig cfg = test_config();
   cfg.workers = {parse_endpoint(std::to_string(dead_port())),
                  parse_endpoint(std::to_string(dead_port()))};
-  cfg.retire_after = 1;  // one failed probe is enough
   Coordinator coord(std::move(cfg));
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -648,37 +613,34 @@ TEST(Coordinator, AllWorkersDeadDegradesToLocalBitExact) {
     EXPECT_EQ(outcomes[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
-  EXPECT_EQ(coord.registry().live(), 0u);
-  EXPECT_EQ(coord.registry().retirement_log().size(), 2u);
+  EXPECT_EQ(coord.dropped().size(), 2u);
+  EXPECT_EQ(coord.stats().worker_failures, 2 * Coordinator::kDropAfter);
   EXPECT_EQ(coord.stats().jobs_local, grid.size());
 }
 
-TEST(Coordinator, DisabledFallbackFailsCellsInsteadOfComputingThem) {
-  const auto grid = small_grid();
-  FabricConfig cfg = test_config();
-  cfg.workers = {parse_endpoint(std::to_string(dead_port()))};
-  cfg.retire_after = 1;
-  cfg.allow_local_fallback = false;
-  Coordinator coord(std::move(cfg));
-  const auto outcomes = coord.run(grid);
-  for (const auto& oc : outcomes) {
-    EXPECT_FALSE(oc.ok());
-    EXPECT_NE(oc.error.find("local fallback is disabled"), std::string::npos)
-        << oc.error;
-  }
-}
-
 TEST(Coordinator, DrainingWorkerIsBenchedAtProbeTime) {
+  // No probe precedes the first dispatch: the draining worker bounces
+  // every submit as kShutdown, is dropped after three, and the cells it
+  // never ran cost no attempt and run locally.
+  const auto grid = small_grid();
+  const auto expected = baseline_results(grid);
   server::JobServer draining(worker_config());
   draining.start();
   draining.request_drain();
   FabricConfig cfg = test_config();
   cfg.workers = {parse_endpoint(std::to_string(draining.port()))};
   Coordinator coord(std::move(cfg));
-  EXPECT_EQ(coord.probe_fleet(), 0u);
-  const auto log = coord.registry().retirement_log();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].reason, "worker is draining");
+  const auto outcomes = coord.run(grid);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+    EXPECT_EQ(outcomes[i].worker, "local");
+    EXPECT_EQ(outcomes[i].attempts, 1u);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
+  }
+  const auto gone = coord.dropped();
+  ASSERT_EQ(gone.size(), 1u);
+  EXPECT_NE(gone[0].reason.find("draining"), std::string::npos)
+      << gone[0].reason;
   draining.stop();
 }
 
@@ -695,10 +657,10 @@ TEST(Coordinator, ChaosCorruptionBetweenFleetAndCoordinatorStaysBitExact) {
   proxy.start();
   FabricConfig cfg = test_config();
   // Worker 1 is reached only through the corrupting proxy; worker 2 is
-  // clean, so the grid can always complete remotely.
+  // clean, so the grid can always complete remotely, whether or not
+  // worker 1 fails often enough in a row to be dropped.
   cfg.workers = {parse_endpoint(std::to_string(proxy.port())),
                  parse_endpoint(std::to_string(w2.port()))};
-  cfg.retire_after = 0;   // flaky != dead; never bench it
   cfg.max_attempts = 12;  // plenty of retry budget under 8% corruption
   cfg.batch_size = 1;
   cfg.call_timeout_ms = 3'000;
@@ -711,6 +673,36 @@ TEST(Coordinator, ChaosCorruptionBetweenFleetAndCoordinatorStaysBitExact) {
   proxy.stop();
   w1.drain();
   w2.drain();
+}
+
+TEST(Coordinator, BusyBouncesChargeNoAttemptAndDropNoWorker) {
+  // A one-slot queue that takes one job per dispatch bounces most of each
+  // 4-cell batch as kBusy. With a single attempt per cell, a charged bounce
+  // would fail its cell; an absorbed one re-queues it for free.
+  const auto grid = small_grid();
+  const auto expected = baseline_results(grid);
+  server::ServerConfig wcfg = worker_config();
+  wcfg.queue_capacity = 1;
+  wcfg.max_batch = 1;
+  server::JobServer worker(wcfg);
+  worker.start();
+  FabricConfig cfg = test_config();
+  cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
+  cfg.batch_size = 4;
+  cfg.max_attempts = 1;
+  Coordinator coord(std::move(cfg));
+  const auto outcomes = coord.run(grid);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+    EXPECT_NE(outcomes[i].worker, "local");
+    EXPECT_EQ(outcomes[i].attempts, 1u);
+    EXPECT_EQ(outcomes[i].result, expected[i]);
+  }
+  const FabricStats s = coord.stats();
+  EXPECT_GT(s.busy_backoffs, 0u);
+  EXPECT_EQ(s.worker_failures, 0u);
+  EXPECT_TRUE(coord.dropped().empty());
+  worker.drain();
 }
 
 TEST(Coordinator, StoreFrontServesWarmRunsAndSharesRecordsWithRunGridCached) {
@@ -763,9 +755,12 @@ TEST(Coordinator, StoreFrontServesWarmRunsAndSharesRecordsWithRunGridCached) {
 
 /// Speaks the wire protocol, one connection at a time, but answers every
 /// result request with a document the RunResult codec cannot decode.
+/// Connections numbered in `hang_ups` (counting from 1) are closed
+/// unanswered.
 class GarbledWorker {
  public:
-  GarbledWorker() : thread_([this] { serve(); }) {}
+  explicit GarbledWorker(std::set<int> hang_ups = {})
+      : hang_ups_(std::move(hang_ups)), thread_([this] { serve(); }) {}
   ~GarbledWorker() {
     stop_ = true;
     thread_.join();
@@ -779,10 +774,12 @@ class GarbledWorker {
  private:
   void serve() {
     u64 next_id = 0;
+    int connections = 0;
     while (!stop_) {
       try {
         std::optional<server::Socket> sock = listener_.accept(50);
         if (!sock) continue;
+        if (hang_ups_.count(++connections) != 0) continue;  // closes it
         while (!stop_) {
           if (!sock->wait_readable(50)) continue;
           const std::optional<JsonValue> req = server::recv_frame(*sock);
@@ -806,6 +803,7 @@ class GarbledWorker {
     }
   }
 
+  const std::set<int> hang_ups_;
   server::Listener listener_{"127.0.0.1", 0};
   std::atomic<bool> stop_{false};
   std::atomic<int> results_sent_{0};
@@ -817,9 +815,7 @@ TEST(Coordinator, UndecodableResultIsRequeuedAndNeverDelivered) {
   GarbledWorker worker;
   FabricConfig cfg = test_config();
   cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
-  cfg.retire_after = 0;
   cfg.max_attempts = 2;
-  cfg.allow_local_fallback = false;
   Coordinator coord(std::move(cfg));
   const auto outcomes = coord.run(grid);
   ASSERT_EQ(outcomes.size(), 1u);
@@ -830,6 +826,30 @@ TEST(Coordinator, UndecodableResultIsRequeuedAndNeverDelivered) {
   EXPECT_EQ(worker.results_sent(), 2);
   EXPECT_EQ(coord.stats().jobs_remote, 0u);
   EXPECT_EQ(coord.stats().retries, 1u);
+  EXPECT_TRUE(coord.dropped().empty());  // replies arrived: not a failure
+}
+
+TEST(Coordinator, SuccessfulRoundTripResetsTheDropStreak) {
+  // Connections 1, 2, 4 and 5 hang up at once; 3 and 6 answer. Each
+  // answered round trip ends a streak of two failures, one short of
+  // kDropAfter, so the worker stays in the run and the cell spends both
+  // attempts there. Counting failures without the reset would drop the
+  // worker at connection 4 and compute the cell locally.
+  static_assert(Coordinator::kDropAfter == 3);
+  const std::vector<sim::SweepJob> grid = {small_grid()[0]};
+  GarbledWorker worker({1, 2, 4, 5});
+  FabricConfig cfg = test_config();
+  cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
+  cfg.max_attempts = 2;
+  Coordinator coord(std::move(cfg));
+  const auto outcomes = coord.run(grid);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_NE(outcomes[0].error.find("no decodable result"), std::string::npos)
+      << outcomes[0].error;
+  EXPECT_EQ(outcomes[0].attempts, 2u);
+  EXPECT_EQ(worker.results_sent(), 2);
+  EXPECT_EQ(coord.stats().worker_failures, 4u);
+  EXPECT_TRUE(coord.dropped().empty());
 }
 
 }  // namespace

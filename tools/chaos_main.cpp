@@ -7,9 +7,9 @@
 //              --corrupt=0.05 --seed=7
 //
 // Flags: --upstream=HOST:PORT (required), --listen-port (0 = pick one),
-// --kill --drop --truncate --corrupt --delay (per-frame probabilities),
-// --delay-ms (sleep per delayed frame), --seed (fault draws derive from
-// it — same seed + same connection order = same fault schedule).
+// --kill --drop --truncate --corrupt (per-frame probabilities), --seed
+// (fault draws derive from it — same seed + same connection order = same
+// fault schedule).
 // SIGTERM/SIGINT stop the proxy and dump the per-fault counters as one
 // JSON object on stdout, so scripts can assert faults actually fired.
 #include <csignal>
@@ -19,7 +19,7 @@
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "fabric/chaos.hpp"
-#include "fabric/registry.hpp"
+#include "fabric/endpoint.hpp"
 
 using namespace aeep;
 
@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
   policy.drop = args.get_double("drop", policy.drop);
   policy.truncate = args.get_double("truncate", policy.truncate);
   policy.corrupt = args.get_double("corrupt", policy.corrupt);
-  policy.delay = args.get_double("delay", policy.delay);
-  policy.delay_ms = args.get_u64("delay-ms", policy.delay_ms);
   policy.seed = args.get_u64("seed", policy.seed);
   reject_unknown_flags(args);
   if (upstream.empty()) {
@@ -85,7 +83,6 @@ int main(int argc, char** argv) {
   j.set("dropped", JsonValue::number(s.dropped));
   j.set("truncated", JsonValue::number(s.truncated));
   j.set("corrupted", JsonValue::number(s.corrupted));
-  j.set("delayed", JsonValue::number(s.delayed));
   std::printf("%s\n", j.dump(0).c_str());
   return 0;
 }

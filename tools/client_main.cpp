@@ -98,7 +98,8 @@ server::Client connect_or_exit(const std::string& host, u16 port,
   }
 }
 
-/// Job flags -> JobSpec; std::invalid_argument on a bad spelling or number.
+/// Job flags -> JobSpec; std::invalid_argument on a bad spelling (a bad
+/// number exits 2 from CliArgs itself).
 server::JobSpec parse_job(const CliArgs& args) {
   server::JobSpec spec;
   spec.benchmark = args.get("benchmark", spec.benchmark);

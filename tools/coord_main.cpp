@@ -5,21 +5,20 @@
 //
 // The grid is suite benchmarks × the three protection schemes, identical
 // to what the figure benches sweep. Cells are dispatched in batches with
-// health probes, jittered-backoff retries, speculative re-dispatch of
-// stragglers, permanent retirement of flapping workers, and local
-// fallback when the fleet dies — see src/fabric/coordinator.hpp. Every
-// mode ends in one full sim::RunResult per cell (workers send the lossless
-// codec document, the store holds it) and renders it through one path,
-// sim::run_result_json. Because every cell is seeded, `--json` output from
-// a chaotic fleet run, from `--local` and from the store must have
-// byte-identical cells — that equivalence is the CI chaos gate.
+// jittered-backoff retries; a worker that fails three round trips in a row
+// is dropped (one "dropped worker NAME: reason" line on stderr), and the
+// cells left when no worker remains run locally — see
+// src/fabric/coordinator.hpp. Every mode ends in one full sim::RunResult
+// per cell (workers send the lossless codec document, the store holds it)
+// and renders it through one path, sim::run_result_json. Because every
+// cell is seeded, `--json` output from a chaotic fleet run, from `--local`
+// and from the store must have byte-identical cells — that equivalence is
+// the CI chaos gate.
 //
 // Grid flags: --suite=all|fp|int|smoke --instructions --warmup --seed
 //             --frontend=exec|trace --trace-dir (local fallback only)
-// Fleet flags: --workers=HOST:PORT[,...] --retire-after --max-attempts
-//   --batch-size --call-timeout-ms --job-wait-ms --straggler-factor
-//   --straggler-min-ms --min-fleet --no-local-fallback --backoff-base-ms
-//   --probe-timeout-ms --local-jobs
+// Fleet flags: --workers=HOST:PORT[,...] --max-attempts --batch-size
+//   --call-timeout-ms --job-wait-ms --backoff-base-ms --local-jobs --token
 // Store: --store=DIR consults the content-addressed result store before
 //   running (both modes); a cell whose digest hits is served from cache
 //   with zero simulation work, and computed cells are inserted for the
@@ -28,8 +27,7 @@
 //   config records store_hits/store_misses — the CI store-smoke and
 //   fabric-chaos-smoke gates assert a repeated sweep is 100% hits.
 // Output: --json=FILE (bench schema v2, cells in grid order, per-cell
-//   wall_clock_seconds 0.0 in every mode), --retirement-log=FILE (one
-//   JSON object per retired worker).
+//   wall_clock_seconds 0.0 in every mode).
 // Exit codes: 0 every cell computed, 2 usage, 1 any cell failed.
 #include <cstdio>
 #include <string>
@@ -71,29 +69,6 @@ std::vector<sim::SweepJob> build_grid(const bench::CommonOptions& o) {
   return grid;
 }
 
-bool write_retirement_log(const std::string& path,
-                          const std::vector<fabric::RetirementRecord>& log) {
-  if (path.empty()) return true;
-  // Line-oriented report, overwritten whole each run — not store data.
-  std::FILE* f = std::fopen(path.c_str(), "w");  // aeep-lint: allow(raw-fs-call)
-  if (!f) {
-    std::fprintf(stderr, "aeep_coord: cannot write %s\n", path.c_str());
-    return false;
-  }
-  for (const auto& rec : log) {
-    JsonValue j = JsonValue::object();
-    j.set("worker", JsonValue::string(rec.worker));
-    j.set("reason", JsonValue::string(rec.reason));
-    j.set("consecutive_failures",
-          JsonValue::number(u64{rec.consecutive_failures}));
-    j.set("t_ms", JsonValue::number(rec.t_ms));
-    const std::string line = j.dump(0) + "\n";
-    std::fputs(line.c_str(), f);
-  }
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,28 +76,16 @@ int main(int argc, char** argv) {
   const bench::CommonOptions o = bench::parse_common(args);
   const bool local_only = args.get_bool("local", false);
   const std::vector<std::string> workers = args.get_list("workers", "");
-  const std::string retirement_log_path = args.get("retirement-log", "");
 
   fabric::FabricConfig cfg;
   cfg.seed = o.seed;
   cfg.backoff.base_ms = args.get_u64("backoff-base-ms", cfg.backoff.base_ms);
-  cfg.retire_after = static_cast<unsigned>(
-      args.get_u64("retire-after", cfg.retire_after));
   cfg.max_attempts = static_cast<unsigned>(
       args.get_u64("max-attempts", cfg.max_attempts));
   cfg.batch_size = static_cast<std::size_t>(
       args.get_u64("batch-size", cfg.batch_size));
   cfg.call_timeout_ms = args.get_u64("call-timeout-ms", cfg.call_timeout_ms);
   cfg.job_wait_ms = args.get_u64("job-wait-ms", cfg.job_wait_ms);
-  cfg.straggler_factor =
-      args.get_double("straggler-factor", cfg.straggler_factor);
-  cfg.straggler_min_ms =
-      args.get_u64("straggler-min-ms", cfg.straggler_min_ms);
-  cfg.min_fleet = static_cast<std::size_t>(
-      args.get_u64("min-fleet", cfg.min_fleet));
-  cfg.allow_local_fallback = !args.get_bool("no-local-fallback", false);
-  cfg.probe_timeout_ms =
-      args.get_u64("probe-timeout-ms", cfg.probe_timeout_ms);
   cfg.local_jobs = static_cast<unsigned>(args.get_u64("local-jobs", o.jobs));
   const std::string store_dir = args.get("store", "");
   cfg.token = args.get("token", "");
@@ -149,8 +112,12 @@ int main(int argc, char** argv) {
                grid.size(), cfg.workers.size(),
                local_only ? " (local baseline)" : "");
 
-  bench::JsonReporter reporter("coord_sweep", o,
-                               static_cast<unsigned>(cfg.workers.size()));
+  // "jobs" is the worker count the sweep used: the fleet, or the local
+  // SweepRunner's threads.
+  bench::JsonReporter reporter(
+      "coord_sweep", o,
+      local_only ? bench::resolve_jobs(o)
+                 : static_cast<unsigned>(cfg.workers.size()));
   reporter.set_config("mode",
                       JsonValue::string(local_only ? "local" : "fabric"));
 
@@ -196,32 +163,25 @@ int main(int argc, char** argv) {
       return 1;
     }
     report(coord->run(grid, [](const fabric::FabricProgress& p) {
-      std::fprintf(stderr, "[%zu/%zu] %s:%s <- %s%s\n", p.completed, p.total,
+      std::fprintf(stderr, "[%zu/%zu] %s:%s <- %s\n", p.completed, p.total,
                    p.job->benchmark.c_str(), p.job->tag.c_str(),
-                   p.outcome->ok() ? p.outcome->worker.c_str() : "FAILED",
-                   p.outcome->speculative ? " (speculative)" : "");
+                   p.outcome->ok() ? p.outcome->worker.c_str() : "FAILED");
     }));
 
     const fabric::FabricStats s = coord->stats();
     std::fprintf(stderr,
                  "aeep_coord: remote=%llu local=%llu cached=%llu "
-                 "retries=%llu speculative=%llu duplicates=%llu "
-                 "worker_failures=%llu busy_backoffs=%llu\n",
+                 "retries=%llu worker_failures=%llu busy_backoffs=%llu\n",
                  static_cast<unsigned long long>(s.jobs_remote),
                  static_cast<unsigned long long>(s.jobs_local),
                  static_cast<unsigned long long>(s.jobs_cached),
                  static_cast<unsigned long long>(s.retries),
-                 static_cast<unsigned long long>(s.speculative_dispatches),
-                 static_cast<unsigned long long>(s.duplicates_discarded),
                  static_cast<unsigned long long>(s.worker_failures),
                  static_cast<unsigned long long>(s.busy_backoffs));
     report_store(s.jobs_cached);
-    const auto retirement_log = coord->registry().retirement_log();
-    for (const auto& rec : retirement_log)
-      std::fprintf(stderr, "aeep_coord: retired %s after %u failure(s): %s\n",
-                   rec.worker.c_str(), rec.consecutive_failures,
-                   rec.reason.c_str());
-    if (!write_retirement_log(retirement_log_path, retirement_log)) return 1;
+    for (const fabric::DroppedWorker& d : coord->dropped())
+      std::fprintf(stderr, "aeep_coord: dropped worker %s: %s\n",
+                   d.worker.c_str(), d.reason.c_str());
   }
 
   if (!reporter.write(o.json_path)) return 1;
