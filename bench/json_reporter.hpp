@@ -23,8 +23,10 @@
 // one field that legitimately differs between otherwise bit-exact runs.
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -98,22 +100,25 @@ class JsonReporter {
   }
 
   /// Stamp the wall clock and write the file; no-op when `path` is empty.
-  /// Returns false (with a message on stderr) when the file cannot be
-  /// written.
+  /// Returns false (with the path and the error on stderr) when the file
+  /// cannot be written.
   bool write(const std::string& path) {
     if (path.empty()) return true;
     root_.set("wall_clock_seconds", JsonValue::number(elapsed_seconds()));
+    const std::string text = root_.dump(2) + "\n";
     // Whole-document overwrite of a human-readable report.
     FILE* f = std::fopen(path.c_str(), "w");  // aeep-lint: allow(raw-fs-call)
-    if (!f) {
-      std::fprintf(stderr, "cannot write --json file: %s\n", path.c_str());
+    bool ok = f != nullptr && std::fputs(text.c_str(), f) >= 0;
+    // The text may sit in the stdio buffer until fclose flushes it, so a
+    // full disk can first show up there.
+    if (f != nullptr && std::fclose(f) != 0) ok = false;
+    if (!ok) {
+      std::fprintf(stderr, "cannot write --json file %s: %s\n", path.c_str(),
+                   std::strerror(errno));
       return false;
     }
-    const std::string text = root_.dump(2) + "\n";
-    const bool ok = std::fputs(text.c_str(), f) >= 0;
-    std::fclose(f);
-    if (ok) std::fprintf(stderr, "wrote %s\n", path.c_str());
-    return ok;
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
+    return true;
   }
 
  private:

@@ -14,8 +14,7 @@
 // a short backoff; it is load shedding working as designed. Anything else
 // that fails — submit error, failed job, lost connection — counts as
 // `dropped`, and the acceptance gate is simple: jobs_per_sec >= 250 with
-// dropped == 0 on the smoke config (raised from 100 when dispatch moved to
-// the lock-free MpmcQueue). The --json cell carries jobs/sec plus
+// dropped == 0 on the smoke config. The --json cell carries jobs/sec plus
 // client-observed latency percentiles (submit -> result received).
 #include <algorithm>
 #include <atomic>
@@ -130,7 +129,6 @@ int main(int argc, char** argv) {
   const std::string ext_host = args.get("host", "");
   const u16 ext_port = static_cast<u16>(args.get_u64("port", 0));
   const u64 queue_capacity = args.get_u64("queue-capacity", 256);
-  const u64 max_batch = args.get_u64("max-batch", 16);
   reject_unknown_flags(args);
 
   // Self-host unless pointed at an external server.
@@ -149,7 +147,6 @@ int main(int argc, char** argv) {
     cfg.port = 0;
     cfg.workers = o.jobs;
     cfg.queue_capacity = static_cast<std::size_t>(queue_capacity);
-    cfg.max_batch = static_cast<std::size_t>(max_batch);
     cfg.max_connections = static_cast<std::size_t>(connections) + 8;
     cfg.trace_dir = dir;
     local = std::make_unique<server::JobServer>(cfg);
@@ -165,7 +162,6 @@ int main(int argc, char** argv) {
   reporter.set_config("connections", JsonValue::number(connections));
   reporter.set_config("jobs_total", JsonValue::number(jobs_total));
   reporter.set_config("queue_capacity", JsonValue::number(queue_capacity));
-  reporter.set_config("max_batch", JsonValue::number(max_batch));
 
   LoadStats stats;
   const auto t0 = std::chrono::steady_clock::now();

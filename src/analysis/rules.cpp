@@ -417,11 +417,10 @@ void check_sleep(FileContext& ctx) {
 }
 
 // --- rule: deque-in-hot-path -----------------------------------------------
-// std::deque / std::queue under src/sim, src/server and src/cpu: the sweep
-// pool and the job server dispatch on the lock-free aeep::MpmcQueue, and
-// per-entry state (the core's RUU and fetch queue included) belongs in
-// dense fixed rings — a node-based queue there reintroduces either a
-// mutex-guarded hot path or pointer-chasing scans.
+// std::deque / std::queue under src/sim, src/server and src/cpu: per-entry
+// state (the core's RUU and fetch queue included) belongs in dense fixed
+// rings or indexed tables; a node-based queue there brings back
+// pointer-chasing scans.
 void check_hot_queue(FileContext& ctx) {
   const auto& code = ctx.code;
   for (std::size_t i = 0; i + 3 < code.size(); ++i) {
@@ -431,9 +430,8 @@ void check_hot_queue(FileContext& ctx) {
       continue;
     ctx.report(kHotQueue, code[i + 2].line,
                "std::" + code[i + 2].text +
-                   " in src/sim|src/server|src/cpu is banned; use "
-                   "aeep::MpmcQueue for work hand-off or a dense SoA ring "
-                   "for per-entry state (deliberate: aeep-lint: "
+                   " in src/sim|src/server|src/cpu is banned; use a dense "
+                   "SoA ring or an indexed table (deliberate: aeep-lint: "
                    "allow(deque-in-hot-path))");
   }
 }
@@ -483,8 +481,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {kNakedNew, "no naked new/delete in src/ outside free-list code"},
       {kSleep, "no sleep_for/sleep_until in src/; wait on a condvar"},
       {kHotQueue,
-       "no std::deque/std::queue under src/sim|src/server|src/cpu; use "
-       "MpmcQueue or a dense SoA ring"},
+       "no std::deque/std::queue under src/sim|src/server|src/cpu; use a "
+       "dense SoA ring or an indexed table"},
       {kRawClock,
        "no std::chrono::steady_clock outside src/metrics; time through "
        "metrics::now()/ScopedTimer"},

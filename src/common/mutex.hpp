@@ -33,7 +33,6 @@ class AEEP_CAPABILITY("mutex") Mutex {
 
   void lock() AEEP_ACQUIRE() { impl_.lock(); }
   void unlock() AEEP_RELEASE() { impl_.unlock(); }
-  bool try_lock() AEEP_TRY_ACQUIRE(true) { return impl_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -49,10 +49,6 @@
 #define AEEP_RELEASE(...) \
   AEEP_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns `result`.
-#define AEEP_TRY_ACQUIRE(result, ...) \
-  AEEP_THREAD_ANNOTATION_(try_acquire_capability(result, __VA_ARGS__))
-
 /// Caller must NOT already hold the listed capabilities (deadlock guard).
 #define AEEP_EXCLUDES(...) \
   AEEP_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))

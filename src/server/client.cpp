@@ -66,10 +66,6 @@ JsonValue Client::metrics() {
   return check_reply(call(make_request("metrics")));
 }
 
-JsonValue Client::health() {
-  return check_reply(call(make_request("health")));
-}
-
 JsonValue Client::drain() {
   return check_reply(call(make_request("drain")));
 }

@@ -42,7 +42,6 @@ class Client {
   JsonValue run(const JobSpec& spec);             ///< submit + wait inline
   JsonValue stats();
   JsonValue metrics();                            ///< registry snapshot
-  JsonValue health();                             ///< liveness + drain state
   JsonValue drain();                              ///< ask the server to drain
   std::vector<std::string> traces();
 

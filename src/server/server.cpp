@@ -1,10 +1,8 @@
 #include "server/server.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <exception>
 #include <utility>
 
-#include "common/bitops.hpp"
 #include "metrics/timer.hpp"
 #include "sim/result_json.hpp"
 
@@ -44,14 +42,10 @@ JobServer::JobServer(ServerConfig config)
       c_cache_hits_(metrics::Registry::instance().counter("server.cache_hits")),
       c_cache_misses_(
           metrics::Registry::instance().counter("server.cache_misses")) {
+  if (config_.workers == 0) config_.workers = sim::SweepRunner::default_jobs();
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.max_connections == 0) config_.max_connections = 1;
   if (config_.result_retention == 0) config_.result_retention = 1;
-  // The ring wants a power of two >= 2; queue_depth_ enforces the exact
-  // configured capacity on top, so over-sizing the ring costs nothing.
-  queue_ = std::make_unique<MpmcQueue<u64>>(static_cast<std::size_t>(
-      std::max<u64>(2, ceil_pow2(config_.queue_capacity))));
 }
 
 JobServer::~JobServer() { stop(); }
@@ -64,21 +58,21 @@ void JobServer::start() {
   if (!config_.store_dir.empty())
     cache_ = std::make_unique<store::SweepCache>(
         store::StoreConfig{config_.store_dir, 4096});
-  runner_ = std::make_unique<sim::SweepRunner>(config_.workers);
   listener_ = std::make_unique<Listener>(config_.host, config_.port);
   started_at_ = metrics::now();
   {
     JsonValue f = JsonValue::object();
     f.set("host", JsonValue::string(config_.host));
     f.set("port", JsonValue::number(u64{listener_->port()}));
-    f.set("workers", JsonValue::number(u64{runner_->jobs()}));
+    f.set("workers", JsonValue::number(u64{config_.workers}));
     f.set("queue_capacity", JsonValue::number(u64{config_.queue_capacity}));
     f.set("traces", JsonValue::number(u64{registry_.size()}));
     if (cache_) f.set("store", JsonValue::string(config_.store_dir));
     log_.write("listening", std::move(f));
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
+  for (unsigned w = 0; w < config_.workers; ++w)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 u16 JobServer::port() const {
@@ -86,11 +80,11 @@ u16 JobServer::port() const {
 }
 
 void JobServer::request_drain() {
-  if (draining_.exchange(true)) return;
   {
-    // Taking the lock pairs the flag flip with the cv so the dispatcher
-    // cannot check-then-sleep across it.
+    // Flipping the flag under the lock keeps a worker from checking it and
+    // then sleeping across the notify.
     const MutexLock lock(mutex_);
+    if (draining_.exchange(true)) return;
   }
   cv_dispatch_.notify_all();
   log_.write("drain_begin", JsonValue::object());
@@ -99,7 +93,8 @@ void JobServer::request_drain() {
 u64 JobServer::drain() {
   if (!started_.load()) return 0;
   request_drain();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  for (auto& w : workers_) w.join();
+  workers_.clear();
   log_metrics_summary("drain");
   u64 completed = 0;
   {
@@ -122,27 +117,18 @@ void JobServer::stop() {
   {
     const MutexLock lock(mutex_);
     // Anything still queued will never run; fail it loudly rather than
-    // leaving a waiting client to time out. Drain the ring, then sweep the
-    // job table for kQueued stragglers (a submit may have inserted its job
-    // but not yet published the id to the ring).
-    u64 id = 0;
-    while (queue_->try_pop(id)) {
-      const auto it = jobs_.find(id);
-      if (it != jobs_.end())
-        finish_job_locked(it->second, JobState::kFailed,
-                          ServerErrorKind::kShutdown,
-                          "server shut down before the job ran");
-    }
+    // leaving a waiting client to time out.
     for (auto& [jid, job] : jobs_) {
       if (job.state == JobState::kQueued)
         finish_job_locked(job, JobState::kFailed, ServerErrorKind::kShutdown,
                           "server shut down before the job ran");
     }
-    queue_depth_.store(0);
+    queued_count_ = 0;
   }
   cv_dispatch_.notify_all();
   cv_done_.notify_all();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  for (auto& w : workers_) w.join();
+  workers_.clear();
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     // Splice the handler list out first: joining while holding conn_mutex_
@@ -168,7 +154,7 @@ void JobServer::stop() {
 ServerStats JobServer::stats() const {
   const MutexLock lock(mutex_);
   ServerStats s = stats_;
-  s.queued = queue_depth_.load();
+  s.queued = queued_count_;
   s.running = running_count_;
   return s;
 }
@@ -178,91 +164,83 @@ void JobServer::reset_stats() {
   stats_ = ServerStats{};
 }
 
-// --- dispatcher ------------------------------------------------------------
+// --- workers ---------------------------------------------------------------
 
-void JobServer::dispatch_loop() {
+void JobServer::worker_loop() {
   while (true) {
-    std::vector<sim::SweepJob> grid;
-    std::vector<u64> ids;
+    sim::SweepJob cell;
+    u64 id = 0;
+    bool has_deadline = false;
+    metrics::TimePoint deadline{};
     {
       const MutexLock lock(mutex_);
-      while (!closing_.load() && !draining_.load() &&
-             queue_depth_.load() == 0)
+      while (!closing_.load() && !draining_.load() && queued_count_ == 0)
         cv_dispatch_.wait(mutex_);
-      if (closing_.load()) return;
+      // Closing, or draining with nothing left to run.
+      if (closing_.load() || queued_count_ == 0) return;
 
+      // Ids are handed out in submit order, so the first queued job at or
+      // after the cursor is the oldest. Store hits are born terminal and
+      // running jobs are already taken; both are skipped.
+      auto it = jobs_.lower_bound(next_queued_);
+      while (it->second.state != JobState::kQueued) ++it;
+      next_queued_ = it->first + 1;
+      --queued_count_;
+      Job& job = it->second;
       const auto now = metrics::now();
-      u64 id = 0;
-      while (ids.size() < config_.max_batch && queue_->try_pop(id)) {
-        queue_depth_.fetch_sub(1);
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end()) continue;
-        Job& job = it->second;
-        if (job.has_deadline && now > job.deadline) {
-          finish_job_locked(job, JobState::kTimeout,
-                            ServerErrorKind::kTimeout,
-                            "deadline expired while queued");
-          continue;
-        }
-        job.state = JobState::kRunning;
-        h_queue_wait_.record(metrics::us_between(job.submitted_at, now));
-        ++running_count_;
-        sim::SweepJob sj;
-        sj.benchmark = job.spec.benchmark;
-        sj.options = job.spec;
-        sj.tag = std::to_string(id);
-        grid.push_back(std::move(sj));
-        ids.push_back(id);
-      }
-      if (ids.empty()) {
-        // Ring dry. depth > 0 means a submitter reserved a slot but hasn't
-        // published the id yet; loop (the wait predicate sees depth > 0 and
-        // falls straight through) until the push lands — a few atomics away.
-        if (draining_.load() && queue_depth_.load() == 0)
-          return;  // drained dry: dispatcher is done
+      if (job.has_deadline && now > job.deadline) {
+        finish_job_locked(job, JobState::kTimeout, ServerErrorKind::kTimeout,
+                          "deadline expired while queued");
         continue;
       }
-      ++stats_.batches;
+      job.state = JobState::kRunning;
+      ++running_count_;
+      h_queue_wait_.record(metrics::us_between(job.submitted_at, now));
+      id = job.id;
+      has_deadline = job.has_deadline;
+      deadline = job.deadline;
+      cell.benchmark = job.spec.benchmark;
+      cell.options = job.spec;
     }
 
-    // Run the batch unlocked. Each job completes from the progress
-    // callback the moment it finishes — a fast trace replay's client is
-    // answered while a slow exec job in the same batch still runs.
-    runner_->run(grid, [&](const sim::SweepProgress& p) {
-      bool store_result = false;
-      h_replay_.record(static_cast<u64>(p.outcome->wall_seconds * 1e6));
-      {
-        const MutexLock g(mutex_);
-        const auto it = jobs_.find(ids[p.job_index]);
-        if (it == jobs_.end()) return;
-        Job& job = it->second;
-        if (!p.outcome->ok()) {
-          finish_job_locked(job, JobState::kFailed, ServerErrorKind::kInternal,
-                            p.outcome->error);
-        } else if (job.has_deadline && metrics::now() > job.deadline) {
-          finish_job_locked(job, JobState::kTimeout, ServerErrorKind::kTimeout,
-                            "completed after its deadline; result discarded");
-        } else {
-          job.result = p.outcome->result;
-          finish_job_locked(job, JobState::kDone, ServerErrorKind::kInternal,
-                            "");
-          store_result = cache_ != nullptr;
-        }
-      }
-      // The store insert happens after mutex_ is released — the cache has
-      // its own lock and the two must never nest (see submit_job).
-      if (store_result) {
-        cache_->insert(grid[p.job_index], p.outcome->result);
-        {
-          const MutexLock g(mutex_);
-          ++stats_.cache_stores;
-        }
-        JsonValue f = JsonValue::object();
-        f.set("job", JsonValue::number(ids[p.job_index]));
-        f.set("benchmark", JsonValue::string(grid[p.job_index].benchmark));
+    sim::SweepOutcome outcome = sim::run_cell(cell);
+    h_replay_.record(static_cast<u64>(outcome.wall_seconds * 1e6));
+    const bool late = has_deadline && metrics::now() > deadline;
+
+    // Store before reply: the insert runs unlocked (the cache has its own
+    // lock and the two never nest, see submit_job) but before the job is
+    // answered. The store is only a cache, so a failed insert is logged
+    // and the job is still answered with its result.
+    bool stored = false;
+    if (cache_ && outcome.ok() && !late) {
+      JsonValue f = JsonValue::object();
+      f.set("job", JsonValue::number(id));
+      f.set("benchmark", JsonValue::string(cell.benchmark));
+      try {
+        cache_->insert(cell, outcome.result);
+        stored = true;
         log_.write("cache_store", std::move(f));
+      } catch (const std::exception& e) {
+        f.set("error", JsonValue::string(e.what()));
+        log_.write("cache_store_failed", std::move(f));
       }
-    });
+    }
+
+    const MutexLock lock(mutex_);
+    if (stored) ++stats_.cache_stores;
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) continue;
+    Job& job = it->second;
+    if (!outcome.ok()) {
+      finish_job_locked(job, JobState::kFailed, ServerErrorKind::kInternal,
+                        outcome.error);
+    } else if (late) {
+      finish_job_locked(job, JobState::kTimeout, ServerErrorKind::kTimeout,
+                        "completed after its deadline; result discarded");
+    } else {
+      job.result = std::move(outcome.result);
+      finish_job_locked(job, JobState::kDone, ServerErrorKind::kInternal, "");
+    }
   }
 }
 
@@ -465,7 +443,6 @@ JsonValue JobServer::handle_request(const JsonValue& req, u64 conn_id) {
     if (type == "stats") return handle_stats();
     if (type == "metrics") return handle_metrics();
     if (type == "traces") return handle_traces();
-    if (type == "health") return handle_health();
     if (type == "drain") return handle_drain();
     throw ServerError(ServerErrorKind::kBadRequest,
                       "unknown request type '" + type + "'");
@@ -483,9 +460,9 @@ u64 JobServer::submit_job(const JsonValue& req) {
     spec.trace_path = registry_.path_of(spec.trace_name());
 
   // Consult the result store before the queue: a hit is born terminal and
-  // never consumes a pool slot. The cache lock is taken and released here,
+  // never reaches a worker. The cache lock is taken and released here,
   // before mutex_ — the two are never held together in this order or the
-  // other (inserts in dispatch_loop also run unlocked).
+  // other (inserts in worker_loop also run unlocked).
   if (cache_) {
     const sim::SweepJob probe{spec.benchmark, spec, {}};
     std::optional<sim::RunResult> hit;
@@ -532,23 +509,17 @@ u64 JobServer::submit_job(const JsonValue& req) {
     log_.write("cache_miss", std::move(f));
   }
 
-  // Lock-free backpressure: reserve a queue slot on the atomic depth
-  // counter before touching any shared state. Losing submitters back out
-  // with kBusy without ever serialising on mutex_.
-  if (queue_depth_.fetch_add(1) >= config_.queue_capacity) {
-    queue_depth_.fetch_sub(1);
-    const MutexLock lock(mutex_);
-    ++stats_.busy_rejected;
-    throw ServerError(ServerErrorKind::kBusy,
-                      "job queue is full (" +
-                          std::to_string(config_.queue_capacity) +
-                          " queued); retry later");
-  }
   u64 id = 0;
   {
     const MutexLock lock(mutex_);
+    if (queued_count_ >= config_.queue_capacity) {
+      ++stats_.busy_rejected;
+      throw ServerError(ServerErrorKind::kBusy,
+                        "job queue is full (" +
+                            std::to_string(config_.queue_capacity) +
+                            " queued); retry later");
+    }
     if (draining_.load()) {
-      queue_depth_.fetch_sub(1);
       ++stats_.shutdown_rejected;
       throw ServerError(ServerErrorKind::kShutdown,
                         "server is draining; not accepting new jobs");
@@ -566,17 +537,8 @@ u64 JobServer::submit_job(const JsonValue& req) {
       job.deadline = job.submitted_at + std::chrono::milliseconds(timeout_ms);
     }
     jobs_.emplace(id, std::move(job));
+    ++queued_count_;
     ++stats_.submitted;
-  }
-  // Publish after the job table knows the id; the dispatcher tolerates the
-  // reserve->push window (see dispatch_loop). The reservation above
-  // guarantees the ring (capacity >= queue_capacity) has room.
-  if (!queue_->try_push(id))
-    throw std::logic_error("job ring refused a reserved slot");
-  {
-    // Pair the push with the cv so the dispatcher cannot check-then-sleep
-    // across it (same trick as request_drain).
-    const MutexLock lock(mutex_);
   }
   cv_dispatch_.notify_one();
   return id;
@@ -586,7 +548,8 @@ JsonValue JobServer::handle_submit(const JsonValue& req) {
   const u64 id = submit_job(req);
   JsonValue r = ok_reply("submitted");
   r.set("job_id", JsonValue::number(id));
-  r.set("queue_depth", JsonValue::number(u64{queue_depth_.load()}));
+  const MutexLock lock(mutex_);
+  r.set("queue_depth", JsonValue::number(u64{queued_count_}));
   return r;
 }
 
@@ -604,13 +567,10 @@ JsonValue JobServer::handle_status(const JsonValue& req) {
   r.set("state", JsonValue::string(to_string(job.state)));
   if (job.state == JobState::kQueued) {
     // Ids are handed out in FIFO order, so the position is the number of
-    // still-queued jobs submitted before this one. O(jobs) map walk, but
-    // status is a cold path and the ring has no stable iteration.
+    // still-queued jobs submitted before this one.
     u64 ahead = 0;
-    for (const auto& [oid, other] : jobs_) {
-      if (oid >= id) break;
-      if (other.state == JobState::kQueued) ++ahead;
-    }
+    for (auto o = jobs_.lower_bound(next_queued_); o->first < id; ++o)
+      if (o->second.state == JobState::kQueued) ++ahead;
     r.set("queue_position", JsonValue::number(ahead));
   }
   r.set("wall_ms", JsonValue::number(is_terminal(job.state)
@@ -681,7 +641,7 @@ JsonValue JobServer::handle_run(const JsonValue& req) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           it->second.deadline - metrics::now());
       budget_ms = static_cast<u64>(left.count() > 0 ? left.count() : 0) +
-                  5'000;  // grace for the dispatcher to notice the deadline
+                  5'000;  // grace for a worker to notice the deadline
     }
   }
   if (!wait_for_job(id, budget_ms))
@@ -700,8 +660,7 @@ JsonValue JobServer::handle_stats() const {
   JsonValue r = ok_reply("stats");
   r.set("uptime_ms", JsonValue::number(metrics::ms_since(started_at_)));
   r.set("draining", JsonValue::boolean(draining_.load()));
-  r.set("workers",
-        JsonValue::number(u64{runner_ ? runner_->jobs() : config_.workers}));
+  r.set("workers", JsonValue::number(u64{config_.workers}));
   r.set("queue_capacity", JsonValue::number(u64{config_.queue_capacity}));
   r.set("queued", JsonValue::number(u64{s.queued}));
   r.set("running", JsonValue::number(u64{s.running}));
@@ -714,7 +673,6 @@ JsonValue JobServer::handle_stats() const {
   r.set("completed", JsonValue::number(s.completed));
   r.set("failed", JsonValue::number(s.failed));
   r.set("timed_out", JsonValue::number(s.timed_out));
-  r.set("batches", JsonValue::number(s.batches));
   r.set("cache_hits", JsonValue::number(s.cache_hits));
   r.set("cache_misses", JsonValue::number(s.cache_misses));
   r.set("cache_stores", JsonValue::number(s.cache_stores));
@@ -730,25 +688,9 @@ JsonValue JobServer::handle_stats() const {
   return r;
 }
 
-JsonValue JobServer::handle_health() const {
-  // Deliberately cheap — the fabric coordinator probes every worker with
-  // this before dispatch, so it must answer fast even under load.
-  JsonValue r = ok_reply("health");
-  r.set("draining", JsonValue::boolean(draining_.load()));
-  r.set("queued", JsonValue::number(u64{queue_depth_.load()}));
-  {
-    const MutexLock lock(mutex_);
-    r.set("running", JsonValue::number(u64{running_count_}));
-  }
-  r.set("queue_capacity", JsonValue::number(u64{config_.queue_capacity}));
-  return r;
-}
-
 JsonValue JobServer::handle_drain() {
   // Remote equivalent of aeep_served's SIGTERM path: stop accepting new
-  // submits, let the queue finish. The reply confirms the state flip so a
-  // coordinator can retire the worker immediately instead of discovering
-  // kShutdown bounces one submit at a time.
+  // submits, let the queue finish. The reply confirms the state flip.
   request_drain();
   JsonValue r = ok_reply("drain");
   r.set("draining", JsonValue::boolean(true));

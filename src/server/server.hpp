@@ -1,26 +1,28 @@
 // aeep_served's engine: a TCP job server that accepts experiment /
-// trace-replay requests as length-prefixed JSON frames and batches them
-// onto one shared sim::SweepRunner pool.
+// trace-replay requests as length-prefixed JSON frames and runs each one
+// on a fixed set of worker threads.
 //
 // Threading model (three kinds of threads, one lock):
 //  - the accept loop polls the listener with a short timeout, spawns one
 //    handler thread per connection, and bounces connections beyond
 //    max_connections with a kBusy frame before closing;
-//  - handler threads speak the request/reply protocol; a submit enqueues
-//    into a *bounded* lock-free MPMC ring (common/mpmc_queue.hpp) after
-//    reserving a slot on an atomic depth counter — when full the client
-//    gets an explicit kBusy reply (backpressure, 429-style) instead of an
-//    ever-growing backlog. The mutex guards only the cold job-table map;
-//    the enqueue itself never takes it;
-//  - one dispatcher thread drains the ring in batches of <= max_batch
-//    jobs through SweepRunner::run(), completing each job from the
-//    progress callback as it finishes (not at batch end).
-// Per-job wall-clock deadlines are enforced twice: a job still queued past
-// its deadline is failed as kTimeout without running, and a job whose
-// batch finishes late has its result discarded as kTimeout (SweepRunner
-// cannot cancel a running simulation, so late != free).
+//  - handler threads speak the request/reply protocol; a submit adds a
+//    kQueued job to the job table, or answers kBusy when queue_capacity
+//    jobs are already queued (backpressure, 429-style) instead of growing
+//    an unbounded backlog;
+//  - `workers` threads each take the oldest queued job from the job
+//    table, run it through sim::run_cell(), store the result and answer
+//    the job, then take the next.
+// mutex_ guards the job table and every counter a worker shares with a
+// handler; nothing runs a simulation or touches the store while holding
+// it. Per-job wall-clock deadlines are enforced twice: a job still queued
+// past its deadline is failed as kTimeout without running, and a job that
+// finishes late has its result discarded as kTimeout (a running simulation
+// cannot be cancelled, so late != free). With a store, a finished job's
+// result is inserted before the job is answered, so a client holding the
+// reply knows the result is stored.
 // Graceful shutdown: request_drain() stops new submits (kShutdown
-// replies), lets queued + running jobs finish, then close() tears down
+// replies), lets queued + running jobs finish, then stop() tears down
 // connections — the SIGTERM path in aeep_served.
 #pragma once
 
@@ -34,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "metrics/clock.hpp"
@@ -51,9 +52,8 @@ namespace aeep::server {
 struct ServerConfig {
   std::string host = "127.0.0.1";
   u16 port = 0;                      ///< 0 = kernel-assigned (see port())
-  unsigned workers = 0;              ///< SweepRunner threads; 0 = hw count
+  unsigned workers = 0;              ///< job-running threads; 0 = hw count
   std::size_t queue_capacity = 64;   ///< queued (not yet running) jobs
-  std::size_t max_batch = 8;         ///< jobs dispatched per SweepRunner run
   std::size_t max_connections = 64;  ///< concurrent handler threads
   u64 default_timeout_ms = 120'000;  ///< per-job wall clock (0 = none)
   std::size_t result_retention = 4096;  ///< finished jobs kept queryable
@@ -62,7 +62,7 @@ struct ServerConfig {
   u64 access_log_max_bytes = 0;      ///< rotate to .1 past this; 0 = never
   /// Result-store directory (store::SweepCache). Empty = no cache. A
   /// submit whose job digest hits the store is answered terminal-kDone
-  /// without ever touching the sweep pool.
+  /// without ever reaching a worker.
   std::string store_dir;
   /// Write a "metrics" access-log line (per-stage histogram summary) every
   /// N terminal jobs, and once more at drain. 0 = only at drain.
@@ -87,7 +87,6 @@ struct ServerStats {
   u64 completed = 0;
   u64 failed = 0;
   u64 timed_out = 0;
-  u64 batches = 0;            ///< SweepRunner dispatches
   u64 cache_hits = 0;         ///< submits answered straight from the store
   u64 cache_misses = 0;       ///< submits that had to run (store enabled)
   u64 cache_stores = 0;       ///< completed results written to the store
@@ -104,7 +103,7 @@ class JobServer {
   JobServer(const JobServer&) = delete;
   JobServer& operator=(const JobServer&) = delete;
 
-  /// Bind + spawn the accept and dispatcher threads. Throws
+  /// Bind + spawn the accept and worker threads. Throws
   /// ServerError(kIo) when the port is taken or trace_dir unreadable.
   void start();
 
@@ -153,7 +152,7 @@ class JobServer {
   };
 
   void accept_loop();
-  void dispatch_loop();
+  void worker_loop();
   void handle_connection(Socket sock, u64 conn_id, std::string peer);
   JsonValue handle_request(const JsonValue& req, u64 conn_id);
 
@@ -163,7 +162,6 @@ class JobServer {
   JsonValue handle_run(const JsonValue& req);
   JsonValue handle_stats() const;
   JsonValue handle_traces() const;
-  JsonValue handle_health() const;
   JsonValue handle_drain();
   JsonValue handle_metrics() const;
 
@@ -190,23 +188,21 @@ class JobServer {
   TraceRegistry registry_;
   AccessLog log_;
   std::unique_ptr<Listener> listener_;
-  std::unique_ptr<sim::SweepRunner> runner_;
   /// Created by start() when config.store_dir is set. Internally locked;
   /// never touched while holding mutex_ (cache lookups happen before the
   /// job table is locked, inserts after it is released).
   std::unique_ptr<store::SweepCache> cache_;
 
   mutable aeep::Mutex mutex_;
-  aeep::CondVar cv_dispatch_;  ///< queue gained work / draining
+  aeep::CondVar cv_dispatch_;  ///< a job was queued / draining / closing
   aeep::CondVar cv_done_;      ///< some job reached terminal state
+  /// The job table. Ids are handed out in submit order, so the queued jobs
+  /// in id order are the queue, oldest first.
   std::map<u64, Job> jobs_ AEEP_GUARDED_BY(mutex_);
-  /// FIFO of queued job ids. Lock-free: submits push and the dispatcher
-  /// pops without touching mutex_. Ring capacity is queue_capacity rounded
-  /// up to a power of two; the *exact* configured bound is enforced by
-  /// queue_depth_ (reserve-then-push), so a capacity-1 server still bounces
-  /// the second submit.
-  std::unique_ptr<MpmcQueue<u64>> queue_;
-  std::atomic<std::size_t> queue_depth_{0};
+  /// No job below this id is queued: where a worker starts looking.
+  u64 next_queued_ AEEP_GUARDED_BY(mutex_) = 1;
+  /// kQueued jobs in jobs_; bounded by queue_capacity.
+  std::size_t queued_count_ AEEP_GUARDED_BY(mutex_) = 0;
   /// retention ring, oldest first
   std::vector<u64> finished_order_ AEEP_GUARDED_BY(mutex_);
   u64 next_job_id_ AEEP_GUARDED_BY(mutex_) = 1;
@@ -232,7 +228,7 @@ class JobServer {
   std::atomic<bool> started_{false};
 
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
+  std::vector<std::thread> workers_;
   aeep::Mutex conn_mutex_;
   std::list<Connection> connections_ AEEP_GUARDED_BY(conn_mutex_);
   std::size_t active_connections_ AEEP_GUARDED_BY(conn_mutex_) = 0;

@@ -4,7 +4,7 @@
 //
 // Every request and reply is one frame holding one JSON object. Requests
 // carry a "type" ("ping", "submit", "status", "result", "run", "stats",
-// "traces", "health", "drain");
+// "metrics", "traces", "drain");
 // replies always carry "ok" (bool) and, when ok is false, a stable "error"
 // wire code from error.hpp plus a human "message".
 //

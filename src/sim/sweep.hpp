@@ -1,9 +1,11 @@
-// Parallel sweep engine for (benchmark × sweep-point) experiment grids.
+// Running sweep cells: one cell through run_cell(), a whole
+// (benchmark × sweep-point) grid through SweepRunner.
 //
 // Every figure/ablation bench drives dozens of fully independent, seeded
-// `System` runs; SweepRunner fans them out across a thread pool draining a
-// shared lock-free MPMC ring (common/mpmc_queue.hpp) so a sweep finishes in
-// grid/N wall-clock instead of grid wall-clock.
+// `System` runs; SweepRunner's workers draw cell indices from one shared
+// counter and run each through run_cell(), so a sweep finishes in grid/N
+// wall-clock instead of grid wall-clock. aeep_served's workers run each job
+// through the same run_cell().
 // Guarantees:
 //  - deterministic results: outcomes come back indexed exactly like the
 //    submitted jobs, and each run is seeded entirely by its SystemConfig,
@@ -49,6 +51,11 @@ struct SweepProgress {
   const SweepOutcome* outcome = nullptr;
 };
 
+/// Run one cell: the outcome holds its RunResult, or the exception it threw
+/// as an error string, plus its own wall clock (also recorded in the
+/// `sim.sweep.cell_us` histogram).
+SweepOutcome run_cell(const SweepJob& job);
+
 class SweepRunner {
  public:
   using ProgressFn = std::function<void(const SweepProgress&)>;
@@ -63,9 +70,7 @@ class SweepRunner {
   /// Run the whole grid. Outcomes are indexed exactly like `grid`
   /// regardless of which worker ran what. `progress` (optional) is invoked
   /// serialised, in completion order, with `completed` strictly increasing
-  /// 1..N — but off the workers' critical path: a slow callback delays at
-  /// most the one worker currently elected to deliver events, never the
-  /// whole pool.
+  /// 1..N; the worker that finished the cell makes the call.
   std::vector<SweepOutcome> run(const std::vector<SweepJob>& grid,
                                 const ProgressFn& progress = nullptr) const;
 

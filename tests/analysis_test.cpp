@@ -478,7 +478,7 @@ TEST(HotQueue, OtherDirsAndOtherContainersQuiet) {
                      "deque-in-hot-path"));
   EXPECT_FALSE(fired("src/sim/x.hpp", "std::vector<Cycle> stamps_;",
                      "deque-in-hot-path"));
-  // priority_queue is a different beast (no MpmcQueue equivalent).
+  // priority_queue is a different beast (an ordered heap, not a FIFO).
   EXPECT_FALSE(fired("src/sim/x.hpp", "std::priority_queue<Ev> evq_;",
                      "deque-in-hot-path"));
 }

@@ -1,8 +1,8 @@
 // Tests for the fault-tolerant sweep fabric (src/fabric/): the shared
 // backoff schedule, worker endpoint parsing, ChaosProxy fault injection
 // and the typed errors each fault must surface as, wire-frame
-// robustness of the server against malformed bytes, the health/drain
-// endpoints, bounded access logs, and the coordinator's load-bearing
+// robustness of the server against malformed bytes, the drain
+// endpoint, bounded access logs, and the coordinator's load-bearing
 // claim: a grid run through a (possibly dying) fleet returns RunResults
 // identical, field for field, to a local SweepRunner run of the same grid,
 // with workers that keep failing dropped and their cells run locally.
@@ -165,7 +165,7 @@ TEST(Chaos, ZeroFaultPolicyIsTransparent) {
   server::Client client("127.0.0.1", proxy.port());
   const JsonValue pong = client.ping();
   EXPECT_EQ(pong.get_string("server", ""), "aeep_served");
-  EXPECT_EQ(client.health().get_bool("draining", true), false);
+  EXPECT_EQ(client.stats().get_bool("draining", true), false);
   const ChaosStats s = proxy.stats();
   EXPECT_EQ(s.connections, 1u);
   EXPECT_GE(s.frames_forwarded, 4u);  // two round trips
@@ -300,13 +300,13 @@ TEST(WireRobustness, TruncatedHeaderAndMidFrameDisconnectDoNotWedge) {
   served.stop();
 }
 
-// --- health + drain endpoints ----------------------------------------------
+// --- drain endpoint --------------------------------------------------------
 
-TEST(HealthDrain, HealthReportsLoadAndDrainState) {
+TEST(Drain, StatsReportLoadAndDrainState) {
   server::JobServer served(worker_config());
   served.start();
   server::Client client("127.0.0.1", served.port());
-  const JsonValue h = client.health();
+  const JsonValue h = client.stats();
   EXPECT_TRUE(h.get_bool("ok", false));
   EXPECT_FALSE(h.get_bool("draining", true));
   EXPECT_EQ(h.get_u64("queued", 99), 0u);
@@ -314,13 +314,13 @@ TEST(HealthDrain, HealthReportsLoadAndDrainState) {
   served.stop();
 }
 
-TEST(HealthDrain, DrainFlipsTheStateAndBouncesNewSubmits) {
+TEST(Drain, DrainFlipsTheStateAndBouncesNewSubmits) {
   server::JobServer served(worker_config());
   served.start();
   server::Client client("127.0.0.1", served.port());
   const JsonValue d = client.drain();
   EXPECT_TRUE(d.get_bool("draining", false));
-  EXPECT_TRUE(client.health().get_bool("draining", false));
+  EXPECT_TRUE(client.stats().get_bool("draining", false));
   server::JobSpec spec;
   spec.instructions = 10'000;
   EXPECT_EQ(kind_of([&] { client.submit(spec); }),
@@ -676,14 +676,13 @@ TEST(Coordinator, ChaosCorruptionBetweenFleetAndCoordinatorStaysBitExact) {
 }
 
 TEST(Coordinator, BusyBouncesChargeNoAttemptAndDropNoWorker) {
-  // A one-slot queue that takes one job per dispatch bounces most of each
-  // 4-cell batch as kBusy. With a single attempt per cell, a charged bounce
-  // would fail its cell; an absorbed one re-queues it for free.
+  // A one-worker server with a one-slot queue bounces most of each 4-cell
+  // batch as kBusy. With a single attempt per cell, a charged bounce would
+  // fail its cell; an absorbed one re-queues it for free.
   const auto grid = small_grid();
   const auto expected = baseline_results(grid);
   server::ServerConfig wcfg = worker_config();
   wcfg.queue_capacity = 1;
-  wcfg.max_batch = 1;
   server::JobServer worker(wcfg);
   worker.start();
   FabricConfig cfg = test_config();

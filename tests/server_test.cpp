@@ -4,9 +4,11 @@
 // a trace-replay job through the server returns bit-identical metrics to
 // the same replay run in-process.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -20,6 +22,7 @@
 #include "server/wire.hpp"
 #include "sim/experiment.hpp"
 #include "sim/result_json.hpp"
+#include "store/result_store.hpp"
 
 namespace aeep::server {
 namespace {
@@ -325,10 +328,7 @@ TEST(JobServer, ResubmittedJobIsServedFromTheResultStore) {
   const u64 first = client.submit(small_exec_job());
   const JsonValue cold = client.result(first, /*wait=*/true, 60'000);
   EXPECT_EQ(cold.get_string("state"), "done");
-  // The store insert happens after the job is observable as done (it runs
-  // outside the server mutex); wait for the counter before resubmitting.
-  for (int i = 0; i < 200 && served.stats().cache_stores == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // A job is answered only after its result is in the store.
   ASSERT_EQ(served.stats().cache_stores, 1u);
 
   // Same spec again: answered from the store, born terminal — no queue
@@ -364,7 +364,6 @@ TEST(JobServer, FullQueueAnswersBusyInsteadOfQueueingUnboundedly) {
   ServerConfig cfg;
   cfg.port = 0;
   cfg.workers = 1;
-  cfg.max_batch = 1;
   cfg.queue_capacity = 1;
   JobServer served(cfg);
   served.start();
@@ -398,7 +397,6 @@ TEST(JobServer, QueuedJobPastDeadlineTimesOutWithoutRunning) {
   ServerConfig cfg;
   cfg.port = 0;
   cfg.workers = 1;
-  cfg.max_batch = 1;
   JobServer served(cfg);
   served.start();
   Client client("127.0.0.1", served.port());
@@ -411,6 +409,71 @@ TEST(JobServer, QueuedJobPastDeadlineTimesOutWithoutRunning) {
   EXPECT_EQ(kind_of([&] { client.result(id, /*wait=*/true, 120'000); }),
             ServerErrorKind::kTimeout);
   EXPECT_GE(served.stats().timed_out, 1u);
+  served.drain();
+}
+
+TEST(JobServer, StoreInsertFailureStillAnswersTheJob) {
+  const std::string store_dir =
+      testing::TempDir() + "aeep_server_test_store_full";
+  std::filesystem::remove_all(store_dir);
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 1;
+  cfg.store_dir = store_dir;
+  JobServer served(cfg);
+  served.start();
+  Client client("127.0.0.1", served.port());
+
+  // Cap file sizes a few bytes past the fresh segment, so the insert's
+  // flush fails (EFBIG, with SIGXFSZ ignored so the process lives on).
+  // The cap holds through drain(), which joins the worker: an insert error
+  // escaping it would end the process inside this test. ctest runs every
+  // case in its own process; the cap touches no other.
+  std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(
+      std::filesystem::file_size(store::ResultStore::segment_path(store_dir)) +
+      4);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const JsonValue reply = client.run(small_exec_job());
+  const std::string pong = client.ping().get_string("type");
+  served.drain();
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+
+  // The store is only a cache: the job is still answered with its result.
+  EXPECT_EQ(reply.get_string("state"), "done");
+  EXPECT_NE(reply.find("metrics"), nullptr);
+  EXPECT_EQ(pong, "pong");
+  const ServerStats stats = served.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.cache_stores, 0u);
+}
+
+TEST(JobServer, IdleWorkerTakesANewJobWhileAnotherRuns) {
+  ServerConfig cfg;
+  cfg.port = 0;
+  cfg.workers = 2;
+  JobServer served(cfg);
+  served.start();
+  Client client("127.0.0.1", served.port());
+
+  client.submit(small_exec_job(kOccupyingInstructions));
+  wait_until_occupied(served);
+  // The second worker is idle, so it takes the next job at once instead of
+  // leaving it queued until the first job finishes.
+  client.submit(small_exec_job(kOccupyingInstructions));
+  bool both_running = false;
+  for (int i = 0; i < 30'000 && !both_running; ++i) {
+    const ServerStats s = served.stats();
+    ASSERT_EQ(s.completed + s.failed + s.timed_out, 0u)
+        << "a job finished before both were running";
+    both_running = s.running == 2;
+    if (!both_running)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(both_running);
   served.drain();
 }
 

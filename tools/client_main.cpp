@@ -5,7 +5,6 @@
 //   aeep_client stats   — queue depth, counters, uptime
 //   aeep_client metrics — per-stage latency histograms + counters
 //                         (also reachable as `aeep_client --metrics`)
-//   aeep_client health  — liveness + drain state (what the fabric probes)
 //   aeep_client drain   — ask the server to stop accepting new jobs
 //   aeep_client submit  [job flags]            -> prints the job id
 //   aeep_client status  --job=N
@@ -57,7 +56,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: aeep_client "
-      "<ping|traces|stats|metrics|health|drain|submit|status|result|run> "
+      "<ping|traces|stats|metrics|drain|submit|status|result|run> "
       "[--host=127.0.0.1] [--port=7421] [--retries=N] [--backoff-ms=MS] "
       "[--token=SECRET] [--flags]\n"
       "  submit/run job flags: --benchmark --frontend=exec|trace --scheme "
@@ -244,9 +243,6 @@ int main(int argc, char** argv) {
     } else if (cmd == "metrics") {
       reject_unknown_flags(args);
       return print_reply(client.metrics(), out);
-    } else if (cmd == "health") {
-      reject_unknown_flags(args);
-      return print_reply(client.health(), out);
     } else if (cmd == "drain") {
       reject_unknown_flags(args);
       return print_reply(client.drain(), out);

@@ -20,7 +20,9 @@
 //
 // Exit codes: 0 ok, 1 error (unreadable file, malformed snapshot),
 // 2 usage, 6 cannot connect, 7 unauthorized.
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -97,12 +99,16 @@ int dump_command(const CliArgs& args) {
     return 0;
   }
   std::FILE* f = std::fopen(out_path.c_str(), "w");  // aeep-lint: allow(raw-fs-call)
-  if (!f) {
-    std::fprintf(stderr, "aeep_metrics: cannot write %s\n", out_path.c_str());
+  // aeep-lint: allow(raw-file-io)
+  bool ok = f != nullptr && std::fwrite(text.data(), 1, text.size(), f) ==
+                                text.size();
+  // A full disk may first show up when fclose flushes the stdio buffer.
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "aeep_metrics: cannot write %s: %s\n",
+                 out_path.c_str(), std::strerror(errno));
     return 1;
   }
-  std::fwrite(text.data(), 1, text.size(), f);  // aeep-lint: allow(raw-file-io)
-  std::fclose(f);
   return 0;
 }
 

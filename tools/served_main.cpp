@@ -3,24 +3,24 @@
 //   aeep_served --port=7421 --trace-dir=traces/ --access-log=served.log
 //
 // Accepts experiment / trace-replay jobs over TCP (length-prefixed JSON
-// frames — see src/server/wire.hpp), batches them onto one shared
-// sim::SweepRunner pool, and applies explicit backpressure: a submit
-// against a full queue is answered with a "busy" error, never queued
-// unboundedly. SIGTERM/SIGINT drain gracefully — stop taking jobs, finish
-// what is queued and running, flush the access log, exit 0.
+// frames — see src/server/wire.hpp) into a bounded queue that --workers
+// threads take jobs from, oldest first, one at a time. A submit against a
+// full queue is answered with a "busy" error, never queued unboundedly.
+// SIGTERM/SIGINT drain gracefully — stop taking jobs, finish what is
+// queued and running, flush the access log, exit 0.
 //
 // Flags: --host (default 127.0.0.1), --port (default 7421; 0 = pick one
-// and print it), --workers (0 = hardware), --queue-capacity, --max-batch,
-// --max-connections, --timeout-ms (default per-job wall clock),
-// --retention (finished jobs kept queryable), --trace-dir (directory of
-// .aeept files clients may name), --access-log (file; "-" = stderr),
-// --access-log-max-bytes (rotate the log to .1 past this size; 0 = never),
-// --store (result-store directory: submits whose content digest hits the
-// store are answered from cache without touching the sweep pool),
-// --metrics-log-every (write a per-stage histogram summary line to the
-// access log every N terminal jobs; 0 = only at drain), --token (shared
-// secret: every request except ping must carry it or is refused
-// "unauthorized").
+// and print it), --workers (job-running threads; 0 = one per hardware
+// thread), --queue-capacity, --max-connections, --timeout-ms (default
+// per-job wall clock), --retention (finished jobs kept queryable),
+// --trace-dir (directory of .aeept files clients may name), --access-log
+// (file; "-" = stderr), --access-log-max-bytes (rotate the log to .1 past
+// this size; 0 = never), --store (result-store directory: submits whose
+// content digest hits the store are answered from cache without reaching
+// a worker), --metrics-log-every (write a per-stage histogram summary
+// line to the access log every N terminal jobs; 0 = only at drain),
+// --token (shared secret: every request except ping must carry it or is
+// refused "unauthorized").
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
   cfg.workers = static_cast<unsigned>(args.get_u64("workers", 0));
   cfg.queue_capacity = static_cast<std::size_t>(
       args.get_u64("queue-capacity", cfg.queue_capacity));
-  cfg.max_batch =
-      static_cast<std::size_t>(args.get_u64("max-batch", cfg.max_batch));
   cfg.max_connections = static_cast<std::size_t>(
       args.get_u64("max-connections", cfg.max_connections));
   cfg.default_timeout_ms = args.get_u64("timeout-ms", cfg.default_timeout_ms);
@@ -80,9 +78,9 @@ int main(int argc, char** argv) {
               unsigned{served.port()});
   std::fflush(stdout);
   std::fprintf(stderr,
-               "aeep_served: queue-capacity=%zu max-batch=%zu "
-               "timeout-ms=%llu traces=%zu (SIGTERM drains)\n",
-               cfg.queue_capacity, cfg.max_batch,
+               "aeep_served: queue-capacity=%zu timeout-ms=%llu "
+               "traces=%zu (SIGTERM drains)\n",
+               cfg.queue_capacity,
                static_cast<unsigned long long>(cfg.default_timeout_ms),
                served.registry().size());
 
