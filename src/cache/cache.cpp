@@ -5,18 +5,29 @@
 
 namespace aeep::cache {
 
+namespace {
+const CacheGeometry& validated(const CacheGeometry& geometry) {
+  geometry.validate();
+  return geometry;
+}
+}  // namespace
+
 Cache::Cache(const CacheGeometry& geometry, ReplacementPolicy replacement,
              u64 seed)
-    : geom_(geometry), repl_(replacement), rng_(seed) {
-  geom_.validate();
+    : geom_(validated(geometry)),
+      repl_(replacement),
+      offset_shift_(geom_.offset_bits()),
+      set_mask_(geom_.num_sets() - 1),
+      tag_shift_(offset_shift_ + geom_.index_bits()),
+      rng_(seed) {
   lines_.resize(geom_.total_lines());
   payload_.resize(geom_.total_lines() * geom_.words_per_line(), 0);
   retired_.assign(geom_.total_lines(), 0);
 }
 
 ProbeResult Cache::probe(Addr addr) const {
-  const u64 set = geom_.set_index(addr);
-  const u64 tag = geom_.tag_of(addr);
+  const u64 set = (addr >> offset_shift_) & set_mask_;
+  const u64 tag = addr >> tag_shift_;
   for (unsigned w = 0; w < geom_.ways; ++w) {
     const CacheLineMeta& m = lines_[line_index(set, w)];
     if (m.valid && m.tag == tag) return {true, set, w};
@@ -73,7 +84,7 @@ Victim Cache::pick_victim(u64 set) {
   const CacheLineMeta& m = lines_[line_index(set, choice)];
   Victim v;
   v.valid = true;
-  v.addr = geom_.addr_of(m.tag, set);
+  v.addr = addr_of(m.tag, set);
   v.dirty = m.dirty;
   v.written = m.written;
   v.way = choice;
@@ -84,7 +95,7 @@ void Cache::install(u64 set, unsigned way, Addr addr, Cycle now,
                     std::span<const u64> payload) {
   assert(way < geom_.ways);
   assert(!is_retired(set, way) && "cannot install into a retired way");
-  assert(geom_.set_index(addr) == set);
+  assert(((addr >> offset_shift_) & set_mask_) == set);
   CacheLineMeta& m = lines_[line_index(set, way)];
   if (m.valid) {
     ++stats_.evictions;
@@ -93,7 +104,7 @@ void Cache::install(u64 set, unsigned way, Addr addr, Cycle now,
       --dirty_count_;
     }
   }
-  m.tag = geom_.tag_of(addr);
+  m.tag = addr >> tag_shift_;
   m.valid = true;
   m.dirty = false;
   m.written = false;
@@ -163,7 +174,7 @@ const CacheLineMeta& Cache::meta(u64 set, unsigned way) const {
 Addr Cache::line_addr(u64 set, unsigned way) const {
   const CacheLineMeta& m = lines_[line_index(set, way)];
   assert(m.valid);
-  return geom_.addr_of(m.tag, set);
+  return addr_of(m.tag, set);
 }
 
 std::optional<unsigned> Cache::find_dirty_way(u64 set) const {

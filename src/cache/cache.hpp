@@ -128,9 +128,17 @@ class Cache {
   std::size_t line_index(u64 set, unsigned way) const {
     return static_cast<std::size_t>(set) * geom_.ways + way;
   }
+  Addr addr_of(u64 tag, u64 set) const {
+    return (tag << tag_shift_) | (set << offset_shift_);
+  }
 
   CacheGeometry geom_;
   ReplacementPolicy repl_;
+  // Address slicing, derived once from the validated geometry: probe and
+  // install run on every access, and CacheGeometry::num_sets() divides.
+  unsigned offset_shift_;
+  u64 set_mask_;
+  unsigned tag_shift_;
   std::vector<CacheLineMeta> lines_;
   std::vector<u64> payload_;
   std::vector<u8> retired_;  ///< per-slot fuse bits (way retirement)

@@ -1,21 +1,32 @@
 #include "cpu/tlb.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "common/bitops.hpp"
 
 namespace aeep::cpu {
 
+namespace {
+const TlbConfig& validated(const TlbConfig& config) {
+  if (config.ways == 0 || config.entries % config.ways != 0)
+    throw std::invalid_argument("TLB entries must be a multiple of its ways");
+  if (!is_pow2(config.entries / config.ways) || !is_pow2(config.page_bytes))
+    throw std::invalid_argument(
+        "TLB set count and page size must be powers of two");
+  return config;
+}
+}  // namespace
+
 Tlb::Tlb(const TlbConfig& config)
-    : config_(config), sets_(config.entries / config.ways) {
-  assert(config.ways > 0 && config.entries % config.ways == 0);
-  assert(is_pow2(sets_) && is_pow2(config.page_bytes));
+    : config_(validated(config)),
+      page_shift_(log2_exact(config.page_bytes)),
+      sets_(config.entries / config.ways) {
   entries_.resize(config.entries);
 }
 
 Cycle Tlb::access(Addr vaddr, Cycle now) {
   ++stats_.accesses;
-  const Addr vpn = vaddr / config_.page_bytes;
+  const Addr vpn = vaddr >> page_shift_;
   const unsigned set = static_cast<unsigned>(vpn & (sets_ - 1));
   Entry* base = entries_.data() + static_cast<std::size_t>(set) * config_.ways;
 

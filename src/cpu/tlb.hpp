@@ -24,6 +24,8 @@ struct TlbStats {
 
 class Tlb {
  public:
+  /// Throws std::invalid_argument unless the page size and the set count
+  /// (entries / ways) are powers of two: access() indexes by shift and mask.
   explicit Tlb(const TlbConfig& config = {});
 
   /// Translate; returns the added latency (0 on hit, miss_penalty on miss)
@@ -45,6 +47,7 @@ class Tlb {
   };
 
   TlbConfig config_;
+  unsigned page_shift_;
   unsigned sets_;
   std::vector<Entry> entries_;
   TlbStats stats_;

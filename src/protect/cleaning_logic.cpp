@@ -17,7 +17,7 @@ CleaningLogic::CleaningLogic(u64 num_sets, Cycle interval)
 std::optional<u64> CleaningLogic::due(Cycle now) {
   if (now < next_due()) return std::nullopt;
   const u64 set = next_set_;
-  next_set_ = (next_set_ + 1) % num_sets_;
+  if (++next_set_ == num_sets_) next_set_ = 0;
   next_due_ += set_period_;
   return set;
 }

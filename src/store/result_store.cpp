@@ -338,11 +338,28 @@ void ResultStore::insert(const Digest& key, const JsonValue& payload) {
 
   const MutexLock lock(mutex_);
   const u64 offset = segment_bytes_;
-  writer_->write_u8(kRecordTag);
-  writer_->write_u32(static_cast<u32>(bytes.size()));
-  writer_->write_u32(trace::crc32(bytes));
-  writer_->write_bytes(bytes.data(), bytes.size());
-  writer_->flush();  // a reader (or a crash) must see a whole record
+  try {
+    writer_->write_u8(kRecordTag);
+    writer_->write_u32(static_cast<u32>(bytes.size()));
+    writer_->write_u32(trace::crc32(bytes));
+    writer_->write_bytes(bytes.data(), bytes.size());
+    writer_->flush();  // a reader (or a crash) must see a whole record
+  } catch (const trace::TraceError&) {
+    // Part of the record may have reached the file, and more may still sit
+    // in the writer's buffer. Close the writer, then cut the segment back
+    // to its last whole record, so the next record lands at segment_bytes_
+    // where the index will look for it.
+    writer_.reset();
+    std::error_code ec;
+    std::filesystem::resize_file(segment_path_, segment_bytes_, ec);
+    writer_ = std::make_unique<trace::FileWriter>(segment_path_,
+                                                  /*append=*/true);
+    if (ec)
+      throw trace::TraceError(trace::TraceErrorKind::kIo,
+                              "cannot truncate torn store record in " +
+                                  segment_path_ + ": " + ec.message());
+    throw;
+  }
   segment_bytes_ += record_bytes(static_cast<u32>(bytes.size()));
 
   const bool existed = find_slot_locked(key.value) != kNil;

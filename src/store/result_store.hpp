@@ -73,7 +73,8 @@ class ResultStore {
   std::optional<JsonValue> lookup(const Digest& key) AEEP_EXCLUDES(mutex_);
 
   /// Append `key` -> `payload`, durable before return. An existing key is
-  /// updated in place (index-wise; the segment grows until gc()).
+  /// updated in place (index-wise; the segment grows until gc()). A failed
+  /// write throws and leaves the segment as it was before the call.
   void insert(const Digest& key, const JsonValue& payload)
       AEEP_EXCLUDES(mutex_);
 

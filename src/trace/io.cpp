@@ -17,7 +17,7 @@ void put_varint(std::vector<u8>& out, u64 v) {
   out.push_back(static_cast<u8>(v));
 }
 
-u64 get_varint(const std::vector<u8>& buf, std::size_t& pos) {
+u64 get_varint_checked(const std::vector<u8>& buf, std::size_t& pos) {
   u64 v = 0;
   unsigned shift = 0;
   while (true) {
@@ -35,21 +35,42 @@ u64 get_varint(const std::vector<u8>& buf, std::size_t& pos) {
 }
 
 namespace {
-std::array<u32, 256> make_crc_table() {
-  std::array<u32, 256> t{};
+/// t[0] is the byte-at-a-time table; t[k][b] is the CRC of byte b followed
+/// by k zero bytes, so eight table reads advance the CRC by eight bytes.
+using CrcTables = std::array<std::array<u32, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
   return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+u32 load_le32(const u8* p) {
+  return static_cast<u32>(p[0]) | static_cast<u32>(p[1]) << 8 |
+         static_cast<u32>(p[2]) << 16 | static_cast<u32>(p[3]) << 24;
 }
 }  // namespace
 
 u32 crc32(const u8* data, std::size_t n) {
-  static const std::array<u32, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
   u32 c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const u32 lo = c ^ load_le32(data);
+    const u32 hi = load_le32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -30,13 +30,35 @@ constexpr i64 unzigzag(u64 v) {
   return static_cast<i64>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// get_varint's bounds-checked loop: every byte is checked against the end
+/// of `buf`, and the 10th byte against 64-bit overflow.
+u64 get_varint_checked(const std::vector<u8>& buf, std::size_t& pos);
+
 /// Decode one varint from [pos, end). Advances `pos` past it. Throws
 /// TraceError(kCorrupt) on overlong/overflowing encodings and
 /// TraceError(kTruncated) when the buffer ends mid-varint.
-u64 get_varint(const std::vector<u8>& buf, std::size_t& pos);
+inline u64 get_varint(const std::vector<u8>& buf, std::size_t& pos) {
+  // With 10 bytes left no varint can run off the end, and its first 9
+  // bytes carry 63 bits, which cannot overflow: decode them unchecked.
+  // A 10-byte varint, the buffer tail and every error take the checked loop.
+  if (buf.size() >= 10 && pos <= buf.size() - 10) {
+    const u8* p = buf.data() + pos;
+    u64 v = 0;
+    for (unsigned i = 0; i < 9; ++i) {
+      v |= static_cast<u64>(p[i] & 0x7F) << (7 * i);
+      if ((p[i] & 0x80) == 0) {
+        pos += i + 1;
+        return v;
+      }
+    }
+  }
+  return get_varint_checked(buf, pos);
+}
 
 // --- CRC32 (IEEE 802.3 polynomial, as used by zip/png) ---------------------
 
+/// Slicing-by-8: eight bytes per step through eight 256-entry tables, with
+/// bytes assembled the same way on any host.
 u32 crc32(const u8* data, std::size_t n);
 inline u32 crc32(const std::vector<u8>& v) { return crc32(v.data(), v.size()); }
 

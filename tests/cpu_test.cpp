@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,29 @@ TEST(TlbTest, Reach) {
   // 128 entries x 4KB pages = 512KB reach: all hit on second pass.
   for (Addr p = 0; p < 128; ++p) tlb.access(p * 4096, p);
   for (Addr p = 0; p < 128; ++p) EXPECT_EQ(tlb.access(p * 4096, 1000 + p), 0u);
+}
+
+TEST(TlbTest, CountsPagesOfTheConfiguredSize) {
+  for (const unsigned page : {4096u, 8192u}) {
+    Tlb tlb({64, 4, page, 30});
+    EXPECT_EQ(tlb.access(0, 0), 30u) << page;
+    EXPECT_EQ(tlb.access(page - 8, 1), 0u) << page;  // same page
+    EXPECT_EQ(tlb.access(page, 2), 30u) << page;     // the next one
+    EXPECT_EQ(tlb.access(2 * page - 1, 3), 0u) << page;
+    // 64 entries reach 64 pages: pages 2..63 miss once, then all hit.
+    for (Addr p = 0; p < 64; ++p) tlb.access(p * page, 10 + p);
+    for (Addr p = 0; p < 64; ++p)
+      EXPECT_EQ(tlb.access(p * page + page / 2, 100 + p), 0u) << page;
+    EXPECT_EQ(tlb.stats().accesses, 132u) << page;
+    EXPECT_EQ(tlb.stats().misses, 64u) << page;
+  }
+}
+
+TEST(TlbTest, RejectsGeometriesItCannotIndexByShift) {
+  EXPECT_THROW(Tlb({64, 4, 3000, 30}), std::invalid_argument);  // page
+  EXPECT_THROW(Tlb({48, 4, 4096, 30}), std::invalid_argument);  // 12 sets
+  EXPECT_THROW(Tlb({64, 0, 4096, 30}), std::invalid_argument);
+  EXPECT_THROW(Tlb({64, 3, 4096, 30}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

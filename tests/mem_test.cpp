@@ -2,8 +2,10 @@
 // split-transaction bus timing (queuing, posted writes, latency math).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "mem/bus.hpp"
 #include "mem/memory_store.hpp"
 
@@ -45,6 +47,62 @@ TEST(MemoryStore, LineRoundTrip) {
   std::vector<u64> out(8);
   m.read_line(0x1000, out);
   EXPECT_EQ(in, out);
+}
+
+// Differential against a word map: random word writes, 64- and 128-byte
+// line writes and reads, and reads of any length at any word, over a small
+// window so blocks end up with some words written and some pristine.
+TEST(MemoryStore, MatchesAWordMapUnderMixedTraffic) {
+  MemoryStore m;
+  std::map<Addr, u64> ref;
+  const auto ref_read = [&](Addr a) {
+    const auto it = ref.find(a);
+    return it == ref.end() ? MemoryStore::pristine_word(a) : it->second;
+  };
+  constexpr Addr kWindow = 4096;
+  Xorshift64Star rng(17);
+  for (int step = 0; step < 5000; ++step) {
+    const u64 line_bytes = 64 << rng.next_below(2);
+    const Addr line = rng.next_below(kWindow / line_bytes) * line_bytes;
+    std::vector<u64> words(line_bytes / 8);
+    switch (rng.next_below(5)) {
+      case 0: {
+        const Addr a = 8 * rng.next_below(kWindow / 8);
+        const u64 v = rng.next();
+        m.write_word(a, v);
+        ref[a] = v;
+        break;
+      }
+      case 1:
+        for (std::size_t i = 0; i < words.size(); ++i) {
+          words[i] = rng.next();
+          ref[line + 8 * i] = words[i];
+        }
+        m.write_line(line, words);
+        break;
+      case 2:
+        m.read_line(line, words);
+        for (std::size_t i = 0; i < words.size(); ++i)
+          ASSERT_EQ(words[i], ref_read(line + 8 * i)) << "step " << step;
+        break;
+      case 3: {
+        const Addr a = 8 * rng.next_below(kWindow / 8);
+        ASSERT_EQ(m.read_word(a), ref_read(a)) << "step " << step;
+        break;
+      }
+      case 4: {
+        std::vector<u64> span(1 + rng.next_below(20));
+        const Addr a = 8 * rng.next_below(kWindow / 8);
+        m.read_line(a, span);
+        for (std::size_t i = 0; i < span.size(); ++i)
+          ASSERT_EQ(span[i], ref_read(a + 8 * i)) << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(m.dirty_words(), ref.size()) << "step " << step;
+  }
+  for (Addr a = 0; a < kWindow + 256; a += 8)
+    ASSERT_EQ(m.read_word(a), ref_read(a)) << a;
 }
 
 TEST(Bus, ReadLatencyIsAccessPlusTransfer) {

@@ -5,7 +5,9 @@
 // before it), GC compaction, and run_grid_cached — a warm re-run must be
 // bit-exact with zero simulation work.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -224,6 +226,39 @@ TEST(ResultStore, TornTailCostsExactlyTheTornRecord) {
   EXPECT_FALSE(reopened.lookup(key_of(3)).has_value());
   reopened.insert(key_of(4), small_payload(4));
   EXPECT_TRUE(reopened.lookup(key_of(4)).has_value());
+}
+
+TEST(ResultStore, FailedInsertLeavesNoTornRecord) {
+  const std::string dir = temp_dir("failed_insert");
+  const std::string seg = ResultStore::segment_path(dir);
+  {
+    ResultStore store({dir, 64});
+    store.insert(key_of(1), small_payload(1));
+
+    // Let the file grow by 4 bytes only: key 2's record is cut short
+    // mid-header and its flush fails (EFBIG instead of SIGXFSZ).
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(fs::file_size(seg) + 4);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+    EXPECT_THROW(store.insert(key_of(2), small_payload(2)),
+                 trace::TraceError);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    store.insert(key_of(3), small_payload(3));
+    EXPECT_TRUE(store.lookup(key_of(1)).has_value());
+    EXPECT_FALSE(store.lookup(key_of(2)).has_value());
+    EXPECT_TRUE(store.lookup(key_of(3)).has_value());
+    EXPECT_EQ(store.stats().corrupt_payloads, 0u);
+    EXPECT_EQ(store.disk_bytes(), fs::file_size(seg));
+  }
+  ResultStore reopened({dir, 64});
+  EXPECT_EQ(reopened.stats().recovered_records, 2u);
+  EXPECT_EQ(reopened.stats().dropped_records, 0u);
+  EXPECT_TRUE(reopened.lookup(key_of(3)).has_value());
 }
 
 TEST(ResultStore, CorruptPayloadIsDroppedNeverReturned) {

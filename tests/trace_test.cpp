@@ -1,8 +1,9 @@
 // Round-trip and damage tests for the L2 access-trace format (src/trace/):
-// every malformed input class — truncation, CRC damage, wrong magic, wrong
-// version — must surface as the documented TraceErrorKind, never a crash or
-// a silently wrong decode (this suite also runs under ASan/UBSan in CI).
-// Ends with a small execution-vs-replay cross-validation smoke.
+// the CRC32 and varint primitives on their own, then every malformed input
+// class — truncation, CRC damage, wrong magic, wrong version — must surface
+// as the documented TraceErrorKind, never a crash or a silently wrong
+// decode (this suite also runs under ASan/UBSan in CI). Ends with a small
+// execution-vs-replay cross-validation smoke.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "mem/memory_store.hpp"
 #include "sim/experiment.hpp"
+#include "trace/io.hpp"
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/validate.hpp"
@@ -92,6 +95,91 @@ std::vector<TraceEvent> read_all(const std::string& path) {
   TraceEvent e;
   while (reader.next(e)) events.push_back(e);
   return events;
+}
+
+// --- CRC32 and varints ------------------------------------------------------
+
+/// The byte-at-a-time CRC32 (reflected IEEE polynomial) that crc32() must
+/// equal on every input.
+u32 reference_crc32(const u8* data, std::size_t n) {
+  u32 c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(TraceIo, Crc32KnownAnswers) {
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32(std::vector<u8>{}), 0u);
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const u8*>(check.data()), check.size()),
+            0xCBF43926u);
+}
+
+TEST(TraceIo, Crc32MatchesByteAtATimeAtEveryLengthAndAlignment) {
+  Xorshift64Star rng(7);
+  std::vector<u8> buf(8 + 200);
+  for (u8& b : buf) b = static_cast<u8>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; n <= 200; ++n)
+      ASSERT_EQ(crc32(buf.data() + offset, n),
+                reference_crc32(buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+}
+
+TEST(TraceIo, VarintOfEveryLengthDecodesAtEveryDistanceFromTheEnd) {
+  // The smallest and largest value of each encoded length, 1..10 bytes.
+  std::vector<std::pair<u64, std::size_t>> cases;
+  for (std::size_t len = 1; len <= 10; ++len) {
+    const u64 lo = len == 1 ? 0 : u64{1} << (7 * (len - 1));
+    const u64 hi = len == 10 ? ~u64{0} : (u64{1} << (7 * len)) - 1;
+    cases.push_back({lo, len});
+    cases.push_back({hi, len});
+  }
+  for (const auto& [value, len] : cases) {
+    // Behind a 3-byte prefix, with 0..11 bytes after the varint: decodes
+    // with fewer and with at least 10 bytes left.
+    for (std::size_t tail = 0; tail <= 11; ++tail) {
+      std::vector<u8> buf(3, 0xFF);
+      put_varint(buf, value);
+      ASSERT_EQ(buf.size(), 3 + len) << value;
+      buf.resize(3 + len + tail, 0xFF);
+      std::size_t pos = 3;
+      EXPECT_EQ(get_varint(buf, pos), value) << "tail " << tail;
+      EXPECT_EQ(pos, 3 + len) << "tail " << tail;
+    }
+  }
+}
+
+/// Decodes one varint from the start of `buf`, expecting a TraceError of
+/// `kind` whose message contains `text`.
+void expect_varint_error(const std::vector<u8>& buf, TraceErrorKind kind,
+                         const std::string& text) {
+  std::size_t pos = 0;
+  try {
+    get_varint(buf, pos);
+    ADD_FAILURE() << "expected a TraceError";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.kind(), kind) << e.what();
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+  }
+}
+
+TEST(TraceIo, VarintErrorsKeepTheirKindAndMessage) {
+  // A 10th byte above 1 carries bits past 64, with or without bytes after.
+  for (const u8 tenth : {u8{0x02}, u8{0x7F}, u8{0x80}, u8{0xFF}}) {
+    std::vector<u8> buf(9, 0xFF);
+    buf.push_back(tenth);
+    expect_varint_error(buf, TraceErrorKind::kCorrupt, "varint overflows 64 bits");
+    buf.insert(buf.end(), 10, 0x00);
+    expect_varint_error(buf, TraceErrorKind::kCorrupt, "varint overflows 64 bits");
+  }
+  // A varint cut off after 0..9 continuation bytes.
+  for (std::size_t len = 0; len <= 9; ++len)
+    expect_varint_error(std::vector<u8>(len, 0x80), TraceErrorKind::kTruncated,
+                        "payload ends mid-varint");
 }
 
 TEST(TraceRoundTrip, EmptyTrace) {
