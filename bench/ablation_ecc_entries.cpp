@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       eo.instructions = opt.instructions;
       eo.warmup_instructions = opt.warmup;
       eo.seed = opt.seed;
-      bench::apply_frontend(eo, opt);
       grid.push_back({name, eo, "k=" + std::to_string(k)});
     }
   }

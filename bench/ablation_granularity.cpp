@@ -88,6 +88,7 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const u64 trials = args.get_u64("trials", 20000);
   const u64 seed = args.get_u64("seed", 42);
+  reject_unknown_flags(args);
   std::printf("=== Ablation: SECDED protection granularity (64B line) ===\n\n");
 
   const cache::CacheGeometry geom = cache::kL2Geometry;

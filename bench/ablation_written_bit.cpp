@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
     eo.instructions = opt.instructions;
     eo.warmup_instructions = opt.warmup;
     eo.seed = opt.seed;
-    bench::apply_frontend(eo, opt);
 
     eo.cleaning_policy = protect::CleaningPolicy::kWrittenBit;
     grid.push_back({name, eo, "written-bit"});

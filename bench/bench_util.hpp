@@ -17,58 +17,42 @@
 
 namespace aeep::bench {
 
-struct CommonOptions {
+/// The flags of every bench that simulates: run length, seed and workers.
+struct RunOptions {
   u64 instructions = 2'000'000;
   u64 warmup = 2'000'000;
   u64 seed = 42;
-  std::string suite = "all";      ///< all | fp | int | smoke
   unsigned jobs = 0;              ///< sweep workers; 0 = hardware concurrency
+};
+
+/// RunOptions plus the sweep flags of the grid benches.
+struct CommonOptions : RunOptions {
+  std::string suite = "all";      ///< all | fp | int | smoke
   std::string json_path;          ///< --json=<path>: machine-readable results
-  sim::Frontend frontend = sim::Frontend::kExec;  ///< see --trace-dir
-  std::string trace_dir;          ///< frontend=trace: <dir>/<benchmark>.aeept
   std::string store_dir;          ///< --store=DIR: result-store cache
 };
 
-inline CommonOptions parse_common(const CliArgs& args) {
-  CommonOptions o;
+inline RunOptions parse_run(const CliArgs& args) {
+  RunOptions o;
   o.instructions = args.get_u64("instructions", o.instructions);
   o.warmup = args.get_u64("warmup", o.warmup);
   o.seed = args.get_u64("seed", o.seed);
-  o.suite = args.get("suite", o.suite);
   o.jobs = static_cast<unsigned>(args.get_u64("jobs", o.jobs));
-  o.json_path = args.get("json", o.json_path);
-  o.frontend = get_choice<sim::Frontend>(
-      args, "frontend", "exec",
-      {{"exec", sim::Frontend::kExec}, {"trace", sim::Frontend::kTrace}});
-  o.trace_dir = args.get("trace-dir", o.trace_dir);
-  o.store_dir = args.get("store", o.store_dir);
-  if (o.frontend == sim::Frontend::kTrace && o.trace_dir.empty()) {
-    std::fprintf(stderr,
-                 "--frontend=trace needs --trace-dir=DIR with one "
-                 "<benchmark>.aeept per benchmark (see: aeep_trace capture)\n");
-    std::exit(2);
-  }
   return o;
 }
 
-/// Copy the frontend selection into a sweep cell's options.
-inline void apply_frontend(sim::ExperimentOptions& eo, const CommonOptions& o) {
-  eo.frontend = o.frontend;
-  eo.trace_dir = o.trace_dir;
-}
-
-/// For benches whose metrics only exist execution-driven (core IPC, online
-/// strike campaigns): refuse --frontend=trace with a clear reason.
-inline void require_exec_frontend(const CommonOptions& o, const char* why) {
-  if (o.frontend != sim::Frontend::kExec) {
-    std::fprintf(stderr, "--frontend=trace is not supported here: %s\n", why);
-    std::exit(2);
-  }
+inline CommonOptions parse_common(const CliArgs& args) {
+  CommonOptions o;
+  static_cast<RunOptions&>(o) = parse_run(args);
+  o.suite = args.get("suite", o.suite);
+  o.json_path = args.get("json", o.json_path);
+  o.store_dir = args.get("store", o.store_dir);
+  return o;
 }
 
 /// Worker count a bench should hand to SweepRunner: --jobs when given,
 /// otherwise one per hardware thread.
-inline unsigned resolve_jobs(const CommonOptions& o) {
+inline unsigned resolve_jobs(const RunOptions& o) {
   return o.jobs == 0 ? sim::SweepRunner::default_jobs() : o.jobs;
 }
 
@@ -120,16 +104,14 @@ inline std::vector<std::string> suite_benchmarks(const std::string& suite) {
   return sim::all_benchmarks();
 }
 
-inline void print_header(const char* experiment, const CommonOptions& o) {
+inline void print_header(const char* experiment, const RunOptions& o) {
   std::printf("=== %s ===\n", experiment);
   std::printf("machine: Table-1 four-issue OoO, 1MB 4-way 64B write-back L2\n");
   std::printf("run: %llu committed micro-ops after %llu warm-up, seed %llu\n",
               static_cast<unsigned long long>(o.instructions),
               static_cast<unsigned long long>(o.warmup),
               static_cast<unsigned long long>(o.seed));
-  std::printf("frontend: %s%s%s\n", sim::to_string(o.frontend),
-              o.trace_dir.empty() ? "" : ", traces from ",
-              o.trace_dir.c_str());
+  std::printf("frontend: exec\n");
   std::printf("sweep workers: %u\n\n", resolve_jobs(o));
 }
 

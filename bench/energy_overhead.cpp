@@ -29,7 +29,7 @@ protect::EnergyEvents events_from(const sim::RunResult& r,
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::CommonOptions opt = bench::parse_common(args);
+  const bench::RunOptions opt = bench::parse_run(args);
   const std::string bench_name = args.get("benchmark", "gcc");
   const u64 interval = args.get_u64("interval", u64{1} << 20);
   reject_unknown_flags(args);
@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   base.instructions = opt.instructions;
   base.warmup_instructions = opt.warmup;
   base.seed = opt.seed;
-  bench::apply_frontend(base, opt);
 
   sim::ExperimentOptions org_opts = base;
   org_opts.scheme = protect::SchemeKind::kUniformEcc;

@@ -23,7 +23,7 @@ struct Row {
 };
 
 Row run_campaign(const std::string& bench_name, protect::SchemeKind scheme,
-                 const bench::CommonOptions& opt, u64 injections,
+                 const bench::RunOptions& opt, u64 injections,
                  unsigned flips, fault::FaultTarget target) {
   sim::SystemConfig cfg;
   cfg.benchmark = bench_name;
@@ -51,8 +51,7 @@ Row run_campaign(const std::string& bench_name, protect::SchemeKind scheme,
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::CommonOptions opt = bench::parse_common(args);
-  bench::require_exec_frontend(opt, "fault campaigns inject into the execution-driven run");
+  bench::RunOptions opt = bench::parse_run(args);
   opt.instructions = args.get_u64("instructions", 500'000);
   opt.warmup = args.get_u64("warmup", 200'000);
   const u64 injections = args.get_u64("injections", 2000);

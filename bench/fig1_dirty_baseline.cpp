@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   eo.instructions = opt.instructions;
   eo.warmup_instructions = opt.warmup;
   eo.seed = opt.seed;
-  bench::apply_frontend(eo, opt);
 
   const unsigned jobs = bench::resolve_jobs(opt);
   bench::JsonReporter json("fig1_dirty_baseline", opt, jobs);

@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
       eo.instructions = opt.instructions;
       eo.warmup_instructions = opt.warmup;
       eo.seed = opt.seed;
-      bench::apply_frontend(eo, opt);
       grid.push_back({name, eo, bench::interval_label(eo.cleaning_interval)});
     }
   }

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
     base.instructions = opt.instructions;
     base.warmup_instructions = opt.warmup;
     base.seed = opt.seed;
-    bench::apply_frontend(base, opt);
     grid.push_back({name, base, "baseline"});
 
     sim::ExperimentOptions ours = base;

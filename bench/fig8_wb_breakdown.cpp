@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     org.instructions = opt.instructions;
     org.warmup_instructions = opt.warmup;
     org.seed = opt.seed;
-    bench::apply_frontend(org, opt);
     grid.push_back({name, org, "org"});
 
     sim::ExperimentOptions ours = org;

@@ -69,7 +69,7 @@ class JsonReporter {
     config.set("warmup", JsonValue::number(o.warmup));
     config.set("seed", JsonValue::number(o.seed));
     config.set("suite", JsonValue::string(o.suite));
-    config.set("frontend", JsonValue::string(sim::to_string(o.frontend)));
+    config.set("frontend", JsonValue::string("exec"));
     root_.set("config", std::move(config));
     root_.set("cells", JsonValue::array());
     start_ = std::chrono::steady_clock::now();

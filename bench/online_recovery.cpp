@@ -30,7 +30,6 @@ std::string rate_label(double scale) {
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   bench::CommonOptions opt = bench::parse_common(args);
-  bench::require_exec_frontend(opt, "online strike campaigns need the live core clock");
   opt.instructions = args.get_u64("instructions", 400'000);
   const std::string bench_name = args.get("benchmark", "gzip");
   const double mbu = args.get_double("mbu", 0.25);

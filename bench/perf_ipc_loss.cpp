@@ -13,7 +13,6 @@ using namespace aeep;
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const bench::CommonOptions opt = bench::parse_common(args);
-  bench::require_exec_frontend(opt, "IPC loss is a core-timing metric");
   const u64 interval = args.get_u64("interval", u64{1} << 20);
   reject_unknown_flags(args);
   bench::print_header("§5.2: IPC loss of the proposed scheme", opt);

@@ -13,7 +13,7 @@ using namespace aeep;
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::CommonOptions opt = bench::parse_common(args);
+  const bench::RunOptions opt = bench::parse_run(args);
   const std::string bench_name = args.get("benchmark", "swim");
   const double lambda = args.get_double("fitlambda", 1e-19);
   const u64 interval = args.get_u64("interval", u64{1} << 20);
@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
     eo.instructions = opt.instructions;
     eo.warmup_instructions = opt.warmup;
     eo.seed = opt.seed;
-    bench::apply_frontend(eo, opt);
     return sim::run_benchmark(bench_name, eo);
   };
   const sim::RunResult org = run_with(0);

@@ -26,7 +26,7 @@ struct Outcome {
 /// the full cache and count unrecoverable lines.
 Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
                      unsigned strikes_per_epoch, unsigned scrub_every,
-                     u64 seed, const bench::CommonOptions& opt) {
+                     u64 seed, const bench::RunOptions& opt) {
   sim::SystemConfig cfg;
   cfg.benchmark = "vpr";
   cfg.seed = seed;
@@ -91,8 +91,7 @@ Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::CommonOptions opt = bench::parse_common(args);
-  bench::require_exec_frontend(opt, "scrub scheduling is driven by the live core clock");
+  bench::RunOptions opt = bench::parse_run(args);
   opt.instructions = args.get_u64("instructions", 400'000);
   const unsigned epochs = static_cast<unsigned>(args.get_u64("epochs", 40));
   const unsigned strikes =

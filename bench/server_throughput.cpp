@@ -55,7 +55,7 @@ double percentile(std::vector<double>& sorted, double p) {
 
 /// Capture one smoke trace per benchmark into `dir` (tiny runs: the bench
 /// measures service throughput, not simulator speed).
-void capture_traces(const std::string& dir, const bench::CommonOptions& o) {
+void capture_traces(const std::string& dir, const bench::RunOptions& o) {
   std::filesystem::create_directories(dir);
   for (const auto& b : sim::smoke_benchmarks()) {
     sim::ExperimentOptions eo;
@@ -69,7 +69,7 @@ void capture_traces(const std::string& dir, const bench::CommonOptions& o) {
 }
 
 void worker(const std::string& host, u16 port, u64 jobs,
-            const bench::CommonOptions& o, unsigned worker_id,
+            const bench::RunOptions& o, unsigned worker_id,
             LoadStats& stats) {
   const auto benchmarks = sim::smoke_benchmarks();
   try {
@@ -120,7 +120,8 @@ void worker(const std::string& host, u16 port, u64 jobs,
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::CommonOptions o = bench::parse_common(args);
+  bench::CommonOptions o;
+  static_cast<bench::RunOptions&>(o) = bench::parse_run(args);
   // Throughput defaults: small jobs, the point is requests/sec.
   if (!args.has("instructions")) o.instructions = 50'000;
   if (!args.has("warmup")) o.warmup = 5'000;
@@ -129,6 +130,8 @@ int main(int argc, char** argv) {
   const std::string ext_host = args.get("host", "");
   const u16 ext_port = static_cast<u16>(args.get_u64("port", 0));
   const u64 queue_capacity = args.get_u64("queue-capacity", 256);
+  o.json_path = args.get("json", "");
+  std::string trace_dir = args.get("trace-dir", "");
   reject_unknown_flags(args);
 
   // Self-host unless pointed at an external server.
@@ -136,25 +139,24 @@ int main(int argc, char** argv) {
   std::string host = ext_host;
   u16 port = ext_port;
   if (ext_host.empty()) {
-    std::string dir = o.trace_dir;
-    if (dir.empty()) {
-      dir = (std::filesystem::temp_directory_path() /
-             "aeep_server_throughput_traces")
-                .string();
-      capture_traces(dir, o);
+    if (trace_dir.empty()) {
+      trace_dir = (std::filesystem::temp_directory_path() /
+                   "aeep_server_throughput_traces")
+                      .string();
+      capture_traces(trace_dir, o);
     }
     server::ServerConfig cfg;
     cfg.port = 0;
     cfg.workers = o.jobs;
     cfg.queue_capacity = static_cast<std::size_t>(queue_capacity);
     cfg.max_connections = static_cast<std::size_t>(connections) + 8;
-    cfg.trace_dir = dir;
+    cfg.trace_dir = trace_dir;
     local = std::make_unique<server::JobServer>(cfg);
     local->start();
     host = "127.0.0.1";
     port = local->port();
     std::fprintf(stderr, "self-hosted aeep_served on port %u (%s)\n",
-                 unsigned{port}, dir.c_str());
+                 unsigned{port}, trace_dir.c_str());
   }
 
   bench::JsonReporter reporter("server_throughput", o,
@@ -162,6 +164,9 @@ int main(int argc, char** argv) {
   reporter.set_config("connections", JsonValue::number(connections));
   reporter.set_config("jobs_total", JsonValue::number(jobs_total));
   reporter.set_config("queue_capacity", JsonValue::number(queue_capacity));
+  // Every job it sends replays a smoke-suite trace.
+  reporter.set_config("suite", JsonValue::string("smoke"));
+  reporter.set_config("frontend", JsonValue::string("trace"));
 
   LoadStats stats;
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,7 +1,6 @@
 #include "trace/validate.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "metrics/clock.hpp"
@@ -10,37 +9,19 @@
 
 namespace aeep::trace {
 
-double relative_error(double a, double b) {
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  if (scale == 0.0) return 0.0;
-  return std::fabs(a - b) / scale;
-}
-
-namespace {
-MetricDiff diff_one(const char* name, double exec, double replay) {
-  return {name, exec, replay, relative_error(exec, replay)};
-}
-}  // namespace
-
 std::vector<MetricDiff> diff_metrics(const sim::RunResult& exec,
                                      const sim::RunResult& replay) {
-  std::vector<MetricDiff> m;
-  m.push_back(diff_one("avg_dirty_fraction", exec.avg_dirty_fraction,
-                       replay.avg_dirty_fraction));
-  m.push_back(diff_one("wb_replacement",
-                       static_cast<double>(exec.wb_replacement),
-                       static_cast<double>(replay.wb_replacement)));
-  m.push_back(diff_one("wb_cleaning", static_cast<double>(exec.wb_cleaning),
-                       static_cast<double>(replay.wb_cleaning)));
-  m.push_back(diff_one("wb_ecc", static_cast<double>(exec.wb_ecc),
-                       static_cast<double>(replay.wb_ecc)));
-  m.push_back(diff_one("wb_total", static_cast<double>(exec.wb_total()),
-                       static_cast<double>(replay.wb_total())));
-  m.push_back(diff_one("l2_accesses", static_cast<double>(exec.l2.accesses()),
-                       static_cast<double>(replay.l2.accesses())));
-  m.push_back(diff_one("l2_misses", static_cast<double>(exec.l2.misses()),
-                       static_cast<double>(replay.l2.misses())));
-  return m;
+  const auto n = [](u64 v) { return static_cast<double>(v); };
+  return {
+      {"avg_dirty_fraction", exec.avg_dirty_fraction,
+       replay.avg_dirty_fraction},
+      {"wb_replacement", n(exec.wb_replacement), n(replay.wb_replacement)},
+      {"wb_cleaning", n(exec.wb_cleaning), n(replay.wb_cleaning)},
+      {"wb_ecc", n(exec.wb_ecc), n(replay.wb_ecc)},
+      {"wb_total", n(exec.wb_total()), n(replay.wb_total())},
+      {"l2_accesses", n(exec.l2.accesses()), n(replay.l2.accesses())},
+      {"l2_misses", n(exec.l2.misses()), n(replay.l2.misses())},
+  };
 }
 
 std::string ValidationReport::to_text() const {
@@ -53,23 +34,20 @@ std::string ValidationReport::to_text() const {
                 static_cast<unsigned long long>(trace_bytes));
   os << buf;
   for (const auto& m : metrics) {
-    std::snprintf(buf, sizeof(buf), "  %-20s exec %-14.6g replay %-14.6g rel %.2e %s\n",
-                  m.name.c_str(), m.exec, m.replay, m.rel_err,
-                  m.within(tolerance) ? "ok" : "EXCEEDS TOLERANCE");
+    std::snprintf(buf, sizeof(buf), "  %-20s exec %-14.6g replay %-14.6g %s\n",
+                  m.name.c_str(), m.exec, m.replay,
+                  m.exec == m.replay ? "ok" : "DIFFERS");
     os << buf;
   }
-  os << "  => " << (pass ? "PASS" : "FAIL") << " (tolerance "
-     << tolerance * 100.0 << "%)\n";
+  os << "  => " << (pass ? "PASS" : "FAIL") << " (exec == replay required)\n";
   return os.str();
 }
 
 ValidationReport cross_validate(const sim::SystemConfig& cfg,
-                                const std::string& trace_path,
-                                double tolerance) {
+                                const std::string& trace_path) {
   ValidationReport rep;
   rep.benchmark = cfg.benchmark;
   rep.trace_path = trace_path;
-  rep.tolerance = tolerance;
 
   sim::SystemConfig exec_cfg = cfg;
   exec_cfg.hierarchy.capture_path = trace_path;
@@ -98,7 +76,7 @@ ValidationReport cross_validate(const sim::SystemConfig& cfg,
   }
   rep.metrics = diff_metrics(exec_result, replay_result);
   rep.pass = std::all_of(rep.metrics.begin(), rep.metrics.end(),
-                         [&](const MetricDiff& m) { return m.within(tolerance); });
+                         [](const MetricDiff& m) { return m.exec == m.replay; });
   return rep;
 }
 

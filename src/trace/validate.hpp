@@ -1,8 +1,8 @@
 // Cross-validation harness: run one workload execution-driven (capturing a
 // trace as it goes), replay the trace through the same hierarchy
-// configuration, and diff the paper's metrics. Self-captured replays must
-// agree essentially exactly; the CI gate enforces a 1% relative tolerance
-// and reports the per-cell replay speedup.
+// configuration, and diff the paper's metrics. Replay under the capture
+// configuration is exact, so the gate requires every metric to be equal;
+// it also reports the per-cell replay speedup.
 #pragma once
 
 #include <string>
@@ -16,16 +16,13 @@ struct MetricDiff {
   std::string name;
   double exec = 0.0;
   double replay = 0.0;
-  double rel_err = 0.0;  ///< |exec - replay| / max(|exec|, |replay|); 0 if both 0
-  bool within(double tolerance) const { return rel_err <= tolerance; }
 };
 
 struct ValidationReport {
   std::string benchmark;
   std::string trace_path;
-  double tolerance = 0.01;
   std::vector<MetricDiff> metrics;
-  bool pass = false;
+  bool pass = false;  ///< exec == replay on every metric
   double exec_seconds = 0.0;
   double replay_seconds = 0.0;
   u64 trace_events = 0;
@@ -38,9 +35,6 @@ struct ValidationReport {
   std::string to_text() const;
 };
 
-/// Relative error with a both-zero special case.
-double relative_error(double a, double b);
-
 /// The metric set the gate compares: dirty ratio and the WB / Clean-WB /
 /// ECC-WB breakdown (ECC-WB is the shared-ECC conflict-eviction count).
 std::vector<MetricDiff> diff_metrics(const sim::RunResult& exec,
@@ -48,7 +42,6 @@ std::vector<MetricDiff> diff_metrics(const sim::RunResult& exec,
 
 /// Run `cfg` both ways, writing the captured trace to `trace_path`.
 ValidationReport cross_validate(const sim::SystemConfig& cfg,
-                                const std::string& trace_path,
-                                double tolerance = 0.01);
+                                const std::string& trace_path);
 
 }  // namespace aeep::trace

@@ -174,8 +174,9 @@ int run_command(server::Client& client, const server::JobSpec& spec,
     o.warmup = spec.warmup_instructions;
     o.seed = spec.seed;
     o.suite = spec.benchmark;
-    o.frontend = spec.frontend;
     bench::JsonReporter reporter("server_run", o, 0);
+    reporter.set_config("frontend",
+                        JsonValue::string(sim::to_string(spec.frontend)));
     reporter.set_config("scheme",
                         JsonValue::string(protect::to_string(spec.scheme)));
     reporter.set_config("wall_ms",

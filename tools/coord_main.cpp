@@ -16,7 +16,6 @@
 // the CI chaos gate.
 //
 // Grid flags: --suite=all|fp|int|smoke --instructions --warmup --seed
-//             --frontend=exec|trace --trace-dir (local fallback only)
 // Fleet flags: --workers=HOST:PORT[,...] --max-attempts --batch-size
 //   --call-timeout-ms --job-wait-ms --backoff-base-ms --local-jobs --token
 // Store: --store=DIR consults the content-addressed result store before
@@ -62,7 +61,6 @@ std::vector<sim::SweepJob> build_grid(const bench::CommonOptions& o) {
       job.options.instructions = o.instructions;
       job.options.warmup_instructions = o.warmup;
       job.options.seed = o.seed;
-      bench::apply_frontend(job.options, o);
       grid.push_back(std::move(job));
     }
   }

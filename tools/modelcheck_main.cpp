@@ -212,16 +212,15 @@ int run_replay(const CliArgs& args, const std::string& replay) {
   cfg.cleaning_interval = args.get_u64("cleaning", 0);
   cfg.inject_faults = args.get_bool("faults", false);
   cfg.seed = args.get_u64("seed", 1);
-  const std::string broken = args.get("broken", "");
-  if (broken == "overcommit")
+  if (args.has("broken"))
     cfg.scheme_factory = verify::broken_scheme_factory(
-        verify::BrokenKind::kOverCommit, cfg.entries_per_set);
-  else if (broken == "leak")
-    cfg.scheme_factory = verify::broken_scheme_factory(
-        verify::BrokenKind::kLeakEntry, cfg.entries_per_set);
-  else if (broken == "staleparity")
-    cfg.scheme_factory = verify::broken_scheme_factory(
-        verify::BrokenKind::kStaleParity, cfg.entries_per_set);
+        get_choice<verify::BrokenKind>(
+            args, "broken", "",
+            {{"overcommit", verify::BrokenKind::kOverCommit},
+             {"leak", verify::BrokenKind::kLeakEntry},
+             {"staleparity", verify::BrokenKind::kStaleParity}}),
+        cfg.entries_per_set);
+  reject_unknown_flags(args);
 
   const RunReport report = verify::run_sequence(cfg, *ops);
   std::printf("replayed %llu op(s) under %s: %s\n",
@@ -241,8 +240,10 @@ int main(int argc, char** argv) {
   const std::string replay = args.get("replay", "");
   if (!replay.empty()) return run_replay(args, replay);
 
-  if (args.get_bool("demo-broken", false))
+  if (args.get_bool("demo-broken", false)) {
+    reject_unknown_flags(args);
     return run_demo_broken() ? 0 : 1;
+  }
 
   const std::size_t ops_per_seed = args.get_u64("ops", 50'000);
   const unsigned seeds = static_cast<unsigned>(args.get_u64("seeds", 2));
@@ -250,6 +251,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(args.get_u64("exhaustive-len", 4));
   const unsigned exhaustive_lines =
       static_cast<unsigned>(args.get_u64("exhaustive-lines", 3));
+  reject_unknown_flags(args);
 
   Campaign campaign;
   bool ok = true;

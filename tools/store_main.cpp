@@ -108,6 +108,15 @@ int main(int argc, char** argv) {
   cfg.dir = dir;
   cfg.max_entries =
       static_cast<std::size_t>(args.get_u64("max-entries", 4096));
+  u64 max_bytes = 0;
+  if (cmd == "gc") {
+    if (!args.has("max-bytes")) {
+      std::fprintf(stderr, "aeep_store: gc needs --max-bytes=N\n");
+      return 2;
+    }
+    max_bytes = args.get_u64("max-bytes", 0);
+  }
+  reject_unknown_flags(args);
   try {
     store::ResultStore rs(cfg);
     if (cmd == "info") return cmd_info(rs);
@@ -120,13 +129,7 @@ int main(int argc, char** argv) {
       }
       return cmd_get(rs, pos.front());
     }
-    if (cmd == "gc") {
-      if (!args.has("max-bytes")) {
-        std::fprintf(stderr, "aeep_store: gc needs --max-bytes=N\n");
-        return 2;
-      }
-      return cmd_gc(rs, args.get_u64("max-bytes", 0));
-    }
+    if (cmd == "gc") return cmd_gc(rs, max_bytes);
     return usage();
   } catch (const trace::TraceError& e) {
     std::fprintf(stderr, "aeep_store: %s\n", e.what());

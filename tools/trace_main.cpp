@@ -2,16 +2,17 @@
 //
 //   aeep_trace capture  --benchmark=gzip --out=gzip.aeept [run/scheme opts]
 //   aeep_trace replay   --trace=gzip.aeept [--benchmark=gzip] [scheme opts]
-//   aeep_trace validate --benchmarks=gzip,mcf --trace-dir=DIR [--tolerance=0.01]
+//   aeep_trace validate --benchmarks=gzip,mcf --trace-dir=DIR [run/scheme opts]
 //   aeep_trace info     --trace=gzip.aeept
 //
 // `validate` is the cross-validation gate CI runs: each benchmark is run
-// execution-driven (capturing), replayed trace-driven, and the dirty-ratio /
-// WB / Clean-WB / ECC-WB metrics must agree within the tolerance. Exit code
-// is non-zero when any metric diverges. Run/scheme options shared by the
-// subcommands: --instructions, --warmup, --seed, --scheme=uniform|nonuniform|
-// shared, --interval (cleaning interval, cycles), --entries (shared-ECC
-// entries per set).
+// execution-driven (capturing), replayed trace-driven under the same
+// configuration, and the dirty-ratio / WB / Clean-WB / ECC-WB metrics must
+// be equal. Exit code is non-zero when any metric differs. Run/scheme
+// options shared by the subcommands: --instructions, --warmup, --seed,
+// --scheme=uniform|nonuniform|shared, --interval (cleaning interval,
+// cycles), --entries (shared-ECC entries per set). A flag a subcommand
+// does not read exits 2.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -34,7 +35,7 @@ int usage() {
                "  capture  --benchmark=NAME --out=FILE [run/scheme opts]\n"
                "  replay   --trace=FILE [--benchmark=NAME] [run/scheme opts]\n"
                "  validate --benchmarks=A,B,... --trace-dir=DIR "
-               "[--tolerance=0.01] [run/scheme opts]\n"
+               "[run/scheme opts]\n"
                "  info     --trace=FILE\n");
   return 2;
 }
@@ -76,6 +77,7 @@ int cmd_capture(const CliArgs& args) {
   const std::string out = args.get("out", "");
   if (benchmark.empty() || out.empty()) return usage();
   sim::ExperimentOptions eo = parse_experiment(args);
+  reject_unknown_flags(args);
   eo.capture_path = out;
   const sim::RunResult r = sim::run_benchmark(benchmark, eo);
   std::printf("captured %s -> %s\n", benchmark.c_str(), out.c_str());
@@ -88,6 +90,7 @@ int cmd_replay(const CliArgs& args) {
   if (path.empty()) return usage();
   const std::string benchmark = args.get("benchmark", "");
   sim::ExperimentOptions eo = parse_experiment(args);
+  reject_unknown_flags(args);
   eo.frontend = sim::Frontend::kTrace;
   eo.trace_path = path;
   sim::RunResult r;
@@ -107,16 +110,16 @@ int cmd_replay(const CliArgs& args) {
 
 int cmd_validate(const CliArgs& args) {
   const std::string dir = args.get("trace-dir", ".");
-  const double tolerance = args.get_double("tolerance", 0.01);
   const std::vector<std::string> benchmarks =
       args.get_list("benchmarks", "gzip,mcf");
   const sim::ExperimentOptions eo = parse_experiment(args);
+  reject_unknown_flags(args);
   bool all_pass = true;
   double exec_total = 0.0, replay_total = 0.0;
   for (const auto& b : benchmarks) {
     const sim::SystemConfig cfg = sim::make_system_config(b, eo);
     const trace::ValidationReport rep =
-        trace::cross_validate(cfg, dir + "/" + b + ".aeept", tolerance);
+        trace::cross_validate(cfg, dir + "/" + b + ".aeept");
     std::printf("%s", rep.to_text().c_str());
     all_pass = all_pass && rep.pass;
     exec_total += rep.exec_seconds;
@@ -132,6 +135,7 @@ int cmd_validate(const CliArgs& args) {
 int cmd_info(const CliArgs& args) {
   const std::string path = args.get("trace", "");
   if (path.empty()) return usage();
+  reject_unknown_flags(args);
   trace::TraceReader reader(path);
   trace::TraceEvent e;
   u64 counts[4] = {0, 0, 0, 0};
