@@ -104,7 +104,10 @@ inline std::vector<std::string> suite_benchmarks(const std::string& suite) {
   return sim::all_benchmarks();
 }
 
-inline void print_header(const char* experiment, const RunOptions& o) {
+/// `sweep`: the bench runs its cells through a sweep, whose worker count
+/// the header then reports.
+inline void print_header(const char* experiment, const RunOptions& o,
+                         bool sweep = true) {
   std::printf("=== %s ===\n", experiment);
   std::printf("machine: Table-1 four-issue OoO, 1MB 4-way 64B write-back L2\n");
   std::printf("run: %llu committed micro-ops after %llu warm-up, seed %llu\n",
@@ -112,7 +115,8 @@ inline void print_header(const char* experiment, const RunOptions& o) {
               static_cast<unsigned long long>(o.warmup),
               static_cast<unsigned long long>(o.seed));
   std::printf("frontend: exec\n");
-  std::printf("sweep workers: %u\n\n", resolve_jobs(o));
+  if (sweep) std::printf("sweep workers: %u\n", resolve_jobs(o));
+  std::printf("\n");
 }
 
 /// The paper's cleaning-interval ladder: 64K to 4M cycles, x4 steps.

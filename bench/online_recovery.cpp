@@ -29,8 +29,12 @@ std::string rate_label(double scale) {
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::CommonOptions opt = bench::parse_common(args);
+  // It runs --benchmark alone and opens no store, so --suite and --store
+  // are not read (and exit 2).
+  bench::CommonOptions opt;
+  static_cast<bench::RunOptions&>(opt) = bench::parse_run(args);
   opt.instructions = args.get_u64("instructions", 400'000);
+  opt.json_path = args.get("json", "");
   const std::string bench_name = args.get("benchmark", "gzip");
   const double mbu = args.get_double("mbu", 0.25);
   const unsigned threshold =
@@ -49,6 +53,7 @@ int main(int argc, char** argv) {
 
   const unsigned jobs = bench::resolve_jobs(opt);
   bench::JsonReporter json("online_recovery", opt, jobs);
+  json.set_config("suite", JsonValue::null());  // it runs --benchmark alone
   json.set_config("benchmark", JsonValue::string(bench_name));
   json.set_config("mbu", JsonValue::number(mbu));
   json.set_config("threshold", JsonValue::number(u64{threshold}));

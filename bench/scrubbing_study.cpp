@@ -30,7 +30,7 @@ Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
   sim::SystemConfig cfg;
   cfg.benchmark = "vpr";
   cfg.seed = seed;
-  cfg.warmup_instructions = 0;
+  cfg.warmup_instructions = opt.warmup;
   cfg.instructions = opt.instructions;
   cfg.hierarchy.l2.scheme = scheme;
   cfg.hierarchy.l2.maintain_codes = true;
@@ -91,13 +91,18 @@ Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  bench::RunOptions opt = bench::parse_run(args);
+  // run_campaign measures from a cold start and runs no sweep, so --warmup
+  // and --jobs are not read (and exit 2).
+  bench::RunOptions opt;
   opt.instructions = args.get_u64("instructions", 400'000);
+  opt.warmup = 0;
+  opt.seed = args.get_u64("seed", opt.seed);
   const unsigned epochs = static_cast<unsigned>(args.get_u64("epochs", 40));
   const unsigned strikes =
       static_cast<unsigned>(args.get_u64("strikes", 300));
   reject_unknown_flags(args);
-  bench::print_header("Scrubbing study: latent-error accumulation", opt);
+  bench::print_header("Scrubbing study: latent-error accumulation", opt,
+                      /*sweep=*/false);
   std::printf("%u epochs x %u strikes into a warm vpr L2 image\n\n", epochs,
               strikes);
 

@@ -151,8 +151,14 @@ int main(int argc, char** argv) {
     cfg.queue_capacity = static_cast<std::size_t>(queue_capacity);
     cfg.max_connections = static_cast<std::size_t>(connections) + 8;
     cfg.trace_dir = trace_dir;
-    local = std::make_unique<server::JobServer>(cfg);
-    local->start();
+    try {
+      local = std::make_unique<server::JobServer>(cfg);
+      local->start();
+    } catch (const server::ServerError& e) {
+      // For one, a --trace-dir it cannot scan.
+      std::fprintf(stderr, "server_throughput: %s\n", e.what());
+      return 1;
+    }
     host = "127.0.0.1";
     port = local->port();
     std::fprintf(stderr, "self-hosted aeep_served on port %u (%s)\n",

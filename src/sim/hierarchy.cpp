@@ -3,7 +3,25 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/crc64.hpp"
+
 namespace aeep::sim {
+
+u64 l1_side_digest(const HierarchyConfig& c) {
+  const u64 fields[] = {
+      c.l1i.size_bytes, c.l1i.ways, c.l1i.line_bytes,
+      c.l1d.size_bytes, c.l1d.ways, c.l1d.line_bytes,
+      c.l1_latency,
+      c.itlb.entries, c.itlb.ways, c.itlb.page_bytes, c.itlb.miss_penalty,
+      c.dtlb.entries, c.dtlb.ways, c.dtlb.page_bytes, c.dtlb.miss_penalty,
+      c.write_buffer_entries, c.wb_min_residency, c.wb_high_watermark,
+      c.l2.geometry.line_bytes, c.l2.hit_latency,
+  };
+  u8 bytes[sizeof fields];
+  for (std::size_t i = 0; i < sizeof fields; ++i)
+    bytes[i] = static_cast<u8>(fields[i / 8] >> (8 * (i % 8)));
+  return crc64(bytes, sizeof bytes);
+}
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
     : config_(config),
@@ -17,7 +35,8 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
       wbuf_(config.write_buffer_entries, config.l2.geometry.line_bytes) {
   if (!config_.capture_path.empty()) {
     capture_ = std::make_unique<trace::CaptureSink>(
-        config_.capture_path, config_.l2.geometry.line_bytes);
+        config_.capture_path, config_.l2.geometry.line_bytes,
+        l1_side_digest(config_));
   }
   if (config_.strikes.enabled) {
     strikes_ = std::make_unique<fault::StrikeProcess>(l2_, config_.strikes);
@@ -42,7 +61,9 @@ Cycle MemoryHierarchy::fetch(Cycle now, Addr pc) {
   // L1I miss: fill through the unified L2. Instructions are never dirty.
   const cache::Victim victim = l1i_.pick_victim(pr.set);
   const Addr line = l1i_.geometry().line_base(pc);
-  const Cycle ready = l2_.read(now + config_.l1_latency + tlb_extra, line);
+  const Cycle offset = config_.l1_latency + tlb_extra;
+  if (capture_) capture_->on_l2_fill(now, offset, line);
+  const Cycle ready = l2_.read(now + offset, line);
   l1i_.install(pr.set, victim.way, line, now);
   return ready;
 }
@@ -60,7 +81,9 @@ Cycle MemoryHierarchy::load(Cycle now, Addr addr) {
   }
   const cache::Victim victim = l1d_.pick_victim(pr.set);
   const Addr line = l1d_.geometry().line_base(addr);
-  const Cycle ready = l2_.read(now + config_.l1_latency + tlb_extra, line);
+  const Cycle offset = config_.l1_latency + tlb_extra;
+  if (capture_) capture_->on_l2_fill(now, offset, line);
+  const Cycle ready = l2_.read(now + offset, line);
   l1d_.install(pr.set, victim.way, line, now);
   return ready;
 }
@@ -93,6 +116,7 @@ bool MemoryHierarchy::store(Cycle now, Addr addr, u64 value) {
 
 void MemoryHierarchy::drain_front(Cycle now) {
   cache::WriteBufferEntry e = wbuf_.pop();
+  if (capture_) capture_->on_l2_drain(now, e.line, e.word_mask, e.words);
   const Cycle done = l2_.write(now, e.line, e.word_mask, e.words);
   // The next drain may start after this one's L2 array occupancy; the
   // demand-fill part of a write-allocate miss overlaps with later drains,

@@ -34,10 +34,18 @@ struct HierarchyConfig {
   unsigned wb_high_watermark = 12;
   /// Online soft-error strikes into the live L2 arrays (off by default).
   fault::StrikeConfig strikes{};
-  /// Non-empty: record every L2-visible access (fetch / load / accepted
-  /// store, with issue cycles) into this trace file for later replay.
+  /// Non-empty: record every L1-level access (fetch / load / accepted
+  /// store, with issue cycles) and every call into the L2 (fill, drain)
+  /// into this trace file for later replay.
   std::string capture_path{};
 };
+
+/// Digest of the fields that shape the stream of fills and drains the L1
+/// side hands the L2: the L1 geometries and latency, the TLBs, the write
+/// buffer's size and drain policy, and the L2's line size and hit latency
+/// (the port occupancy a drain charges). Two configs with one digest turn
+/// the same L1-level events into the same L2-side stream.
+u64 l1_side_digest(const HierarchyConfig& config);
 
 class MemoryHierarchy final : public cpu::MemoryInterface {
  public:

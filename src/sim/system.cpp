@@ -49,10 +49,11 @@ RunResult System::run() {
   const u64 target = core_->stats().committed + config_.instructions;
   const cpu::CoreStats cs = core_->run(target);
   hierarchy_.l2().finalize(core_->now());
-  if (auto* cap = hierarchy_.capture())
-    cap->finish(core_->now(), cs.committed, cs.loads, cs.stores);
 
   RunResult r = hierarchy_result(hierarchy_);
+  if (auto* cap = hierarchy_.capture())
+    cap->finish(core_->now(), cs.committed, cs.loads, cs.stores,
+                {r.l1i, r.l1d, r.itlb, r.dtlb, r.wbuf});
   r.benchmark = config_.benchmark;
   r.floating_point = workload_->profile().floating_point;
   r.core = cs;

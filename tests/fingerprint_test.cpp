@@ -102,10 +102,10 @@ const std::vector<Row> kGolden = {
     {"art/strikes/non-uniform/poison", 0xd0c4d6472e41d436ull},
     {"art/strikes/shared-ecc-array/panic", 0xff0e6d8d74054e76ull},
     {"gzip/capture/shared/256K", 0xec6bb502266adba9ull},
-    {"gzip/trace-bytes/shared/256K", 0x75480e687b5009a9ull},
+    {"gzip/trace-bytes/shared/256K", 0x106ae0c82430967bull},
     {"gzip/replay/shared/256K", 0xf54dbec5e07d94cdull},
     {"gzip/capture/strikes/shared/256K", 0xab442e078409a5a5ull},
-    {"gzip/trace-bytes/strikes/shared/256K", 0x9f148d77d2c75257ull},
+    {"gzip/trace-bytes/strikes/shared/256K", 0x095fd48cddf2b853ull},
     {"gzip/replay/strikes/shared/256K", 0xd7f86a27bd9d1f0eull},
 };
 

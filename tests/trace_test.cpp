@@ -289,8 +289,8 @@ TEST(TraceDamage, FlippedPayloadByteIsCorrupt) {
   const std::string path = temp_path("crc");
   write_trace(path, synthetic_events(200), /*chunk_events=*/64);
   auto bytes = slurp(path);
-  // Header is 16 bytes; first data chunk: tag u8 + 3 u32s, payload at +29.
-  const std::size_t target = 16 + 1 + 12 + 3;
+  // Header is 24 bytes; first data chunk: tag u8 + 3 u32s, payload at +37.
+  const std::size_t target = 24 + 1 + 12 + 3;
   ASSERT_LT(target, bytes.size());
   bytes[target] = static_cast<char>(bytes[target] ^ 0x40);
   spew(path, bytes);
@@ -490,6 +490,314 @@ TEST(TraceReplay, AccessCyclesTickAsIfEveryCycleWereTicked) {
   EXPECT_GT(want.strikes.stuck_reasserts, 0u);
   EXPECT_EQ(want.recovery.refetched, 1u);
   EXPECT_EQ(want.recovery.retry_exhausted, 0u);
+}
+
+
+// --- The L2-side stream -------------------------------------------------
+
+/// A deterministic L2-side stream with all three op kinds: fills at both
+/// offsets, drains with sparse and full masks, and a stats reset.
+std::vector<L2Op> synthetic_l2_ops(u64 n) {
+  std::vector<L2Op> ops;
+  Cycle tick = 7;
+  for (u64 i = 0; i < n; ++i) {
+    L2Op op;
+    op.tick = tick;
+    switch (i % 5) {
+      case 0:
+      case 1:
+        op.kind = L2OpKind::kFill;
+        op.offset = i % 2 ? 1 : 31;
+        op.line = 0x400000 + ((i * 7919) % 4096) * 32;
+        break;
+      case 2:
+      case 3:
+        op.kind = L2OpKind::kDrain;
+        op.line = 0x10000000 - (i % 97) * 64;
+        op.word_mask = i % 2 ? 0xFF : 0xA1;
+        for (u64 m = op.word_mask; m != 0; m &= m - 1)
+          op.words.push_back(0x9E3779B97F4A7C15ull * (i + op.words.size()));
+        break;
+      case 4:
+        op.kind = L2OpKind::kStatsReset;
+        break;
+    }
+    tick += i % 4;
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+TEST(TraceRoundTrip, NextYieldsExactlyTheL1EventsOfAFileWithAnL2Stream) {
+  const std::string path = temp_path("both_streams");
+  const auto events = synthetic_events(300);
+  const auto ops = synthetic_l2_ops(200);
+  {
+    // Small chunks, so L1 and L2 chunks interleave in the file.
+    TraceWriter writer(path, 64, /*chunk_events=*/16, /*l1_side_digest=*/0x5EED);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      writer.append(events[i]);
+      if (i < ops.size()) writer.append_l2(ops[i]);
+    }
+    TraceSummary s;
+    s.end_tick = events.back().tick + 1;
+    s.l1_side.l1d.reads = 77;
+    s.l1_side.wbuf.free_list_peak = 3;
+    writer.finish(s);
+  }
+  TraceReader l1(path);
+  EXPECT_EQ(l1.version(), kTraceVersion);
+  EXPECT_TRUE(l1.has_l2_stream());
+  EXPECT_EQ(l1.l1_side_digest(), 0x5EEDu);
+  std::vector<TraceEvent> got_events;
+  TraceEvent e;
+  while (l1.next(e)) got_events.push_back(e);
+  EXPECT_EQ(got_events, events);
+  EXPECT_EQ(l1.summary().events, events.size());
+  EXPECT_EQ(l1.summary().l2_ops, ops.size());
+  EXPECT_EQ(l1.summary().l1_side.l1d.reads, 77u);
+  EXPECT_EQ(l1.summary().l1_side.wbuf.free_list_peak, 3u);
+  EXPECT_GT(l1.l2_chunks_read(), 10u);
+
+  TraceReader l2(path);
+  std::vector<L2Op> got_ops;
+  L2Op op;
+  while (l2.next_l2(op)) got_ops.push_back(op);
+  EXPECT_EQ(got_ops, ops);
+  EXPECT_EQ(l2.events_read(), events.size());
+  EXPECT_EQ(l2.summary(), l1.summary());
+  std::remove(path.c_str());
+}
+
+void put_le32(std::vector<char>& out, u32 v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+void put_frame(std::vector<char>& out, u8 tag, const std::vector<u8>& payload,
+               u32 count) {
+  out.push_back(static_cast<char>(tag));
+  put_le32(out, static_cast<u32>(payload.size()));
+  if (tag != kFooterTag) put_le32(out, count);
+  put_le32(out, crc32(payload));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+// v1 files — 16-byte header, no L2 chunks, a five-field footer — still
+// read, and replay through the L1 loop exactly as the same events do.
+TEST(TraceCompat, HandAssembledV1FileReadsAndReplaysThroughTheL1Loop) {
+  const auto events = synthetic_events(40);
+  std::vector<u8> chunk;
+  Cycle prev_tick = 0;
+  Addr prev_addr = 0;
+  for (const TraceEvent& ev : events) {
+    chunk.push_back(static_cast<u8>(ev.kind));
+    put_varint(chunk, ev.tick - prev_tick);
+    prev_tick = ev.tick;
+    if (ev.kind != EventKind::kStatsReset) {
+      put_varint(chunk, zigzag(static_cast<i64>(ev.addr) -
+                               static_cast<i64>(prev_addr)));
+      prev_addr = ev.addr;
+    }
+    if (ev.kind == EventKind::kStore) put_varint(chunk, ev.value);
+  }
+  std::vector<u8> footer;
+  for (const u64 v : {u64{events.back().tick + 1}, u64{123}, u64{45}, u64{6},
+                      u64{events.size()}})
+    put_varint(footer, v);
+  std::vector<char> bytes;
+  for (const u32 v : {kTraceMagic, kTraceVersion1, u32{64}, u32{0}})
+    put_le32(bytes, v);
+  put_frame(bytes, kDataChunkTag, chunk, static_cast<u32>(events.size()));
+  put_frame(bytes, kFooterTag, footer, 0);
+  const std::string v1 = temp_path("v1");
+  spew(v1, bytes);
+
+  TraceReader reader(v1);
+  EXPECT_EQ(reader.version(), kTraceVersion1);
+  EXPECT_FALSE(reader.has_l2_stream());
+  EXPECT_EQ(read_all(v1), events);
+
+  const std::string v2 = temp_path("v1_as_v2");
+  write_trace(v2, events);  // the same events and summary, as v2
+  const sim::HierarchyConfig h = sim::make_system_config("gzip", {}).hierarchy;
+  ReplayDriver old_file({h, v1});
+  ReplayDriver new_file({h, v2});
+  EXPECT_EQ(old_file.run(), new_file.run());
+  EXPECT_FALSE(old_file.drove_l2_stream());
+  EXPECT_EQ(old_file.events_replayed(), events.size());
+  std::remove(v1.c_str());
+  std::remove(v2.c_str());
+}
+
+/// One chunk's place in a v2 file's bytes.
+struct ChunkAt {
+  u8 tag;
+  std::size_t frame;    ///< offset of the tag byte
+  std::size_t payload;  ///< offset of the payload
+  std::size_t bytes;    ///< payload size
+};
+
+/// The chunk framing of a v2 file: a 24-byte header, then per chunk a tag
+/// byte and three u32s (two for the footer) before the payload.
+std::vector<ChunkAt> chunks_of(const std::vector<char>& b) {
+  std::vector<ChunkAt> out;
+  std::size_t at = 24;
+  while (at + 9 <= b.size()) {
+    const u8 tag = static_cast<u8>(b[at]);
+    const std::size_t header = tag == kFooterTag ? 9 : 13;
+    u32 bytes = 0;
+    for (int i = 3; i >= 0; --i)
+      bytes = bytes << 8 | static_cast<u8>(b[at + 1 + static_cast<std::size_t>(i)]);
+    out.push_back({tag, at, at + header, bytes});
+    at += header + bytes;
+  }
+  return out;
+}
+
+/// Capture `benchmark` under `eo` into `path`; returns the hierarchy config
+/// of a replay under the capture's config.
+sim::HierarchyConfig capture(const std::string& benchmark,
+                             sim::ExperimentOptions eo,
+                             const std::string& path) {
+  eo.capture_path = path;
+  (void)sim::run_benchmark(benchmark, eo);
+  eo.capture_path.clear();
+  return sim::make_system_config(benchmark, eo).hierarchy;
+}
+
+sim::ExperimentOptions small_run() {
+  sim::ExperimentOptions eo;
+  eo.instructions = 20'000;
+  eo.warmup_instructions = 5'000;
+  return eo;
+}
+
+TraceErrorKind replay_error(const sim::HierarchyConfig& h,
+                            const std::string& path) {
+  try {
+    (void)ReplayDriver({h, path}).run();
+  } catch (const TraceError& err) {
+    return err.kind();
+  }
+  ADD_FAILURE() << path << ": expected a TraceError";
+  return TraceErrorKind::kIo;
+}
+
+// The L2 path decodes only L2 chunks, but checks every chunk's CRC.
+TEST(TraceDamage, FlippedByteInEitherStreamFailsTheL2Replay) {
+  const std::string path = temp_path("l2_damage");
+  const sim::HierarchyConfig h = capture("gzip", small_run(), path);
+  {
+    ReplayDriver driver({h, path});
+    (void)driver.run();
+    ASSERT_TRUE(driver.drove_l2_stream());
+  }
+  const auto clean = slurp(path);
+  const auto chunks = chunks_of(clean);
+  for (const u8 tag : {kL2ChunkTag, kDataChunkTag}) {
+    SCOPED_TRACE(tag == kL2ChunkTag ? "L2 chunk" : "L1 chunk");
+    const auto it = std::find_if(chunks.begin(), chunks.end(),
+                                 [&](const ChunkAt& c) { return c.tag == tag; });
+    ASSERT_NE(it, chunks.end());
+    auto bytes = clean;
+    char& target = bytes[it->payload + it->bytes / 2];
+    target = static_cast<char>(target ^ 0x40);
+    spew(path, bytes);
+    EXPECT_EQ(replay_error(h, path), TraceErrorKind::kCorrupt);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceDamage, FooterL2OpCountMustMatchTheChunks) {
+  const std::string path = temp_path("l2_footer");
+  const sim::HierarchyConfig h = capture("gzip", small_run(), path);
+  auto bytes = slurp(path);
+  const ChunkAt footer = chunks_of(bytes).back();
+  ASSERT_EQ(footer.tag, kFooterTag);
+  const std::vector<u8> old(bytes.begin() + static_cast<long>(footer.payload),
+                            bytes.end());
+  // end_tick, committed, loads, stores, events, l2_ops, L1-side stats.
+  std::vector<u64> fields;
+  for (std::size_t p = 0; p < old.size();) fields.push_back(get_varint(old, p));
+  ASSERT_GT(fields.size(), 6u);
+  ++fields[5];
+  std::vector<u8> payload;
+  for (const u64 v : fields) put_varint(payload, v);
+  bytes.resize(footer.frame);
+  put_frame(bytes, kFooterTag, payload, 0);  // a valid CRC over a bad count
+  spew(path, bytes);
+  EXPECT_EQ(replay_error(h, path), TraceErrorKind::kCorrupt);
+  EXPECT_EQ(kind_of(path), TraceErrorKind::kCorrupt);
+  std::remove(path.c_str());
+}
+
+// The L2-side stream replays bit-for-bit what re-driving the L1 side from
+// the L1-level events does, under every scheme, cleaning interval, policy
+// and codes setting. The reference is the L1 loop on an L1-only copy of
+// the same trace.
+TEST(TraceReplay, L2StreamMatchesTheL1EventsUnderEveryL2Config) {
+  struct Cleaning {
+    Cycle interval;
+    protect::CleaningPolicy policy;
+  };
+  const Cleaning cleanings[] = {
+      {0, protect::CleaningPolicy::kWrittenBit},
+      {Cycle{64} << 10, protect::CleaningPolicy::kWrittenBit},
+      {Cycle{64} << 10, protect::CleaningPolicy::kNaive},
+      {Cycle{64} << 10, protect::CleaningPolicy::kDecayCounter},
+      {Cycle{64} << 10, protect::CleaningPolicy::kEagerIdle},
+      {Cycle{1} << 20, protect::CleaningPolicy::kWrittenBit},
+  };
+  u64 shared_wb_ecc = 0;
+  for (const char* benchmark : {"gzip", "mcf"}) {
+    sim::ExperimentOptions eo;
+    // Long enough for mcf to fill shared-ECC sets without cleaning.
+    eo.instructions = 200'000;
+    eo.warmup_instructions = 20'000;
+    const std::string v2 = temp_path("exact");
+    const std::string l1_only = temp_path("exact_l1_only");
+    (void)capture(benchmark, eo, v2);
+    {
+      TraceReader reader(v2);
+      TraceWriter writer(l1_only, reader.line_bytes());
+      TraceEvent e;
+      while (reader.next(e)) writer.append(e);
+      writer.finish(reader.summary());
+    }
+    for (const auto scheme : {protect::SchemeKind::kUniformEcc,
+                              protect::SchemeKind::kNonUniform,
+                              protect::SchemeKind::kSharedEccArray}) {
+      for (const Cleaning& c : cleanings) {
+        for (const bool codes : {true, false}) {
+          sim::ExperimentOptions o = eo;
+          o.scheme = scheme;
+          o.cleaning_interval = c.interval;
+          o.cleaning_policy = c.policy;
+          o.maintain_codes = codes;
+          SCOPED_TRACE(std::string(benchmark) + " " +
+                       protect::to_string(scheme) + " @" +
+                       std::to_string(c.interval) + " " +
+                       protect::to_string(c.policy) +
+                       (codes ? " codes" : ""));
+          const sim::HierarchyConfig h =
+              sim::make_system_config(benchmark, o).hierarchy;
+          ReplayDriver l2_path({h, v2});
+          ReplayDriver l1_path({h, l1_only});
+          const sim::RunResult got = l2_path.run();
+          EXPECT_TRUE(got == l1_path.run());
+          ASSERT_TRUE(l2_path.drove_l2_stream());
+          ASSERT_FALSE(l1_path.drove_l2_stream());
+          EXPECT_EQ(l2_path.events_replayed(), l1_path.events_replayed());
+          if (scheme == protect::SchemeKind::kSharedEccArray)
+            shared_wb_ecc = std::max(shared_wb_ecc, got.wb_ecc);
+        }
+      }
+    }
+    std::remove(v2.c_str());
+    std::remove(l1_only.c_str());
+  }
+  // ECC-entry evictions, the shared scheme's own write-backs, are compared.
+  EXPECT_GT(shared_wb_ecc, 0u);
 }
 
 }  // namespace

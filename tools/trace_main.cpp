@@ -8,7 +8,9 @@
 // `validate` is the cross-validation gate CI runs: each benchmark is run
 // execution-driven (capturing), replayed trace-driven under the same
 // configuration, and the dirty-ratio / WB / Clean-WB / ECC-WB metrics must
-// be equal. Exit code is non-zero when any metric differs. Run/scheme
+// be equal. Exit code is non-zero when any metric differs. `replay` says
+// whether it drove the L2 alone from the trace's L2-side stream or the
+// whole hierarchy from its L1-level events; `info` counts both. Run/scheme
 // options shared by the subcommands: --instructions, --warmup, --seed,
 // --scheme=uniform|nonuniform|shared, --interval (cleaning interval,
 // cycles), --entries (shared-ECC entries per set). A flag a subcommand
@@ -24,6 +26,7 @@
 #include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/validate.hpp"
+#include "workload/profile.hpp"
 
 using namespace aeep;
 
@@ -91,19 +94,17 @@ int cmd_replay(const CliArgs& args) {
   const std::string benchmark = args.get("benchmark", "");
   sim::ExperimentOptions eo = parse_experiment(args);
   reject_unknown_flags(args);
-  eo.frontend = sim::Frontend::kTrace;
-  eo.trace_path = path;
-  sim::RunResult r;
-  if (!benchmark.empty()) {
-    r = sim::run_benchmark(benchmark, eo);
-  } else {
-    // Externally ingested stream: no workload profile to look up.
-    trace::ReplayConfig rc;
-    rc.hierarchy = sim::make_system_config("gzip", eo).hierarchy;
-    rc.trace_path = path;
-    r = trace::ReplayDriver(std::move(rc)).run();
-  }
-  std::printf("replayed %s\n", path.c_str());
+  if (!benchmark.empty()) (void)workload::profile_by_name(benchmark);
+  // The hierarchy does not depend on the benchmark, so an externally
+  // ingested stream (no --benchmark) replays under the same config.
+  trace::ReplayConfig rc;
+  rc.hierarchy = sim::make_system_config("gzip", eo).hierarchy;
+  rc.trace_path = path;
+  trace::ReplayDriver driver(std::move(rc));
+  const sim::RunResult r = driver.run();
+  std::printf("replayed %s from its %s\n", path.c_str(),
+              driver.drove_l2_stream() ? "L2-side stream (L2 only)"
+                                       : "L1-level events (whole hierarchy)");
   print_run(r);
   return 0;
 }
@@ -149,7 +150,7 @@ int cmd_info(const CliArgs& args) {
   }
   const trace::TraceSummary& s = reader.summary();
   std::printf("%s: format v%u, line_bytes %u\n", path.c_str(),
-              trace::kTraceVersion, reader.line_bytes());
+              reader.version(), reader.line_bytes());
   std::printf("  events   %llu in %llu chunks (fetch %llu, load %llu, "
               "store %llu, reset %llu)\n",
               static_cast<unsigned long long>(reader.events_read()),
@@ -166,6 +167,22 @@ int cmd_info(const CliArgs& args) {
               static_cast<unsigned long long>(s.committed),
               static_cast<unsigned long long>(s.loads),
               static_cast<unsigned long long>(s.stores));
+  if (reader.has_l2_stream()) {
+    trace::TraceReader l2_reader(path);
+    trace::L2Op op;
+    u64 l2_counts[3] = {0, 0, 0};
+    while (l2_reader.next_l2(op)) ++l2_counts[static_cast<unsigned>(op.kind)];
+    std::printf("  l2 ops   %llu in %llu chunks (fill %llu, drain %llu, "
+                "reset %llu), L1 side %016llx\n",
+                static_cast<unsigned long long>(l2_reader.l2_ops_read()),
+                static_cast<unsigned long long>(l2_reader.l2_chunks_read()),
+                static_cast<unsigned long long>(l2_counts[0]),
+                static_cast<unsigned long long>(l2_counts[1]),
+                static_cast<unsigned long long>(l2_counts[2]),
+                static_cast<unsigned long long>(reader.l1_side_digest()));
+  } else {
+    std::printf("  l2 ops   none (no L2-side stream)\n");
+  }
   // The same whole-file CRC64 the result store folds into job digests, so
   // "which trace produced this cache entry" is answerable from here.
   std::printf("  digest   %016llx\n",
