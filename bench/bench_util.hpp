@@ -17,7 +17,8 @@
 
 namespace aeep::bench {
 
-/// The flags of every bench that simulates: run length, seed and workers.
+/// The flags of every bench that simulates: run length and seed, plus the
+/// worker count of a bench that runs a sweep.
 struct RunOptions {
   u64 instructions = 2'000'000;
   u64 warmup = 2'000'000;
@@ -32,18 +33,20 @@ struct CommonOptions : RunOptions {
   std::string store_dir;          ///< --store=DIR: result-store cache
 };
 
+/// --instructions, --warmup and --seed. A bench that runs no sweep reads
+/// no --jobs, so the flag exits 2 there.
 inline RunOptions parse_run(const CliArgs& args) {
   RunOptions o;
   o.instructions = args.get_u64("instructions", o.instructions);
   o.warmup = args.get_u64("warmup", o.warmup);
   o.seed = args.get_u64("seed", o.seed);
-  o.jobs = static_cast<unsigned>(args.get_u64("jobs", o.jobs));
   return o;
 }
 
 inline CommonOptions parse_common(const CliArgs& args) {
   CommonOptions o;
   static_cast<RunOptions&>(o) = parse_run(args);
+  o.jobs = static_cast<unsigned>(args.get_u64("jobs", o.jobs));
   o.suite = args.get("suite", o.suite);
   o.json_path = args.get("json", o.json_path);
   o.store_dir = args.get("store", o.store_dir);
@@ -117,6 +120,11 @@ inline void print_header(const char* experiment, const RunOptions& o,
   std::printf("frontend: exec\n");
   if (sweep) std::printf("sweep workers: %u\n", resolve_jobs(o));
   std::printf("\n");
+}
+
+/// Title of a further table a bench prints from the cells it already ran.
+inline void print_section(const char* title) {
+  std::printf("\n=== %s ===\n\n", title);
 }
 
 /// The paper's cleaning-interval ladder: 64K to 4M cycles, x4 steps.

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   const std::string bench_name = args.get("benchmark", "gcc");
   const u64 interval = args.get_u64("interval", u64{1} << 20);
   reject_unknown_flags(args);
-  bench::print_header("Protection energy comparison", opt);
+  bench::print_header("Protection energy comparison", opt,
+                      /*sweep=*/false);
   std::printf("benchmark: %s, cleaning interval %s\n\n", bench_name.c_str(),
               bench::interval_label(interval).c_str());
 

@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
   const u64 injections = args.get_u64("injections", 2000);
   const std::string bench_name = args.get("benchmark", "gzip");
   reject_unknown_flags(args);
-  bench::print_header("Fault injection: protection guarantees", opt);
+  bench::print_header("Fault injection: protection guarantees", opt,
+                      /*sweep=*/false);
   std::printf("benchmark %s, %llu injections per cell\n\n", bench_name.c_str(),
               static_cast<unsigned long long>(injections));
 

@@ -29,11 +29,13 @@ std::string rate_label(double scale) {
 
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
-  // It runs --benchmark alone and opens no store, so --suite and --store
-  // are not read (and exit 2).
+  // It runs --benchmark alone from a cold start and opens no store, so
+  // --suite, --store and --warmup are not read (and exit 2).
   bench::CommonOptions opt;
-  static_cast<bench::RunOptions&>(opt) = bench::parse_run(args);
   opt.instructions = args.get_u64("instructions", 400'000);
+  opt.warmup = 0;
+  opt.seed = args.get_u64("seed", opt.seed);
+  opt.jobs = static_cast<unsigned>(args.get_u64("jobs", opt.jobs));
   opt.json_path = args.get("json", "");
   const std::string bench_name = args.get("benchmark", "gzip");
   const double mbu = args.get_double("mbu", 0.25);
@@ -45,7 +47,6 @@ int main(int argc, char** argv) {
        {"panic", protect::DuePolicy::kPanic},
        {"poison", protect::DuePolicy::kPoison}});
   reject_unknown_flags(args);
-  opt.warmup = 0;
   bench::print_header("Online recovery: strike-rate sweep", opt);
   std::printf("benchmark %s, MBU fraction %.2f, retirement threshold %u, "
               "DUE policy %s\n\n",

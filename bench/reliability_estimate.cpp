@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   const double lambda = args.get_double("fitlambda", 1e-19);
   const u64 interval = args.get_u64("interval", u64{1} << 20);
   reject_unknown_flags(args);
-  bench::print_header("Reliability projection (SDC/DUE windows)", opt);
+  bench::print_header("Reliability projection (SDC/DUE windows)", opt,
+                      /*sweep=*/false);
 
   auto run_with = [&](Cycle clean_interval) {
     sim::ExperimentOptions eo;

@@ -122,6 +122,7 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   bench::CommonOptions o;
   static_cast<bench::RunOptions&>(o) = bench::parse_run(args);
+  o.jobs = static_cast<unsigned>(args.get_u64("jobs", o.jobs));
   // Throughput defaults: small jobs, the point is requests/sec.
   if (!args.has("instructions")) o.instructions = 50'000;
   if (!args.has("warmup")) o.warmup = 5'000;

@@ -130,7 +130,9 @@ FileReader::~FileReader() {
 
 void FileReader::read_bytes(void* out, std::size_t n) {
   if (n == 0) return;
-  if (std::fread(out, 1, n, file_) != n)
+  const std::size_t got = std::fread(out, 1, n, file_);
+  offset_ += got;
+  if (got != n)
     throw TraceError(TraceErrorKind::kTruncated, "short read: " + path_);
 }
 
@@ -156,28 +158,21 @@ bool FileReader::at_eof() {
 
 u64 FileReader::size() {
   if (size_known_) return size_;
-  const long here = std::ftell(file_);
-  if (here < 0 || std::fseek(file_, 0, SEEK_END) != 0)
+  if (std::fseek(file_, 0, SEEK_END) != 0)
     throw TraceError(TraceErrorKind::kIo, "cannot seek: " + path_);
   const long end = std::ftell(file_);
-  if (end < 0 || std::fseek(file_, here, SEEK_SET) != 0)
+  if (end < 0 || std::fseek(file_, static_cast<long>(offset_), SEEK_SET) != 0)
     throw TraceError(TraceErrorKind::kIo, "cannot seek: " + path_);
   size_ = static_cast<u64>(end);
   size_known_ = true;
   return size_;
 }
 
-u64 FileReader::tell() {
-  const long here = std::ftell(file_);
-  if (here < 0)
-    throw TraceError(TraceErrorKind::kIo, "cannot tell: " + path_);
-  return static_cast<u64>(here);
-}
-
 void FileReader::seek(u64 offset) {
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0)
     throw TraceError(TraceErrorKind::kIo, "cannot seek: " + path_);
   std::clearerr(file_);
+  offset_ = offset;
 }
 
 u64 FileReader::whole_file_digest() {

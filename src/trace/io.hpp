@@ -98,7 +98,8 @@ class FileWriter {
 
 /// Read-only binary file with explicit EOF handling: `read_bytes` throws
 /// kTruncated on a short read, `at_eof()` probes for a clean end between
-/// structures.
+/// structures. It counts the bytes it reads, so `tell()` and `remaining()`
+/// cost no system call.
 class FileReader {
  public:
   explicit FileReader(const std::string& path);
@@ -118,7 +119,14 @@ class FileReader {
   u64 size();
 
   /// Current read offset from the start of the file.
-  u64 tell();
+  u64 tell() const { return offset_; }
+
+  /// Bytes between the read offset and the end of the file as size() saw
+  /// it: the most a length field read from the file can honestly claim.
+  u64 remaining() {
+    const u64 end = size();
+    return end > offset_ ? end - offset_ : 0;
+  }
 
   /// Reposition to an absolute byte offset (clears a sticky EOF).
   void seek(u64 offset);
@@ -134,6 +142,7 @@ class FileReader {
  private:
   std::string path_;
   std::FILE* file_;
+  u64 offset_ = 0;
   bool size_known_ = false;
   u64 size_ = 0;
   bool digest_known_ = false;

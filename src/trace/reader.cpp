@@ -48,13 +48,7 @@ bool TraceReader::load_chunk(u8 want) {
     const u32 crc = file_.read_u32();
     if (count == 0)
       throw TraceError(TraceErrorKind::kCorrupt, "empty chunk: " + path());
-    payload_.resize(payload_bytes);
-    file_.read_bytes(payload_.data(), payload_bytes);
-    if (crc32(payload_) != crc)
-      throw TraceError(TraceErrorKind::kCorrupt,
-                       "chunk CRC mismatch (chunk " +
-                           std::to_string(chunks_ + l2_chunks_) + "): " +
-                           path());
+    read_payload(payload_bytes, crc, "chunk");
     ++(l2 ? l2_chunks_ : chunks_);
     if (tag != want) {
       (l2 ? l2_ops_ : events_) += count;
@@ -68,13 +62,27 @@ bool TraceReader::load_chunk(u8 want) {
   }
 }
 
-void TraceReader::read_footer() {
-  const u32 payload_bytes = file_.read_u32();
-  const u32 crc = file_.read_u32();
+void TraceReader::read_payload(u32 payload_bytes, u32 crc, const char* what) {
+  const u64 at = file_.tell();
+  const u64 left = file_.remaining();
+  if (payload_bytes > left)
+    throw TraceError(TraceErrorKind::kTruncated,
+                     std::string(what) + " at byte " + std::to_string(at) +
+                         " claims " + std::to_string(payload_bytes) +
+                         " bytes, the file has " + std::to_string(left) +
+                         " left: " + path());
   payload_.resize(payload_bytes);
   file_.read_bytes(payload_.data(), payload_bytes);
   if (crc32(payload_) != crc)
-    throw TraceError(TraceErrorKind::kCorrupt, "footer CRC mismatch: " + path());
+    throw TraceError(TraceErrorKind::kCorrupt,
+                     std::string(what) + " CRC mismatch at byte " +
+                         std::to_string(at) + ": " + path());
+}
+
+void TraceReader::read_footer() {
+  const u32 payload_bytes = file_.read_u32();
+  const u32 crc = file_.read_u32();
+  read_payload(payload_bytes, crc, "footer");
   std::size_t p = 0;
   summary_.end_tick = get_varint(payload_, p);
   summary_.committed = get_varint(payload_, p);

@@ -55,6 +55,10 @@ class TraceReader {
   bool load_chunk(u8 want);
   /// Parse and check the footer into summary_ (its tag already read).
   void read_footer();
+  /// Read a chunk's or the footer's payload (`what`, for errors) into
+  /// payload_ and check its CRC. A length the rest of the file cannot hold
+  /// is kTruncated before anything is allocated.
+  void read_payload(u32 payload_bytes, u32 crc, const char* what);
   /// Kind byte and tick delta of the next record; throws on a bad kind.
   u8 begin_record(u8 max_kind);
   /// Next zigzag address delta of the current chunk.

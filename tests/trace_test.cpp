@@ -5,6 +5,7 @@
 // decode (this suite also runs under ASan/UBSan in CI). Ends with a small
 // execution-vs-replay cross-validation smoke.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -729,6 +730,51 @@ TEST(TraceDamage, FooterL2OpCountMustMatchTheChunks) {
   EXPECT_EQ(replay_error(h, path), TraceErrorKind::kCorrupt);
   EXPECT_EQ(kind_of(path), TraceErrorKind::kCorrupt);
   std::remove(path.c_str());
+}
+
+/// Peak resident set of this process, in KiB.
+long peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+/// A `version` header and then one frame header alone, tagged `tag`, whose
+/// length field claims a 256 MiB payload the file does not hold.
+std::vector<char> claim_256_mib(u32 version, u8 tag) {
+  std::vector<char> bytes;
+  for (const u32 v : {kTraceMagic, version, u32{64}, u32{0}})
+    put_le32(bytes, v);
+  if (version != kTraceVersion1)
+    for (int half = 0; half < 2; ++half) put_le32(bytes, 0);  // L1-side digest
+  bytes.push_back(static_cast<char>(tag));
+  put_le32(bytes, u32{256} << 20);
+  if (tag != kFooterTag) put_le32(bytes, 1);  // record count
+  put_le32(bytes, 0);                         // CRC
+  return bytes;
+}
+
+/// Reading a file whose `tag` frame claims 256 MiB is kTruncated, and peak
+/// RSS does not rise by the claim: the length is bounded by the bytes left
+/// in the file before anything is allocated.
+void expect_claim_refused_without_allocating(u8 tag, const char* name) {
+  const std::string path = temp_path(name);
+  for (const u32 version : {kTraceVersion1, kTraceVersion}) {
+    SCOPED_TRACE(version == kTraceVersion1 ? "v1" : "v2");
+    spew(path, claim_256_mib(version, tag));
+    const long before_kib = peak_rss_kib();
+    EXPECT_EQ(kind_of(path), TraceErrorKind::kTruncated);
+    EXPECT_LT(peak_rss_kib() - before_kib, 64 * 1024);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceDamage, ChunkClaimingMoreThanTheFileIsTruncatedBeforeAllocating) {
+  expect_claim_refused_without_allocating(kDataChunkTag, "chunk_claim");
+}
+
+TEST(TraceDamage, FooterClaimingMoreThanTheFileIsTruncatedBeforeAllocating) {
+  expect_claim_refused_without_allocating(kFooterTag, "footer_claim");
 }
 
 // The L2-side stream replays bit-for-bit what re-driving the L1 side from
