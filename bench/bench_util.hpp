@@ -1,5 +1,5 @@
 // Shared helpers for the figure-regeneration benches: common CLI options,
-// run headers, and the cleaning-interval ladder the paper sweeps.
+// the sweep entry point, run headers and cleaning-interval labels.
 #pragma once
 
 #include <cstdio>
@@ -33,11 +33,23 @@ struct CommonOptions : RunOptions {
   std::string store_dir;          ///< --store=DIR: result-store cache
 };
 
+/// --instructions, `def` when absent. A run that commits nothing measures
+/// nothing (every IPC and per-access rate divides by zero), so 0 exits 2;
+/// --warmup=0 is a cold start and stays valid.
+inline u64 parse_instructions(const CliArgs& args, u64 def) {
+  const u64 n = args.get_u64("instructions", def);
+  if (n == 0) {
+    std::fprintf(stderr, "--instructions=0 measures nothing (at least 1)\n");
+    std::exit(2);
+  }
+  return n;
+}
+
 /// --instructions, --warmup and --seed. A bench that runs no sweep reads
 /// no --jobs, so the flag exits 2 there.
 inline RunOptions parse_run(const CliArgs& args) {
   RunOptions o;
-  o.instructions = args.get_u64("instructions", o.instructions);
+  o.instructions = parse_instructions(args, o.instructions);
   o.warmup = args.get_u64("warmup", o.warmup);
   o.seed = args.get_u64("seed", o.seed);
   return o;
@@ -125,11 +137,6 @@ inline void print_header(const char* experiment, const RunOptions& o,
 /// Title of a further table a bench prints from the cells it already ran.
 inline void print_section(const char* title) {
   std::printf("\n=== %s ===\n\n", title);
-}
-
-/// The paper's cleaning-interval ladder: 64K to 4M cycles, x4 steps.
-inline std::vector<u64> cleaning_intervals() {
-  return {u64{64} << 10, u64{256} << 10, u64{1} << 20, u64{4} << 20};
 }
 
 inline std::string interval_label(u64 interval) {

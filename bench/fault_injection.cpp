@@ -52,7 +52,7 @@ Row run_campaign(const std::string& bench_name, protect::SchemeKind scheme,
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   bench::RunOptions opt = bench::parse_run(args);
-  opt.instructions = args.get_u64("instructions", 500'000);
+  opt.instructions = bench::parse_instructions(args, 500'000);
   opt.warmup = args.get_u64("warmup", 200'000);
   const u64 injections = args.get_u64("injections", 2000);
   const std::string bench_name = args.get("benchmark", "gzip");

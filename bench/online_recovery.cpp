@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // It runs --benchmark alone from a cold start and opens no store, so
   // --suite, --store and --warmup are not read (and exit 2).
   bench::CommonOptions opt;
-  opt.instructions = args.get_u64("instructions", 400'000);
+  opt.instructions = bench::parse_instructions(args, 400'000);
   opt.warmup = 0;
   opt.seed = args.get_u64("seed", opt.seed);
   opt.jobs = static_cast<unsigned>(args.get_u64("jobs", opt.jobs));

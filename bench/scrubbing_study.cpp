@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   // run_campaign measures from a cold start and runs no sweep, so --warmup
   // and --jobs are not read (and exit 2).
   bench::RunOptions opt;
-  opt.instructions = args.get_u64("instructions", 400'000);
+  opt.instructions = bench::parse_instructions(args, 400'000);
   opt.warmup = 0;
   opt.seed = args.get_u64("seed", opt.seed);
   const unsigned epochs = static_cast<unsigned>(args.get_u64("epochs", 40));
