@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "fabric/coordinator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 #include "store/sweep_cache.hpp"
@@ -31,19 +33,11 @@ struct CommonOptions : RunOptions {
   std::string suite = "all";      ///< all | fp | int | smoke
   std::string json_path;          ///< --json=<path>: machine-readable results
   std::string store_dir;          ///< --store=DIR: result-store cache
+  /// --workers=HOST:PORT,...: the aeep_served fleet that computes the
+  /// cells; empty = a local SweepRunner of --jobs threads.
+  std::vector<fabric::WorkerEndpoint> workers;
+  std::string token;              ///< --token: the fleet's shared secret
 };
-
-/// --instructions, `def` when absent. A run that commits nothing measures
-/// nothing (every IPC and per-access rate divides by zero), so 0 exits 2;
-/// --warmup=0 is a cold start and stays valid.
-inline u64 parse_instructions(const CliArgs& args, u64 def) {
-  const u64 n = args.get_u64("instructions", def);
-  if (n == 0) {
-    std::fprintf(stderr, "--instructions=0 measures nothing (at least 1)\n");
-    std::exit(2);
-  }
-  return n;
-}
 
 /// --instructions, --warmup and --seed. A bench that runs no sweep reads
 /// no --jobs, so the flag exits 2 there.
@@ -55,6 +49,8 @@ inline RunOptions parse_run(const CliArgs& args) {
   return o;
 }
 
+/// The grid benches' flags. A --workers entry that is not an endpoint, and
+/// a --token with no fleet to send it to, exit 2.
 inline CommonOptions parse_common(const CliArgs& args) {
   CommonOptions o;
   static_cast<RunOptions&>(o) = parse_run(args);
@@ -62,6 +58,19 @@ inline CommonOptions parse_common(const CliArgs& args) {
   o.suite = args.get("suite", o.suite);
   o.json_path = args.get("json", o.json_path);
   o.store_dir = args.get("store", o.store_dir);
+  try {
+    for (const std::string& w : args.get_list("workers", ""))
+      o.workers.push_back(fabric::parse_endpoint(w));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad --workers: %s\n", e.what());
+    std::exit(2);
+  }
+  o.token = args.get("token", o.token);
+  if (args.has("token") && o.workers.empty()) {
+    std::fprintf(stderr, "--token authenticates --workers RPCs; no"
+                         " --workers given\n");
+    std::exit(2);
+  }
   return o;
 }
 
@@ -84,18 +93,48 @@ inline std::unique_ptr<store::SweepCache> open_store(const std::string& dir) {
   }
 }
 
-/// The one sweep entry point the figure benches share: the grid through
+/// The one sweep entry point the grid benches share: the grid through
 /// store::run_grid_cached (the --store cache in front when one was asked
-/// for), throwing on the first failed cell. Cached cells round-trip every
-/// RunResult field, so a warm re-run's tables and --json cells are
-/// byte-identical to the run that populated the store.
+/// for), computed on a local SweepRunner or, with --workers, on the fleet
+/// through a fabric::Coordinator; throws on the first failed cell. Cached
+/// and fleet cells round-trip every RunResult field, so their tables and
+/// --json cells are byte-identical to a local run's. `store_stats`
+/// (optional) receives the cache's hit and miss counts.
 inline std::vector<sim::RunResult> run_sweep(
     const CommonOptions& o, const std::vector<sim::SweepJob>& grid,
-    std::vector<double>* wall_seconds = nullptr) {
+    std::vector<double>* wall_seconds = nullptr,
+    store::SweepCacheStats* store_stats = nullptr) {
   const std::unique_ptr<store::SweepCache> cache = open_store(o.store_dir);
-  std::vector<sim::SweepOutcome> outcomes =
-      store::run_grid_cached(sim::SweepRunner(resolve_jobs(o)), grid,
-                             cache.get(), sim::stderr_progress());
+  std::optional<fabric::Coordinator> fleet;
+  if (!o.workers.empty()) {
+    fabric::FabricConfig cfg;
+    cfg.workers = o.workers;
+    cfg.token = o.token;
+    cfg.seed = o.seed;
+    cfg.local_jobs = o.jobs;
+    fleet.emplace(std::move(cfg));
+  }
+  const sim::SweepRunner local(resolve_jobs(o));
+  std::vector<sim::SweepOutcome> outcomes = store::run_grid_cached(
+      [&](const std::vector<sim::SweepJob>& cells,
+          const sim::SweepRunner::ProgressFn& progress) {
+        return fleet ? fleet->run(cells, progress) : local.run(cells, progress);
+      },
+      grid, cache.get(), sim::stderr_progress());
+  if (fleet) {
+    const fabric::FabricStats s = fleet->stats();
+    std::fprintf(stderr,
+                 "fleet: remote=%llu local=%llu retries=%llu "
+                 "worker_failures=%llu busy_backoffs=%llu\n",
+                 static_cast<unsigned long long>(s.jobs_remote),
+                 static_cast<unsigned long long>(s.jobs_local),
+                 static_cast<unsigned long long>(s.retries),
+                 static_cast<unsigned long long>(s.worker_failures),
+                 static_cast<unsigned long long>(s.busy_backoffs));
+    for (const fabric::DroppedWorker& d : fleet->dropped())
+      std::fprintf(stderr, "fleet: dropped worker %s: %s\n",
+                   d.worker.c_str(), d.reason.c_str());
+  }
   if (cache) {
     const store::SweepCacheStats s = cache->stats();
     std::fprintf(stderr, "store: hits=%llu misses=%llu inserts=%llu (%s)\n",
@@ -103,6 +142,7 @@ inline std::vector<sim::RunResult> run_sweep(
                  static_cast<unsigned long long>(s.misses),
                  static_cast<unsigned long long>(s.inserts),
                  o.store_dir.c_str());
+    if (store_stats) *store_stats = s;
   }
   return sim::results_or_throw(grid, std::move(outcomes), wall_seconds);
 }
@@ -119,10 +159,10 @@ inline std::vector<std::string> suite_benchmarks(const std::string& suite) {
   return sim::all_benchmarks();
 }
 
-/// `sweep`: the bench runs its cells through a sweep, whose worker count
-/// the header then reports.
+/// `sweep_workers`: the worker count of the bench's sweep, which the
+/// header then reports; 0 for a bench that runs none.
 inline void print_header(const char* experiment, const RunOptions& o,
-                         bool sweep = true) {
+                         unsigned sweep_workers = 0) {
   std::printf("=== %s ===\n", experiment);
   std::printf("machine: Table-1 four-issue OoO, 1MB 4-way 64B write-back L2\n");
   std::printf("run: %llu committed micro-ops after %llu warm-up, seed %llu\n",
@@ -130,7 +170,7 @@ inline void print_header(const char* experiment, const RunOptions& o,
               static_cast<unsigned long long>(o.warmup),
               static_cast<unsigned long long>(o.seed));
   std::printf("frontend: exec\n");
-  if (sweep) std::printf("sweep workers: %u\n", resolve_jobs(o));
+  if (sweep_workers) std::printf("sweep workers: %u\n", sweep_workers);
   std::printf("\n");
 }
 

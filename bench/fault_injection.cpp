@@ -52,13 +52,12 @@ Row run_campaign(const std::string& bench_name, protect::SchemeKind scheme,
 int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   bench::RunOptions opt = bench::parse_run(args);
-  opt.instructions = bench::parse_instructions(args, 500'000);
+  opt.instructions = parse_instructions(args, 500'000);
   opt.warmup = args.get_u64("warmup", 200'000);
   const u64 injections = args.get_u64("injections", 2000);
   const std::string bench_name = args.get("benchmark", "gzip");
   reject_unknown_flags(args);
-  bench::print_header("Fault injection: protection guarantees", opt,
-                      /*sweep=*/false);
+  bench::print_header("Fault injection: protection guarantees", opt);
   std::printf("benchmark %s, %llu injections per cell\n\n", bench_name.c_str(),
               static_cast<unsigned long long>(injections));
 

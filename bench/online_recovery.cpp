@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // It runs --benchmark alone from a cold start and opens no store, so
   // --suite, --store and --warmup are not read (and exit 2).
   bench::CommonOptions opt;
-  opt.instructions = bench::parse_instructions(args, 400'000);
+  opt.instructions = parse_instructions(args, 400'000);
   opt.warmup = 0;
   opt.seed = args.get_u64("seed", opt.seed);
   opt.jobs = static_cast<unsigned>(args.get_u64("jobs", opt.jobs));
@@ -47,12 +47,12 @@ int main(int argc, char** argv) {
        {"panic", protect::DuePolicy::kPanic},
        {"poison", protect::DuePolicy::kPoison}});
   reject_unknown_flags(args);
-  bench::print_header("Online recovery: strike-rate sweep", opt);
+  const unsigned jobs = bench::resolve_jobs(opt);
+  bench::print_header("Online recovery: strike-rate sweep", opt, jobs);
   std::printf("benchmark %s, MBU fraction %.2f, retirement threshold %u, "
               "DUE policy %s\n\n",
               bench_name.c_str(), mbu, threshold, to_string(policy));
 
-  const unsigned jobs = bench::resolve_jobs(opt);
   bench::JsonReporter json("online_recovery", opt, jobs);
   json.set_config("suite", JsonValue::null());  // it runs --benchmark alone
   json.set_config("benchmark", JsonValue::string(bench_name));

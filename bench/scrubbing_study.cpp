@@ -94,15 +94,14 @@ int main(int argc, char** argv) {
   // run_campaign measures from a cold start and runs no sweep, so --warmup
   // and --jobs are not read (and exit 2).
   bench::RunOptions opt;
-  opt.instructions = bench::parse_instructions(args, 400'000);
+  opt.instructions = parse_instructions(args, 400'000);
   opt.warmup = 0;
   opt.seed = args.get_u64("seed", opt.seed);
   const unsigned epochs = static_cast<unsigned>(args.get_u64("epochs", 40));
   const unsigned strikes =
       static_cast<unsigned>(args.get_u64("strikes", 300));
   reject_unknown_flags(args);
-  bench::print_header("Scrubbing study: latent-error accumulation", opt,
-                      /*sweep=*/false);
+  bench::print_header("Scrubbing study: latent-error accumulation", opt);
   std::printf("%u epochs x %u strikes into a warm vpr L2 image\n\n", epochs,
               strikes);
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const std::string bench = args.get("benchmark", "swim");
   const std::string scheme_name = args.get("scheme", "nonuniform");
   sim::ExperimentOptions base;
-  base.instructions = args.get_u64("instructions", 2'000'000);
+  base.instructions = parse_instructions(args, 2'000'000);
   base.warmup_instructions = args.get_u64("warmup", 2'000'000);
   base.seed = args.get_u64("seed", 42);
   base.scheme = get_choice<protect::SchemeKind>(

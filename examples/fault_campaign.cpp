@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   cfg.benchmark = bench;
   cfg.seed = args.get_u64("seed", 42);
   cfg.warmup_instructions = 0;
-  cfg.instructions = args.get_u64("instructions", 500'000);
+  cfg.instructions = parse_instructions(args, 500'000);
   cfg.hierarchy.l2.maintain_codes = true;
   cfg.hierarchy.l2.scheme = get_choice<protect::SchemeKind>(
       args, "scheme", "shared",

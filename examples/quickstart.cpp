@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const CliArgs args = parse_cli_or_exit(argc, argv);
   const std::string bench = args.get("benchmark", "gzip");
   sim::ExperimentOptions base;
-  base.instructions = args.get_u64("instructions", 2'000'000);
+  base.instructions = parse_instructions(args, 2'000'000);
   base.warmup_instructions = args.get_u64("warmup", 2'000'000);
   base.seed = args.get_u64("seed", 42);
   const Cycle interval = args.get_u64("interval", u64{1} << 20);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       {{"uniform", protect::SchemeKind::kUniformEcc},
        {"nonuniform", protect::SchemeKind::kNonUniform},
        {"shared", protect::SchemeKind::kSharedEccArray}});
-  eo.instructions = args.get_u64("instructions", 400'000);
+  eo.instructions = parse_instructions(args, 400'000);
   eo.warmup_instructions = args.get_u64("warmup", 0);
   eo.seed = args.get_u64("seed", 42);
   eo.cleaning_interval = args.get_u64("cleaning", u64{1} << 18);

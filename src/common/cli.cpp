@@ -139,6 +139,15 @@ std::vector<std::string> CliArgs::unused() const {
   return out;
 }
 
+u64 parse_instructions(const CliArgs& args, u64 def) {
+  const u64 n = args.get_u64("instructions", def);
+  if (n == 0) {
+    std::fprintf(stderr, "--instructions=0 measures nothing (at least 1)\n");
+    std::exit(2);
+  }
+  return n;
+}
+
 void reject_unknown_flags(const CliArgs& args) {
   const auto unused = args.unused();
   if (unused.empty()) return;

@@ -55,6 +55,11 @@ class CliArgs {
 /// stderr and exit(2) instead of escaping as an unhandled exception.
 CliArgs parse_cli_or_exit(int argc, const char* const* argv);
 
+/// --instructions, `def` when absent. A run that commits nothing measures
+/// nothing (every IPC and per-access rate divides by zero), so 0 exits 2;
+/// --warmup=0 is a cold start and stays valid.
+u64 parse_instructions(const CliArgs& args, u64 def);
+
 /// Call once every flag has been read: any supplied flag the program never
 /// queried (a typo such as --due-polcy) prints with the accepted flags to
 /// stderr and exits 2, instead of silently running the defaults.

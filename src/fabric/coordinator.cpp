@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -29,9 +30,6 @@ std::string strip_kind_prefix(const server::ServerError& e) {
 Coordinator::Coordinator(FabricConfig config) : config_(std::move(config)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.max_attempts == 0) config_.max_attempts = 1;
-  if (!config_.store_dir.empty())
-    cache_ = std::make_unique<store::SweepCache>(
-        store::StoreConfig{config_.store_dir, 4096});
 }
 
 FabricStats Coordinator::stats() const {
@@ -49,46 +47,27 @@ std::vector<DroppedWorker> Coordinator::dropped() const {
   return dropped_;
 }
 
-std::vector<FabricOutcome> Coordinator::run(
-    const std::vector<sim::SweepJob>& grid, const ProgressFn& progress) {
-  std::vector<FabricOutcome> out(grid.size());
-  if (grid.empty()) return out;
+std::vector<CellPlacement> Coordinator::placements() const {
+  const MutexLock lock(mutex_);
+  return placements_;
+}
 
+std::vector<sim::SweepOutcome> Coordinator::run(
+    const std::vector<sim::SweepJob>& grid,
+    const sim::SweepRunner::ProgressFn& progress) {
+  std::vector<sim::SweepOutcome> out(grid.size());
   RunState rs;
   rs.grid = &grid;
   rs.out = &out;
   rs.cells.resize(grid.size());
   rs.progress = progress;
-
-  // Consult the result store before sharding anything: a hit cell is
-  // delivered terminal right here (worker = "cache", zero attempts) and
-  // never enters the pending queue. Lookups run unlocked — the cache has
-  // its own mutex and the two never nest.
-  std::vector<std::optional<sim::RunResult>> cached(grid.size());
-  if (cache_) {
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      cached[i] = cache_->lookup(grid[i]);
-  }
   {
     const MutexLock lock(mutex_);
     dropped_.clear();
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!cached[i]) {
-        rs.pending.push_back(i);
-        continue;
-      }
-      FabricOutcome oc;
-      oc.result = std::move(*cached[i]);
-      oc.worker = "cache";
-      out[i] = std::move(oc);
-      ++rs.completed;
-      ++stats_.jobs_cached;
-      if (rs.progress) {
-        FabricProgress p{rs.completed, grid.size(), i, &grid[i], &out[i]};
-        rs.progress(p);
-      }
-    }
+    placements_.assign(grid.size(), CellPlacement{});
+    for (std::size_t i = 0; i < grid.size(); ++i) rs.pending.push_back(i);
   }
+  if (grid.empty()) return out;
 
   // Each worker thread runs until every cell is done or it leaves the run.
   // Once all have returned, whatever is still pending has no worker left.
@@ -97,18 +76,6 @@ std::vector<FabricOutcome> Coordinator::run(
     threads.emplace_back([this, i, &rs] { worker_loop(i, rs); });
   for (auto& t : threads) t.join();
   run_locally(rs);
-
-  // Persist what the run computed (cache hits are already stored).
-  if (cache_) {
-    u64 inserted = 0;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!out[i].ok() || out[i].worker == "cache") continue;
-      cache_->insert(grid[i], out[i].result);
-      ++inserted;
-    }
-    const MutexLock lock(mutex_);
-    stats_.store_inserts += inserted;
-  }
   return out;
 }
 
@@ -129,23 +96,27 @@ std::vector<std::size_t> Coordinator::claim_batch(RunState& rs) {
 }
 
 void Coordinator::deliver(RunState& rs, std::size_t index,
-                          FabricOutcome outcome) {
+                          sim::SweepOutcome outcome,
+                          const std::string& worker) {
   static metrics::Histogram& cell_wall_us =
       metrics::Registry::instance().histogram("fabric.cell_wall_us");
   const MutexLock lock(mutex_);
   const Cell& c = rs.cells[index];
-  outcome.attempts = c.attempts;
+  const bool local = worker == "local";
   if (outcome.ok()) {
-    if (outcome.worker == "local") ++stats_.jobs_local;
+    if (local) ++stats_.jobs_local;
     else ++stats_.jobs_remote;
   }
-  cell_wall_us.record(
-      static_cast<u64>(metrics::ms_since(c.dispatched_at) * 1000.0));
+  const double wall_ms = metrics::ms_since(c.dispatched_at);
+  cell_wall_us.record(static_cast<u64>(wall_ms * 1000.0));
+  // A fallback cell keeps the compute time its SweepRunner measured.
+  if (!local) outcome.wall_seconds = wall_ms / 1000.0;
+  placements_[index] = CellPlacement{worker, c.attempts};
   (*rs.out)[index] = std::move(outcome);
   ++rs.completed;
   if (rs.progress) {
-    FabricProgress p{rs.completed, rs.grid->size(), index,
-                     &(*rs.grid)[index], &(*rs.out)[index]};
+    const sim::SweepProgress p{rs.completed, rs.grid->size(), index,
+                               &(*rs.grid)[index], &(*rs.out)[index]};
     rs.progress(p);  // under the lock: serialised, completion order
   }
   if (rs.completed == rs.grid->size()) cv_work_.notify_all();
@@ -170,10 +141,10 @@ void Coordinator::requeue(RunState& rs, std::size_t index,
       return;
     }
   }
-  FabricOutcome oc;
+  sim::SweepOutcome oc;
   oc.error = "gave up after " + std::to_string(config_.max_attempts) +
              " dispatches; last error: " + error;
-  deliver(rs, index, std::move(oc));
+  deliver(rs, index, std::move(oc), "");
 }
 
 void Coordinator::run_locally(RunState& rs) {
@@ -195,13 +166,7 @@ void Coordinator::run_locally(RunState& rs) {
   for (const std::size_t idx : indices) subgrid.push_back((*rs.grid)[idx]);
   const sim::SweepRunner runner(config_.local_jobs);
   runner.run(subgrid, [&](const sim::SweepProgress& p) {
-    FabricOutcome oc;
-    oc.worker = "local";
-    if (p.outcome->ok())
-      oc.result = p.outcome->result;
-    else
-      oc.error = p.outcome->error;
-    deliver(rs, indices[p.job_index], std::move(oc));
+    deliver(rs, indices[p.job_index], *p.outcome, "local");
   });
 }
 
@@ -288,20 +253,18 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
                       true);
               break;
             }
-            FabricOutcome oc;
+            sim::SweepOutcome oc;
             oc.result = std::move(*result);
-            oc.worker = name;
-            deliver(rs, idx, std::move(oc));
+            deliver(rs, idx, std::move(oc), name);
             break;
           }
         } catch (const server::ServerError& e) {
           if (e.kind() == server::ServerErrorKind::kInternal) {
             // The simulator itself rejected this cell — deterministic, so
             // it would fail identically anywhere. Terminal, not retried.
-            FabricOutcome oc;
+            sim::SweepOutcome oc;
             oc.error = strip_kind_prefix(e);
-            oc.worker = name;
-            deliver(rs, idx, std::move(oc));
+            deliver(rs, idx, std::move(oc), name);
           } else if (e.kind() == server::ServerErrorKind::kTimeout) {
             // Blew its deadline on *this* worker; another may be faster.
             requeue(rs, idx, strip_kind_prefix(e), true);

@@ -1,4 +1,4 @@
-// A sweep-fabric worker's address, as aeep_coord --workers and
+// A sweep-fabric worker's address, as paper_figures --workers and
 // aeep_chaos --upstream spell it.
 #pragma once
 

@@ -9,11 +9,11 @@
 //
 // run_result_json is the canonical *metrics* view: one stable,
 // insertion-ordered key set derived from a RunResult, rendered only where
-// results leave the program — the figure benches' --json reporter, the
-// aeep_served reply's "metrics" field, aeep_coord's cells. Keeping it in
-// one place is what lets CI diff a bench file against a server reply and
-// guarantees a job's metrics look the same whether the run was local or
-// remote.
+// results leave the program — the figure benches' --json reporter (for
+// local and fleet cells alike), the aeep_served reply's "metrics" field.
+// Keeping it in one place is what lets CI diff a bench file against a
+// server reply and guarantees a job's metrics look the same whether the
+// run was local or remote.
 #pragma once
 
 #include <optional>

@@ -12,7 +12,7 @@ namespace {
 constexpr u64 kPayloadVersion = 2;
 
 // Store-level telemetry, shared by every SweepCache in the process (the
-// served cache and a fabric coordinator's cache count into one place).
+// served cache and a bench sweep's cache count into one place).
 metrics::Histogram& lookup_us_hist() {
   static metrics::Histogram& h =
       metrics::Registry::instance().histogram("store.lookup_us");
@@ -90,9 +90,9 @@ void SweepCache::reset_stats() {
 }
 
 std::vector<sim::SweepOutcome> run_grid_cached(
-    const sim::SweepRunner& runner, const std::vector<sim::SweepJob>& grid,
+    const ComputeFn& compute, const std::vector<sim::SweepJob>& grid,
     SweepCache* cache, const sim::SweepRunner::ProgressFn& progress) {
-  if (!cache) return runner.run(grid, progress);
+  if (!cache) return compute(grid, progress);
 
   const std::size_t n = grid.size();
   std::vector<sim::SweepOutcome> out(n);
@@ -114,8 +114,9 @@ std::vector<sim::SweepOutcome> run_grid_cached(
   miss_grid.reserve(miss_indices.size());
   for (const std::size_t i : miss_indices) miss_grid.push_back(grid[i]);
 
-  // Re-base the runner's progress events onto the full grid: completed
-  // continues from the hit count, job_index maps back to the caller's grid.
+  // Re-base the computed cells' progress events onto the full grid:
+  // completed continues from the hit count, job_index maps back to the
+  // caller's grid.
   sim::SweepRunner::ProgressFn wrapped;
   if (progress) {
     const std::size_t hits = completed;
@@ -128,7 +129,7 @@ std::vector<sim::SweepOutcome> run_grid_cached(
     };
   }
 
-  std::vector<sim::SweepOutcome> ran = runner.run(miss_grid, wrapped);
+  std::vector<sim::SweepOutcome> ran = compute(miss_grid, wrapped);
   for (std::size_t k = 0; k < miss_indices.size(); ++k) {
     const std::size_t i = miss_indices[k];
     if (ran[k].ok()) cache->insert(grid[i], ran[k].result);

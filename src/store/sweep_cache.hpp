@@ -7,17 +7,18 @@
 //
 // The result is the lossless RunResult codec (sim/result_json.hpp), so a
 // hit is the RunResult the cell computed, field for field, whoever wrote
-// it: the benches and `aeep_coord --local` (run_grid_cached), a fabric
-// Coordinator (from its workers' result replies), or aeep_served. The
-// metrics view is never stored; callers render it from the RunResult at
-// their reporting edge. A payload that does not decode — an older payload
-// version, a foreign document — reads as a miss.
+// it: a bench sweep through run_grid_cached, on a local SweepRunner or a
+// fabric Coordinator's fleet, or aeep_served. The metrics view is never
+// stored; callers render it from the RunResult at their reporting edge. A
+// payload that does not decode — an older payload version, a foreign
+// document — reads as a miss.
 //
 // Keys fold in the running executable's build digest
 // (store/build_digest.hpp), so a binary hits only records that it wrote
 // itself.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -64,11 +65,17 @@ class SweepCache {
   SweepCacheStats stats_ AEEP_GUARDED_BY(mutex_){};
 };
 
-/// SweepRunner::run with a cache in front: cells already in `cache` are
-/// served without touching the runner's pool; the rest run as one
-/// (smaller) grid, and every one that finishes is inserted. A failed cell
-/// is captured in its outcome, never thrown, and costs the others nothing.
-/// `cache == nullptr` degrades to a plain `runner.run(grid, progress)`.
+/// Computes the cells a cache cannot serve, with SweepRunner::run's shape:
+/// outcomes indexed like the grid, progress serialised in completion order.
+/// A local SweepRunner and a fabric Coordinator both fit.
+using ComputeFn = std::function<std::vector<sim::SweepOutcome>(
+    const std::vector<sim::SweepJob>&, const sim::SweepRunner::ProgressFn&)>;
+
+/// `compute` with a cache in front: cells already in `cache` are served
+/// without computing anything; the rest go to `compute` as one (smaller)
+/// grid, and every one that finishes is inserted. A failed cell is captured
+/// in its outcome, never thrown, and costs the others nothing.
+/// `cache == nullptr` degrades to a plain `compute(grid, progress)`.
 ///
 /// Outcomes are indexed like `grid`; a hit has wall_seconds 0.0 (nothing
 /// ran) and is byte-identical to the run that produced it. Progress events
@@ -76,7 +83,7 @@ class SweepCache {
 /// strictly increasing 1..N across the hit and miss phases, so existing
 /// status-line callbacks work unchanged.
 std::vector<sim::SweepOutcome> run_grid_cached(
-    const sim::SweepRunner& runner, const std::vector<sim::SweepJob>& grid,
+    const ComputeFn& compute, const std::vector<sim::SweepJob>& grid,
     SweepCache* cache, const sim::SweepRunner::ProgressFn& progress = nullptr);
 
 }  // namespace aeep::store

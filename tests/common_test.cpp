@@ -232,6 +232,18 @@ TEST(Cli, BadNumericSuffixThrows) {
               testing::ExitedWithCode(2), "bad number in --instructions=abc");
 }
 
+TEST(Cli, ZeroInstructionsExitsTwoAndAZeroWarmupStaysValid) {
+  // Every IPC and per-access rate of a run that commits nothing divides by
+  // zero; a cold start (--warmup=0) measures as usual.
+  const char* argv[] = {"prog", "--instructions=0", "--warmup=0"};
+  CliArgs args(3, argv);
+  EXPECT_EQ(args.get_u64("warmup", 5), 0u);
+  EXPECT_EXIT(parse_instructions(args, 100), testing::ExitedWithCode(2),
+              "--instructions=0 measures nothing");
+  const char* none[] = {"prog"};
+  EXPECT_EQ(parse_instructions(CliArgs(1, none), 100), 100u);
+}
+
 TEST(Cli, UnknownFlagSurfacesInUnusedAndQueriedListsAccepted) {
   // The reject_unknown_flags() path: a typo'd flag stays in unused() and
   // the error message can print queried() as the accepted set.

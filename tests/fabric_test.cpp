@@ -5,7 +5,8 @@
 // endpoint, bounded access logs, and the coordinator's load-bearing
 // claim: a grid run through a (possibly dying) fleet returns RunResults
 // identical, field for field, to a local SweepRunner run of the same grid,
-// with workers that keep failing dropped and their cells run locally.
+// with workers that keep failing dropped and their cells run locally —
+// behind the same store::run_grid_cached front as a local run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,6 +74,14 @@ std::vector<sim::SweepJob> small_grid() {
 std::vector<sim::RunResult> baseline_results(
     const std::vector<sim::SweepJob>& grid) {
   return sim::results_or_throw(grid, sim::SweepRunner(2).run(grid));
+}
+
+/// run_grid_cached's compute step on `coord`'s fleet.
+store::ComputeFn fleet_compute(Coordinator& coord) {
+  return [&coord](const std::vector<sim::SweepJob>& cells,
+                  const sim::SweepRunner::ProgressFn& progress) {
+    return coord.run(cells, progress);
+  };
 }
 
 FabricConfig test_config() {
@@ -480,26 +489,26 @@ TEST(Coordinator, StrikeCellThroughTheFleetMatchesLocal) {
   std::filesystem::remove_all(dir);
   server::JobServer worker(worker_config());
   worker.start();
+  store::SweepCache cache({dir, 4096});
   {
     FabricConfig cfg = test_config();
     cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
-    cfg.store_dir = dir;
     Coordinator coord(std::move(cfg));
-    const auto outcomes = coord.run(grid);
+    const auto outcomes = store::run_grid_cached(fleet_compute(coord), grid,
+                                                 &cache);
     ASSERT_EQ(outcomes.size(), 1u);
     ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
-    EXPECT_NE(outcomes[0].worker, "local");
+    EXPECT_NE(coord.placements()[0].worker, "local");
     // The counters first, for a readable failure; then every field.
     const sim::RunResult& got = outcomes[0].result;
     EXPECT_EQ(got.strikes.strikes, expected.strikes.strikes);
     EXPECT_EQ(got.recovery.due_events, expected.recovery.due_events);
     EXPECT_EQ(got.recovery.checks, expected.recovery.checks);
     EXPECT_EQ(got, expected);
-    EXPECT_EQ(coord.stats().store_inserts, 1u);
+    EXPECT_EQ(cache.stats().inserts, 1u);
   }
   worker.drain();
 
-  store::SweepCache cache({dir, 4096});
   const std::optional<sim::RunResult> stored = cache.lookup(job);
   ASSERT_TRUE(stored.has_value());
   EXPECT_EQ(*stored, expected);
@@ -513,7 +522,7 @@ TEST(Coordinator, NoWorkersRunsLocallyBitExact) {
   ASSERT_EQ(outcomes.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].worker, "local");
+    EXPECT_EQ(coord.placements()[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   EXPECT_EQ(coord.stats().jobs_local, grid.size());
@@ -532,14 +541,15 @@ TEST(Coordinator, FleetRunIsBitExactAgainstTheLocalBaseline) {
   Coordinator coord(std::move(cfg));
   std::size_t progress_calls = 0;
   const auto outcomes = coord.run(
-      grid, [&](const FabricProgress& p) {
+      grid, [&](const sim::SweepProgress& p) {
         ++progress_calls;
         EXPECT_LE(p.completed, p.total);
       });
   ASSERT_EQ(outcomes.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_NE(outcomes[i].worker, "local");
+    EXPECT_NE(coord.placements()[i].worker, "local");
+    EXPECT_GT(outcomes[i].wall_seconds, 0.0);  // dispatch to delivery
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   EXPECT_EQ(progress_calls, grid.size());
@@ -568,7 +578,7 @@ TEST(Coordinator, DeadWorkerIsRetiredAndTheGridStillCompletes) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_NE(outcomes[i].worker, "local");
+    EXPECT_NE(coord.placements()[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   const auto gone = coord.dropped();
@@ -589,7 +599,7 @@ TEST(Coordinator, SoleWorkerDyingMidRunRetiresThroughDispatchFailures) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].worker, "local");
+    EXPECT_EQ(coord.placements()[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   const auto gone = coord.dropped();
@@ -610,7 +620,7 @@ TEST(Coordinator, AllWorkersDeadDegradesToLocalBitExact) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].worker, "local");
+    EXPECT_EQ(coord.placements()[i].worker, "local");
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   EXPECT_EQ(coord.dropped().size(), 2u);
@@ -633,8 +643,8 @@ TEST(Coordinator, DrainingWorkerIsBenchedAtProbeTime) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].worker, "local");
-    EXPECT_EQ(outcomes[i].attempts, 1u);
+    EXPECT_EQ(coord.placements()[i].worker, "local");
+    EXPECT_EQ(coord.placements()[i].attempts, 1u);
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   const auto gone = coord.dropped();
@@ -693,8 +703,8 @@ TEST(Coordinator, BusyBouncesChargeNoAttemptAndDropNoWorker) {
   const auto outcomes = coord.run(grid);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-    EXPECT_NE(outcomes[i].worker, "local");
-    EXPECT_EQ(outcomes[i].attempts, 1u);
+    EXPECT_NE(coord.placements()[i].worker, "local");
+    EXPECT_EQ(coord.placements()[i].attempts, 1u);
     EXPECT_EQ(outcomes[i].result, expected[i]);
   }
   const FabricStats s = coord.stats();
@@ -705,6 +715,9 @@ TEST(Coordinator, BusyBouncesChargeNoAttemptAndDropNoWorker) {
 }
 
 TEST(Coordinator, StoreFrontServesWarmRunsAndSharesRecordsWithRunGridCached) {
+  // run_grid_cached is the one store front for both executors: fleet
+  // records are full RunResults, so a warm fleet run dispatches nothing
+  // and a warm local run of the same grid hits every cell.
   const auto grid = small_grid();
   const auto expected = baseline_results(grid);
   const std::string dir = testing::TempDir() + "aeep_fabric_test_store";
@@ -713,40 +726,47 @@ TEST(Coordinator, StoreFrontServesWarmRunsAndSharesRecordsWithRunGridCached) {
   worker.start();
   FabricConfig cfg = test_config();
   cfg.workers = {parse_endpoint(std::to_string(worker.port()))};
-  cfg.store_dir = dir;
   {
-    // Cold: the worker computes every cell and the coordinator stores it.
+    // Cold: the worker computes every cell and the front stores it.
+    store::SweepCache cache({dir, 4096});
     Coordinator coord(cfg);
-    const auto outcomes = coord.run(grid);
+    const auto outcomes =
+        store::run_grid_cached(fleet_compute(coord), grid, &cache);
     for (std::size_t i = 0; i < grid.size(); ++i) {
       ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-      EXPECT_NE(outcomes[i].worker, "cache");
+      EXPECT_NE(coord.placements()[i].worker, "local");
+      EXPECT_GT(outcomes[i].wall_seconds, 0.0);
       EXPECT_EQ(outcomes[i].result, expected[i]);
     }
     EXPECT_EQ(coord.stats().jobs_remote, grid.size());
-    EXPECT_EQ(coord.stats().store_inserts, grid.size());
+    EXPECT_EQ(cache.stats().misses, grid.size());
+    EXPECT_EQ(cache.stats().inserts, grid.size());
   }
+  const u64 submitted = worker.stats().submitted;
+  EXPECT_EQ(submitted, grid.size());
   {
-    // Warm: the store serves every cell and nothing is dispatched.
+    // Warm fleet run: the store serves every cell; the worker sees nothing.
+    store::SweepCache cache({dir, 4096});
     Coordinator coord(cfg);
-    const auto outcomes = coord.run(grid);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
-      EXPECT_EQ(outcomes[i].worker, "cache");
-      EXPECT_EQ(outcomes[i].attempts, 0u);
-      EXPECT_EQ(outcomes[i].result, expected[i]);
-    }
-    EXPECT_EQ(coord.stats().jobs_cached, grid.size());
+    const auto outcomes =
+        store::run_grid_cached(fleet_compute(coord), grid, &cache);
+    EXPECT_EQ(sim::results_or_throw(grid, outcomes), expected);
+    EXPECT_EQ(cache.stats().hits, grid.size());
+    EXPECT_EQ(cache.stats().inserts, 0u);
     EXPECT_EQ(coord.stats().dispatches, 0u);
-    EXPECT_EQ(coord.stats().store_inserts, 0u);
+    EXPECT_EQ(worker.stats().submitted, submitted);
   }
   worker.drain();
 
-  // The fleet's records are full RunResults, so the local cache-fronted
-  // grid path (the benches, aeep_coord --local) hits every cell as well.
+  // Warm local run of the same grid: all hits, equal to the baseline.
   store::SweepCache cache({dir, 4096});
-  const auto outcomes =
-      store::run_grid_cached(sim::SweepRunner(2), grid, &cache);
+  const sim::SweepRunner runner(2);
+  const auto outcomes = store::run_grid_cached(
+      [&runner](const std::vector<sim::SweepJob>& cells,
+                const sim::SweepRunner::ProgressFn& progress) {
+        return runner.run(cells, progress);
+      },
+      grid, &cache);
   EXPECT_EQ(cache.stats().hits, grid.size());
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(sim::results_or_throw(grid, outcomes), expected);
@@ -821,7 +841,7 @@ TEST(Coordinator, UndecodableResultIsRequeuedAndNeverDelivered) {
   EXPECT_FALSE(outcomes[0].ok());
   EXPECT_NE(outcomes[0].error.find("no decodable result"), std::string::npos)
       << outcomes[0].error;
-  EXPECT_EQ(outcomes[0].attempts, 2u);
+  EXPECT_EQ(coord.placements()[0].attempts, 2u);
   EXPECT_EQ(worker.results_sent(), 2);
   EXPECT_EQ(coord.stats().jobs_remote, 0u);
   EXPECT_EQ(coord.stats().retries, 1u);
@@ -845,7 +865,7 @@ TEST(Coordinator, SuccessfulRoundTripResetsTheDropStreak) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_NE(outcomes[0].error.find("no decodable result"), std::string::npos)
       << outcomes[0].error;
-  EXPECT_EQ(outcomes[0].attempts, 2u);
+  EXPECT_EQ(coord.placements()[0].attempts, 2u);
   EXPECT_EQ(worker.results_sent(), 2);
   EXPECT_EQ(coord.stats().worker_failures, 4u);
   EXPECT_TRUE(coord.dropped().empty());

@@ -64,6 +64,13 @@ std::vector<sim::SweepJob> small_grid() {
   return grid;
 }
 
+/// run_grid_cached's compute step: the cells on a local two-thread pool.
+std::vector<sim::SweepOutcome> run_local(
+    const std::vector<sim::SweepJob>& grid,
+    const sim::SweepRunner::ProgressFn& progress) {
+  return sim::SweepRunner(2).run(grid, progress);
+}
+
 // --- digest ----------------------------------------------------------------
 
 TEST(Digest, HexRoundTripsAndRejectsMalformed) {
@@ -379,12 +386,11 @@ TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
 TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   const std::string dir = temp_dir("warm");
   const auto grid = small_grid();
-  const sim::SweepRunner runner(2);
 
   SweepCache cold({dir, 64});
   std::vector<std::size_t> completed_seq;
   const auto cold_results = sim::results_or_throw(
-      grid, run_grid_cached(runner, grid, &cold,
+      grid, run_grid_cached(run_local, grid, &cold,
                             [&](const sim::SweepProgress& p) {
                               completed_seq.push_back(p.completed);
                             }));
@@ -402,7 +408,7 @@ TEST(SweepCache, WarmRunGridCachedIsBitExactWithZeroSimulation) {
   std::vector<char> saw_job(grid.size(), 0);
   const auto warm_results = sim::results_or_throw(
       grid,
-      run_grid_cached(runner, grid, &warm,
+      run_grid_cached(run_local, grid, &warm,
                       [&](const sim::SweepProgress& p) {
                         completed_seq.push_back(p.completed);
                         saw_job[p.job_index] = 1;
@@ -440,7 +446,7 @@ TEST(SweepCache, PartialHitsRunOnlyTheMisses) {
   cache.reset_stats();
 
   const auto results =
-      sim::results_or_throw(grid, run_grid_cached(runner, grid, &cache));
+      sim::results_or_throw(grid, run_grid_cached(run_local, grid, &cache));
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, grid.size() - 1);
   EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
@@ -454,10 +460,9 @@ TEST(SweepCache, AFailedCellIsCapturedAndTheRestAreStored) {
   const std::string dir = temp_dir("failed_cell");
   auto grid = small_grid();
   grid.insert(grid.begin() + 1, {"no-such-benchmark", small_options(), "bad"});
-  const sim::SweepRunner runner(2);
 
   SweepCache cache({dir, 64});
-  const auto outcomes = run_grid_cached(runner, grid, &cache);
+  const auto outcomes = run_grid_cached(run_local, grid, &cache);
   ASSERT_EQ(outcomes.size(), grid.size());
   EXPECT_FALSE(outcomes[1].ok());
   EXPECT_EQ(cache.stats().inserts, grid.size() - 1);
@@ -466,7 +471,7 @@ TEST(SweepCache, AFailedCellIsCapturedAndTheRestAreStored) {
   // The cells that did finish are served on the next run; the failed one
   // runs (and fails) again.
   cache.reset_stats();
-  const auto again = run_grid_cached(runner, grid, &cache);
+  const auto again = run_grid_cached(run_local, grid, &cache);
   EXPECT_EQ(cache.stats().hits, grid.size() - 1);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_FALSE(again[1].ok());

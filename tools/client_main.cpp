@@ -13,9 +13,9 @@
 //
 // Connection flags: --retries=N (re-attempt a refused connection N more
 // times) and --backoff-ms=MS (base of the jittered exponential backoff
-// between attempts — the same fabric::Backoff schedule the coordinator
-// uses). A server that stays unreachable exits 6 with a plain-language
-// message, not a raw errno.
+// between attempts — the same fabric::Backoff schedule a
+// `paper_figures --workers` fleet run uses). A server that stays
+// unreachable exits 6 with a plain-language message, not a raw errno.
 //
 // Output flags (any reply-printing command): --field=a.b.c extracts one
 // value from the reply JSON by dot-path and prints it raw (strings
@@ -111,7 +111,7 @@ server::JobSpec parse_job(const CliArgs& args) {
       args.get_u64("decay-threshold", spec.decay_threshold));
   spec.ecc_entries_per_set = static_cast<unsigned>(
       args.get_u64("entries", spec.ecc_entries_per_set));
-  spec.instructions = args.get_u64("instructions", spec.instructions);
+  spec.instructions = parse_instructions(args, spec.instructions);
   spec.warmup_instructions =
       args.get_u64("warmup", spec.warmup_instructions);
   spec.seed = args.get_u64("seed", spec.seed);

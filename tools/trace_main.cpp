@@ -45,7 +45,7 @@ int usage() {
 
 sim::ExperimentOptions parse_experiment(const CliArgs& args) {
   sim::ExperimentOptions eo;
-  eo.instructions = args.get_u64("instructions", 200'000);
+  eo.instructions = parse_instructions(args, 200'000);
   eo.warmup_instructions = args.get_u64("warmup", 20'000);
   eo.seed = args.get_u64("seed", 42);
   eo.cleaning_interval = args.get_u64("interval", 256 * 1024);
