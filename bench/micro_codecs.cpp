@@ -12,6 +12,11 @@
 // --min-secded-speedup=X — exits non-zero unless batched SECDED encode is
 // at least X times faster than word-at-a-time. CI pins X=2.
 //
+// Last, the trace chunks' CRC32 over a 2 MiB buffer: the dispatched kernel
+// (carry-less multiply where the CPU has it) against slicing-by-8. They
+// must agree; the JSON config records the speedup (crc32_speedup) and
+// whether the carry-less path ran (crc32_clmul), which CI gates.
+//
 //   micro_codecs [--lines=65536] [--json=out.json] [--min-secded-speedup=X]
 #include <atomic>
 #include <chrono>
@@ -23,6 +28,7 @@
 #include "common/rng.hpp"
 #include "ecc/parity.hpp"
 #include "ecc/secded.hpp"
+#include "trace/io.hpp"
 
 namespace {
 std::atomic<aeep::u64> g_allocations{0};
@@ -195,6 +201,44 @@ int main(int argc, char** argv) {
     }
   }
 
+  // CRC32 over 2 MiB: the dispatched kernel against slicing-by-8, in
+  // 64-bit words per second like the codec rows.
+  std::vector<u8> crc_buf(2 * MiB);
+  for (u8& b : crc_buf) b = static_cast<u8>(rng.next());
+  constexpr u64 kCrcPasses = 64;
+  const u64 crc_words = crc_buf.size() / 8;
+  u32 table_crc = 0, dispatched_crc = 0;
+  const Measurement table_m = timed(kCrcPasses, crc_words, [&](u64) {
+    table_crc = trace::crc32_table(crc_buf.data(), crc_buf.size());
+    return table_crc;
+  });
+  const Measurement dispatched_m = timed(kCrcPasses, crc_words, [&](u64) {
+    dispatched_crc = trace::crc32(crc_buf.data(), crc_buf.size());
+    return dispatched_crc;
+  });
+  if (dispatched_crc != table_crc) {
+    std::fprintf(stderr,
+                 "crc32: dispatched kernel diverges from slicing-by-8\n");
+    equivalence_broken = true;
+  }
+  const bool clmul = trace::crc32_folds_clmul();
+  const double crc_speedup =
+      table_m.words_per_sec > 0.0
+          ? dispatched_m.words_per_sec / table_m.words_per_sec
+          : 0.0;
+  for (const auto& [call, m] :
+       {std::pair{"slicing-by-8", table_m},
+        std::pair{clmul ? "dispatched (clmul)" : "dispatched (table)",
+                  dispatched_m}}) {
+    table.add_row({"crc32", call, rate(m.words_per_sec),
+                   TextTable::fmt(m.allocs_per_call, 2)});
+    if (m.allocs_per_call > 0.0) allocated = true;
+    JsonValue metrics = JsonValue::object();
+    metrics.set("words_per_sec", JsonValue::number(m.words_per_sec));
+    metrics.set("allocs_per_call", JsonValue::number(m.allocs_per_call));
+    json.add_cell("crc32", call, std::move(metrics));
+  }
+
   std::printf("%s", table.render().c_str());
   std::printf("\nallocations per codec call: %s\n",
               allocated ? "NONZERO (regression!)" : "zero");
@@ -204,8 +248,13 @@ int main(int argc, char** argv) {
   if (min_secded_speedup > 0.0)
     std::printf(" (gate: >=%.2fx)", min_secded_speedup);
   std::printf("\n");
+  std::printf("crc32 dispatched/slicing-by-8 speedup: %.2fx (carry-less "
+              "multiply: %s)\n",
+              crc_speedup, clmul ? "yes" : "no");
   json.set_config("secded_batched_speedup",
                   JsonValue::number(secded_speedup));
+  json.set_config("crc32_speedup", JsonValue::number(crc_speedup));
+  json.set_config("crc32_clmul", JsonValue::boolean(clmul));
   if (!json.write(json_path)) return 1;
   if (equivalence_broken) return 1;
   if (min_secded_speedup > 0.0 && secded_speedup < min_secded_speedup) {

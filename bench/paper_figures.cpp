@@ -447,39 +447,45 @@ fault::ResidencyProfile residency(const sim::RunResult& r) {
   const double total = static_cast<double>(cache::kL2Geometry.total_lines());
   pr.avg_dirty_lines = r.avg_dirty_fraction * total;
   pr.avg_clean_lines = total - pr.avg_dirty_lines;
-  // Residency between validations: a line is re-validated whenever it is
-  // re-fetched or written back; approximate with cycles / turnover.
-  const double turnover =
-      std::max<double>(1.0, static_cast<double>(r.l2.fills + r.wb_total()));
-  pr.clean_residency = static_cast<double>(r.core.cycles) * total / turnover;
+  // Residency between validations, T: a line is validated whenever it is
+  // filled, written back or read (a read hit runs its parity or ECC
+  // check); approximate with cycles × lines / validations.
+  const double validations = std::max<double>(
+      1.0, static_cast<double>(r.l2.fills + r.l2.read_hits + r.wb_total()));
+  pr.clean_residency = static_cast<double>(r.core.cycles) * total / validations;
   pr.dirty_residency = pr.clean_residency;
   return pr;
 }
 
 void print_reliability(const Grid& g) {
   bench::print_section("Reliability projection (SDC/DUE windows)");
-  TextTable table({"benchmark", "configuration", "SDC rate/cycle",
-                   "DUE rate/cycle", "recovered/cycle"});
+  TextTable table({"benchmark", "configuration", "T (cycles)",
+                   "SDC rate/cycle", "DUE rate/cycle", "recovered/cycle"});
   for (std::size_t b = 0; b < g.benchmarks.size(); ++b) {
     const auto add = [&](const fault::ReliabilityEstimate& e,
+                         const fault::ResidencyProfile& pr,
                          const char* suffix) {
-      char sdc[32], due[32], rec[32];
+      char t[32], sdc[32], due[32], rec[32];
+      std::snprintf(t, sizeof t, "%.3e", pr.clean_residency);
       std::snprintf(sdc, sizeof sdc, "%.3e", e.sdc_rate);
       std::snprintf(due, sizeof due, "%.3e", e.due_rate);
       std::snprintf(rec, sizeof rec, "%.3e", e.recovered_rate);
-      table.add_row({g.benchmarks[b], e.scheme + suffix, sdc, due, rec});
+      table.add_row({g.benchmarks[b], e.scheme + suffix, t, sdc, due, rec});
     };
     // `org` is the non-uniform scheme without cleaning, by the identity
     // in the header comment.
     const fault::ResidencyProfile uncleaned = residency(g.at(b, "org"));
-    add(fault::estimate_parity_only(uncleaned), "");
-    add(fault::estimate_uniform_ecc(uncleaned), "");
-    add(fault::estimate_non_uniform(uncleaned), ", no cleaning");
-    add(fault::estimate_non_uniform(residency(g.at(b, "1M"))),
-        ", 1M cleaning");
+    const fault::ResidencyProfile cleaned = residency(g.at(b, "1M"));
+    add(fault::estimate_parity_only(uncleaned), uncleaned, "");
+    add(fault::estimate_uniform_ecc(uncleaned), uncleaned, "");
+    add(fault::estimate_non_uniform(uncleaned), uncleaned, ", no cleaning");
+    add(fault::estimate_non_uniform(cleaned), cleaned, ", 1M cleaning");
   }
   std::printf("%s", table.render().c_str());
   std::printf("\nreading the table:\n"
+              " - T is a line's time between validations, cycles x lines /"
+              " (fills + read hits +\n   write-backs): the window a second"
+              " strike has to land in;\n"
               " - parity-only loses dirty data on ANY strike: the DUE column"
               " is why write-back\n   caches cannot ship with parity alone;\n"
               " - the paper's scheme matches uniform ECC's DUE and adds only"

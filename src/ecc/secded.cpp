@@ -121,9 +121,9 @@ DecodeResult SecdedCodec::decode(std::span<u64> data, u64& check) const {
 
 // Batched hot path. Eight byte-table lookups per word compute all seven
 // Hamming check bits and the data parity in one XOR accumulator — where
-// the scalar path pays seven AND + software-popcount column folds (the
-// build targets baseline x86-64, so std::popcount is a ~12-op SWAR
-// sequence) behind an opaque virtual call per word. The 2 KiB table stays
+// the scalar path pays seven AND + software-parity column folds (the
+// build targets baseline x86-64, without POPCNT, so each parity64 is an
+// xor-fold to one byte and a setnp) behind an opaque virtual call per word. The 2 KiB table stays
 // L1-resident across a line, and the eight words' chains are independent
 // so the CPU overlaps the loads.
 u64 SecdedCodec::fold_word(u64 d) const {

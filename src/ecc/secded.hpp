@@ -59,9 +59,9 @@ class SecdedCodec final : public WordCodec {
 
   // --- Batched whole-line API (width 64) ---------------------------------
   // Table-driven position fold — eight L1-hot byte lookups per word
-  // replace nine software popcounts (the build targets baseline x86-64, so
-  // std::popcount is a ~12-op SWAR sequence), and there is no virtual
-  // dispatch inside the line loop.
+  // replace nine software parities (the build targets baseline x86-64,
+  // without POPCNT, so each parity64 is an xor-fold to one byte and a
+  // setnp), and there is no virtual dispatch inside the line loop.
   void encode_batch(std::span<const u64> data,
                     std::span<u64> check_out) const override;
   void encode_batch_masked(std::span<const u64> data, u64 word_mask,

@@ -11,6 +11,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "trace/writer.hpp"
 
@@ -33,17 +34,20 @@ class CaptureSink {
   }
   void on_stats_reset(Cycle now) {
     writer_.append({EventKind::kStatsReset, now, 0, 0});
-    append_l2(L2OpKind::kStatsReset, now, 0, 0, 0, {});
+    writer_.append_l2({L2OpKind::kStatsReset, now, 0, 0, 0});
   }
   /// An L1 miss at `now` read `line` from the L2 at `now + offset`.
   void on_l2_fill(Cycle now, Cycle offset, Addr line) {
-    append_l2(L2OpKind::kFill, now, offset, line, 0, {});
+    writer_.append_l2({L2OpKind::kFill, now, offset, line, 0});
   }
   /// A write-buffer drain at `now` wrote the words of `line_words` that
   /// `word_mask` selects into the L2's `line`.
   void on_l2_drain(Cycle now, Addr line, u64 word_mask,
                    std::span<const u64> line_words) {
-    append_l2(L2OpKind::kDrain, now, 0, line, word_mask, line_words);
+    words_.clear();
+    for (std::size_t w = 0; w < line_words.size() && w < 64; ++w)
+      if ((word_mask >> w) & 1) words_.push_back(line_words[w]);
+    writer_.append_l2({L2OpKind::kDrain, now, 0, line, word_mask}, words_);
   }
 
   /// Seal the trace at core cycle `end_tick` with the measured-phase
@@ -59,21 +63,8 @@ class CaptureSink {
   const std::string& path() const { return writer_.path(); }
 
  private:
-  void append_l2(L2OpKind kind, Cycle now, Cycle offset, Addr line,
-                 u64 word_mask, std::span<const u64> line_words) {
-    op_.kind = kind;
-    op_.tick = now;
-    op_.offset = offset;
-    op_.line = line;
-    op_.word_mask = word_mask;
-    op_.words.clear();
-    for (std::size_t w = 0; w < line_words.size() && w < 64; ++w)
-      if ((word_mask >> w) & 1) op_.words.push_back(line_words[w]);
-    writer_.append_l2(op_);
-  }
-
   TraceWriter writer_;
-  L2Op op_;  ///< reused, so a drain's word list allocates only once
+  std::vector<u64> words_;  ///< a drain's masked words, reused
 };
 
 }  // namespace aeep::trace

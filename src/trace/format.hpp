@@ -48,7 +48,10 @@
 // L2-chunk payload is a run of ops: a kind byte and a varint tick delta,
 // then for a fill a varint L2 time offset and a zigzag-varint line delta,
 // for a drain a zigzag-varint line delta, a varint word mask and one varint
-// per mask bit (lowest word first). Delta state (previous tick / previous
+// per mask bit (lowest word first). Every record is at least two bytes (a
+// kind byte and a tick varint), so a chunk's record count is at most half
+// its payload_bytes; a count above that cannot be honest, and a reader
+// sizes nothing by more than it. Delta state (previous tick / previous
 // address) resets at every chunk boundary, so each chunk decodes
 // independently and a CRC failure pinpoints the damaged region. The two
 // kinds of chunk interleave in the order the writer filled them. The footer
@@ -106,7 +109,9 @@ enum class L2OpKind : u8 {
   kStatsReset = 2,  ///< warm-up boundary: statistics were zeroed here
 };
 
-/// One decoded L2-side op.
+/// One L2-side op. A drain's words travel beside it: the writer takes them
+/// as a span, and the reader packs a chunk's into one array (L2Chunk), so
+/// no op carries a container of its own.
 struct L2Op {
   L2OpKind kind = L2OpKind::kFill;
   Cycle tick = 0;    ///< hierarchy cycle the op ran in (non-decreasing)
@@ -115,9 +120,19 @@ struct L2Op {
   Cycle offset = 0;
   Addr line = 0;     ///< L1 line (fill) or L2 line (drain); 0 for a reset
   u64 word_mask = 0; ///< kDrain: bit w set means word w of the line is written
-  std::vector<u64> words;  ///< kDrain: the masked words, lowest word first
 
   bool operator==(const L2Op&) const = default;
+};
+
+/// One L2 chunk, decoded whole (TraceReader::next_l2_chunk). Its buffers
+/// are reused from chunk to chunk, so a replay allocates only while they
+/// grow to the largest chunk.
+struct L2Chunk {
+  std::vector<L2Op> ops;  ///< the chunk's ops, in stream order
+  /// Each drain's words, lowest masked word first, drains in op order: a
+  /// drain takes the next popcount(word_mask) entries. Entries past the
+  /// last drain's are stale.
+  std::vector<u64> words;
 };
 
 /// The L1-side statistics a replay of the L2-side stream reports: the

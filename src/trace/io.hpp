@@ -8,7 +8,9 @@
 // in isolation.
 #pragma once
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,23 +36,68 @@ constexpr i64 unzigzag(u64 v) {
 /// of `buf`, and the 10th byte against 64-bit overflow.
 u64 get_varint_checked(const std::vector<u8>& buf, std::size_t& pos);
 
+/// Throws the TraceError(kCorrupt) of a varint whose 10th byte carries bits
+/// past 64 or continues.
+[[noreturn]] void throw_varint_overflow();
+
+/// The 8 bytes at `p` as a little-endian word.
+inline u64 load_le64(const u8* p) {
+  u64 v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (unsigned i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+/// The low 7 bits of each byte of `x`, packed into the low 56 bits.
+constexpr u64 pack7(u64 x) {
+  x &= 0x7F7F7F7F7F7F7F7Full;
+  x = ((x & 0x7F007F007F007F00ull) >> 1) | (x & 0x007F007F007F007Full);
+  x = ((x & 0x3FFF00003FFF0000ull) >> 2) | (x & 0x00003FFF00003FFFull);
+  return ((x & 0x0FFFFFFF00000000ull) >> 4) | (x & 0x000000000FFFFFFFull);
+}
+
+/// Decode one varint at `p` and advance `p` past it; the caller guarantees
+/// 10 readable bytes from `p`, so no byte is checked against an end. With
+/// 10 bytes in hand the one possible error is an overflowing 10th byte,
+/// which throws as get_varint_checked does.
+///
+/// A one-byte varint (most tick deltas, fill offsets and word masks) takes
+/// a branch the CPU predicts, so the next varint's address need not wait
+/// for this one's bytes. A longer one decodes its first 8 bytes as one
+/// word, without a branch on its length, and then bytes 9 and 10 alone:
+/// random 64-bit words (a drain's data) are 9 or 10 bytes long about
+/// equally often.
+inline u64 get_varint_unbounded(const u8*& p) {
+  if (p[0] < 0x80) return *p++;
+  const u64 x = load_le64(p);
+  // Bit 7 of every byte that ends a varint.
+  const u64 stops = ~x & 0x8080808080808080ull;
+  if (stops != 0) {
+    p += std::countr_zero(stops) / 8 + 1;
+    return pack7(x & (stops ^ (stops - 1)));  // the bytes up to the first stop
+  }
+  const u64 ninth = p[8];
+  const u64 tenth = p[9];
+  const u64 has_tenth = ninth >> 7;
+  if ((has_tenth & static_cast<u64>(tenth > 1)) != 0) throw_varint_overflow();
+  p += 9 + has_tenth;
+  return pack7(x) | (ninth & 0x7F) << 56 | (tenth & has_tenth) << 63;
+}
+
 /// Decode one varint from [pos, end). Advances `pos` past it. Throws
 /// TraceError(kCorrupt) on overlong/overflowing encodings and
 /// TraceError(kTruncated) when the buffer ends mid-varint.
 inline u64 get_varint(const std::vector<u8>& buf, std::size_t& pos) {
-  // With 10 bytes left no varint can run off the end, and its first 9
-  // bytes carry 63 bits, which cannot overflow: decode them unchecked.
-  // A 10-byte varint, the buffer tail and every error take the checked loop.
+  // With 10 bytes left no varint can run off the end: decode it unchecked.
+  // Only the buffer's last 9 bytes take the checked loop.
   if (buf.size() >= 10 && pos <= buf.size() - 10) {
     const u8* p = buf.data() + pos;
-    u64 v = 0;
-    for (unsigned i = 0; i < 9; ++i) {
-      v |= static_cast<u64>(p[i] & 0x7F) << (7 * i);
-      if ((p[i] & 0x80) == 0) {
-        pos += i + 1;
-        return v;
-      }
-    }
+    const u64 v = get_varint_unbounded(p);
+    pos = static_cast<std::size_t>(p - buf.data());
+    return v;
   }
   return get_varint_checked(buf, pos);
 }
@@ -58,7 +105,17 @@ inline u64 get_varint(const std::vector<u8>& buf, std::size_t& pos) {
 // --- CRC32 (IEEE 802.3 polynomial, as used by zip/png) ---------------------
 
 /// Slicing-by-8: eight bytes per step through eight 256-entry tables, with
-/// bytes assembled the same way on any host.
+/// bytes assembled the same way on any host. The portable kernel.
+u32 crc32_table(const u8* data, std::size_t n);
+
+/// Whether crc32() folds with carry-less multiply here: an x86 CPU that
+/// reports PCLMULQDQ and SSE4.1, checked once per process.
+bool crc32_folds_clmul();
+
+/// The CRC-32 of [data, data + n). Where crc32_folds_clmul(), 16-byte
+/// blocks fold by PCLMULQDQ, 64 bytes per step, and crc32_table takes the
+/// last 0-15 bytes and any input under 64 bytes; elsewhere crc32_table
+/// does it all. Both give the same value.
 u32 crc32(const u8* data, std::size_t n);
 inline u32 crc32(const std::vector<u8>& v) { return crc32(v.data(), v.size()); }
 

@@ -1,6 +1,17 @@
 #include "trace/reader.hpp"
 
+#include <algorithm>
+
 namespace aeep::trace {
+
+namespace {
+
+[[noreturn]] void throw_corrupt(const std::string& what,
+                                const std::string& path) {
+  throw TraceError(TraceErrorKind::kCorrupt, what + ": " + path);
+}
+
+}  // namespace
 
 TraceReader::TraceReader(const std::string& path) : file_(path) {
   u32 magic = 0;
@@ -151,41 +162,79 @@ bool TraceReader::next(TraceEvent& out) {
   return true;
 }
 
-bool TraceReader::next_l2(L2Op& out) {
-  if (done_) return false;
-  if (chunk_left_ == 0 && !load_chunk(kL2ChunkTag)) return false;
-  out.kind = static_cast<L2OpKind>(
-      begin_record(static_cast<u8>(L2OpKind::kStatsReset)));
-  out.tick = prev_tick_;
-  out.offset = 0;
-  out.line = 0;
-  out.word_mask = 0;
-  out.words.clear();
-  switch (out.kind) {
-    case L2OpKind::kFill:
-      out.offset = get_varint(payload_, pos_);
-      out.line = next_addr();
-      break;
-    case L2OpKind::kDrain: {
-      out.line = next_addr();
-      // The replay hands these straight to ProtectedL2::write, which needs
-      // a line-aligned address and a mask within the line.
-      const u32 words_per_line = line_bytes_ / 8;
-      out.word_mask = get_varint(payload_, pos_);
-      if ((out.line & (static_cast<Addr>(line_bytes_) - 1)) != 0 ||
-          (words_per_line < 64 && (out.word_mask >> words_per_line) != 0))
-        throw TraceError(TraceErrorKind::kCorrupt,
-                         "drain does not fit a " + std::to_string(line_bytes_) +
-                             "-byte line: " + path());
-      for (u64 m = out.word_mask; m != 0; m &= m - 1)
-        out.words.push_back(get_varint(payload_, pos_));
-      break;
+bool TraceReader::next_l2_chunk(L2Chunk& out) {
+  if (done_ || !load_chunk(kL2ChunkTag)) return false;
+  const u32 count = chunk_left_;
+  chunk_left_ = 0;
+  // Record i ends at least 2(i + 1) bytes into the payload, so a count
+  // above half of it runs out of bytes (and throws) before any record past
+  // that bound is stored: the buffer is sized by the bound, not the claim.
+  out.ops.resize(std::min<std::size_t>(count, payload_.size() / 2));
+  // The replay hands drains straight to ProtectedL2::write, which needs a
+  // line-aligned address and a mask within the line.
+  const Addr line_offset = static_cast<Addr>(line_bytes_) - 1;
+  const u32 words_per_line = line_bytes_ / 8;
+  const u32 max_words = std::min<u32>(words_per_line, 64);
+  // A record takes at most a kind byte, three varints and one varint per
+  // word its mask may select once the mask passed the line check.
+  const std::ptrdiff_t max_record = 31 + 10 * std::ptrdiff_t{max_words};
+  const u8* p = payload_.data();
+  const u8* const end = p + payload_.size();
+  Cycle tick = 0;
+  Addr addr = 0;
+  std::size_t w = 0;  // words used in out.words
+
+  const auto decode = [&](auto varint) {
+    L2Op op;
+    const u8 kind = *p++;
+    if (kind > static_cast<u8>(L2OpKind::kStatsReset))
+      throw_corrupt("unknown record kind " + std::to_string(kind), path());
+    op.kind = static_cast<L2OpKind>(kind);
+    tick += varint();
+    op.tick = tick;
+    switch (op.kind) {
+      case L2OpKind::kFill:
+        op.offset = varint();
+        addr += static_cast<Addr>(unzigzag(varint()));
+        op.line = addr;
+        break;
+      case L2OpKind::kDrain:
+        addr += static_cast<Addr>(unzigzag(varint()));
+        op.line = addr;
+        op.word_mask = varint();
+        if ((op.line & line_offset) != 0 ||
+            (words_per_line < 64 && (op.word_mask >> words_per_line) != 0))
+          throw_corrupt("drain does not fit a " + std::to_string(line_bytes_) +
+                            "-byte line",
+                        path());
+        if (out.words.size() - w < max_words)
+          out.words.resize(2 * (w + max_words));
+        for (u64 m = op.word_mask; m != 0; m &= m - 1)
+          out.words[w++] = varint();
+        break;
+      case L2OpKind::kStatsReset:
+        break;
     }
-    case L2OpKind::kStatsReset:
-      break;
+    return op;
+  };
+  // While a maximal record fits before the payload's end its varints need
+  // no bounds check; the chunk's tail takes the checked loop.
+  for (u32 i = 0; i < count; ++i) {
+    if (end - p >= max_record) {
+      out.ops[i] = decode([&] { return get_varint_unbounded(p); });
+      continue;
+    }
+    if (p == end)
+      throw_corrupt("chunk payload shorter than its record count", path());
+    out.ops[i] = decode([&] {
+      std::size_t pos = static_cast<std::size_t>(p - payload_.data());
+      const u64 v = get_varint_checked(payload_, pos);
+      p = payload_.data() + pos;
+      return v;
+    });
   }
-  end_record();
-  ++l2_ops_;
+  if (p != end) throw_corrupt("chunk has trailing bytes", path());
+  l2_ops_ += count;
   return true;
 }
 

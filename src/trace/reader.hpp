@@ -1,9 +1,10 @@
 // Streaming trace reader: decodes one chunk at a time (constant memory in
 // the trace length), verifies every chunk's CRC and record count, and
 // surfaces malformed input as typed TraceErrors — see error.hpp. A reader
-// serves one of a file's two streams, the L1-level events (next) or the
-// L2-side ops (next_l2); it CRC-checks and counts the other stream's chunks
-// as it skips them, so either way a damaged file is rejected.
+// serves one of a file's two streams, the L1-level events (next, one event
+// per call) or the L2-side ops (next_l2_chunk, one whole chunk per call);
+// it CRC-checks and counts the other stream's chunks as it skips them, so
+// either way a damaged file is rejected.
 #pragma once
 
 #include <string>
@@ -25,12 +26,20 @@ class TraceReader {
   /// that ends without a footer.
   bool next(TraceEvent& out);
 
-  /// Decode the next L2-side op into `out`, skipping L1 chunks; otherwise
-  /// as next(). A file without an L2-side stream yields no ops. Do not mix
-  /// next() and next_l2() on one reader.
-  bool next_l2(L2Op& out);
+  /// Decode the next L2 chunk whole into `out`, skipping L1 chunks;
+  /// otherwise as next(). `out` is overwritten and its buffers reused, so
+  /// pass the same L2Chunk to every call. A file without an L2-side stream
+  /// yields no chunk. Do not mix next() and next_l2_chunk() on one reader.
+  ///
+  /// The chunk either decodes whole or throws the TraceError its first bad
+  /// record raises: an unknown kind, a record or varint that runs past the
+  /// payload (kCorrupt, or kTruncated mid-varint), an overflowing varint, a
+  /// drain that is not line-aligned or masks words beyond the line, or
+  /// bytes after the last record. Nothing is sized by the chunk's record
+  /// count beyond half its payload bytes (format.hpp).
+  bool next_l2_chunk(L2Chunk& out);
 
-  /// Capture-side run summary; only valid after next() or next_l2()
+  /// Capture-side run summary; only valid after next() or next_l2_chunk()
   /// returned false.
   const TraceSummary& summary() const { return summary_; }
 
@@ -40,7 +49,7 @@ class TraceReader {
   /// The L1 side the L2-side stream was captured under (0 without one).
   u64 l1_side_digest() const { return l1_side_digest_; }
   /// L1-level events so far: decoded by next(), or counted in the chunks
-  /// next_l2() skipped.
+  /// next_l2_chunk() skipped.
   u64 events_read() const { return events_; }
   /// L2-side ops so far, likewise.
   u64 l2_ops_read() const { return l2_ops_; }

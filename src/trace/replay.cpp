@@ -76,29 +76,30 @@ Cycle drive_l2_stream(sim::MemoryHierarchy& hier, TraceReader& reader) {
   std::vector<u64> line_words(l2.config().geometry.words_per_line());
   Cycle ticked = 0;  // next cycle whose L2 tick() has not fired yet
   Cycle reset_tick = 0;
-  L2Op op;
-  while (reader.next_l2(op)) {
-    switch (op.kind) {
-      case L2OpKind::kDrain: {
-        tick_until(l2, ticked, op.tick);
-        // The reader bounds the mask to the line, whose size the caller
-        // checked against this L2's.
-        std::size_t i = 0;
-        for (u64 m = op.word_mask; m != 0; m &= m - 1)
-          line_words[static_cast<std::size_t>(std::countr_zero(m))] =
-              op.words[i++];
-        (void)l2.write(op.tick, op.line, op.word_mask, line_words);
-        break;
+  L2Chunk chunk;
+  while (reader.next_l2_chunk(chunk)) {
+    const u64* words = chunk.words.data();
+    for (const L2Op& op : chunk.ops) {
+      switch (op.kind) {
+        case L2OpKind::kDrain:
+          tick_until(l2, ticked, op.tick);
+          // The reader bounds the mask to the line, whose size the caller
+          // checked against this L2's.
+          for (u64 m = op.word_mask; m != 0; m &= m - 1)
+            line_words[static_cast<std::size_t>(std::countr_zero(m))] =
+                *words++;
+          (void)l2.write(op.tick, op.line, op.word_mask, line_words);
+          break;
+        case L2OpKind::kFill:
+          tick_until(l2, ticked, op.tick + 1);
+          (void)l2.read(op.tick + op.offset, op.line);
+          break;
+        case L2OpKind::kStatsReset:
+          tick_until(l2, ticked, op.tick);
+          hier.reset_stats(op.tick);
+          reset_tick = op.tick;
+          break;
       }
-      case L2OpKind::kFill:
-        tick_until(l2, ticked, op.tick + 1);
-        (void)l2.read(op.tick + op.offset, op.line);
-        break;
-      case L2OpKind::kStatsReset:
-        tick_until(l2, ticked, op.tick);
-        hier.reset_stats(op.tick);
-        reset_tick = op.tick;
-        break;
     }
   }
   tick_until(l2, ticked, reader.summary().end_tick);

@@ -55,12 +55,12 @@ void TraceWriter::append(const TraceEvent& e) {
   end_record(events_, kDataChunkTag);
 }
 
-void TraceWriter::append_l2(const L2Op& op) {
+void TraceWriter::append_l2(const L2Op& op, std::span<const u64> words) {
   if (!has_l2_)
     throw TraceError(TraceErrorKind::kIo,
                      "L2 op for a trace without an L2-side stream: " + path());
   if (op.kind == L2OpKind::kDrain &&
-      op.words.size() != popcount64(op.word_mask))
+      words.size() != popcount64(op.word_mask))
     throw TraceError(TraceErrorKind::kCorrupt,
                      "drain words do not match its word mask");
   begin_record(l2_, static_cast<u8>(op.kind), op.tick);
@@ -72,7 +72,7 @@ void TraceWriter::append_l2(const L2Op& op) {
     case L2OpKind::kDrain:
       put_addr(l2_, op.line);
       put_varint(l2_.payload, op.word_mask);
-      for (const u64 w : op.words) put_varint(l2_.payload, w);
+      for (const u64 w : words) put_varint(l2_.payload, w);
       break;
     case L2OpKind::kStatsReset:
       break;

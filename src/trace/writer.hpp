@@ -4,6 +4,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +28,9 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(const TraceEvent& e);
-  /// Append one L2-side op; only for a writer built with a digest.
-  void append_l2(const L2Op& op);
+  /// Append one L2-side op; only for a writer built with a digest. A
+  /// drain's `words` are its masked words, lowest first.
+  void append_l2(const L2Op& op, std::span<const u64> words = {});
 
   /// Flush the pending chunks, write the footer (with `summary.events` and
   /// `summary.l2_ops` filled in from the actual counts) and close. Append

@@ -37,6 +37,14 @@ TEST(Bitops, BitManipulation) {
   EXPECT_EQ(popcount64(0xFFull), 8u);
   EXPECT_EQ(parity64(0b101), 0u);
   EXPECT_EQ(parity64(0b111), 1u);
+  // The SWAR popcount64 gives std::popcount's values.
+  Xorshift64Star rng(5);
+  for (u64 x : {u64{0}, ~u64{0}, u64{1} << 63, u64{0x5555555555555555}}) {
+    for (int i = 0; i < 64; ++i, x = rng.next()) {
+      EXPECT_EQ(popcount64(x), static_cast<unsigned>(std::popcount(x))) << x;
+      EXPECT_EQ(parity64(x), popcount64(x) & 1u) << x;
+    }
+  }
   EXPECT_EQ(bit_of(0b100, 2), 1u);
   EXPECT_EQ(bit_of(0b100, 1), 0u);
   EXPECT_EQ(with_bit(0, 5, 1), 32u);

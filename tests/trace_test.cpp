@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "mem/memory_store.hpp"
 #include "sim/experiment.hpp"
@@ -101,34 +103,72 @@ std::vector<TraceEvent> read_all(const std::string& path) {
 
 // --- CRC32 and varints ------------------------------------------------------
 
-/// The byte-at-a-time CRC32 (reflected IEEE polynomial) that crc32() must
-/// equal on every input.
+/// One step of the bitwise CRC32 (reflected IEEE polynomial): the running,
+/// inverted CRC `c` after one more byte.
+u32 reference_crc32_step(u32 c, u8 byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  return c;
+}
+
+/// The bitwise CRC32 that both kernels must equal on every input.
 u32 reference_crc32(const u8* data, std::size_t n) {
   u32 c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c ^= data[i];
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-  }
+  for (std::size_t i = 0; i < n; ++i) c = reference_crc32_step(c, data[i]);
   return c ^ 0xFFFFFFFFu;
 }
 
 TEST(TraceIo, Crc32KnownAnswers) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
   EXPECT_EQ(crc32(std::vector<u8>{}), 0u);
+  EXPECT_EQ(crc32_table(nullptr, 0), 0u);
   const std::string check = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const u8*>(check.data()), check.size()),
-            0xCBF43926u);
+  const auto* bytes = reinterpret_cast<const u8*>(check.data());
+  EXPECT_EQ(crc32(bytes, check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32_table(bytes, check.size()), 0xCBF43926u);
 }
 
+// Every length 0..4096 crosses each of the carry-less kernel's cases: under
+// 64 bytes (table only), the four-lane loop, the single 16-byte folds and
+// every 0..15-byte table tail; 16 start alignments cover its unaligned loads.
 TEST(TraceIo, Crc32MatchesByteAtATimeAtEveryLengthAndAlignment) {
   Xorshift64Star rng(7);
-  std::vector<u8> buf(8 + 200);
+  std::vector<u8> buf(16 + 4096);
   for (u8& b : buf) b = static_cast<u8>(rng.next());
-  for (std::size_t offset = 0; offset < 8; ++offset)
-    for (std::size_t n = 0; n <= 200; ++n)
-      ASSERT_EQ(crc32(buf.data() + offset, n),
-                reference_crc32(buf.data() + offset, n))
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const u8* data = buf.data() + offset;
+    u32 running = 0xFFFFFFFFu;  // the reference over data[0, n)
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      const u32 want = running ^ 0xFFFFFFFFu;
+      ASSERT_EQ(crc32(data, n), want) << "offset " << offset << " length " << n;
+      ASSERT_EQ(crc32_table(data, n), want)
           << "offset " << offset << " length " << n;
+      if (n < 4096) running = reference_crc32_step(running, data[n]);
+    }
+  }
+}
+
+TEST(TraceIo, Crc32KernelsAgreeOnMiBBuffers) {
+  Xorshift64Star rng(11);
+  std::vector<u8> buf(2 * MiB + 128);
+  for (u8& b : buf) b = static_cast<u8>(rng.next());
+  for (const std::size_t offset : {0u, 5u})
+    for (const std::size_t n : {MiB, MiB + 1, 2 * MiB + 63}) {
+      const u8* data = buf.data() + offset;
+      const u32 want = reference_crc32(data, n);
+      EXPECT_EQ(crc32(data, n), want) << offset << " " << n;
+      EXPECT_EQ(crc32_table(data, n), want) << offset << " " << n;
+    }
+}
+
+TEST(TraceIo, Crc32FoldsByCarrylessMultiplyWhereTheCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  EXPECT_EQ(crc32_folds_clmul(), __builtin_cpu_supports("pclmul") &&
+                                     __builtin_cpu_supports("sse4.1"));
+#else
+  EXPECT_FALSE(crc32_folds_clmul());
+#endif
 }
 
 TEST(TraceIo, VarintOfEveryLengthDecodesAtEveryDistanceFromTheEnd) {
@@ -182,6 +222,75 @@ TEST(TraceIo, VarintErrorsKeepTheirKindAndMessage) {
   for (std::size_t len = 0; len <= 9; ++len)
     expect_varint_error(std::vector<u8>(len, 0x80), TraceErrorKind::kTruncated,
                         "payload ends mid-varint");
+}
+
+/// get_varint (the unbounded decode wherever 10 bytes are left) and the
+/// checked loop on the same bytes: the same value and end, or the same
+/// error kind and message.
+void expect_varint_paths_agree(const std::vector<u8>& buf, std::size_t at) {
+  std::size_t fast_pos = at, checked_pos = at;
+  std::string fast_error, checked_error;
+  u64 fast = 0, checked = 0;
+  try {
+    fast = get_varint(buf, fast_pos);
+  } catch (const TraceError& e) {
+    fast_error = e.what();
+  }
+  try {
+    checked = get_varint_checked(buf, checked_pos);
+  } catch (const TraceError& e) {
+    checked_error = e.what();
+  }
+  EXPECT_EQ(fast_error, checked_error);
+  if (!checked_error.empty()) return;
+  EXPECT_EQ(fast, checked);
+  EXPECT_EQ(fast_pos, checked_pos);
+}
+
+TEST(TraceIo, VarintFastPathEqualsTheCheckedLoop) {
+  Xorshift64Star rng(3);
+  std::vector<std::vector<u8>> encodings;
+  for (std::size_t len = 1; len <= 10; ++len) {
+    const u64 lo = len == 1 ? 0 : u64{1} << (7 * (len - 1));
+    const u64 hi = len == 10 ? ~u64{0} : (u64{1} << (7 * len)) - 1;
+    for (const u64 v : {lo, hi, lo + rng.next() % (hi - lo + 1)}) {
+      std::vector<u8> enc;
+      put_varint(enc, v);
+      ASSERT_EQ(enc.size(), len);
+      encodings.push_back(enc);
+    }
+  }
+  // Malformed: a 10th byte above 1 (it carries bits past 64, or goes on),
+  // and an 11-byte overlong encoding of 0.
+  for (const u8 tenth : {u8{0x02}, u8{0x7F}, u8{0x80}, u8{0x81}, u8{0xFF}}) {
+    std::vector<u8> enc(9, 0xFF);
+    enc.push_back(tenth);
+    encodings.push_back(enc);
+  }
+  std::vector<u8> overlong(10, 0x80);
+  overlong.push_back(0x00);
+  encodings.push_back(overlong);
+
+  for (const auto& enc : encodings) {
+    // Behind a 2-byte prefix, followed by 0..11 bytes of either continuation
+    // state: decoded with fewer and with at least 10 bytes left, and cut
+    // short of its own end.
+    for (const u8 fill : {u8{0x00}, u8{0xFF}})
+      for (std::size_t tail = 0; tail <= 11; ++tail) {
+        std::vector<u8> buf(2 + enc.size() + tail, fill);
+        buf[0] = 0xAA;
+        buf[1] = 0xBB;
+        std::copy(enc.begin(), enc.end(), buf.begin() + 2);
+        SCOPED_TRACE("length " + std::to_string(enc.size()) + " tail " +
+                     std::to_string(tail));
+        expect_varint_paths_agree(buf, 2);
+        for (std::size_t cut = 2; cut < 2 + enc.size(); ++cut)
+          expect_varint_paths_agree(
+              std::vector<u8>(buf.begin(),
+                              buf.begin() + static_cast<long>(cut)),
+              2);
+      }
+  }
 }
 
 TEST(TraceRoundTrip, EmptyTrace) {
@@ -496,10 +605,19 @@ TEST(TraceReplay, AccessCyclesTickAsIfEveryCycleWereTicked) {
 
 // --- The L2-side stream -------------------------------------------------
 
+/// An L2-side stream: the ops, and each drain's masked words, lowest word
+/// first, drains in op order.
+struct L2Stream {
+  std::vector<L2Op> ops;
+  std::vector<u64> words;
+
+  bool operator==(const L2Stream&) const = default;
+};
+
 /// A deterministic L2-side stream with all three op kinds: fills at both
 /// offsets, drains with sparse and full masks, and a stats reset.
-std::vector<L2Op> synthetic_l2_ops(u64 n) {
-  std::vector<L2Op> ops;
+L2Stream synthetic_l2_ops(u64 n) {
+  L2Stream s;
   Cycle tick = 7;
   for (u64 i = 0; i < n; ++i) {
     L2Op op;
@@ -516,29 +634,48 @@ std::vector<L2Op> synthetic_l2_ops(u64 n) {
         op.kind = L2OpKind::kDrain;
         op.line = 0x10000000 - (i % 97) * 64;
         op.word_mask = i % 2 ? 0xFF : 0xA1;
-        for (u64 m = op.word_mask; m != 0; m &= m - 1)
-          op.words.push_back(0x9E3779B97F4A7C15ull * (i + op.words.size()));
+        for (u64 m = op.word_mask, k = 0; m != 0; m &= m - 1, ++k)
+          s.words.push_back(0x9E3779B97F4A7C15ull * (i + k));
         break;
       case 4:
         op.kind = L2OpKind::kStatsReset;
         break;
     }
     tick += i % 4;
-    ops.push_back(op);
+    s.ops.push_back(op);
   }
-  return ops;
+  return s;
+}
+
+/// Every op of `reader`'s L2-side stream, decoded chunk by chunk.
+L2Stream read_all_l2(TraceReader& reader) {
+  L2Stream s;
+  L2Chunk chunk;
+  while (reader.next_l2_chunk(chunk)) {
+    const u64* words = chunk.words.data();
+    for (const L2Op& op : chunk.ops) {
+      s.ops.push_back(op);
+      for (u64 m = op.word_mask; m != 0; m &= m - 1)
+        s.words.push_back(*words++);
+    }
+  }
+  return s;
 }
 
 TEST(TraceRoundTrip, NextYieldsExactlyTheL1EventsOfAFileWithAnL2Stream) {
   const std::string path = temp_path("both_streams");
   const auto events = synthetic_events(300);
-  const auto ops = synthetic_l2_ops(200);
+  const L2Stream ops = synthetic_l2_ops(200);
   {
     // Small chunks, so L1 and L2 chunks interleave in the file.
     TraceWriter writer(path, 64, /*chunk_events=*/16, /*l1_side_digest=*/0x5EED);
+    std::size_t word = 0;
     for (std::size_t i = 0; i < events.size(); ++i) {
       writer.append(events[i]);
-      if (i < ops.size()) writer.append_l2(ops[i]);
+      if (i >= ops.ops.size()) continue;
+      const std::size_t n = popcount64(ops.ops[i].word_mask);
+      writer.append_l2(ops.ops[i], std::span(ops.words).subspan(word, n));
+      word += n;
     }
     TraceSummary s;
     s.end_tick = events.back().tick + 1;
@@ -555,16 +692,14 @@ TEST(TraceRoundTrip, NextYieldsExactlyTheL1EventsOfAFileWithAnL2Stream) {
   while (l1.next(e)) got_events.push_back(e);
   EXPECT_EQ(got_events, events);
   EXPECT_EQ(l1.summary().events, events.size());
-  EXPECT_EQ(l1.summary().l2_ops, ops.size());
+  EXPECT_EQ(l1.summary().l2_ops, ops.ops.size());
   EXPECT_EQ(l1.summary().l1_side.l1d.reads, 77u);
   EXPECT_EQ(l1.summary().l1_side.wbuf.free_list_peak, 3u);
   EXPECT_GT(l1.l2_chunks_read(), 10u);
 
   TraceReader l2(path);
-  std::vector<L2Op> got_ops;
-  L2Op op;
-  while (l2.next_l2(op)) got_ops.push_back(op);
-  EXPECT_EQ(got_ops, ops);
+  EXPECT_EQ(read_all_l2(l2), ops);
+  EXPECT_EQ(l2.l2_ops_read(), ops.ops.size());
   EXPECT_EQ(l2.events_read(), events.size());
   EXPECT_EQ(l2.summary(), l1.summary());
   std::remove(path.c_str());
@@ -775,6 +910,200 @@ TEST(TraceDamage, ChunkClaimingMoreThanTheFileIsTruncatedBeforeAllocating) {
 
 TEST(TraceDamage, FooterClaimingMoreThanTheFileIsTruncatedBeforeAllocating) {
   expect_claim_refused_without_allocating(kFooterTag, "footer_claim");
+}
+
+// --- The L2 chunk decoder on damaged chunks ----------------------------------
+
+/// L2 records in their wire form (format.hpp).
+void put_fill(std::vector<u8>& out, i64 line_delta) {
+  out.push_back(static_cast<u8>(L2OpKind::kFill));
+  put_varint(out, 1);   // tick delta
+  put_varint(out, 31);  // L2 time offset
+  put_varint(out, zigzag(line_delta));
+}
+void put_drain(std::vector<u8>& out, i64 line_delta, u64 mask) {
+  out.push_back(static_cast<u8>(L2OpKind::kDrain));
+  put_varint(out, 1);
+  put_varint(out, zigzag(line_delta));
+  put_varint(out, mask);
+  for (u64 m = mask; m != 0; m &= m - 1) put_varint(out, ~u64{0});
+}
+
+void set_le32(std::vector<char>& b, std::size_t at, u32 v) {
+  for (std::size_t i = 0; i < 4; ++i)
+    b[at + i] = static_cast<char>(v >> (8 * i));
+}
+u32 get_le32(const std::vector<char>& b, std::size_t at) {
+  u32 v = 0;
+  for (std::size_t i = 4; i-- > 0;) v = v << 8 | static_cast<u8>(b[at + i]);
+  return v;
+}
+
+/// A v2 file of 64-byte lines with an L2-side stream, whose one L2 chunk is
+/// `payload` claiming `count` records.
+std::vector<char> l2_file(const std::vector<u8>& payload, u32 count) {
+  std::vector<char> bytes;
+  for (const u32 v : {kTraceMagic, kTraceVersion, u32{64}, kHasL2Stream,
+                      u32{0}, u32{0}})
+    put_le32(bytes, v);
+  put_frame(bytes, kL2ChunkTag, payload, count);
+  std::vector<u8> footer;
+  for (const u64 v : {u64{1000}, u64{0}, u64{0}, u64{0}, u64{0}, u64{count}})
+    put_varint(footer, v);
+  const L1SideStats none{};
+  for_each_counter(none, [&](u64 v) { put_varint(footer, v); });
+  put_frame(bytes, kFooterTag, footer, 0);
+  return bytes;
+}
+
+/// The TraceError that decoding every L2 chunk of `bytes` raises. The file
+/// is named after the running test: ctest runs tests in parallel processes.
+TraceError l2_decode_error(const std::vector<char>& bytes) {
+  const std::string path =
+      temp_path(testing::UnitTest::GetInstance()->current_test_info()->name());
+  spew(path, bytes);
+  try {
+    TraceReader reader(path);
+    (void)read_all_l2(reader);
+  } catch (const TraceError& e) {
+    std::remove(path.c_str());
+    return e;
+  }
+  std::remove(path.c_str());
+  ADD_FAILURE() << "expected a TraceError";
+  return TraceError(TraceErrorKind::kIo, "none");
+}
+
+void expect_l2_error(const std::vector<u8>& payload, u32 count,
+                     TraceErrorKind kind, const std::string& text) {
+  const TraceError e = l2_decode_error(l2_file(payload, count));
+  EXPECT_EQ(e.kind(), kind) << e.what();
+  EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+}
+
+/// 40 valid fills, 4-5 bytes each: more than a maximal record (111 bytes
+/// for 64-byte lines), and back at line 0 after the last.
+std::vector<u8> valid_fills() {
+  std::vector<u8> out;
+  for (int i = 0; i < 40; ++i) put_fill(out, i % 2 ? -64 : 64);
+  return out;
+}
+
+// Each damaged record raises the kind and message the op-at-a-time decoder
+// raised, both first in the chunk, where it decodes without a bounds check
+// because a maximal record still fits, and last, in the checked tail.
+TEST(TraceDamage, DamagedL2RecordFailsWithItsKindInEitherDecodeLoop) {
+  struct Damage {
+    const char* name;
+    std::vector<u8> record;
+    const char* message;
+  };
+  std::vector<u8> misaligned, wide_mask, overflow{0};
+  put_drain(misaligned, 8, 1);
+  put_drain(wide_mask, 64, u64{1} << 8);  // word 8 of an 8-word line
+  overflow.insert(overflow.end(), 9, 0xFF);  // a fill whose tick delta
+  overflow.push_back(0x02);                  // runs past 64 bits
+  const Damage damages[] = {
+      {"unknown kind", {3, 0}, "unknown record kind 3"},
+      {"misaligned drain", misaligned, "drain does not fit a 64-byte line"},
+      {"mask beyond the line", wide_mask, "drain does not fit a 64-byte line"},
+      {"overflowing varint", overflow, "varint overflows 64 bits"},
+  };
+  const std::vector<u8> fills = valid_fills();
+  for (const Damage& d : damages) {
+    SCOPED_TRACE(d.name);
+    std::vector<u8> first = d.record;
+    first.insert(first.end(), fills.begin(), fills.end());
+    expect_l2_error(first, 41, TraceErrorKind::kCorrupt, d.message);
+    std::vector<u8> last = fills;
+    last.insert(last.end(), d.record.begin(), d.record.end());
+    expect_l2_error(last, 41, TraceErrorKind::kCorrupt, d.message);
+  }
+}
+
+TEST(TraceDamage, DamagedL2ChunkTailFailsWithItsKind) {
+  const std::vector<u8> fills = valid_fills();
+  expect_l2_error(fills, 41, TraceErrorKind::kCorrupt,
+                  "chunk payload shorter than its record count");
+  expect_l2_error(fills, 39, TraceErrorKind::kCorrupt,
+                  "chunk has trailing bytes");
+  std::vector<u8> trailing = fills;
+  trailing.push_back(0);
+  expect_l2_error(trailing, 40, TraceErrorKind::kCorrupt,
+                  "chunk has trailing bytes");
+  std::vector<u8> cut = fills;
+  cut.push_back(static_cast<u8>(L2OpKind::kDrain));
+  put_varint(cut, 1);
+  put_varint(cut, zigzag(64));
+  put_varint(cut, 1);
+  cut.insert(cut.end(), {u8{0x80}, u8{0x80}});  // its word, cut short
+  expect_l2_error(cut, 41, TraceErrorKind::kTruncated,
+                  "payload ends mid-varint");
+}
+
+// A chunk claiming 2^32 - 1 records in a 180-byte payload fails as a short
+// payload, and peak RSS does not rise by the claim (over 160 GiB of ops):
+// the op buffer is sized by payload_bytes / 2 at most.
+TEST(TraceDamage, L2RecordCountAboveHalfThePayloadAllocatesNothingByIt) {
+  const long before_kib = peak_rss_kib();
+  expect_l2_error(valid_fills(), ~u32{0}, TraceErrorKind::kCorrupt,
+                  "chunk payload shorter than its record count");
+  EXPECT_LT(peak_rss_kib() - before_kib, 64 * 1024);
+}
+
+// Damage that only the decoder can catch: each mutant rewrites bytes (or
+// the record count) of one L2 chunk of a real capture and recomputes the
+// chunk's CRC. Every replay ends in a TraceError or a completed run; CI's
+// ASan + UBSan job checks that none reads outside the payload.
+TEST(TraceDamage, MutatedL2ChunksEndInATraceErrorOrACompletedReplay) {
+  const std::string path = temp_path("l2_mutants");
+  const sim::HierarchyConfig h = capture("gzip", small_run(), path);
+  const auto clean = slurp(path);
+  std::vector<ChunkAt> l2;
+  for (const ChunkAt& c : chunks_of(clean))
+    if (c.tag == kL2ChunkTag) l2.push_back(c);
+  ASSERT_FALSE(l2.empty());
+  Xorshift64Star rng(2024);
+  unsigned failed = 0, completed = 0;
+  for (int mutant = 0; mutant < 2000; ++mutant) {
+    auto bytes = clean;
+    const ChunkAt& c = l2[rng.next() % l2.size()];
+    for (u64 edits = 1 + rng.next() % 3; edits > 0; --edits) {
+      const u64 r = rng.next();
+      char& b = bytes[c.payload + (r >> 8) % c.bytes];
+      switch (r % 4) {
+        case 0:  // a bit flip
+          b = static_cast<char>(b ^ (1 << ((r >> 4) % 8)));
+          break;
+        case 1:  // any byte
+          b = static_cast<char>(r >> 40);
+          break;
+        case 2:  // a varint that runs on
+          b = static_cast<char>(b | 0x80);
+          break;
+        default: {  // the record count, off by one or anything
+          const u32 count = get_le32(bytes, c.frame + 5);
+          const u32 claim = (r >> 32) % 2 ? count + 1 - 2 * ((r >> 33) % 2 != 0)
+                                          : static_cast<u32>(r >> 32);
+          set_le32(bytes, c.frame + 5, claim);
+          break;
+        }
+      }
+    }
+    const auto first = bytes.begin() + static_cast<long>(c.payload);
+    const std::vector<u8> payload(first, first + static_cast<long>(c.bytes));
+    set_le32(bytes, c.frame + 9, crc32(payload));
+    spew(path, bytes);
+    try {
+      (void)ReplayDriver({h, path}).run();
+      ++completed;
+    } catch (const TraceError&) {
+      ++failed;
+    }
+  }
+  EXPECT_GT(failed, 1000u);
+  EXPECT_GT(completed, 0u);
+  std::remove(path.c_str());
 }
 
 // The L2-side stream replays bit-for-bit what re-driving the L1 side from

@@ -169,9 +169,11 @@ int cmd_info(const CliArgs& args) {
               static_cast<unsigned long long>(s.stores));
   if (reader.has_l2_stream()) {
     trace::TraceReader l2_reader(path);
-    trace::L2Op op;
+    trace::L2Chunk chunk;
     u64 l2_counts[3] = {0, 0, 0};
-    while (l2_reader.next_l2(op)) ++l2_counts[static_cast<unsigned>(op.kind)];
+    while (l2_reader.next_l2_chunk(chunk))
+      for (const trace::L2Op& op : chunk.ops)
+        ++l2_counts[static_cast<unsigned>(op.kind)];
     std::printf("  l2 ops   %llu in %llu chunks (fill %llu, drain %llu, "
                 "reset %llu), L1 side %016llx\n",
                 static_cast<unsigned long long>(l2_reader.l2_ops_read()),
