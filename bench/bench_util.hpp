@@ -85,7 +85,7 @@ inline unsigned resolve_jobs(const RunOptions& o) {
 inline std::unique_ptr<store::SweepCache> open_store(const std::string& dir) {
   if (dir.empty()) return nullptr;
   try {
-    return std::make_unique<store::SweepCache>(store::StoreConfig{dir, 4096});
+    return std::make_unique<store::SweepCache>(store::StoreConfig{dir});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot open --store=%s: %s\n", dir.c_str(),
                  e.what());

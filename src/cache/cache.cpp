@@ -12,14 +12,11 @@ const CacheGeometry& validated(const CacheGeometry& geometry) {
 }
 }  // namespace
 
-Cache::Cache(const CacheGeometry& geometry, ReplacementPolicy replacement,
-             u64 seed)
+Cache::Cache(const CacheGeometry& geometry)
     : geom_(validated(geometry)),
-      repl_(replacement),
       offset_shift_(geom_.offset_bits()),
       set_mask_(geom_.num_sets() - 1),
-      tag_shift_(offset_shift_ + geom_.index_bits()),
-      rng_(seed) {
+      tag_shift_(offset_shift_ + geom_.index_bits()) {
   lines_.resize(geom_.total_lines());
   payload_.resize(geom_.total_lines() * geom_.words_per_line(), 0);
   retired_.assign(geom_.total_lines(), 0);
@@ -36,8 +33,7 @@ ProbeResult Cache::probe(Addr addr) const {
 }
 
 void Cache::touch(u64 set, unsigned way, Cycle now) {
-  if (repl_ == ReplacementPolicy::kLru)
-    lines_[line_index(set, way)].stamp = now;
+  lines_[line_index(set, way)].stamp = now;
 }
 
 Victim Cache::pick_victim(u64 set) {
@@ -52,32 +48,13 @@ Victim Cache::pick_victim(u64 set) {
     }
   }
   unsigned choice = geom_.ways;  // sentinel: no active way found yet
-  switch (repl_) {
-    case ReplacementPolicy::kLru:
-    case ReplacementPolicy::kFifo: {
-      Cycle best = ~Cycle{0};
-      for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (is_retired(set, w)) continue;
-        const Cycle s = lines_[line_index(set, w)].stamp;
-        if (choice == geom_.ways || s < best) {
-          best = s;
-          choice = w;
-        }
-      }
-      break;
-    }
-    case ReplacementPolicy::kRandom: {
-      const unsigned n = active_ways(set);
-      assert(n > 0);
-      unsigned pick = static_cast<unsigned>(rng_.next_below(n));
-      for (unsigned w = 0; w < geom_.ways; ++w) {
-        if (is_retired(set, w)) continue;
-        if (pick-- == 0) {
-          choice = w;
-          break;
-        }
-      }
-      break;
+  Cycle best = ~Cycle{0};
+  for (unsigned w = 0; w < geom_.ways; ++w) {
+    if (is_retired(set, w)) continue;
+    const Cycle s = lines_[line_index(set, w)].stamp;
+    if (choice == geom_.ways || s < best) {
+      best = s;
+      choice = w;
     }
   }
   assert(choice < geom_.ways && "a set must keep at least one active way");

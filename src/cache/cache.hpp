@@ -1,6 +1,6 @@
 // Set-associative cache state model.
 //
-// This class owns tags, status bits (valid / dirty / written), replacement
+// This class owns tags, status bits (valid / dirty / written), LRU
 // state and line payloads. It deliberately contains no timing and no
 // protection logic: timing lives in the controllers (src/cpu, src/sim) and
 // protection in the policies (src/protect), which manipulate status bits
@@ -13,19 +13,16 @@
 #include <vector>
 
 #include "cache/geometry.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace aeep::cache {
-
-enum class ReplacementPolicy { kLru, kFifo, kRandom };
 
 struct CacheLineMeta {
   u64 tag = 0;
   bool valid = false;
   bool dirty = false;
   bool written = false;  ///< set on the *second* write since fill (§3.2)
-  Cycle stamp = 0;       ///< last-use (LRU) or fill (FIFO) timestamp
+  Cycle stamp = 0;       ///< last use (fill or touch), for LRU
 };
 
 struct ProbeResult {
@@ -60,12 +57,9 @@ struct CacheStats {
 
 class Cache {
  public:
-  explicit Cache(const CacheGeometry& geometry,
-                 ReplacementPolicy replacement = ReplacementPolicy::kLru,
-                 u64 seed = 1);
+  explicit Cache(const CacheGeometry& geometry);
 
   const CacheGeometry& geometry() const { return geom_; }
-  ReplacementPolicy replacement() const { return repl_; }
 
   /// Tag lookup; no state change.
   ProbeResult probe(Addr addr) const;
@@ -74,7 +68,7 @@ class Cache {
   void touch(u64 set, unsigned way, Cycle now);
 
   /// Choose the way a fill of this set would displace (invalid way first,
-  /// else per replacement policy) and describe the line currently there.
+  /// else the least recently used) and describe the line currently there.
   Victim pick_victim(u64 set);
 
   /// Install a clean line at (set, way). Caller must have disposed of the
@@ -133,7 +127,6 @@ class Cache {
   }
 
   CacheGeometry geom_;
-  ReplacementPolicy repl_;
   // Address slicing, derived once from the validated geometry: probe and
   // install run on every access, and CacheGeometry::num_sets() divides.
   unsigned offset_shift_;
@@ -145,7 +138,6 @@ class Cache {
   u64 retired_count_ = 0;
   u64 dirty_count_ = 0;
   CacheStats stats_;
-  Xorshift64Star rng_;
 };
 
 }  // namespace aeep::cache

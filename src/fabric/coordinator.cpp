@@ -6,8 +6,7 @@
 #include <thread>
 #include <utility>
 
-#include "metrics/registry.hpp"
-#include "metrics/timer.hpp"
+#include "metrics/clock.hpp"
 #include "server/client.hpp"
 #include "server/wire.hpp"
 #include "sim/result_json.hpp"
@@ -98,8 +97,6 @@ std::vector<std::size_t> Coordinator::claim_batch(RunState& rs) {
 void Coordinator::deliver(RunState& rs, std::size_t index,
                           sim::SweepOutcome outcome,
                           const std::string& worker) {
-  static metrics::Histogram& cell_wall_us =
-      metrics::Registry::instance().histogram("fabric.cell_wall_us");
   const MutexLock lock(mutex_);
   const Cell& c = rs.cells[index];
   const bool local = worker == "local";
@@ -107,10 +104,9 @@ void Coordinator::deliver(RunState& rs, std::size_t index,
     if (local) ++stats_.jobs_local;
     else ++stats_.jobs_remote;
   }
-  const double wall_ms = metrics::ms_since(c.dispatched_at);
-  cell_wall_us.record(static_cast<u64>(wall_ms * 1000.0));
   // A fallback cell keeps the compute time its SweepRunner measured.
-  if (!local) outcome.wall_seconds = wall_ms / 1000.0;
+  if (!local)
+    outcome.wall_seconds = metrics::ms_since(c.dispatched_at) / 1000.0;
   placements_[index] = CellPlacement{worker, c.attempts};
   (*rs.out)[index] = std::move(outcome);
   ++rs.completed;
@@ -134,9 +130,6 @@ void Coordinator::requeue(RunState& rs, std::size_t index,
     if (c.attempts < config_.max_attempts) {
       rs.pending.push_back(index);
       ++stats_.retries;
-      static metrics::Counter& retries =
-          metrics::Registry::instance().counter("fabric.retries");
-      retries.increment();
       cv_work_.notify_all();
       return;
     }
@@ -175,11 +168,6 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
                   config_.seed + 0x9E3779B97F4A7C15ull * (worker_idx + 1));
   const WorkerEndpoint& ep = config_.workers[worker_idx];
   const std::string name = ep.display_name();
-  // Per-worker RPC latency: one instrument per endpoint, so a slow worker
-  // shows up as its own p99 rather than hiding in the fleet aggregate.
-  // Failed calls record too — a timed-out RPC *is* latency.
-  metrics::Histogram& rpc_us =
-      metrics::Registry::instance().histogram("fabric.rpc_us." + name);
   unsigned failures = 0;  // consecutive failed round trips
 
   while (true) {
@@ -205,7 +193,6 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
       for (const std::size_t idx : batch) {
         const sim::SweepJob& job = (*rs.grid)[idx];
         try {
-          const metrics::ScopedTimer span(rpc_us);
           ids.push_back(client.submit(
               server::job_spec_from_options(job.benchmark, job.options)));
         } catch (const server::ServerError& e) {
@@ -238,7 +225,6 @@ void Coordinator::worker_loop(std::size_t worker_idx, RunState& rs) {
             const u64 chunk = std::min<u64>(
                 static_cast<u64>(left_ms) + 1,
                 std::max<u64>(1, config_.call_timeout_ms / 4));
-            const metrics::ScopedTimer span(rpc_us);
             const JsonValue reply =
                 client.result(ids[settled], /*wait=*/true, chunk);
             if (!reply.get_bool("ready", false))

@@ -47,17 +47,6 @@ double HistogramSnapshot::percentile(double p) const {
   return static_cast<double>(max);
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  const bool was_empty = count == 0;
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i)
-    buckets[i] += other.buckets[i];
-  count += other.count;
-  sum += other.sum;
-  min = was_empty ? other.min : std::min(min, other.min);
-  max = was_empty ? other.max : std::max(max, other.max);
-}
-
 std::optional<HistogramSnapshot> HistogramSnapshot::diff_since(
     const HistogramSnapshot& older) const {
   HistogramSnapshot out;

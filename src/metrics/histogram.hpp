@@ -3,9 +3,9 @@
 // Fixed layout: 64 buckets on a log2 scale. Bucket 0 holds exact zeros;
 // bucket i (1..62) holds values in [2^(i-1), 2^i); bucket 63 saturates —
 // everything >= 2^62 lands there, so no recordable u64 is ever dropped.
-// The layout is a compile-time constant, which is what makes merge
-// lossless: two histograms (from two fabric workers, two snapshots, two
-// runs) merge by elementwise bucket addition, and (a+b)+c == a+(b+c).
+// The layout is a compile-time constant, which is what makes the interval
+// between two snapshots of one histogram exact: elementwise bucket
+// subtraction.
 //
 // record() is wait-free — one relaxed fetch_add on the bucket plus relaxed
 // updates of the exact sum/min/max — so it is safe from any thread,
@@ -55,9 +55,9 @@ constexpr u64 bucket_upper_bound(std::size_t i) {
   return (u64{1} << i) - 1;
 }
 
-/// Plain-data copy of a histogram at one moment: what crosses the wire,
-/// lands in JSON snapshots, and merges across fabric workers. `count` is
-/// always the sum of `buckets` — merge and diff preserve that invariant.
+/// Plain-data copy of a histogram at one moment: what crosses the wire and
+/// lands in JSON snapshots. `count` is always the sum of `buckets` — diff
+/// preserves that invariant.
 struct HistogramSnapshot {
   u64 buckets[kHistogramBuckets] = {};
   u64 count = 0;
@@ -74,11 +74,6 @@ struct HistogramSnapshot {
   /// population's min (p=0) and max (p=100); interior percentiles
   /// interpolate linearly inside the covering log2 bucket. 0 when empty.
   double percentile(double p) const;
-
-  /// Lossless union: elementwise bucket addition, exact sum, combined
-  /// min/max. Associative and commutative — fabric aggregation can fold
-  /// worker snapshots in any order.
-  void merge(const HistogramSnapshot& other);
 
   /// The interval histogram between an older snapshot of the *same*
   /// histogram and this one: elementwise bucket subtraction. min/max of

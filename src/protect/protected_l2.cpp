@@ -58,7 +58,7 @@ std::unique_ptr<ProtectionScheme> make_scheme(const L2Config& cfg,
 ProtectedL2::ProtectedL2(const L2Config& config, mem::SplitTransactionBus& bus,
                          mem::MemoryStore& memory)
     : config_(config),
-      cache_(config.geometry, config.replacement, config.seed),
+      cache_(config.geometry),
       scheme_(make_scheme(config, cache_)),
       cleaner_(config.geometry.num_sets(), config.cleaning_interval),
       bus_(&bus),

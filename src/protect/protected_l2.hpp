@@ -77,8 +77,6 @@ struct L2Config {
   /// maintain_codes. With check_on_access, recovery re-fills of dropped
   /// lines appear as extra L2 accesses in the cache stats.
   RecoveryConfig recovery{};
-  cache::ReplacementPolicy replacement = cache::ReplacementPolicy::kLru;
-  u64 seed = 1;
   /// When set, overrides `scheme`: the L2 installs whatever this builds.
   /// Used by the verification layer to run deliberately-broken scheme
   /// fixtures through the real controller.

@@ -38,10 +38,7 @@ JobServer::JobServer(ServerConfig config)
           metrics::Registry::instance().histogram("server.store_lookup_us")),
       h_request_(metrics::Registry::instance().histogram("server.request_us")),
       h_job_wall_(
-          metrics::Registry::instance().histogram("server.job_wall_us")),
-      c_cache_hits_(metrics::Registry::instance().counter("server.cache_hits")),
-      c_cache_misses_(
-          metrics::Registry::instance().counter("server.cache_misses")) {
+          metrics::Registry::instance().histogram("server.job_wall_us")) {
   if (config_.workers == 0) config_.workers = sim::SweepRunner::default_jobs();
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.max_connections == 0) config_.max_connections = 1;
@@ -57,7 +54,7 @@ void JobServer::start() {
     log_.open(config_.access_log_path, config_.access_log_max_bytes);
   if (!config_.store_dir.empty())
     cache_ = std::make_unique<store::SweepCache>(
-        store::StoreConfig{config_.store_dir, 4096});
+        store::StoreConfig{config_.store_dir});
   listener_ = std::make_unique<Listener>(config_.host, config_.port);
   started_at_ = metrics::now();
   {
@@ -489,7 +486,6 @@ u64 JobServer::submit_job(const JsonValue& req) {
         (void)inserted;
         ++stats_.submitted;
         ++stats_.cache_hits;
-        c_cache_hits_.increment();
         finish_job_locked(it->second, JobState::kDone,
                           ServerErrorKind::kInternal, "");
       }
@@ -503,7 +499,6 @@ u64 JobServer::submit_job(const JsonValue& req) {
       const MutexLock lock(mutex_);
       ++stats_.cache_misses;
     }
-    c_cache_misses_.increment();
     JsonValue f = JsonValue::object();
     f.set("benchmark", JsonValue::string(probe.benchmark));
     log_.write("cache_miss", std::move(f));

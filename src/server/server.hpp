@@ -220,8 +220,6 @@ class JobServer {
   metrics::Histogram& h_store_lookup_;
   metrics::Histogram& h_request_;
   metrics::Histogram& h_job_wall_;
-  metrics::Counter& c_cache_hits_;
-  metrics::Counter& c_cache_misses_;
 
   std::atomic<bool> draining_{false};  ///< no new submits
   std::atomic<bool> closing_{false};   ///< connections wind down

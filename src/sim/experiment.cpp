@@ -186,7 +186,6 @@ SystemConfig make_system_config(const std::string& benchmark,
   cfg.hierarchy.l2.decay_threshold = opts.decay_threshold;
   cfg.hierarchy.l2.ecc_entries_per_set = opts.ecc_entries_per_set;
   cfg.hierarchy.l2.maintain_codes = opts.maintain_codes;
-  cfg.hierarchy.l2.seed = opts.seed;
 
   cfg.hierarchy.l2.recovery.due_policy = opts.due_policy;
   cfg.hierarchy.l2.recovery.retirement_threshold = opts.retirement_threshold;

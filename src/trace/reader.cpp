@@ -137,8 +137,8 @@ u8 TraceReader::begin_record(u8 max_kind) {
 }
 
 Addr TraceReader::next_addr() {
-  const i64 delta = unzigzag(get_varint(payload_, pos_));
-  prev_addr_ = static_cast<Addr>(static_cast<i64>(prev_addr_) + delta);
+  // Unsigned: a delta from the file may wrap, never overflow.
+  prev_addr_ += static_cast<Addr>(unzigzag(get_varint(payload_, pos_)));
   return prev_addr_;
 }
 

@@ -37,8 +37,7 @@ void TraceWriter::begin_record(Pending& p, u8 kind, Cycle tick) {
 }
 
 void TraceWriter::put_addr(Pending& p, Addr a) {
-  put_varint(p.payload,
-             zigzag(static_cast<i64>(a) - static_cast<i64>(p.prev_addr)));
+  put_varint(p.payload, zigzag(static_cast<i64>(a - p.prev_addr)));
   p.prev_addr = a;
 }
 

@@ -146,8 +146,6 @@ struct Harness {
     cfg.maintain_codes = true;
     cfg.recovery.check_on_access = config.inject_faults;
     cfg.recovery.due_policy = protect::DuePolicy::kDropRefetch;
-    cfg.replacement = cache::ReplacementPolicy::kLru;
-    cfg.seed = config.seed;
     cfg.scheme_factory = config.scheme_factory;
     return cfg;
   }

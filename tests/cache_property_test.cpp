@@ -84,7 +84,7 @@ class CacheDifferential : public ::testing::TestWithParam<GeometryCase> {};
 TEST_P(CacheDifferential, MatchesReferenceUnderRandomOps) {
   const auto [size, ways, line] = GetParam();
   const CacheGeometry geom{size, ways, line};
-  Cache cache(geom, ReplacementPolicy::kLru);
+  Cache cache(geom);
   ReferenceCache ref(geom);
   Xorshift64Star rng(size ^ (ways * 131) ^ line);
 

@@ -1,10 +1,10 @@
 // Tests for the telemetry subsystem (src/metrics/): the log2 bucket
 // layout (bucket 0 = exact zeros, bucket i = [2^(i-1), 2^i), bucket 63
 // saturates), percentile estimation at the degenerate ends (empty,
-// one-sample), lossless merge and its associativity, interval diffs with
-// reset detection, the JSON wire round-trip, registry reference
-// stability, span timers, and a concurrent-record stress that the TSan CI
-// job replays under the race detector.
+// one-sample), interval diffs with reset detection, the JSON wire
+// round-trip, registry reference stability, span timers, and a
+// concurrent-record stress that the TSan CI job replays under the race
+// detector.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -137,7 +137,7 @@ TEST(Histogram, ResetReturnsToEmpty) {
 }
 
 // --------------------------------------------------------------------------
-// Merge and diff
+// Diff
 
 HistogramSnapshot snap_of(std::initializer_list<u64> values) {
   Histogram h;
@@ -152,44 +152,6 @@ void expect_same(const HistogramSnapshot& a, const HistogramSnapshot& b) {
   EXPECT_EQ(a.max, b.max);
   for (std::size_t i = 0; i < kHistogramBuckets; ++i)
     EXPECT_EQ(a.buckets[i], b.buckets[i]) << "bucket " << i;
-}
-
-TEST(Merge, UnionIsLossless) {
-  HistogramSnapshot a = snap_of({1, 10, 100});
-  const HistogramSnapshot b = snap_of({5, 50, 5000});
-  a.merge(b);
-  expect_same(a, snap_of({1, 10, 100, 5, 50, 5000}));
-}
-
-TEST(Merge, IsAssociativeAndCommutative) {
-  const HistogramSnapshot a = snap_of({0, 3, 900});
-  const HistogramSnapshot b = snap_of({7, 7, 7, ~u64{0}});
-  const HistogramSnapshot c = snap_of({42});
-
-  HistogramSnapshot ab_c = a;  // (a + b) + c
-  ab_c.merge(b);
-  ab_c.merge(c);
-  HistogramSnapshot bc = b;  // a + (b + c)
-  bc.merge(c);
-  HistogramSnapshot a_bc = a;
-  a_bc.merge(bc);
-  expect_same(ab_c, a_bc);
-
-  HistogramSnapshot ba = b;  // b + a == a + b
-  ba.merge(a);
-  HistogramSnapshot ab = a;
-  ab.merge(b);
-  expect_same(ab, ba);
-}
-
-TEST(Merge, EmptyIsTheIdentity) {
-  HistogramSnapshot a = snap_of({2, 4, 8});
-  a.merge(HistogramSnapshot{});
-  expect_same(a, snap_of({2, 4, 8}));
-
-  HistogramSnapshot e;
-  e.merge(snap_of({2, 4, 8}));
-  expect_same(e, snap_of({2, 4, 8}));
 }
 
 TEST(Diff, IntervalCountsAreExact) {

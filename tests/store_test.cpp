@@ -1,6 +1,6 @@
 // Tests for the content-addressed result store (src/store/): digest
 // semantics (what makes two cells "the same work"), the lossless RunResult
-// codec, the segmented-LRU index with its deterministic eviction order,
+// codec, the LRU index with its deterministic eviction order,
 // crash recovery (a torn tail must cost exactly the torn record, nothing
 // before it), GC compaction, and run_grid_cached — a warm re-run must be
 // bit-exact with zero simulation work.
@@ -289,29 +289,27 @@ TEST(ResultStore, CorruptPayloadIsDroppedNeverReturned) {
   EXPECT_EQ(store.size(), 0u);
 }
 
-// --- ResultStore: segmented LRU --------------------------------------------
+// --- ResultStore: LRU index -------------------------------------------------
 
 TEST(ResultStore, EvictionOrderIsDeterministic) {
   const std::string dir = temp_dir("evict");
   ResultStore store({dir, 4});
   for (u64 i = 1; i <= 4; ++i) store.insert(key_of(i), small_payload(i));
 
-  // First lookup is the second touch: key 2 earns protection.
+  // A lookup hit makes key 2 most recently used.
   ASSERT_TRUE(store.lookup(key_of(2)).has_value());
 
-  // Probationary LRU..MRU first (1, 3, 4), then protected (2): the first
-  // entries() line is always the next eviction victim.
+  // LRU..MRU (1, 3, 4, 2): the first entries() line is always the next
+  // eviction victim.
   auto order = store.entries();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[0].key, key_of(1));
   EXPECT_EQ(order[1].key, key_of(3));
   EXPECT_EQ(order[2].key, key_of(4));
   EXPECT_EQ(order[3].key, key_of(2));
-  EXPECT_FALSE(order[0].protected_segment);
-  EXPECT_TRUE(order[3].protected_segment);
 
-  // A fifth insert at capacity evicts the probationary LRU — key 1, not
-  // the protected key 2.
+  // A fifth insert at capacity evicts the LRU — key 1, not the recently
+  // used key 2.
   store.insert(key_of(5), small_payload(5));
   EXPECT_EQ(store.size(), 4u);
   EXPECT_EQ(store.stats().evictions, 1u);
@@ -319,29 +317,46 @@ TEST(ResultStore, EvictionOrderIsDeterministic) {
   EXPECT_TRUE(store.lookup(key_of(2)).has_value());
 
   order = store.entries();
-  EXPECT_EQ(order[0].key, key_of(3));  // new probationary LRU
+  EXPECT_EQ(order[0].key, key_of(3));  // new LRU
 }
 
-TEST(ResultStore, ProtectedOverflowDemotesItsLruNotOutOfTheStore) {
-  const std::string dir = temp_dir("demote");
-  ResultStore store({dir, 4});  // protected cap = 2
-  for (u64 i = 1; i <= 4; ++i) store.insert(key_of(i), small_payload(i));
-  // Promote three entries into a two-slot protected segment.
-  ASSERT_TRUE(store.lookup(key_of(1)).has_value());
-  ASSERT_TRUE(store.lookup(key_of(2)).has_value());
-  ASSERT_TRUE(store.lookup(key_of(3)).has_value());
+// Served-cache's shape: every key is looked up once, right after the next
+// key's insert, into an index far smaller than the keys inserted. LRU
+// serves every repeat and evicts exactly the overflow.
+TEST(ResultStore, ChurnPastCapacityHitsEveryRecentRepeat) {
+  const std::string dir = temp_dir("churn");
+  ResultStore store({dir, 64});
+  store.insert(key_of(0), small_payload(0));
+  for (u64 i = 1; i < 200; ++i) {
+    store.insert(key_of(i), small_payload(i));
+    EXPECT_TRUE(store.lookup(key_of(i - 1)).has_value()) << i - 1;
+  }
+  const StoreStats s = store.stats();
+  EXPECT_EQ(s.hits, 199u);
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.inserts, 200u);
+  EXPECT_EQ(s.evictions, 136u);
+  EXPECT_EQ(store.size(), 64u);
+}
 
-  // Key 1 (protected LRU) fell back to probationary MRU; nothing evicted.
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.stats().evictions, 0u);
-  const auto order = store.entries();
+// Recency lives in memory only: a reopened store lists its entries in
+// record order, whatever the lookups before it reordered.
+TEST(ResultStore, ReopenListsEntriesInRecordOrder) {
+  const std::string dir = temp_dir("reopen_order");
+  {
+    ResultStore store({dir, 64});
+    for (u64 i = 1; i <= 4; ++i) store.insert(key_of(i), small_payload(i));
+    ASSERT_TRUE(store.lookup(key_of(2)).has_value());
+    ASSERT_TRUE(store.lookup(key_of(1)).has_value());
+    const auto order = store.entries();
+    ASSERT_EQ(order.size(), 4u);
+    EXPECT_EQ(order[0].key, key_of(3));
+    EXPECT_EQ(order[3].key, key_of(1));
+  }
+  ResultStore reopened({dir, 64});
+  const auto order = reopened.entries();
   ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0].key, key_of(4));  // untouched probationary
-  EXPECT_EQ(order[1].key, key_of(1));  // demoted, one touch from protection
-  EXPECT_FALSE(order[1].protected_segment);
-  EXPECT_EQ(order[2].key, key_of(2));
-  EXPECT_EQ(order[3].key, key_of(3));
-  EXPECT_TRUE(order[3].protected_segment);
+  for (u64 i = 0; i < 4; ++i) EXPECT_EQ(order[i].key, key_of(i + 1)) << i;
 }
 
 TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
@@ -350,7 +365,7 @@ TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
   for (u64 i = 1; i <= 6; ++i) store.insert(key_of(i), small_payload(i));
   // Rewrite key 1 so the segment carries a dead record.
   store.insert(key_of(1), small_payload(11));
-  // Protect keys 5 and 6.
+  // Make keys 5 and 6 most recently used.
   ASSERT_TRUE(store.lookup(key_of(5)).has_value());
   ASSERT_TRUE(store.lookup(key_of(6)).has_value());
   const u64 before = store.disk_bytes();
@@ -361,8 +376,8 @@ TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
   EXPECT_LT(store.disk_bytes(), before);
   EXPECT_EQ(store.lookup(key_of(1))->dump(0), small_payload(11).dump(0));
 
-  // A tight budget evicts probationary LRU-first: 2, 3, 4 go before the
-  // protected 5 and 6. (Key 1's lookup above protected it too.)
+  // A tight budget evicts LRU-first: 2, 3, 4 go before the recently used
+  // 5 and 6. (Key 1's lookup above made it the most recently used.)
   const u64 keep_three =
       8 + 3 * (store.disk_bytes() - 8) / 6 + 8;  // header + ~3 records
   const u64 evicted = store.gc(keep_three);

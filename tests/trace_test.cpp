@@ -730,8 +730,7 @@ TEST(TraceCompat, HandAssembledV1FileReadsAndReplaysThroughTheL1Loop) {
     put_varint(chunk, ev.tick - prev_tick);
     prev_tick = ev.tick;
     if (ev.kind != EventKind::kStatsReset) {
-      put_varint(chunk, zigzag(static_cast<i64>(ev.addr) -
-                               static_cast<i64>(prev_addr)));
+      put_varint(chunk, zigzag(static_cast<i64>(ev.addr - prev_addr)));
       prev_addr = ev.addr;
     }
     if (ev.kind == EventKind::kStore) put_varint(chunk, ev.value);
@@ -788,6 +787,45 @@ std::vector<ChunkAt> chunks_of(const std::vector<char>& b) {
     at += header + bytes;
   }
   return out;
+}
+
+// Address deltas add and subtract in unsigned arithmetic, so a delta that
+// carries the address past INT64_MAX is well defined on both sides: the
+// hand-written chunk reads back the wrapped address, and the writer emits
+// the same chunk bytes for the same two loads.
+TEST(TraceCompat, AddressDeltaPastInt64MaxReadsBackWrapped) {
+  const Addr far = (Addr{1} << 63) + 16;
+  const std::vector<TraceEvent> events = {{EventKind::kLoad, 1, 32, 0},
+                                          {EventKind::kLoad, 2, far, 0}};
+  std::vector<u8> chunk;
+  for (const u64 delta : {u64{32}, far - 32}) {
+    chunk.push_back(static_cast<u8>(EventKind::kLoad));
+    put_varint(chunk, 1);  // tick delta
+    put_varint(chunk, zigzag(static_cast<i64>(delta)));
+  }
+  std::vector<u8> footer;
+  for (const u64 v : {u64{3}, u64{0}, u64{2}, u64{0}, u64{2}})
+    put_varint(footer, v);
+  std::vector<char> bytes;
+  for (const u32 v : {kTraceMagic, kTraceVersion1, u32{64}, u32{0}})
+    put_le32(bytes, v);
+  put_frame(bytes, kDataChunkTag, chunk, 2);
+  put_frame(bytes, kFooterTag, footer, 0);
+  const std::string hand = temp_path("wrapped_delta_v1");
+  spew(hand, bytes);
+  EXPECT_EQ(read_all(hand), events);
+
+  const std::string written = temp_path("wrapped_delta_v2");
+  write_trace(written, events);
+  EXPECT_EQ(read_all(written), events);
+  const std::vector<char> file = slurp(written);
+  const ChunkAt data = chunks_of(file).front();
+  ASSERT_EQ(data.tag, kDataChunkTag);
+  const auto at = file.begin() + static_cast<std::ptrdiff_t>(data.payload);
+  EXPECT_EQ(std::vector<u8>(at, at + static_cast<std::ptrdiff_t>(data.bytes)),
+            chunk);
+  std::remove(hand.c_str());
+  std::remove(written.c_str());
 }
 
 /// Capture `benchmark` under `eo` into `path`; returns the hierarchy config

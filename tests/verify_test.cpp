@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/write_buffer.hpp"
+#include "common/rng.hpp"
 #include "verify/auditor.hpp"
 #include "verify/broken.hpp"
 #include "verify/golden.hpp"

@@ -5,13 +5,14 @@
 //   aeep_store get KEY --store=DIR         — payload JSON for a hex key
 //   aeep_store gc --max-bytes=N --store=DIR — evict + compact to a budget
 //
-// `ls` prints one line per entry — `KEY BYTES SEGMENT` — in the store's
-// deterministic eviction order (probationary LRU first, protected MRU
-// last): the first line is what the next gc() would evict first. `get`
-// takes the 16-hex-digit key exactly as `ls` prints it and writes the
-// payload JSON to stdout. `gc` reports how many entries were evicted and
-// the compacted segment size; the same store state and budget always
-// evict the same keys, so a scripted gc is reproducible.
+// `ls` prints one line per entry — `KEY BYTES` — in the store's eviction
+// order (least recently used first): the first line is what the next gc()
+// would evict first. Recency is not persisted, so in a fresh process that
+// order is record order. `get` takes the 16-hex-digit key exactly as `ls`
+// prints it and writes the payload JSON to stdout. `gc` reports how many
+// entries were evicted and the compacted segment size; the same store
+// state and budget always evict the same keys, so a scripted gc is
+// reproducible.
 // Exit codes: 0 ok, 2 usage, 4 key not found, 1 anything else.
 #include <cstdio>
 #include <string>
@@ -27,27 +28,21 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: aeep_store <info|ls|get KEY|gc> --store=DIR "
-               "[--max-entries=N] [--max-bytes=N]\n"
-               "  info — entries, protected/probationary split, disk bytes\n"
-               "  ls   — entries in eviction order: KEY BYTES SEGMENT\n"
+               "[--max-bytes=N]\n"
+               "  info — entries, disk bytes, recovery counts\n"
+               "  ls   — entries in eviction order: KEY BYTES\n"
                "  get  — payload JSON for a key from ls\n"
-               "  gc   — evict (probationary first) + compact the segment "
-               "to --max-bytes\n");
+               "  gc   — evict (least recently used first) + compact the "
+               "segment to --max-bytes\n");
   return 2;
 }
 
 int cmd_info(store::ResultStore& rs) {
-  const auto entries = rs.entries();
-  std::size_t protected_count = 0;
-  for (const auto& e : entries)
-    if (e.protected_segment) ++protected_count;
   const store::StoreStats s = rs.stats();
   std::printf("dir: %s\n", rs.dir().c_str());
   std::printf("segment: %s\n",
               store::ResultStore::segment_path(rs.dir()).c_str());
-  std::printf("entries: %zu (probationary %zu, protected %zu)\n",
-              entries.size(), entries.size() - protected_count,
-              protected_count);
+  std::printf("entries: %zu\n", rs.size());
   std::printf("disk_bytes: %llu\n",
               static_cast<unsigned long long>(rs.disk_bytes()));
   std::printf("recovered_records: %llu\n",
@@ -59,8 +54,7 @@ int cmd_info(store::ResultStore& rs) {
 
 int cmd_ls(store::ResultStore& rs) {
   for (const auto& e : rs.entries())
-    std::printf("%s %u %s\n", e.key.hex().c_str(), unsigned{e.payload_bytes},
-                e.protected_segment ? "protected" : "probationary");
+    std::printf("%s %u\n", e.key.hex().c_str(), unsigned{e.payload_bytes});
   return 0;
 }
 
@@ -104,10 +98,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aeep_store: need --store=DIR\n");
     return 2;
   }
-  store::StoreConfig cfg;
-  cfg.dir = dir;
-  cfg.max_entries =
-      static_cast<std::size_t>(args.get_u64("max-entries", 4096));
   u64 max_bytes = 0;
   if (cmd == "gc") {
     if (!args.has("max-bytes")) {
@@ -118,7 +108,7 @@ int main(int argc, char** argv) {
   }
   reject_unknown_flags(args);
   try {
-    store::ResultStore rs(cfg);
+    store::ResultStore rs({dir});
     if (cmd == "info") return cmd_info(rs);
     if (cmd == "ls") return cmd_ls(rs);
     if (cmd == "get") {
