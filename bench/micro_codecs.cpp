@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   double secded_speedup = 0.0;
 
   for (const auto& [name, codec] : codecs) {
-    std::vector<u64> check(kWords), scalar_check(kWords);
+    std::vector<u8> check(kWords), scalar_check(kWords);
     std::vector<std::pair<const char*, Measurement>> rows;
 
     // Batched line encode vs the word-at-a-time virtual-dispatch baseline.
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
     const Measurement scalar_m = timed(lines, kWords, [&](u64 i) {
       data[i % kWords] ^= i | 1;
       for (unsigned w = 0; w < kWords; ++w)
-        scalar_check[w] = codec->encode(data[w]);
+        scalar_check[w] = static_cast<u8>(codec->encode(data[w]));
       return scalar_check[0];
     });
     rows.emplace_back("encode per word", scalar_m);

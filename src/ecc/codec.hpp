@@ -4,11 +4,12 @@
 // uses ("every 64 bits of data requires 8 bits for ECC" / "1 bit parity
 // check code"). A codec computes `check_bits()` check bits for each word;
 // `decode` recomputes them from possibly-corrupted data+check and reports
-// what it can conclude. (SecdedCodec also offers other granule widths
-// through its span API, for the granularity ablation.)
+// what it can conclude. The batched line API stores each word's code in
+// one byte, the width of SECDED(72,64)'s check bits. (SecdedCodec also
+// offers other granule widths through its span API, for the granularity
+// ablation.)
 #pragma once
 
-#include <cassert>
 #include <span>
 
 #include "common/types.hpp"
@@ -53,31 +54,27 @@ class WordCodec {
   }
 
   // --- Batched hot path ---------------------------------------------------
-  // Whole-line entry points. The codecs implement them with SWAR code that
-  // hoists constants, drops the per-word virtual dispatch, and exposes
-  // independent popcount/fold chains to the CPU. Batched and scalar
-  // results are bit-identical by contract (equivalence-tested in ecc_test).
+  // Whole-line entry points over one check byte per data word (check bits
+  // above check_bits() are zero). The codecs implement them with SWAR code
+  // that hoists constants, drops the per-word virtual dispatch, and exposes
+  // independent popcount/fold chains to the CPU. Batched and scalar results
+  // are bit-identical by contract (equivalence-tested in ecc_test).
 
   /// check_out[w] = encode(data[w]) for every word.
   virtual void encode_batch(std::span<const u64> data,
-                            std::span<u64> check_out) const = 0;
+                            std::span<u8> check_out) const = 0;
 
   /// Like encode_batch, but only for words with bit w set in `word_mask`;
   /// other check_out entries are left untouched (silent-write elision).
-  /// The default loops the scalar encode.
   virtual void encode_batch_masked(std::span<const u64> data, u64 word_mask,
-                                   std::span<u64> check_out) const {
-    assert(data.size() <= 64 && check_out.size() >= data.size());
-    for (std::size_t w = 0; w < data.size(); ++w)
-      if (word_mask & (u64{1} << w)) check_out[w] = encode(data[w]);
-  }
+                                   std::span<u8> check_out) const = 0;
 
   /// Bit w set iff stored check[w] disagrees with re-encoding data[w] —
   /// i.e. exactly the words a decode would flag. The clean-line fast path:
   /// a zero mask means every word is kOk and the scalar decoder (syndrome
   /// walk, branches) can be skipped entirely.
   virtual u64 mismatch_mask(std::span<const u64> data,
-                            std::span<const u64> check) const = 0;
+                            std::span<const u8> check) const = 0;
 };
 
 }  // namespace aeep::ecc

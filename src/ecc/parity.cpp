@@ -17,14 +17,22 @@ DecodeResult ParityCodec::decode(u64 data, u64 check) const {
 }
 
 void ParityCodec::encode_batch(std::span<const u64> data,
-                               std::span<u64> check_out) const {
+                               std::span<u8> check_out) const {
   assert(check_out.size() >= data.size());
   for (std::size_t w = 0; w < data.size(); ++w)
-    check_out[w] = parity64(data[w]);
+    check_out[w] = static_cast<u8>(parity64(data[w]));
+}
+
+void ParityCodec::encode_batch_masked(std::span<const u64> data, u64 word_mask,
+                                      std::span<u8> check_out) const {
+  assert(data.size() <= 64 && check_out.size() >= data.size());
+  for (std::size_t w = 0; w < data.size(); ++w)
+    if ((word_mask >> w) & 1u)
+      check_out[w] = static_cast<u8>(parity64(data[w]));
 }
 
 u64 ParityCodec::mismatch_mask(std::span<const u64> data,
-                               std::span<const u64> check) const {
+                               std::span<const u8> check) const {
   assert(data.size() <= 64 && check.size() >= data.size());
   u64 mm = 0;
   for (std::size_t w = 0; w < data.size(); ++w)

@@ -13,11 +13,13 @@ class ParityCodec final : public WordCodec {
   u64 encode(u64 data) const override;
   DecodeResult decode(u64 data, u64 check) const override;
 
-  // Batched overrides: one POPCNT per word, no virtual dispatch.
+  // Batched overrides: one parity fold per word, no virtual dispatch.
   void encode_batch(std::span<const u64> data,
-                    std::span<u64> check_out) const override;
+                    std::span<u8> check_out) const override;
+  void encode_batch_masked(std::span<const u64> data, u64 word_mask,
+                           std::span<u8> check_out) const override;
   u64 mismatch_mask(std::span<const u64> data,
-                    std::span<const u64> check) const override;
+                    std::span<const u8> check) const override;
 };
 
 }  // namespace aeep::ecc

@@ -126,7 +126,7 @@ DecodeResult SecdedCodec::decode(std::span<u64> data, u64& check) const {
 // xor-fold to one byte and a setnp) behind an opaque virtual call per word. The 2 KiB table stays
 // L1-resident across a line, and the eight words' chains are independent
 // so the CPU overlaps the loads.
-u64 SecdedCodec::fold_word(u64 d) const {
+u8 SecdedCodec::fold_word(u64 d) const {
   unsigned acc = byte_fold_[0][d & 0xFFu];
   acc ^= byte_fold_[1][(d >> 8) & 0xFFu];
   acc ^= byte_fold_[2][(d >> 16) & 0xFFu];
@@ -140,18 +140,19 @@ u64 SecdedCodec::fold_word(u64 d) const {
   unsigned p = c ^ (c >> 4);
   p ^= p >> 2;
   p ^= p >> 1;
-  return c | ((((acc >> 7) ^ p) & 1u) << kHammingBits64);
+  return static_cast<u8>(c | ((((acc >> 7) ^ p) & 1u) << kHammingBits64));
 }
 
 void SecdedCodec::encode_batch(std::span<const u64> data,
-                               std::span<u64> check_out) const {
+                               std::span<u8> check_out) const {
   assert(data_bits_ == 64 && check_out.size() >= data.size());
   for (std::size_t w = 0; w < data.size(); ++w)
     check_out[w] = fold_word(data[w]);
 }
 
 void SecdedCodec::encode_batch_masked(std::span<const u64> data, u64 word_mask,
-                                      std::span<u64> check_out) const {
+                                      std::span<u8> check_out) const {
+  assert(data_bits_ == 64);
   assert(data.size() <= 64 && check_out.size() >= data.size());
   if (data.size() < 64) word_mask &= (u64{1} << data.size()) - 1;
   if (word_mask + 1 == (data.size() < 64 ? u64{1} << data.size() : 0)) {
@@ -161,25 +162,24 @@ void SecdedCodec::encode_batch_masked(std::span<const u64> data, u64 word_mask,
   }
   // Sparse masks walk only the set bits (clear-lowest-bit iteration), so a
   // single-word store re-encodes one word, not eight.
-  std::span<const u64> all{data};
   for (u64 m = word_mask; m != 0; m &= m - 1) {
     const auto w = static_cast<std::size_t>(std::countr_zero(m));
-    encode_batch(all.subspan(w, 1), check_out.subspan(w, 1));
+    check_out[w] = fold_word(data[w]);
   }
 }
 
 u64 SecdedCodec::mismatch_mask(std::span<const u64> data,
-                               std::span<const u64> check) const {
+                               std::span<const u8> check) const {
   assert(data_bits_ == 64);
   assert(data.size() <= 64 && check.size() >= data.size());
   u64 mm = 0;
   for (std::size_t w = 0; w < data.size(); ++w)
-    mm |= static_cast<u64>(fold_word(data[w]) != (check[w] & 0xFFu)) << w;
+    mm |= static_cast<u64>(fold_word(data[w]) != check[w]) << w;
   return mm;
 }
 
 LineRepair SecdedCodec::correct_line(std::span<u64> data,
-                                     std::span<u64> check) const {
+                                     std::span<u8> check) const {
   assert(check.size() >= data.size());
   LineRepair out;
   // Batched clean scan first: on the overwhelmingly common clean line this
@@ -187,7 +187,10 @@ LineRepair SecdedCodec::correct_line(std::span<u64> data,
   // decoder. A flagged word never decodes kOk (same re-encode).
   for (u64 mm = mismatch_mask(data, check); mm != 0; mm &= mm - 1) {
     const auto w = static_cast<std::size_t>(std::countr_zero(mm));
-    switch (decode(data.subspan(w, 1), check[w]).status) {
+    u64 word_check = check[w];
+    const DecodeStatus status = decode(data.subspan(w, 1), word_check).status;
+    check[w] = static_cast<u8>(word_check);
+    switch (status) {
       case DecodeStatus::kOk:
         break;
       case DecodeStatus::kCorrectedSingle:

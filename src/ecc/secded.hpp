@@ -63,21 +63,21 @@ class SecdedCodec final : public WordCodec {
   // without POPCNT, so each parity64 is an xor-fold to one byte and a
   // setnp), and there is no virtual dispatch inside the line loop.
   void encode_batch(std::span<const u64> data,
-                    std::span<u64> check_out) const override;
+                    std::span<u8> check_out) const override;
   void encode_batch_masked(std::span<const u64> data, u64 word_mask,
-                           std::span<u64> check_out) const override;
+                           std::span<u8> check_out) const override;
   u64 mismatch_mask(std::span<const u64> data,
-                    std::span<const u64> check) const override;
+                    std::span<const u8> check) const override;
 
   /// Validates a stored line and repairs in place what SECDED can: the
   /// batched mismatch scan clears clean words, and only the words it flags
-  /// are syndrome-decoded. A corrected word gets its data and check word
+  /// are syndrome-decoded. A corrected word gets its data and check byte
   /// repaired; a detected-uncorrectable word is left as stored.
-  LineRepair correct_line(std::span<u64> data, std::span<u64> check) const;
+  LineRepair correct_line(std::span<u64> data, std::span<u8> check) const;
 
  private:
   /// Hamming check bits + overall parity of one word via byte_fold_.
-  u64 fold_word(u64 d) const;
+  u8 fold_word(u64 d) const;
 
   unsigned data_bits_;
   unsigned hamming_bits_;

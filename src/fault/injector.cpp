@@ -1,9 +1,8 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-
-#include "common/bitops.hpp"
 
 namespace aeep::fault {
 
@@ -51,12 +50,15 @@ LineBit draw_line_bit(const protect::L2Config& cfg, Xorshift64Star& rng) {
 
 StoredBit locate_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
                             LineBit b) {
+  // Data bit i of a payload word is bit i % 8 of its byte i / 8.
+  static_assert(std::endian::native == std::endian::little);
   cache::Cache& cache = l2.cache_model();
   if (!cache.meta(set, way).valid) return {};
   switch (b.target) {
-    case FaultTarget::kData:
-      return {&cache.data(set, way)[b.bit / 64],
-              static_cast<unsigned>(b.bit % 64)};
+    case FaultTarget::kData: {
+      auto* bytes = reinterpret_cast<u8*>(cache.data(set, way).data());
+      return {bytes + b.bit / 8, static_cast<unsigned>(b.bit % 8)};
+    }
     case FaultTarget::kParity: {
       auto par = l2.scheme().parity_words(set, way);
       if (par.empty()) return {};
@@ -74,8 +76,8 @@ StoredBit locate_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
 bool flip_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,
                      LineBit b) {
   const StoredBit sb = locate_stored_bit(l2, set, way, b);
-  if (sb.word == nullptr) return false;
-  *sb.word = flip_bit(*sb.word, sb.pos);
+  if (sb.byte == nullptr) return false;
+  *sb.byte = static_cast<u8>(*sb.byte ^ (1u << sb.pos));
   return true;
 }
 

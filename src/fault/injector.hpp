@@ -54,11 +54,13 @@ struct LineBit {
 /// the storage a particle strike picks from.
 LineBit draw_line_bit(const protect::L2Config& cfg, Xorshift64Star& rng);
 
-/// Where a stored bit of (set, way) lives; `word` is null when its storage
-/// holds no live contents (an invalid line, a scheme without parity, a line
-/// without ECC).
+/// Where a stored bit of (set, way) lives: bit `pos` (0..7) of `*byte`. A
+/// data bit is addressed through its byte within the little-endian payload
+/// word, a parity or ECC bit through the scheme's check byte. `byte` is
+/// null when the storage holds no live contents (an invalid line, a scheme
+/// without parity, a line without ECC).
 struct StoredBit {
-  u64* word = nullptr;
+  u8* byte = nullptr;
   unsigned pos = 0;
 };
 StoredBit locate_stored_bit(protect::ProtectedL2& l2, u64 set, unsigned way,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/bitops.hpp"
-
 namespace aeep::fault {
 
 namespace {
@@ -64,7 +62,7 @@ void StrikeProcess::apply_random_strike() {
     case FaultTarget::kEcc: ++stats_.ecc_hits; break;
   }
   // Spatial MBU: the neighbouring bit of the same word flips too. Parity
-  // keeps a single live bit per word, so there is no neighbour to hit.
+  // stores a 1-bit code per word, so there is no neighbour to hit.
   if (mbu && hit.target != FaultTarget::kParity) {
     if (flip_stored_bit(*l2_, set, way, {hit.target, hit.bit ^ 1}))
       ++stats_.bits_flipped;
@@ -80,10 +78,10 @@ bool StrikeProcess::stuck_active(const StuckFault& f, Cycle now) const {
 bool StrikeProcess::apply_stuck(const StuckFault& f) {
   const StoredBit sb =
       locate_stored_bit(*l2_, f.set, f.way, {f.target, f.bit});
-  if (sb.word == nullptr) return false;
-  const bool current = ((*sb.word >> sb.pos) & 1) != 0;
+  if (sb.byte == nullptr) return false;
+  const bool current = ((*sb.byte >> sb.pos) & 1u) != 0;
   if (current == f.stuck_high) return false;  // already at the stuck value
-  *sb.word = flip_bit(*sb.word, sb.pos);
+  *sb.byte = static_cast<u8>(*sb.byte ^ (1u << sb.pos));
   return true;
 }
 

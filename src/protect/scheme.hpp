@@ -1,7 +1,8 @@
 // Protection-scheme strategy interface for the L2 cache.
 //
-// A scheme owns the stored check bits (parity words, ECC words, the shared
-// ECC array) and the rules that keep them consistent with the cache payload.
+// A scheme owns the stored check bits (parity, ECC, the shared ECC array),
+// one byte per 64-bit data word, and the rules that keep them consistent
+// with the cache payload.
 // The ProtectedL2 controller calls the hooks below at the right points of
 // the access path. Timing (bus, latencies) stays in the controller; a
 // scheme's only timing influence is forcing write-backs via before_dirty
@@ -85,12 +86,13 @@ class ProtectionScheme {
                                const mem::MemoryStore& memory) = 0;
 
   // --- Fault-injection access to stored code bits -------------------------
-  /// Stored parity words for a line (1 live bit per word); empty if the
-  /// scheme keeps no parity.
-  virtual std::span<u64> parity_words(u64 set, unsigned way) = 0;
-  /// Stored ECC words for a line (8 live bits per word); empty if the line
-  /// currently has no ECC (clean line under the proposed scheme).
-  virtual std::span<u64> ecc_words(u64 set, unsigned way) = 0;
+  /// Stored parity codes for a line, one byte per data word holding the
+  /// 1-bit code in bit 0; empty if the scheme keeps no parity.
+  virtual std::span<u8> parity_words(u64 set, unsigned way) = 0;
+  /// Stored ECC codes for a line, one byte per data word holding its 8
+  /// SECDED check bits; empty if the line currently has no ECC (clean line
+  /// under the proposed scheme).
+  virtual std::span<u8> ecc_words(u64 set, unsigned way) = 0;
 
   /// Zero scheme-level metrics (ECC-entry eviction counts) while keeping
   /// code state — part of the ProtectedL2::reset_metrics chain, so warm-up

@@ -23,7 +23,7 @@ std::string SharedEccArrayScheme::name() const {
 
 void SharedEccArrayScheme::encode_parity(u64 set, unsigned way, u64 word_mask) {
   const auto data = cache().data(set, way);
-  u64* par = parity_.data() + line_slot(set, way) * words_;
+  u8* par = parity_.data() + line_slot(set, way) * words_;
   parity_codec().encode_batch_masked(data, word_mask, {par, words_});
 }
 
@@ -36,7 +36,7 @@ SharedEccArrayScheme::EccEntry* SharedEccArrayScheme::find_entry(u64 set,
   return nullptr;
 }
 
-u64* SharedEccArrayScheme::entry_check(const EccEntry* e) {
+u8* SharedEccArrayScheme::entry_check(const EccEntry* e) {
   return entry_check_.data() + (e - entries_.data()) * words_;
 }
 
@@ -78,7 +78,7 @@ void SharedEccArrayScheme::on_write_applied(u64 set, unsigned way,
   assert(cache().meta(set, way).dirty);
   EccEntry* e = find_entry(set, way);
   assert(e != nullptr && "before_dirty must have allocated an entry");
-  // A fresh entry's check words are stale for every word; an owned entry's
+  // A fresh entry's check bytes are stale for every word; an owned entry's
   // are current for every word this write did not touch.
   const u64 encode_mask = e->encoded ? word_mask : ~u64{0};
   e->encoded = true;
@@ -98,7 +98,7 @@ ReadCheck SharedEccArrayScheme::check_read(u64 set, unsigned way,
                                            const mem::MemoryStore& memory) {
   auto data = cache().data(set, way);
   if (cache().meta(set, way).dirty) {
-    const std::span<u64> check = ecc_words(set, way);
+    const std::span<u8> check = ecc_words(set, way);
     assert(!check.empty() && "dirty line must own an ECC entry");
     const ecc::LineRepair fix = secded().correct_line(data, check);
     // Keep the parity bits consistent with the repaired words.
@@ -108,7 +108,7 @@ ReadCheck SharedEccArrayScheme::check_read(u64 set, unsigned way,
 
   // Clean line: parity only; any detected error is repaired by re-fetch.
   ReadCheck out;
-  const u64* par = parity_.data() + line_slot(set, way) * words_;
+  const u8* par = parity_.data() + line_slot(set, way) * words_;
   out.words_detected =
       popcount64(parity_codec().mismatch_mask(data, {par, words_}));
   if (out.words_detected > 0) {
@@ -119,11 +119,11 @@ ReadCheck SharedEccArrayScheme::check_read(u64 set, unsigned way,
   return out;
 }
 
-std::span<u64> SharedEccArrayScheme::parity_words(u64 set, unsigned way) {
+std::span<u8> SharedEccArrayScheme::parity_words(u64 set, unsigned way) {
   return {parity_.data() + line_slot(set, way) * words_, words_};
 }
 
-std::span<u64> SharedEccArrayScheme::ecc_words(u64 set, unsigned way) {
+std::span<u8> SharedEccArrayScheme::ecc_words(u64 set, unsigned way) {
   EccEntry* e = find_entry(set, way);
   if (e == nullptr) return {};
   return {entry_check(e), words_};

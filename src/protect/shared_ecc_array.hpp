@@ -42,8 +42,8 @@ class SharedEccArrayScheme : public ProtectionScheme {
   ReadCheck check_read(u64 set, unsigned way,
                        const mem::MemoryStore& memory) override;
 
-  std::span<u64> parity_words(u64 set, unsigned way) override;
-  std::span<u64> ecc_words(u64 set, unsigned way) override;
+  std::span<u8> parity_words(u64 set, unsigned way) override;
+  std::span<u8> ecc_words(u64 set, unsigned way) override;
 
   void reset_metrics() override { entry_evictions_ = 0; }
 
@@ -59,20 +59,20 @@ class SharedEccArrayScheme : public ProtectionScheme {
     u64 alloc_seq = 0;  ///< for oldest-first eviction among k > 1 entries
     unsigned way = 0;
     bool valid = false;
-    bool encoded = false;  ///< check words cover the whole line
+    bool encoded = false;  ///< check bytes cover the whole line
   };
   // kNonUniform keeps one entry per line: hold the table to 16 B an entry.
   static_assert(sizeof(EccEntry) == 16);
 
   void encode_parity(u64 set, unsigned way, u64 word_mask);
   EccEntry* find_entry(u64 set, unsigned way);
-  u64* entry_check(const EccEntry* e);
+  u8* entry_check(const EccEntry* e);
 
   unsigned words_;
   unsigned entries_per_set_;
-  std::vector<u64> parity_;       ///< per line, all lines
+  std::vector<u8> parity_;        ///< one byte per data word, all lines
   std::vector<EccEntry> entries_; ///< num_sets * entries_per_set
-  std::vector<u64> entry_check_;  ///< check words per entry
+  std::vector<u8> entry_check_;   ///< one check byte per word, per entry
   u64 alloc_seq_ = 0;
   u64 entry_evictions_ = 0;
 };

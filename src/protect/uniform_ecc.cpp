@@ -19,7 +19,7 @@ UniformEccScheme::UniformEccScheme(cache::Cache& cache)
 
 void UniformEccScheme::encode_words(u64 set, unsigned way, u64 word_mask) {
   const auto data = cache().data(set, way);
-  u64* check = ecc_.data() + line_slot(set, way) * words_;
+  u8* check = ecc_.data() + line_slot(set, way) * words_;
   secded().encode_batch_masked(data, word_mask, {check, words_});
 }
 
@@ -46,7 +46,7 @@ ReadCheck UniformEccScheme::check_read(u64 set, unsigned way,
   return out;
 }
 
-std::span<u64> UniformEccScheme::ecc_words(u64 set, unsigned way) {
+std::span<u8> UniformEccScheme::ecc_words(u64 set, unsigned way) {
   return {ecc_.data() + line_slot(set, way) * words_, words_};
 }
 

@@ -22,14 +22,14 @@ class UniformEccScheme final : public ProtectionScheme {
   ReadCheck check_read(u64 set, unsigned way,
                        const mem::MemoryStore& memory) override;
 
-  std::span<u64> parity_words(u64, unsigned) override { return {}; }
-  std::span<u64> ecc_words(u64 set, unsigned way) override;
+  std::span<u8> parity_words(u64, unsigned) override { return {}; }
+  std::span<u8> ecc_words(u64 set, unsigned way) override;
 
  private:
   void encode_words(u64 set, unsigned way, u64 word_mask);
 
   unsigned words_;
-  std::vector<u64> ecc_;  ///< one check word per data word, every line
+  std::vector<u8> ecc_;  ///< one check byte per data word, every line
 };
 
 }  // namespace aeep::protect

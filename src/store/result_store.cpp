@@ -102,13 +102,15 @@ void ResultStore::scan_segment_locked() {
       }
       std::vector<u8> payload(len);
       reader_->read_bytes(payload.data(), len);
+      valid_end = off + record_bytes(len);
       if (trace::crc32(payload) != crc) {
-        torn = true;
-        break;
+        // A whole record damaged in place: skip it and keep the records
+        // behind it. Its bytes stay in the segment until gc().
+        ++stats_.dropped_records;
+        continue;
       }
       index_record_locked(key_from_payload(payload), off, len);
       ++stats_.recovered_records;
-      valid_end = off + record_bytes(len);
     } catch (const trace::TraceError&) {
       torn = true;  // record cut short by a crash mid-append
       break;
@@ -149,13 +151,12 @@ void ResultStore::evict_lru_locked() {
   ++stats_.evictions;
 }
 
-std::vector<u8> ResultStore::read_payload_locked(u64 offset,
-                                                 u32 payload_bytes) {
-  reader_->seek(offset);
+std::vector<u8> ResultStore::read_payload_locked(u64 key, const Entry& e) {
+  reader_->seek(e.offset);
   const u8 tag = reader_->read_u8();
   const u32 len = reader_->read_u32();
   const u32 crc = reader_->read_u32();
-  if (tag != kRecordTag || len != payload_bytes)
+  if (tag != kRecordTag || len != e.payload_bytes)
     throw trace::TraceError(trace::TraceErrorKind::kCorrupt,
                             "store record header mismatch: " + segment_path_);
   std::vector<u8> payload(len);
@@ -163,7 +164,23 @@ std::vector<u8> ResultStore::read_payload_locked(u64 offset,
   if (trace::crc32(payload) != crc)
     throw trace::TraceError(trace::TraceErrorKind::kCorrupt,
                             "store record CRC mismatch: " + segment_path_);
+  if (key_from_payload(payload) != key)
+    throw trace::TraceError(trace::TraceErrorKind::kCorrupt,
+                            "store record key mismatch: " + segment_path_);
   return payload;
+}
+
+void ResultStore::drop_corrupt_locked(
+    std::unordered_map<u64, Entry>::iterator it) {
+  lru_.erase(it->second.lru);
+  index_.erase(it);
+  ++stats_.corrupt_payloads;
+}
+
+void ResultStore::open_handles_locked() {
+  reader_ = std::make_unique<trace::FileReader>(segment_path_);
+  writer_ = std::make_unique<trace::FileWriter>(segment_path_,
+                                                /*append=*/true);
 }
 
 std::optional<JsonValue> ResultStore::lookup(const Digest& key) {
@@ -175,8 +192,7 @@ std::optional<JsonValue> ResultStore::lookup(const Digest& key) {
   }
   std::optional<JsonValue> doc;
   try {
-    const std::vector<u8> payload =
-        read_payload_locked(it->second.offset, it->second.payload_bytes);
+    const std::vector<u8> payload = read_payload_locked(key.value, it->second);
     doc = json_parse(std::string(
         reinterpret_cast<const char*>(payload.data()) + 8, payload.size() - 8));
   } catch (const trace::TraceError&) {
@@ -185,9 +201,7 @@ std::optional<JsonValue> ResultStore::lookup(const Digest& key) {
   if (!doc) {
     // The entry points at bytes that no longer check out (disk fault,
     // external tampering): drop it and miss, never return bad data.
-    lru_.erase(it->second.lru);
-    index_.erase(it);
-    ++stats_.corrupt_payloads;
+    drop_corrupt_locked(it);
     ++stats_.misses;
     return std::nullopt;
   }
@@ -287,42 +301,54 @@ u64 ResultStore::gc(u64 max_bytes) {
   // Survivors in ascending segment offset: compaction preserves the
   // on-disk record order, so two stores with the same live set compact to
   // byte-identical segments.
-  std::vector<Entry*> live;
+  std::vector<std::pair<u64, u64>> live;  ///< (offset, key)
   live.reserve(index_.size());
-  for (auto& [key, e] : index_) live.push_back(&e);
-  std::sort(live.begin(), live.end(), [](const Entry* a, const Entry* b) {
-    return a->offset < b->offset;
-  });
+  for (const auto& [key, e] : index_) live.emplace_back(e.offset, key);
+  std::sort(live.begin(), live.end());
 
+  // The index keeps pointing into the old segment until the rename lands:
+  // new offsets are collected here and applied after it.
+  std::vector<std::pair<u64, u64>> moved;  ///< (key, compacted offset)
+  moved.reserve(live.size());
   const std::string tmp_path = segment_path_ + ".tmp";
-  {
+  try {
     trace::FileWriter tmp(tmp_path);
     tmp.write_bytes(kMagic, 4);
     tmp.write_u32(kSegmentVersion);
-    for (Entry* e : live) {
-      const std::vector<u8> payload =
-          read_payload_locked(e->offset, e->payload_bytes);
-      const u64 rec_off = tmp.bytes_written();
+    for (const auto& [offset, key] : live) {
+      const auto it = index_.find(key);
+      std::vector<u8> payload;
+      try {
+        payload = read_payload_locked(key, it->second);
+      } catch (const trace::TraceError&) {
+        drop_corrupt_locked(it);  // as lookup would; compact the rest
+        continue;
+      }
+      moved.emplace_back(key, tmp.bytes_written());
       tmp.write_u8(kRecordTag);
       tmp.write_u32(static_cast<u32>(payload.size()));
       tmp.write_u32(trace::crc32(payload));
       tmp.write_bytes(payload.data(), payload.size());
-      e->offset = rec_off;
     }
     tmp.close();
-  }
+    live_bytes = tmp.bytes_written();
 
-  // Swap handles around the rename so no stream points at the old inode.
-  writer_.reset();
-  reader_.reset();
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, segment_path_, ec);
-  if (ec)
-    throw trace::TraceError(trace::TraceErrorKind::kIo,
-                            "store GC rename failed: " + ec.message());
-  reader_ = std::make_unique<trace::FileReader>(segment_path_);
-  writer_ = std::make_unique<trace::FileWriter>(segment_path_,
-                                                /*append=*/true);
+    // Swap handles around the rename so no stream points at the old inode.
+    writer_.reset();
+    reader_.reset();
+    std::error_code ec;
+    std::filesystem::rename(tmp_path, segment_path_, ec);
+    if (ec)
+      throw trace::TraceError(trace::TraceErrorKind::kIo,
+                              "store GC rename failed: " + ec.message());
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp_path, ec);
+    if (!reader_) open_handles_locked();  // the old segment, as it was
+    throw;
+  }
+  open_handles_locked();
+  for (const auto& [key, offset] : moved) index_.at(key).offset = offset;
   segment_bytes_ = live_bytes;
   return evicted;
 }

@@ -15,12 +15,15 @@
 // reusing the trace subsystem's CRC-framed chunk idiom and its checked
 // FileReader/FileWriter (short I/O raises typed TraceErrors). Appends are
 // flushed record-at-a-time; reopening scans the segment to rebuild the
-// index and truncates a torn tail (a record cut short by a crash) without
-// touching anything before it. An updated key is appended again — the
-// scan's later-record-wins rule makes the old record dead. gc() compacts
-// live records into a temp file and renames it over the segment
-// (write-temp-then-rename, so a crash mid-GC leaves the old segment
-// intact), evicting LRU-first until the segment fits the byte budget.
+// index, skips a whole record whose payload fails its CRC, and truncates a
+// torn tail (a record cut short by a crash) without touching anything
+// before it. An updated key is appended again — the scan's
+// later-record-wins rule makes the old record dead. A record is served
+// only if its CRC and its key prefix check out. gc() compacts live records
+// into a temp file and renames it over the segment (write-temp-then-rename,
+// so a crash mid-GC leaves the old segment intact), evicting LRU-first
+// until the segment fits the byte budget and dropping any live record that
+// no longer checks out.
 #pragma once
 
 #include <list>
@@ -50,9 +53,13 @@ struct StoreStats {
   u64 inserts = 0;      ///< new keys appended
   u64 updates = 0;      ///< existing keys re-appended
   u64 evictions = 0;    ///< index-capacity + GC evictions
-  u64 corrupt_payloads = 0;  ///< CRC mismatch on a hit read (entry dropped)
+  /// Entries dropped because their record no longer checks out (CRC or
+  /// key mismatch) when a lookup or gc() reads it.
+  u64 corrupt_payloads = 0;
   u64 recovered_records = 0; ///< records indexed by the reopen scan
-  u64 dropped_records = 0;   ///< torn-tail records truncated on reopen
+  /// Records the reopen scan dropped: each whole record that failed its
+  /// CRC, plus one for a torn tail truncated away.
+  u64 dropped_records = 0;
 };
 
 class ResultStore {
@@ -92,7 +99,10 @@ class ResultStore {
   /// Compact the segment to the live entries, evicting least recently used
   /// first until the compacted segment would fit `max_bytes`. Returns the
   /// number of entries evicted. Deterministic: the same store state and
-  /// budget always evict the same keys.
+  /// budget always evict the same keys. A live record that fails its check
+  /// is dropped (counted in corrupt_payloads) and the rest are compacted;
+  /// a failed write or rename throws, removes the temp file and leaves the
+  /// segment and every surviving entry's offset as they were.
   u64 gc(u64 max_bytes) AEEP_EXCLUDES(mutex_);
 
   StoreStats stats() const AEEP_EXCLUDES(mutex_);
@@ -116,8 +126,15 @@ class ResultStore {
   bool index_record_locked(u64 key, u64 offset, u32 payload_bytes)
       AEEP_REQUIRES(mutex_);
   void evict_lru_locked() AEEP_REQUIRES(mutex_);
-  std::vector<u8> read_payload_locked(u64 offset, u32 payload_bytes)
+  /// The payload of `key`'s record at `e.offset`; throws a TraceError
+  /// unless the framing, the CRC and the key prefix all check out.
+  std::vector<u8> read_payload_locked(u64 key, const Entry& e)
       AEEP_REQUIRES(mutex_);
+  /// Drop an entry whose record failed its check.
+  void drop_corrupt_locked(std::unordered_map<u64, Entry>::iterator it)
+      AEEP_REQUIRES(mutex_);
+  /// Re-open the reader and the appending writer on the segment.
+  void open_handles_locked() AEEP_REQUIRES(mutex_);
   u64 record_bytes(u32 payload_bytes) const;
 
   StoreConfig config_;

@@ -10,7 +10,7 @@
 //   - a dirty line is always ECC-covered (the core protection claim);
 //   - SharedEccArrayScheme: at most `entries_per_set` dirty lines per set,
 //     and the entry map agrees with the dirty bits in both directions;
-//   - stored parity / ECC check words match recomputation over the live
+//   - stored parity / ECC check bytes match recomputation over the live
 //     payload (codes are never stale);
 //   - clean lines are byte-identical to the memory store (so parity's
 //     re-fetch repair story is actually available);
@@ -36,7 +36,7 @@ struct AuditorConfig {
   /// Audit on every Nth operation observed through the hook (1 = every op,
   /// 0 = only when audit() is called explicitly).
   unsigned check_every = 1;
-  /// Recompute parity/ECC words and compare against the stored codes.
+  /// Recompute parity/ECC codes and compare against the stored bytes.
   /// Disable while un-healed injected faults are in flight.
   bool check_codes = true;
   /// Compare clean resident lines word-for-word against the memory store.

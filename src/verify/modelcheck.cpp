@@ -190,7 +190,7 @@ bool inject_and_heal(Harness& h, const ModelCheckConfig& config) {
       break;
     default: {
       const u64 w = h.fault_rng.next_below(ecc.size());
-      ecc[w] ^= u64{1} << h.fault_rng.next_below(8);
+      ecc[w] ^= static_cast<u8>(1u << h.fault_rng.next_below(8));
       break;
     }
   }

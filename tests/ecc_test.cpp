@@ -397,21 +397,21 @@ TEST(WideSecded, MatchesFixedSecdedAt64) {
 
 // Per-word reference for the line API: every word through the scalar
 // WordCodec::encode/decode, results in freshly allocated vectors.
-std::vector<u64> encode_alloc(const WordCodec& codec,
-                              const std::vector<u64>& data) {
-  std::vector<u64> check;
-  for (const u64 w : data) check.push_back(codec.encode(w));
+std::vector<u8> encode_alloc(const WordCodec& codec,
+                             const std::vector<u64>& data) {
+  std::vector<u8> check;
+  for (const u64 w : data) check.push_back(static_cast<u8>(codec.encode(w)));
   return check;
 }
 
 struct AllocDecode {
   LineRepair fix;
   std::vector<u64> data;   ///< payload after per-word repair
-  std::vector<u64> check;  ///< check words after per-word repair
+  std::vector<u8> check;   ///< check bytes after per-word repair
 };
 
 AllocDecode decode_alloc(const WordCodec& codec, const std::vector<u64>& data,
-                         const std::vector<u64>& check) {
+                         const std::vector<u8>& check) {
   AllocDecode out{{}, data, check};
   for (std::size_t w = 0; w < data.size(); ++w) {
     const DecodeResult r = codec.decode(data[w], check[w]);
@@ -419,7 +419,7 @@ AllocDecode decode_alloc(const WordCodec& codec, const std::vector<u64>& data,
       case DecodeStatus::kOk: break;
       case DecodeStatus::kCorrectedSingle:
         out.data[w] = r.data;
-        out.check[w] = r.check;
+        out.check[w] = static_cast<u8>(r.check);
         out.fix.corrected_mask |= u64{1} << w;
         ++out.fix.words_corrected;
         break;
@@ -441,10 +441,12 @@ void expect_same_fix(const LineRepair& got, const LineRepair& want) {
 TEST(LineCodec, RoundTripsCleanLine) {
   const SecdedCodec secded;
   Xorshift64Star rng(31);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (auto& w : data) w = rng.next();
   secded.encode_batch(data, check);
-  const std::vector<u64> golden = data, golden_check = check;
+  const std::vector<u64> golden = data;
+  const std::vector<u8> golden_check = check;
 
   expect_same_fix(secded.correct_line(data, check), LineRepair{});
   EXPECT_EQ(data, golden);
@@ -454,16 +456,19 @@ TEST(LineCodec, RoundTripsCleanLine) {
 TEST(LineCodec, CorrectsScatteredSingleBitErrors) {
   const SecdedCodec secded;
   Xorshift64Star rng(32);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (auto& w : data) w = rng.next();
   secded.encode_batch(data, check);
-  const std::vector<u64> golden = data, golden_check = check;
+  const std::vector<u64> golden = data;
+  const std::vector<u8> golden_check = check;
 
   // One flip in every word — seven in the data, one in a check word: all
   // corrected independently, data and check repaired in place.
   for (unsigned w = 0; w < 7; ++w)
     data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
-  check[7] = flip_bit(check[7], static_cast<unsigned>(rng.next_below(8)));
+  check[7] = static_cast<u8>(
+      flip_bit(check[7], static_cast<unsigned>(rng.next_below(8))));
 
   expect_same_fix(secded.correct_line(data, check), LineRepair{8, 0, 0xFF});
   EXPECT_EQ(data, golden);
@@ -472,10 +477,12 @@ TEST(LineCodec, CorrectsScatteredSingleBitErrors) {
 
 TEST(LineCodec, ReportsWorstStatusAcrossWords) {
   const SecdedCodec secded;
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (unsigned w = 0; w < 8; ++w) data[w] = 0x1111111111111111ull * (w + 1);
   secded.encode_batch(data, check);
-  const std::vector<u64> golden = data, golden_check = check;
+  const std::vector<u64> golden = data;
+  const std::vector<u8> golden_check = check;
   data[2] = flip_bit(data[2], 5);                       // single
   data[6] = flip_bit(flip_bit(data[6], 1), 60);         // double
   const u64 damaged = data[6];
@@ -491,14 +498,15 @@ TEST(LineCodec, ReportsWorstStatusAcrossWords) {
 TEST(LineCodec, EncodeDirtyReencodesExactlyTheDirtyWords) {
   const SecdedCodec secded;
   Xorshift64Star rng(81);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
     secded.encode_batch(data, check);
 
     // Mutate a random subset and refresh only those words' codes.
     const u64 dirty = rng.next() & 0xFF;
-    const std::vector<u64> stale_check = check;
+    const std::vector<u8> stale_check = check;
     for (unsigned w = 0; w < 8; ++w)
       if (dirty & (u64{1} << w)) data[w] = rng.next();
     secded.encode_batch_masked(data, dirty, check);
@@ -533,7 +541,7 @@ class LineCodecScratchEquivalence
   /// The line check a protection scheme runs with this code: SECDED repairs
   /// in place through correct_line; parity can only flag words (a clean
   /// line that fails parity is re-fetched, never repaired).
-  LineRepair check_line(std::vector<u64>& data, std::vector<u64>& check) {
+  LineRepair check_line(std::vector<u64>& data, std::vector<u8>& check) {
     if (std::string(GetParam()) == "parity")
       return {0, popcount64(parity_.mismatch_mask(data, check)), 0};
     return secded_.correct_line(data, check);
@@ -545,7 +553,8 @@ class LineCodecScratchEquivalence
 
 TEST_P(LineCodecScratchEquivalence, EncodeMatchesAllocOnRandomLines) {
   Xorshift64Star rng(41);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
     codec().encode_batch(data, check);
@@ -555,7 +564,8 @@ TEST_P(LineCodecScratchEquivalence, EncodeMatchesAllocOnRandomLines) {
 
 TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
   Xorshift64Star rng(42);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
     codec().encode_batch(data, check);
@@ -582,7 +592,8 @@ TEST_P(LineCodecScratchEquivalence, DecodeMatchesAllocWithInjectedErrors) {
 
 TEST_P(LineCodecScratchEquivalence, DecodeInPlaceAliasingRepairsLine) {
   Xorshift64Star rng(43);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (int iter = 0; iter < 100; ++iter) {
     for (auto& w : data) w = rng.next();
     codec().encode_batch(data, check);
@@ -622,7 +633,8 @@ class BatchedCodecEquivalence : public ::testing::TestWithParam<const char*> {
 TEST_P(BatchedCodecEquivalence, EncodeBatchMatchesScalar) {
   const WordCodec& c = codec();
   Xorshift64Star rng(77);
-  std::vector<u64> data(8), batched(8);
+  std::vector<u64> data(8);
+  std::vector<u8> batched(8);
   for (int iter = 0; iter < 500; ++iter) {
     for (auto& w : data) w = rng.next();
     c.encode_batch(data, batched);
@@ -633,8 +645,9 @@ TEST_P(BatchedCodecEquivalence, EncodeBatchMatchesScalar) {
 TEST_P(BatchedCodecEquivalence, MaskedEncodeTouchesOnlyMaskedWords) {
   const WordCodec& c = codec();
   Xorshift64Star rng(78);
-  std::vector<u64> data(8), check(8);
-  constexpr u64 kSentinel = 0xA5A5A5A5A5A5A5A5ull;
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
+  constexpr u8 kSentinel = 0xA5;
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& w : data) w = rng.next();
     const u64 mask = rng.next() & 0xFF;
@@ -652,7 +665,8 @@ TEST_P(BatchedCodecEquivalence, MaskedEncodeTouchesOnlyMaskedWords) {
 TEST_P(BatchedCodecEquivalence, MismatchMaskAgreesWithScalarDecodeStatus) {
   const WordCodec& c = codec();
   Xorshift64Star rng(79);
-  std::vector<u64> data(8), check(8);
+  std::vector<u64> data(8);
+  std::vector<u8> check(8);
   for (int iter = 0; iter < 500; ++iter) {
     for (auto& w : data) w = rng.next();
     c.encode_batch(data, check);
@@ -662,7 +676,7 @@ TEST_P(BatchedCodecEquivalence, MismatchMaskAgreesWithScalarDecodeStatus) {
       if (rng.next_below(2) == 0)
         data[w] = flip_bit(data[w], static_cast<unsigned>(rng.next_below(64)));
       else
-        check[w] ^= u64{1} << rng.next_below(c.check_bits());
+        check[w] ^= static_cast<u8>(1u << rng.next_below(c.check_bits()));
     }
     const u64 mm = c.mismatch_mask(data, check);
     for (unsigned w = 0; w < 8; ++w) {

@@ -331,6 +331,57 @@ TEST_F(SchemeTest, SharedArrayDirtyLineCorrectsViaSharedEntry) {
   EXPECT_EQ(s.parity_words(3, 2)[7], parity64(0xFEED));
 }
 
+// The check bits a scheme stores are the paper's area arithmetic (§5.2):
+// one byte holds a word's 8 SECDED check bits, so the ECC bytes summed
+// over every line are exactly the ECC component of the area model.
+// Parity is stored one byte per 1-bit code: 8x the paper's 16 KB.
+TEST(SchemeStorage, StoredCheckBytesMatchTheAreaModel) {
+  const cache::CacheGeometry& g = cache::kL2Geometry;
+  const auto component_bytes = [](const AreaReport& r,
+                                   const std::string& prefix) -> u64 {
+    for (const AreaComponent& c : r.components)
+      if (c.name.starts_with(prefix)) return c.bits / 8;
+    ADD_FAILURE() << "no area component " << prefix;
+    return 0;
+  };
+  cache::Cache cache(g);
+  mem::MemoryStore memory;
+
+  UniformEccScheme uniform(cache);
+  u64 uniform_ecc = 0;
+  for (u64 set = 0; set < g.num_sets(); ++set)
+    for (unsigned way = 0; way < g.ways; ++way)
+      uniform_ecc += uniform.ecc_words(set, way).size_bytes();
+  EXPECT_EQ(uniform_ecc, component_bytes(conventional_area(g), "data ECC"));
+  EXPECT_EQ(uniform_ecc, 128 * KiB);
+
+  // Shared array, k = 1: one dirty line per set owns the set's entry.
+  SharedEccArrayScheme shared(cache, 1);
+  std::vector<u64> payload(g.words_per_line());
+  for (u64 set = 0; set < g.num_sets(); ++set) {
+    const Addr a = g.addr_of(1, set);
+    memory.read_line(a, payload);
+    cache.install(set, 0, a, 0, payload);
+    shared.on_fill(set, 0);
+    ASSERT_FALSE(shared.before_dirty(set, 0).has_value());
+    cache.mark_dirty(set, 0);
+    shared.on_write_applied(set, 0, ~u64{0});
+  }
+  u64 shared_ecc = 0;
+  u64 shared_parity = 0;
+  for (u64 set = 0; set < g.num_sets(); ++set) {
+    for (unsigned way = 0; way < g.ways; ++way) {
+      shared_ecc += shared.ecc_words(set, way).size_bytes();
+      shared_parity += shared.parity_words(set, way).size_bytes();
+    }
+  }
+  const AreaReport proposed = proposed_area(g, 1);
+  EXPECT_EQ(shared_ecc, component_bytes(proposed, "ECC array"));
+  EXPECT_EQ(shared_ecc, 32 * KiB);
+  EXPECT_EQ(shared_parity, 8 * component_bytes(proposed, "data parity"));
+  EXPECT_EQ(shared_parity, 128 * KiB);
+}
+
 TEST_F(SchemeTest, SharedArrayEvictReleasesEntry) {
   SharedEccArrayScheme s(cache_, 1);
   install(0, 3, 30);

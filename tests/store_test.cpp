@@ -2,8 +2,9 @@
 // semantics (what makes two cells "the same work"), the lossless RunResult
 // codec, the LRU index with its deterministic eviction order,
 // crash recovery (a torn tail must cost exactly the torn record, nothing
-// before it), GC compaction, and run_grid_cached — a warm re-run must be
-// bit-exact with zero simulation work.
+// before it; a damaged record costs exactly itself), GC compaction, and
+// run_grid_cached — a warm re-run must be bit-exact with zero simulation
+// work.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -36,11 +38,61 @@ std::string temp_dir(const char* name) {
 
 Digest key_of(u64 v) { return Digest{v}; }
 
+/// Start offsets of a store's records, found by walking the segment's
+/// framing: an 8-byte header, then tag u8 | length u32 LE | crc u32 |
+/// payload per record.
+std::vector<u64> record_offsets(const std::string& dir) {
+  std::ifstream f(ResultStore::segment_path(dir), std::ios::binary);
+  const std::vector<char> bytes{std::istreambuf_iterator<char>(f), {}};
+  std::vector<u64> out;
+  for (u64 off = 8; off + 9 <= bytes.size();) {
+    out.push_back(off);
+    u32 len = 0;
+    for (unsigned i = 0; i < 4; ++i)
+      len |= u32{static_cast<u8>(bytes[off + 1 + i])} << (8 * i);
+    off += 9 + len;
+  }
+  return out;
+}
+
+/// Overwrite segment bytes in place, behind an open store's back.
+void write_segment_bytes(const std::string& dir, u64 offset,
+                         const std::vector<char>& bytes) {
+  std::fstream f(ResultStore::segment_path(dir),
+                 std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<char> read_segment_bytes(const std::string& dir, u64 offset,
+                                     u64 n) {
+  std::ifstream f(ResultStore::segment_path(dir), std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(offset));
+  std::vector<char> bytes(n);
+  f.read(bytes.data(), static_cast<std::streamsize>(n));
+  return bytes;
+}
+
+/// Flip one bit of the JSON bytes of the record at `record`: past its 9
+/// framing bytes and its 8-byte key.
+void damage_record_payload(const std::string& dir, u64 record) {
+  const u64 at = record + 9 + 8 + 4;
+  std::vector<char> byte = read_segment_bytes(dir, at, 1);
+  byte[0] = static_cast<char>(byte[0] ^ 0x40);
+  write_segment_bytes(dir, at, byte);
+}
+
 JsonValue small_payload(u64 n) {
   JsonValue j = JsonValue::object();
   j.set("n", JsonValue::number(n));
   j.set("tag", JsonValue::string("payload-" + std::to_string(n)));
   return j;
+}
+
+/// What `store` serves under key `k`: the payload text, or "<miss>".
+std::string served(ResultStore& store, u64 k) {
+  const auto hit = store.lookup(key_of(k));
+  return hit ? hit->dump(0) : "<miss>";
 }
 
 sim::ExperimentOptions small_options(u64 seed = 42) {
@@ -289,6 +341,62 @@ TEST(ResultStore, CorruptPayloadIsDroppedNeverReturned) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+// A record is served only under its own key: an entry whose bytes now hold
+// another key's intact record misses, and is dropped as corrupt.
+TEST(ResultStore, LookupRejectsAnotherKeysRecord) {
+  const std::string dir = temp_dir("foreign_key");
+  ResultStore store({dir, 64});
+  store.insert(key_of(1), small_payload(1));
+  store.insert(key_of(2), small_payload(2));  // same length as key 1's
+  const std::vector<u64> records = record_offsets(dir);
+  ASSERT_EQ(records.size(), 2u);
+  write_segment_bytes(
+      dir, records[1],
+      read_segment_bytes(dir, records[0], records[1] - records[0]));
+
+  EXPECT_EQ(served(store, 2), "<miss>");
+  EXPECT_EQ(store.stats().corrupt_payloads, 1u);
+  EXPECT_EQ(served(store, 1), small_payload(1).dump(0));
+}
+
+// Damage inside one whole record costs that record only: the reopen scan
+// skips it and keeps every record behind it (a torn tail, by contrast, is
+// truncated). The damaged bytes stay dead until gc() compacts them away.
+TEST(ResultStore, ReopenSkipsADamagedRecordAndKeepsTheRest) {
+  const std::string dir = temp_dir("damaged_middle");
+  constexpr u64 kRecords = 10;
+  u64 full_bytes = 0;
+  {
+    ResultStore store({dir, 64});
+    for (u64 i = 1; i <= kRecords; ++i)
+      store.insert(key_of(i), small_payload(i));
+    full_bytes = store.disk_bytes();
+  }
+  const std::vector<u64> records = record_offsets(dir);
+  ASSERT_EQ(records.size(), kRecords);
+  damage_record_payload(dir, records[4]);  // key 5
+
+  ResultStore reopened({dir, 64});
+  EXPECT_EQ(reopened.size(), kRecords - 1);
+  EXPECT_EQ(reopened.stats().recovered_records, kRecords - 1);
+  EXPECT_EQ(reopened.stats().dropped_records, 1u);
+  EXPECT_EQ(reopened.disk_bytes(), full_bytes);
+  EXPECT_EQ(fs::file_size(ResultStore::segment_path(dir)), full_bytes);
+  for (u64 i = 1; i <= kRecords; ++i)
+    EXPECT_EQ(served(reopened, i),
+              i == 5 ? "<miss>" : small_payload(i).dump(0));
+
+  // Appends land behind the dead record, and gc() drops its bytes: ten
+  // live records of the same sizes again.
+  reopened.insert(key_of(5), small_payload(5));
+  EXPECT_EQ(reopened.gc(u64{1} << 30), 0u);
+  EXPECT_EQ(reopened.disk_bytes(), full_bytes);
+  ResultStore compacted({dir, 64});
+  EXPECT_EQ(compacted.size(), kRecords);
+  EXPECT_EQ(compacted.stats().dropped_records, 0u);
+  EXPECT_EQ(served(compacted, 5), small_payload(5).dump(0));
+}
+
 // --- ResultStore: LRU index -------------------------------------------------
 
 TEST(ResultStore, EvictionOrderIsDeterministic) {
@@ -394,6 +502,69 @@ TEST(ResultStore, GcEvictsProbationaryFirstAndCompactsDeadBytes) {
   ResultStore reopened({dir, 64});
   EXPECT_EQ(reopened.size(), 3u);
   EXPECT_EQ(reopened.stats().dropped_records, 0u);
+}
+
+// A GC that meets a live record damaged after it was indexed drops that
+// entry, counted like a lookup's, and compacts the rest: every other key
+// still reads its own payload, and no temp file is left behind.
+TEST(ResultStore, GcDropsADamagedRecordAndKeepsEveryOtherKey) {
+  const std::string dir = temp_dir("gc_damaged");
+  ResultStore store({dir, 64});
+  for (u64 i = 1; i <= 3; ++i) store.insert(key_of(i), small_payload(i));
+  store.insert(key_of(1), small_payload(11));  // the last record
+  const std::vector<u64> records = record_offsets(dir);
+  ASSERT_EQ(records.size(), 4u);
+  damage_record_payload(dir, records.back());
+
+  EXPECT_EQ(store.gc(u64{1} << 30), 0u);
+  EXPECT_EQ(store.stats().corrupt_payloads, 1u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(fs::exists(ResultStore::segment_path(dir) + ".tmp"));
+  EXPECT_EQ(store.disk_bytes(),
+            fs::file_size(ResultStore::segment_path(dir)));
+  EXPECT_EQ(served(store, 1), "<miss>");
+  EXPECT_EQ(served(store, 2), small_payload(2).dump(0));
+  EXPECT_EQ(served(store, 3), small_payload(3).dump(0));
+
+  ResultStore reopened({dir, 64});
+  EXPECT_EQ(reopened.size(), 2u);
+  EXPECT_EQ(reopened.stats().dropped_records, 0u);
+}
+
+// A GC whose compacted segment cannot be written throws, removes its temp
+// file, and leaves the segment and every entry where they were.
+TEST(ResultStore, FailedGcLeavesTheStoreAsItWas) {
+  const std::string dir = temp_dir("gc_failed");
+  const std::string seg = ResultStore::segment_path(dir);
+  ResultStore store({dir, 64});
+  for (u64 i = 1; i <= 3; ++i) store.insert(key_of(i), small_payload(i));
+  store.insert(key_of(1), small_payload(11));  // a dead record to compact
+  const u64 before = store.disk_bytes();
+
+  // No file may grow past 16 bytes: the temp segment's close fails.
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 16;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW(store.gc(u64{1} << 30), trace::TraceError);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(fs::exists(seg + ".tmp"));
+  EXPECT_EQ(store.disk_bytes(), before);
+  EXPECT_EQ(fs::file_size(seg), before);
+  EXPECT_EQ(served(store, 1), small_payload(11).dump(0));
+  EXPECT_EQ(served(store, 2), small_payload(2).dump(0));
+  EXPECT_EQ(served(store, 3), small_payload(3).dump(0));
+  EXPECT_EQ(store.stats().corrupt_payloads, 0u);
+
+  // The store still appends and compacts.
+  store.insert(key_of(4), small_payload(4));
+  EXPECT_EQ(store.gc(u64{1} << 30), 0u);
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(served(store, 4), small_payload(4).dump(0));
 }
 
 // --- SweepCache / run_grid_cached ------------------------------------------
