@@ -4,7 +4,7 @@
 // end-state damage with and without a background scrubber, across scrub
 // rates — quantifying how scrubbing composes with the paper's scheme.
 //
-//   scrubbing_study [--scheme=shared] [--epochs=40] [--strikes=300] ...
+//   scrubbing_study [--epochs=40] [--strikes=300] [--seed=42] ...
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
@@ -43,7 +43,7 @@ Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
   const auto& geom = cfg.hierarchy.l2.geometry;
   Xorshift64Star rng(seed + 17);
 
-  protect::Scrubber scrubber(l2, 1);  // schedule unused; scrub_all on demand
+  protect::Scrubber scrubber(l2);
   Outcome out;
 
   // Inject raw strikes WITHOUT running the check path (latent errors).
@@ -52,10 +52,8 @@ Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
       const u64 set = rng.next_below(geom.num_sets());
       const unsigned way = static_cast<unsigned>(rng.next_below(geom.ways));
       if (!cache.meta(set, way).valid) continue;
-      auto data = cache.data(set, way);
-      const unsigned bit =
-          static_cast<unsigned>(rng.next_below(geom.line_bytes * 8));
-      data[bit / 64] ^= u64{1} << (bit % 64);
+      const u64 bit = rng.next_below(geom.line_bytes * 8);
+      fault::flip_stored_bit(l2, set, way, {fault::FaultTarget::kData, bit});
       return;
     }
   };
@@ -64,7 +62,7 @@ Outcome run_campaign(protect::SchemeKind scheme, unsigned epochs,
     for (unsigned s = 0; s < strikes_per_epoch; ++s) strike();
     if (scrub_every && e % scrub_every == 0) {
       const auto before = scrubber.stats();
-      scrubber.scrub_all(0);
+      scrubber.scrub_all();
       out.corrected_by_scrub +=
           scrubber.stats().words_corrected - before.words_corrected;
       out.refetched_by_scrub +=

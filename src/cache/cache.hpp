@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/geometry.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace aeep::cache {
@@ -54,6 +55,16 @@ struct CacheStats {
 
   bool operator==(const CacheStats&) const = default;
 };
+
+void visit_fields(SameOrConst<CacheStats> auto& s, auto&& visit) {
+  visit("reads", s.reads);
+  visit("read_hits", s.read_hits);
+  visit("writes", s.writes);
+  visit("write_hits", s.write_hits);
+  visit("fills", s.fills);
+  visit("evictions", s.evictions);
+  visit("dirty_evictions", s.dirty_evictions);
+}
 
 class Cache {
  public:

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace aeep::cache {
@@ -50,6 +51,14 @@ struct WriteBufferStats {
 
   bool operator==(const WriteBufferStats&) const = default;
 };
+
+void visit_fields(SameOrConst<WriteBufferStats> auto& s, auto&& visit) {
+  visit("stores", s.stores);
+  visit("coalesced", s.coalesced);
+  visit("drains", s.drains);
+  visit("full_events", s.full_events);
+  visit("free_list_peak", s.free_list_peak);
+}
 
 class WriteBuffer {
  public:

@@ -65,8 +65,4 @@ constexpr u64 round_up_pow2(u64 x, u64 m) {
   return (x + m - 1) & ~(m - 1);
 }
 
-/// Smallest power of two >= x (0 maps to 1). Sizes the result store's index
-/// table, which is probed by mask.
-constexpr u64 ceil_pow2(u64 x) { return std::bit_ceil(x | 1); }
-
 }  // namespace aeep

@@ -8,8 +8,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 namespace aeep {
+
+void bad_field(std::string_view at, std::string_view key,
+               std::string_view why) {
+  throw std::invalid_argument("field '" + std::string(at) + std::string(key) +
+                              "' " + std::string(why));
+}
 
 JsonValue JsonValue::boolean(bool b) {
   JsonValue v;

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace aeep::cpu {
@@ -31,6 +32,12 @@ struct BranchPredictorStats {
 
   bool operator==(const BranchPredictorStats&) const = default;
 };
+
+void visit_fields(SameOrConst<BranchPredictorStats> auto& s, auto&& visit) {
+  visit("lookups", s.lookups);
+  visit("dir_mispredicts", s.dir_mispredicts);
+  visit("target_mispredicts", s.target_mispredicts);
+}
 
 class BranchPredictor {
  public:

@@ -88,6 +88,17 @@ struct CoreStats {
   bool operator==(const CoreStats&) const = default;
 };
 
+void visit_fields(SameOrConst<CoreStats> auto& s, auto&& visit) {
+  visit("cycles", s.cycles);
+  visit("committed", s.committed);
+  visit("loads", s.loads);
+  visit("stores", s.stores);
+  visit("branches", s.branches);
+  visit("commit_stall_wb_full", s.commit_stall_wb_full);
+  visit("fetch_stall_cycles", s.fetch_stall_cycles);
+  visit("bp", s.bp);
+}
+
 class OutOfOrderCore {
  public:
   OutOfOrderCore(const CoreConfig& config, UopSource& source,

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace aeep::cpu {
@@ -21,6 +22,11 @@ struct TlbStats {
   u64 misses = 0;
   bool operator==(const TlbStats&) const = default;
 };
+
+void visit_fields(SameOrConst<TlbStats> auto& s, auto&& visit) {
+  visit("accesses", s.accesses);
+  visit("misses", s.misses);
+}
 
 class Tlb {
  public:

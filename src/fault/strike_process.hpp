@@ -27,6 +27,7 @@
 
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "protect/protected_l2.hpp"
@@ -48,6 +49,16 @@ struct StuckFault {
 
   bool operator==(const StuckFault&) const = default;
 };
+
+void visit_fields(SameOrConst<StuckFault> auto& f, auto&& visit) {
+  visit("target", f.target);
+  visit("set", f.set);
+  visit("way", f.way);
+  visit("bit", f.bit);
+  visit("stuck_high", f.stuck_high);
+  visit("start", f.start);
+  visit("period", f.period);
+}
 
 struct StrikeConfig {
   bool enabled = false;
@@ -74,6 +85,16 @@ struct StrikeStats {
 
   bool operator==(const StrikeStats&) const = default;
 };
+
+void visit_fields(SameOrConst<StrikeStats> auto& s, auto&& visit) {
+  visit("strikes", s.strikes);
+  visit("bits_flipped", s.bits_flipped);
+  visit("data_hits", s.data_hits);
+  visit("parity_hits", s.parity_hits);
+  visit("ecc_hits", s.ecc_hits);
+  visit("absorbed", s.absorbed);
+  visit("stuck_reasserts", s.stuck_reasserts);
+}
 
 class StrikeProcess {
  public:

@@ -8,6 +8,7 @@
 // cleaning/ECC-eviction write-backs can cost IPC.
 #pragma once
 
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace aeep::mem {
@@ -27,6 +28,15 @@ struct BusStats {
 
   bool operator==(const BusStats&) const = default;
 };
+
+void visit_fields(SameOrConst<BusStats> auto& s, auto&& visit) {
+  visit("reads", s.reads);
+  visit("writes", s.writes);
+  visit("bytes_read", s.bytes_read);
+  visit("bytes_written", s.bytes_written);
+  visit("busy_cycles", s.busy_cycles);
+  visit("queue_delay_cycles", s.queue_delay_cycles);
+}
 
 class SplitTransactionBus {
  public:

@@ -29,6 +29,7 @@
 
 #include "cache/cache.hpp"
 #include "common/enum_string.hpp"
+#include "common/fields.hpp"
 #include "mem/bus.hpp"
 #include "mem/memory_store.hpp"
 #include "protect/scheme.hpp"
@@ -117,6 +118,24 @@ struct RecoveryStats {
 
   bool operator==(const RecoveryStats&) const = default;
 };
+
+void visit_fields(SameOrConst<RecoveryStats> auto& s, auto&& visit) {
+  visit("checks", s.checks);
+  visit("errors", s.errors);
+  visit("corrected", s.corrected);
+  visit("refetched", s.refetched);
+  visit("retries", s.retries);
+  visit("retry_exhausted", s.retry_exhausted);
+  visit("due_events", s.due_events);
+  visit("lines_dropped", s.lines_dropped);
+  visit("dirty_lines_lost", s.dirty_lines_lost);
+  visit("lines_poisoned", s.lines_poisoned);
+  visit("poison_reads", s.poison_reads);
+  visit("poisoned_writebacks", s.poisoned_writebacks);
+  visit("panics", s.panics);
+  visit("ways_retired", s.ways_retired);
+  visit("stall_cycles", s.stall_cycles);
+}
 
 class RecoveryController {
  public:

@@ -4,14 +4,12 @@
 
 namespace aeep::protect {
 
-Scrubber::Scrubber(ProtectedL2& l2, Cycle interval)
-    : l2_(&l2), fsm_(l2.config().geometry.num_sets(), interval) {
+Scrubber::Scrubber(ProtectedL2& l2) : l2_(&l2) {
   assert(l2.config().maintain_codes &&
          "scrubbing requires real check bits (maintain_codes)");
 }
 
-void Scrubber::scrub_set(Cycle now, u64 set) {
-  (void)now;
+void Scrubber::scrub_set(u64 set) {
   cache::Cache& cache = l2_->cache_model();
   for (unsigned way = 0; way < l2_->config().geometry.ways; ++way) {
     if (!cache.meta(set, way).valid) continue;
@@ -31,13 +29,9 @@ void Scrubber::scrub_set(Cycle now, u64 set) {
   }
 }
 
-void Scrubber::tick(Cycle now) {
-  while (auto set = fsm_.due(now)) scrub_set(now, *set);
-}
-
-void Scrubber::scrub_all(Cycle now) {
+void Scrubber::scrub_all() {
   for (u64 set = 0; set < l2_->config().geometry.num_sets(); ++set)
-    scrub_set(now, set);
+    scrub_set(set);
 }
 
 }  // namespace aeep::protect

@@ -1,15 +1,12 @@
 // Background memory scrubber — the classic complement to the paper's
 // scheme. Latent single-bit errors in rarely-read lines accumulate until a
 // second strike turns them into DUEs (dirty lines) or SDCs (clean lines,
-// same word). A scrubber walks the cache like the cleaning FSM does,
-// running the protection scheme's read-validation path on every valid line
-// so singles are corrected (or clean lines refetched) before they can pair.
-//
-// Shares the cleaning FSM's hardware shape: one set inspected every
-// `interval / num_sets` cycles.
+// same word). A scrub pass runs the protection scheme's read-validation
+// path on every valid line, so singles are corrected (or clean lines
+// refetched) before they can pair. Passes run on demand; the caller sets
+// the cadence.
 #pragma once
 
-#include "protect/cleaning_logic.hpp"
 #include "protect/protected_l2.hpp"
 
 namespace aeep::protect {
@@ -23,25 +20,19 @@ struct ScrubberStats {
 
 class Scrubber {
  public:
-  /// `interval` is the per-line revisit period in cycles; 0 disables.
   /// Requires the L2 to maintain real check bits.
-  Scrubber(ProtectedL2& l2, Cycle interval);
+  explicit Scrubber(ProtectedL2& l2);
 
-  /// Call once per cycle (cheap when nothing is due).
-  void tick(Cycle now);
-
-  /// Scrub every valid line immediately (end-of-campaign accounting).
-  void scrub_all(Cycle now);
+  /// Scrub every valid line now.
+  void scrub_all();
 
   const ScrubberStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  Cycle interval() const { return fsm_.interval(); }
 
  private:
-  void scrub_set(Cycle now, u64 set);
+  void scrub_set(u64 set);
 
   ProtectedL2* l2_;
-  CleaningLogic fsm_;  ///< reuse the set-walking schedule
   ScrubberStats stats_;
 };
 

@@ -34,8 +34,6 @@ JobServer::JobServer(ServerConfig config)
           metrics::Registry::instance().histogram("server.queue_wait_us")),
       h_replay_(metrics::Registry::instance().histogram("server.replay_us")),
       h_encode_(metrics::Registry::instance().histogram("server.encode_us")),
-      h_store_lookup_(
-          metrics::Registry::instance().histogram("server.store_lookup_us")),
       h_request_(metrics::Registry::instance().histogram("server.request_us")),
       h_job_wall_(
           metrics::Registry::instance().histogram("server.job_wall_us")) {
@@ -462,12 +460,7 @@ u64 JobServer::submit_job(const JsonValue& req) {
   // other (inserts in worker_loop also run unlocked).
   if (cache_) {
     const sim::SweepJob probe{spec.benchmark, spec, {}};
-    std::optional<sim::RunResult> hit;
-    {
-      const metrics::ScopedTimer span(h_store_lookup_);
-      hit = cache_->lookup(probe);
-    }
-    if (hit) {
+    if (std::optional<sim::RunResult> hit = cache_->lookup(probe)) {
       u64 id = 0;
       {
         const MutexLock lock(mutex_);

@@ -217,7 +217,6 @@ class JobServer {
   metrics::Histogram& h_queue_wait_;
   metrics::Histogram& h_replay_;
   metrics::Histogram& h_encode_;
-  metrics::Histogram& h_store_lookup_;
   metrics::Histogram& h_request_;
   metrics::Histogram& h_job_wall_;
 

@@ -76,6 +76,28 @@ struct ExperimentOptions {
   bool operator==(const ExperimentOptions&) const = default;
 };
 
+/// The options document's field list (options_to_json).
+void visit_fields(SameOrConst<ExperimentOptions> auto& o, auto&& visit) {
+  visit("scheme", o.scheme);
+  visit("cleaning_interval", o.cleaning_interval);
+  visit("cleaning_policy", o.cleaning_policy);
+  visit("decay_threshold", o.decay_threshold);
+  visit("ecc_entries_per_set", o.ecc_entries_per_set);
+  visit("instructions", o.instructions);
+  visit("warmup_instructions", o.warmup_instructions);
+  visit("seed", o.seed);
+  visit("maintain_codes", o.maintain_codes);
+  visit("frontend", o.frontend);
+  visit("strikes_enabled", o.strikes_enabled);
+  visit("strike_lambda", o.strike_lambda);
+  visit("strike_rate_scale", o.strike_rate_scale);
+  visit("strike_double_bit_fraction", o.strike_double_bit_fraction);
+  visit("stuck_faults", o.stuck_faults);
+  visit("due_policy", o.due_policy);
+  visit("retirement_threshold", o.retirement_threshold);
+  visit("max_refetch_retries", o.max_refetch_retries);
+}
+
 /// The options document: every semantic field under its struct name, enums
 /// by their to_string spelling, stuck faults as objects keyed like
 /// fault::StuckFault. The location fields (trace_dir, trace_path,

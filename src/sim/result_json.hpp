@@ -1,8 +1,9 @@
 // The one JSON format for a RunResult, plus the metrics view rendered from
 // it at the reporting edge.
 //
-// run_result_to_json / run_result_from_json are a lossless codec: every
-// field of RunResult and its nested stats structs, doubles rendered with
+// run_result_to_json / run_result_from_json are a lossless codec: {"codec":
+// 1} and then every field of RunResult and its nested stats structs, walked
+// through their field lists (common/fields.hpp), doubles rendered with
 // %.17g (common/json.hpp), so decode(encode(r)) == r exactly. It is what
 // the result store persists and what a worker's result reply carries, so
 // a cell's RunResult survives any hop — store, wire, fabric — bit-for-bit.
@@ -29,9 +30,10 @@ JsonValue run_result_json(const RunResult& r);
 /// Lossless codec document for `r`.
 JsonValue run_result_to_json(const RunResult& r);
 
-/// Inverse of run_result_to_json. nullopt when `j` is not a codec document
-/// (wrong shape or codec version): the store treats that as a miss and the
-/// coordinator as a failed attempt, never as a result.
+/// Strict inverse of run_result_to_json. nullopt unless `j` is a whole
+/// codec document: this codec version, every field present, each of its
+/// kind and in range, and no other key. The store treats nullopt as a miss
+/// and the coordinator as a failed attempt, never as a result of zeros.
 std::optional<RunResult> run_result_from_json(const JsonValue& j);
 
 }  // namespace aeep::sim

@@ -60,6 +60,31 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
+/// Also the codec's key order (sim/result_json.hpp).
+void visit_fields(SameOrConst<RunResult> auto& r, auto&& visit) {
+  visit("benchmark", r.benchmark);
+  visit("floating_point", r.floating_point);
+  visit("core", r.core);
+  visit("avg_dirty_fraction", r.avg_dirty_fraction);
+  visit("avg_dirty_lines", r.avg_dirty_lines);
+  visit("peak_dirty_lines", r.peak_dirty_lines);
+  visit("wb_replacement", r.wb_replacement);
+  visit("wb_cleaning", r.wb_cleaning);
+  visit("wb_ecc", r.wb_ecc);
+  visit("l1i", r.l1i);
+  visit("l1d", r.l1d);
+  visit("l2", r.l2);
+  visit("wbuf", r.wbuf);
+  visit("bus", r.bus);
+  visit("itlb", r.itlb);
+  visit("dtlb", r.dtlb);
+  visit("recovery", r.recovery);
+  visit("strikes", r.strikes);
+  visit("retired_ways", r.retired_ways);
+  visit("retired_capacity_fraction", r.retired_capacity_fraction);
+  visit("panicked", r.panicked);
+}
+
 /// The RunResult read off a finished hierarchy, shared by both frontends:
 /// L2 dirty residency and write-backs, recovery, strikes and retirement,
 /// and the cache, write-buffer, bus and TLB stats. The benchmark and core

@@ -21,11 +21,19 @@ constexpr u64 kHeaderBytes = 8;  ///< magic + version
 /// bound is corruption, not data.
 constexpr u32 kMaxPayloadBytes = u32{1} << 24;
 
-u64 key_from_payload(const std::vector<u8>& payload) {
-  u64 key = 0;
-  for (int i = 0; i < 8; ++i)
-    key |= static_cast<u64>(payload[static_cast<std::size_t>(i)]) << (8 * i);
-  return key;
+u32 le32(const u8* p) {
+  return u32{p[0]} | u32{p[1]} << 8 | u32{p[2]} << 16 | u32{p[3]} << 24;
+}
+
+/// The payload length of the record at `off` in `seg` if the whole record
+/// checks out there (its tag, a length that fits the bytes left, its CRC);
+/// 0 if not.
+u32 whole_record_at(const std::vector<u8>& seg, u64 off) {
+  if (seg.size() - off < 9 || seg[off] != kRecordTag) return 0;
+  const u32 len = le32(&seg[off + 1]);
+  if (len < 8 || len > kMaxPayloadBytes || len > seg.size() - off - 9)
+    return 0;
+  return trace::crc32(&seg[off + 9], len) == le32(&seg[off + 5]) ? len : 0;
 }
 
 void put_key(std::vector<u8>& payload, u64 key) {
@@ -73,61 +81,49 @@ ResultStore::~ResultStore() = default;
 
 void ResultStore::scan_segment_locked() {
   reader_->seek(0);
-  char magic[4];
-  u32 version = 0;
-  try {
-    reader_->read_bytes(magic, 4);
-    version = reader_->read_u32();
-  } catch (const trace::TraceError&) {
+  std::vector<u8> seg(reader_->size());
+  reader_->read_bytes(seg.data(), seg.size());
+  if (seg.size() < kHeaderBytes)
     throw trace::TraceError(trace::TraceErrorKind::kCorrupt,
                             "store segment too short for a header: " +
                                 segment_path_);
-  }
-  if (std::memcmp(magic, kMagic, 4) != 0 || version != kSegmentVersion)
+  if (std::memcmp(seg.data(), kMagic, 4) != 0 ||
+      le32(&seg[4]) != kSegmentVersion)
     throw trace::TraceError(
         trace::TraceErrorKind::kCorrupt,
         "not a store segment (bad magic/version): " + segment_path_);
 
-  u64 valid_end = kHeaderBytes;
-  bool torn = false;
-  while (!reader_->at_eof()) {
-    const u64 off = reader_->tell();
-    try {
-      const u8 tag = reader_->read_u8();
-      const u32 len = reader_->read_u32();
-      const u32 crc = reader_->read_u32();
-      if (tag != kRecordTag || len < 8 || len > kMaxPayloadBytes) {
-        torn = true;
-        break;
-      }
-      std::vector<u8> payload(len);
-      reader_->read_bytes(payload.data(), len);
-      valid_end = off + record_bytes(len);
-      if (trace::crc32(payload) != crc) {
-        // A whole record damaged in place: skip it and keep the records
-        // behind it. Its bytes stay in the segment until gc().
-        ++stats_.dropped_records;
-        continue;
-      }
-      index_record_locked(key_from_payload(payload), off, len);
+  u64 end = seg.size();
+  for (u64 off = kHeaderBytes; off < end;) {
+    if (const u32 len = whole_record_at(seg, off)) {
+      index_record_locked(trace::load_le64(&seg[off + 9]), off, len);
       ++stats_.recovered_records;
-    } catch (const trace::TraceError&) {
-      torn = true;  // record cut short by a crash mid-append
-      break;
+      off += record_bytes(len);
+      continue;
     }
-  }
-  if (torn) {
-    // Drop only the torn tail; every complete record before it survives.
+    // The record at `off` does not check out, whether its payload or its
+    // framing is damaged: resume at the next whole record. Its bytes stay
+    // in the segment until gc().
+    ++stats_.dropped_records;
+    u64 next = off + 1;
+    while (next < end && whole_record_at(seg, next) == 0) ++next;
+    if (next < end) {
+      off = next;
+      continue;
+    }
+    // No whole record follows: a record cut short by a crash mid-append.
+    // Drop only this torn tail; every record before it survives.
     std::error_code ec;
-    std::filesystem::resize_file(segment_path_, valid_end, ec);
+    std::filesystem::resize_file(segment_path_, off, ec);
     if (ec)
       throw trace::TraceError(trace::TraceErrorKind::kIo,
                               "cannot truncate torn store segment " +
                                   segment_path_ + ": " + ec.message());
-    ++stats_.dropped_records;
-    reader_->seek(0);  // re-sync the stream with the shorter file
+    // The reader's buffer may still hold the cut bytes, where appends go.
+    reader_ = std::make_unique<trace::FileReader>(segment_path_);
+    end = off;
   }
-  segment_bytes_ = valid_end;
+  segment_bytes_ = end;
 }
 
 bool ResultStore::index_record_locked(u64 key, u64 offset,
@@ -164,7 +160,7 @@ std::vector<u8> ResultStore::read_payload_locked(u64 key, const Entry& e) {
   if (trace::crc32(payload) != crc)
     throw trace::TraceError(trace::TraceErrorKind::kCorrupt,
                             "store record CRC mismatch: " + segment_path_);
-  if (key_from_payload(payload) != key)
+  if (trace::load_le64(payload.data()) != key)
     throw trace::TraceError(trace::TraceErrorKind::kCorrupt,
                             "store record key mismatch: " + segment_path_);
   return payload;

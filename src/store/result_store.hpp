@@ -15,9 +15,12 @@
 // reusing the trace subsystem's CRC-framed chunk idiom and its checked
 // FileReader/FileWriter (short I/O raises typed TraceErrors). Appends are
 // flushed record-at-a-time; reopening scans the segment to rebuild the
-// index, skips a whole record whose payload fails its CRC, and truncates a
-// torn tail (a record cut short by a crash) without touching anything
-// before it. An updated key is appended again — the scan's
+// index by one rule: a record that does not check out (a bad tag, a length
+// past the bytes left, a CRC mismatch, whether the payload or the length
+// field is damaged) costs itself, as the scan resumes at the next offset
+// where a whole record does. Only when none follows is it a torn tail (a
+// record cut short by a crash), truncated without touching anything before
+// it. An updated key is appended again — the scan's
 // later-record-wins rule makes the old record dead. A record is served
 // only if its CRC and its key prefix check out. gc() compacts live records
 // into a temp file and renames it over the segment (write-temp-then-rename,
@@ -57,8 +60,8 @@ struct StoreStats {
   /// key mismatch) when a lookup or gc() reads it.
   u64 corrupt_payloads = 0;
   u64 recovered_records = 0; ///< records indexed by the reopen scan
-  /// Records the reopen scan dropped: each whole record that failed its
-  /// CRC, plus one for a torn tail truncated away.
+  /// Records the reopen scan dropped: one for each stretch it skipped to
+  /// the next whole record, and one for a torn tail truncated away.
   u64 dropped_records = 0;
 };
 

@@ -31,7 +31,8 @@
 //   Footer  := tag u8 (kFooterTag)
 //              payload_bytes u32 | crc32(payload) u32
 //              payload (varints: end_tick, committed, loads, stores, events,
-//                       l2_ops, then with kHasL2Stream the L1-side stats:
+//                       l2_ops, then with kHasL2Stream each L1SideStats
+//                       leaf in its visit_fields order:
 //                       l1i and l1d (reads, read_hits, writes, write_hits,
 //                       fills, evictions, dirty_evictions), itlb and dtlb
 //                       (accesses, misses), wbuf (stores, coalesced,
@@ -63,6 +64,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/write_buffer.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 #include "cpu/tlb.hpp"
 
@@ -147,28 +149,13 @@ struct L1SideStats {
   bool operator==(const L1SideStats&) const = default;
 };
 
-/// Call `fn` on every L1SideStats counter in footer order; `Stats` is
-/// L1SideStats or const L1SideStats.
-template <class Stats, class Fn>
-void for_each_counter(Stats& s, Fn&& fn) {
-  for (auto* c : {&s.l1i, &s.l1d}) {
-    fn(c->reads);
-    fn(c->read_hits);
-    fn(c->writes);
-    fn(c->write_hits);
-    fn(c->fills);
-    fn(c->evictions);
-    fn(c->dirty_evictions);
-  }
-  for (auto* t : {&s.itlb, &s.dtlb}) {
-    fn(t->accesses);
-    fn(t->misses);
-  }
-  fn(s.wbuf.stores);
-  fn(s.wbuf.coalesced);
-  fn(s.wbuf.drains);
-  fn(s.wbuf.full_events);
-  fn(s.wbuf.free_list_peak);
+/// The footer holds one varint per leaf, in this order (for_each_leaf).
+void visit_fields(SameOrConst<L1SideStats> auto& s, auto&& visit) {
+  visit("l1i", s.l1i);
+  visit("l1d", s.l1d);
+  visit("itlb", s.itlb);
+  visit("dtlb", s.dtlb);
+  visit("wbuf", s.wbuf);
 }
 
 /// Footer payload: the capture-side run summary. Replays use it to finish

@@ -102,8 +102,8 @@ void TraceReader::read_footer() {
   summary_.events = get_varint(payload_, p);
   if (version_ != kTraceVersion1) summary_.l2_ops = get_varint(payload_, p);
   if (has_l2_stream())
-    for_each_counter(summary_.l1_side,
-                     [&](u64& v) { v = get_varint(payload_, p); });
+    for_each_leaf(summary_.l1_side,
+                  [&](u64& v) { v = get_varint(payload_, p); });
   if (p != payload_.size())
     throw TraceError(TraceErrorKind::kCorrupt,
                      "footer has trailing bytes: " + path());

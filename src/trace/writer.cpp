@@ -103,7 +103,7 @@ void TraceWriter::finish(TraceSummary summary) {
                       summary.stores, summary.events, summary.l2_ops})
     put_varint(footer, v);
   if (has_l2_)
-    for_each_counter(summary.l1_side, [&](u64 v) { put_varint(footer, v); });
+    for_each_leaf(summary.l1_side, [&](u64 v) { put_varint(footer, v); });
   file_.write_u8(kFooterTag);
   file_.write_u32(static_cast<u32>(footer.size()));
   file_.write_u32(crc32(footer));

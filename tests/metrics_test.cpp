@@ -277,25 +277,6 @@ TEST(Timer, ScopeExitRecordsExactlyOnce) {
   EXPECT_EQ(h.snapshot().count, 1u);
 }
 
-TEST(Timer, StopRecordsEarlyAndDisarmsTheDestructor) {
-  Histogram h;
-  {
-    ScopedTimer t(h);
-    t.stop();
-    EXPECT_EQ(h.snapshot().count, 1u);
-  }
-  EXPECT_EQ(h.snapshot().count, 1u);
-}
-
-TEST(Timer, CancelRecordsNothing) {
-  Histogram h;
-  {
-    ScopedTimer t(h);
-    t.cancel();
-  }
-  EXPECT_TRUE(h.snapshot().empty());
-}
-
 TEST(Clock, BackwardsIntervalsClampToZero) {
   const TimePoint t0 = now();
   const TimePoint later = t0 + std::chrono::milliseconds(5);

@@ -31,8 +31,8 @@ TEST_F(ScrubberTest, RepairsLatentSingleInDirtyLine) {
   auto data = l2_->cache_model().data(0, l2_->cache_model().probe(0x0).way);
   data[3] = flip_bit(data[3], 21);  // latent strike
 
-  Scrubber scrubber(*l2_, 1600);
-  for (Cycle t = 1; t <= 1700; ++t) scrubber.tick(t);
+  Scrubber scrubber(*l2_);
+  scrubber.scrub_all();
   EXPECT_GE(scrubber.stats().lines_scrubbed, 1u);
   EXPECT_EQ(scrubber.stats().words_corrected, 1u);
   EXPECT_EQ(data[3], 0x77u);  // repaired in place
@@ -45,8 +45,8 @@ TEST_F(ScrubberTest, RefetchesCleanLine) {
   auto data = l2_->cache_model().data(pr.set, pr.way);
   data[0] = flip_bit(data[0], 5);
 
-  Scrubber scrubber(*l2_, 16);  // one set per cycle
-  scrubber.scrub_all(0);
+  Scrubber scrubber(*l2_);
+  scrubber.scrub_all();
   EXPECT_EQ(scrubber.stats().lines_refetched, 1u);
   EXPECT_EQ(data[0], memory_.read_word(0x4000));
 }
@@ -58,26 +58,26 @@ TEST_F(ScrubberTest, PreventsDoubleAccumulation) {
   const auto pr = l2_->cache_model().probe(0x0);
   auto data = l2_->cache_model().data(pr.set, pr.way);
 
-  Scrubber scrubber(*l2_, 16);
+  Scrubber scrubber(*l2_);
   data[2] = flip_bit(data[2], 7);
-  scrubber.scrub_all(0);
+  scrubber.scrub_all();
   data[2] = flip_bit(data[2], 40);
-  scrubber.scrub_all(0);
+  scrubber.scrub_all();
   EXPECT_EQ(scrubber.stats().words_corrected, 2u);
   EXPECT_EQ(scrubber.stats().uncorrectable, 0u);
   EXPECT_EQ(data[2], 0xABu);
 
   // Control: two strikes without an intervening scrub are unrecoverable.
   data[2] = flip_bit(flip_bit(data[2], 7), 40);
-  scrubber.scrub_all(0);
+  scrubber.scrub_all();
   EXPECT_EQ(scrubber.stats().uncorrectable, 1u);
 }
 
 TEST_F(ScrubberTest, CountsScrubbedLines) {
   for (unsigned i = 0; i < 8; ++i)
     l2_->read(0, 0x10000 + static_cast<Addr>(i) * 64);
-  Scrubber scrubber(*l2_, 16);
-  scrubber.scrub_all(0);
+  Scrubber scrubber(*l2_);
+  scrubber.scrub_all();
   EXPECT_EQ(scrubber.stats().lines_scrubbed, 8u);
 }
 

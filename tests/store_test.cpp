@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -214,6 +215,122 @@ TEST(ResultCodec, RejectsForeignDocuments) {
   EXPECT_FALSE(sim::run_result_from_json(j).has_value());
 }
 
+/// A RunResult with every field set by name to its own non-default value,
+/// so a field that RunResult's field list leaves out cannot round-trip.
+sim::RunResult every_field_set() {
+  sim::RunResult r;
+  r.benchmark = "swim";
+  r.floating_point = true;
+  r.core = {.cycles = 1,
+            .committed = 2,
+            .loads = 3,
+            .stores = 4,
+            .branches = 5,
+            .commit_stall_wb_full = 6,
+            .fetch_stall_cycles = 7,
+            .bp = {.lookups = 8, .dir_mispredicts = 9,
+                   .target_mispredicts = 10}};
+  r.avg_dirty_fraction = 1.0 / 3.0;
+  r.avg_dirty_lines = 11;
+  r.peak_dirty_lines = 12;
+  r.wb_replacement = 13;
+  r.wb_cleaning = 14;
+  r.wb_ecc = 15;
+  r.l1i = {.reads = 16, .read_hits = 17, .writes = 18, .write_hits = 19,
+           .fills = 20, .evictions = 21, .dirty_evictions = 22};
+  r.l1d = {.reads = 23, .read_hits = 24, .writes = 25, .write_hits = 26,
+           .fills = 27, .evictions = 28, .dirty_evictions = 29};
+  r.l2 = {.reads = 30, .read_hits = 31, .writes = 32, .write_hits = 33,
+          .fills = 34, .evictions = 35, .dirty_evictions = 36};
+  r.wbuf = {.stores = 37, .coalesced = 38, .drains = 39, .full_events = 40,
+            .free_list_peak = 41};
+  r.bus = {.reads = 42, .writes = 43, .bytes_read = 44, .bytes_written = 45,
+           .busy_cycles = 46, .queue_delay_cycles = 47};
+  r.itlb = {.accesses = 48, .misses = 49};
+  r.dtlb = {.accesses = 50, .misses = 51};
+  r.recovery = {.checks = 52, .errors = 53, .corrected = 54, .refetched = 55,
+                .retries = 56, .retry_exhausted = 57, .due_events = 58,
+                .lines_dropped = 59, .dirty_lines_lost = 60,
+                .lines_poisoned = 61, .poison_reads = 62,
+                .poisoned_writebacks = 63, .panics = 64, .ways_retired = 65,
+                .stall_cycles = 66};
+  r.strikes = {.strikes = 67, .bits_flipped = 68, .data_hits = 69,
+               .parity_hits = 70, .ecc_hits = 71, .absorbed = 72,
+               .stuck_reasserts = 73};
+  r.retired_ways = 74;
+  r.retired_capacity_fraction = 0.125;
+  r.panicked = true;
+  return r;
+}
+
+TEST(ResultCodec, RoundTripsEveryFieldSetByName) {
+  const sim::RunResult r = every_field_set();
+  const auto back = sim::run_result_from_json(*json_parse(
+      sim::run_result_to_json(r).dump(0)));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, r);
+}
+
+/// Call check(edited, what) on every document one edit away from the
+/// object `doc`: any member at any depth dropped, renamed, or replaced by a
+/// value of another kind.
+void for_each_edit(
+    const JsonValue& doc, const std::string& at,
+    const std::function<void(const JsonValue&, const std::string&)>& check) {
+  const auto same_kind = [](const JsonValue& a, const JsonValue& b) {
+    return a.is_bool() == b.is_bool() && a.is_number() == b.is_number() &&
+           a.is_string() == b.is_string() && a.is_array() == b.is_array() &&
+           a.is_object() == b.is_object();
+  };
+  const auto& members = doc.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const auto& [key, value] = members[i];
+    const auto with = [&, i](const std::string& k, const JsonValue* v) {
+      auto edited = members;
+      if (v == nullptr)
+        edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(i));
+      else
+        edited[i] = {k, *v};
+      return JsonValue::object(std::move(edited));
+    };
+    check(with(key, nullptr), "dropped " + at + key);
+    check(with(key + "_", &value), "renamed " + at + key);
+    for (const JsonValue& other :
+         {JsonValue::boolean(false), JsonValue::number(u64{1}),
+          JsonValue::string("1"), JsonValue::array(), JsonValue::object()})
+      if (!same_kind(value, other))
+        check(with(key, &other), "retyped " + at + key);
+    if (value.is_object())
+      for_each_edit(value, at + key + ".",
+                    [&](const JsonValue& v, const std::string& what) {
+                      check(with(key, &v), what);
+                    });
+  }
+}
+
+TEST(ResultCodec, RefusesADocumentWithAnyKeyDroppedRenamedOrRetyped) {
+  const JsonValue doc = sim::run_result_to_json(every_field_set());
+  ASSERT_TRUE(sim::run_result_from_json(doc).has_value());
+  std::size_t edits = 0;
+  for_each_edit(doc, "", [&](const JsonValue& edited, const std::string& what) {
+    ++edits;
+    EXPECT_FALSE(sim::run_result_from_json(edited).has_value()) << what;
+  });
+  // 79 leaves, 11 nested objects and the codec key, each dropped, renamed
+  // and given four other kinds.
+  EXPECT_EQ(edits, 91u * 6u);
+
+  // An extra key, and counts that no u64 holds, are refused too.
+  JsonValue extra = doc;
+  extra.set("explain", JsonValue::object());
+  EXPECT_FALSE(sim::run_result_from_json(extra).has_value());
+  for (const JsonValue& bad : {JsonValue::number(-1.0), JsonValue::number(0.5)}) {
+    JsonValue j = doc;
+    j.set("wb_ecc", bad);
+    EXPECT_FALSE(sim::run_result_from_json(j).has_value()) << bad.dump(0);
+  }
+}
+
 // --- ResultStore: persistence and recovery ---------------------------------
 
 TEST(ResultStore, InsertLookupAndReopenRecoverEverything) {
@@ -395,6 +512,53 @@ TEST(ResultStore, ReopenSkipsADamagedRecordAndKeepsTheRest) {
   EXPECT_EQ(compacted.size(), kRecords);
   EXPECT_EQ(compacted.stats().dropped_records, 0u);
   EXPECT_EQ(served(compacted, 5), small_payload(5).dump(0));
+}
+
+// A record's CRC covers its payload, not its length field. A flipped length
+// bit, whether it shrinks the record or lengthens it, still costs that
+// record only: the scan resumes at the next whole record, and the segment
+// keeps every byte until gc().
+TEST(ResultStore, ReopenSkipsARecordWithADamagedLengthAndKeepsTheRest) {
+  for (const bool lengthen : {false, true}) {
+    SCOPED_TRACE(lengthen ? "lengthened" : "shrunk");
+    const std::string dir =
+        temp_dir(lengthen ? "length_lengthened" : "length_shrunk");
+    constexpr u64 kRecords = 10;
+    u64 full_bytes = 0;
+    {
+      ResultStore store({dir, 64});
+      for (u64 i = 1; i <= kRecords; ++i)
+        store.insert(key_of(i), small_payload(i));
+      full_bytes = store.disk_bytes();
+    }
+    const std::vector<u64> records = record_offsets(dir);
+    ASSERT_EQ(records.size(), kRecords);
+    // Record 2's length field, low byte first: clear its lowest set bit, or
+    // set its lowest clear bit.
+    std::vector<char> low = read_segment_bytes(dir, records[1] + 1, 1);
+    const unsigned byte = static_cast<u8>(low[0]);
+    const unsigned bit = lengthen ? ~byte & (byte + 1) : byte & (0u - byte);
+    ASSERT_NE(bit & 0xFF, 0u);
+    low[0] = static_cast<char>(byte ^ bit);
+    write_segment_bytes(dir, records[1] + 1, low);
+
+    ResultStore reopened({dir, 64});
+    EXPECT_EQ(reopened.size(), kRecords - 1);
+    EXPECT_EQ(reopened.stats().recovered_records, kRecords - 1);
+    EXPECT_EQ(reopened.stats().dropped_records, 1u);
+    EXPECT_EQ(reopened.disk_bytes(), full_bytes);
+    EXPECT_EQ(fs::file_size(ResultStore::segment_path(dir)), full_bytes);
+    for (u64 i = 1; i <= kRecords; ++i)
+      EXPECT_EQ(served(reopened, i),
+                i == 2 ? "<miss>" : small_payload(i).dump(0));
+
+    // gc() drops record 2's bytes and nothing else.
+    EXPECT_EQ(reopened.gc(u64{1} << 30), 0u);
+    EXPECT_EQ(reopened.disk_bytes(), full_bytes - (records[2] - records[1]));
+    ResultStore compacted({dir, 64});
+    EXPECT_EQ(compacted.size(), kRecords - 1);
+    EXPECT_EQ(compacted.stats().dropped_records, 0u);
+  }
 }
 
 // --- ResultStore: LRU index -------------------------------------------------
