@@ -1,7 +1,11 @@
 #include "common/cli.hpp"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -123,12 +127,23 @@ std::vector<std::string> CliArgs::queried() const {
 }
 
 CliArgs parse_cli_or_exit(int argc, const char* const* argv) {
+  [[maybe_unused]] static const int registered = std::atexit(close_stdout);
   try {
     return CliArgs(argc, argv);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
+}
+
+void close_stdout() {
+  const bool earlier_failure = std::ferror(stdout) != 0;
+  errno = 0;
+  if (std::fclose(stdout) == 0 && !earlier_failure) return;
+  // errno is 0 when the close succeeded and only an earlier write failed.
+  std::fprintf(stderr, "write error%s%s\n", errno != 0 ? ": " : "",
+               errno != 0 ? std::strerror(errno) : "");
+  _exit(1);
 }
 
 std::vector<std::string> CliArgs::unused() const {

@@ -52,8 +52,15 @@ class CliArgs {
 };
 
 /// CliArgs for a main(): constructor errors (duplicate flags) print to
-/// stderr and exit(2) instead of escaping as an unhandled exception.
+/// stderr and exit(2) instead of escaping as an unhandled exception. Also
+/// registers close_stdout() to run at exit.
 CliArgs parse_cli_or_exit(int argc, const char* const* argv);
+
+/// gnulib's close_stdout, for std::atexit: flush and close stdout, and if
+/// that or any earlier write to it failed (a full disk, /dev/full), print
+/// the error to stderr and _exit(1). Output is buffered, so a lost answer
+/// shows only here; without it the program would still exit 0.
+void close_stdout();
 
 /// --instructions, `def` when absent. A run that commits nothing measures
 /// nothing (every IPC and per-access rate divides by zero), so 0 exits 2;

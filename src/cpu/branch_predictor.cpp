@@ -1,26 +1,24 @@
 #include "cpu/branch_predictor.hpp"
 
-#include <cassert>
-
 #include "common/bitops.hpp"
 
 namespace aeep::cpu {
 
-BranchPredictor::BranchPredictor(const BranchPredictorConfig& config)
-    : config_(config),
-      pht_(std::size_t{1} << config.history_bits, 1),  // weakly not-taken
-      btb_(config.btb_entries) {
-  assert(config.history_bits > 0 && config.history_bits <= 24);
-  assert(is_pow2(config.btb_entries));
-}
+namespace {
+constexpr u64 kHistoryMask = (u64{1} << BranchPredictor::kHistoryBits) - 1;
+static_assert(is_pow2(BranchPredictor::kBtbEntries));
+}  // namespace
+
+BranchPredictor::BranchPredictor()
+    : pht_(std::size_t{1} << kHistoryBits, 1),  // weakly not-taken
+      btb_(kBtbEntries) {}
 
 unsigned BranchPredictor::pht_index(Addr pc) const {
-  const u64 mask = (u64{1} << config_.history_bits) - 1;
-  return static_cast<unsigned>(((pc >> 2) ^ history_) & mask);
+  return static_cast<unsigned>(((pc >> 2) ^ history_) & kHistoryMask);
 }
 
 unsigned BranchPredictor::btb_index(Addr pc) const {
-  return static_cast<unsigned>((pc >> 2) & (config_.btb_entries - 1));
+  return static_cast<unsigned>((pc >> 2) & (kBtbEntries - 1));
 }
 
 BranchPredictor::Prediction BranchPredictor::predict(Addr pc) const {
@@ -42,8 +40,7 @@ bool BranchPredictor::update(Addr pc, bool taken, Addr target) {
   if (!taken && ctr > 0) --ctr;
 
   // Shift global history.
-  history_ = ((history_ << 1) | (taken ? 1u : 0u)) &
-             ((u64{1} << config_.history_bits) - 1);
+  history_ = ((history_ << 1) | (taken ? 1u : 0u)) & kHistoryMask;
 
   // Train the BTB on taken branches.
   if (taken) {

@@ -1,11 +1,12 @@
 // Two-level adaptive branch predictor with a branch target buffer
 // (Table 1: "2-level, 2K BTB").
 //
-// Direction: a global history register indexes (xored with the PC, gshare
-// style) a pattern history table of 2-bit saturating counters. Target: a
-// direct-mapped 2048-entry BTB. A branch is predicted correctly when the
-// direction matches and, for taken branches, the BTB supplies the right
-// target.
+// Direction: a 12-bit global history register indexes (xored with the PC,
+// gshare style) a 4K-entry pattern history table of 2-bit saturating
+// counters. Target: a direct-mapped 2048-entry BTB. A branch is predicted
+// correctly when the direction matches and, for taken branches, the BTB
+// supplies the right target. The dimensions are Table 1's, so they are
+// constants.
 #pragma once
 
 #include <vector>
@@ -14,12 +15,6 @@
 #include "common/types.hpp"
 
 namespace aeep::cpu {
-
-struct BranchPredictorConfig {
-  unsigned history_bits = 12;   ///< global history length / PHT index width
-  unsigned btb_entries = 2048;
-  unsigned btb_ways = 1;        ///< direct-mapped by default
-};
 
 struct BranchPredictorStats {
   u64 lookups = 0;
@@ -41,7 +36,12 @@ void visit_fields(SameOrConst<BranchPredictorStats> auto& s, auto&& visit) {
 
 class BranchPredictor {
  public:
-  explicit BranchPredictor(const BranchPredictorConfig& config = {});
+  /// Global history length, and so the PHT index width.
+  static constexpr unsigned kHistoryBits = 12;
+  /// Direct-mapped BTB entries; a power of two.
+  static constexpr unsigned kBtbEntries = 2048;
+
+  BranchPredictor();
 
   struct Prediction {
     bool taken = false;
@@ -63,7 +63,6 @@ class BranchPredictor {
   unsigned pht_index(Addr pc) const;
   unsigned btb_index(Addr pc) const;
 
-  BranchPredictorConfig config_;
   u64 history_ = 0;
   std::vector<u8> pht_;  ///< 2-bit counters, weakly-not-taken initial
   struct BtbEntry {

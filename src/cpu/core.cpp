@@ -11,27 +11,19 @@ OutOfOrderCore::OutOfOrderCore(const CoreConfig& config, UopSource& source,
     : config_(config),
       source_(&source),
       mem_(&memory),
-      bp_(config.bp),
-      fu_(config.fu),
-      ruu_(config.ruu_entries),
-      arrival_(config.ruu_entries, 0),
-      arrived_((config.ruu_entries + 63) / 64, 0),
-      pending_((config.ruu_entries + 63) / 64, 0),
       store_words_(config.lsq_entries, 0) {
-  assert(config.width > 0);
-  assert(config.ruu_entries > 0 && config.lsq_entries > 0);
-  fetchq_.slots.resize(config.fetch_queue);
+  assert(config.lsq_entries > 0);
 }
 
 void OutOfOrderCore::FetchQueue::push(const MicroOp& op) {
   unsigned i = head + size;
-  if (i >= slots.size()) i -= static_cast<unsigned>(slots.size());
+  if (i >= kFetchQueue) i -= kFetchQueue;
   slots[i] = op;
   ++size;
 }
 
 void OutOfOrderCore::FetchQueue::pop() {
-  if (++head == slots.size()) head = 0;
+  if (++head == kFetchQueue) head = 0;
   --size;
 }
 
@@ -96,7 +88,7 @@ u64 OutOfOrderCore::youngest_store_to(Addr word) const {
 
 unsigned OutOfOrderCore::commit_stage() {
   unsigned done = 0;
-  while (done < config_.width && count_ > 0) {
+  while (done < kWidth && count_ > 0) {
     RuuEntry& e = ruu_[head_];
     if (!e.issued || e.complete_cycle > now_) break;
     if (e.cls == OpClass::kStore) {
@@ -130,10 +122,10 @@ void OutOfOrderCore::issue_stage() {
   // part. The bitmap is re-read after every issue, so a consumer woken with
   // a result due this very cycle is still seen in order.
   for (unsigned pass = 0; pass < 2; ++pass) {
-    const unsigned end = pass == 0 ? config_.ruu_entries : head_;
+    const unsigned end = pass == 0 ? kRuuEntries : head_;
     for (unsigned i = find_arrived(pass == 0 ? head_ : 0, end); i < end;
          i = find_arrived(i + 1, end)) {
-      if (issued == config_.width) return;
+      if (issued == kWidth) return;
       RuuEntry& e = ruu_[i];
       const Cycle fu_done = fu_.try_issue(e.cls, now_);
       if (fu_done == 0) continue;  // structural hazard
@@ -164,8 +156,7 @@ void OutOfOrderCore::issue_stage() {
 
 void OutOfOrderCore::dispatch_stage() {
   unsigned dispatched = 0;
-  while (dispatched < config_.width && fetchq_.size > 0 &&
-         count_ < config_.ruu_entries) {
+  while (dispatched < kWidth && fetchq_.size > 0 && count_ < kRuuEntries) {
     if (is_mem(fetchq_.front().cls) && lsq_count_ >= config_.lsq_entries)
       break;
     // The slot stays intact until fetch_stage refills it.
@@ -197,7 +188,7 @@ void OutOfOrderCore::dispatch_stage() {
     for (unsigned slot = 0; slot < 2; ++slot) {
       const unsigned dist = deps[slot];
       if (dist == 0 || dist > count_) continue;
-      RuuEntry& p = ruu_[index_after(idx, config_.ruu_entries - dist)];
+      RuuEntry& p = ruu_[index_after(idx, kRuuEntries - dist)];
       if (p.issued) {
         arrival = std::max(arrival, p.complete_cycle);
       } else {
@@ -238,7 +229,7 @@ void OutOfOrderCore::fetch_stage() {
     return;
   }
   unsigned fetched = 0;
-  while (fetched < config_.width && !fetchq_.full()) {
+  while (fetched < kWidth && !fetchq_.full()) {
     MicroOp op = source_->next();
     const Addr block = op.pc / kFetchBlockBytes;
     if (block != cur_fetch_block_) {
@@ -284,7 +275,7 @@ Cycle OutOfOrderCore::next_active_cycle() const {
   next = std::min(next, next_arrival_);
   // Dispatch: room for the front of the fetch queue. Otherwise it waits on
   // a commit, which the head's completion above already bounds.
-  if (fetchq_.size > 0 && count_ < config_.ruu_entries &&
+  if (fetchq_.size > 0 && count_ < kRuuEntries &&
       !(is_mem(fetchq_.front().cls) && lsq_count_ >= config_.lsq_entries))
     return now_;
   // Fetch: unblocked with queue room, once any I-cache fill lands. A

@@ -1,10 +1,13 @@
 // Out-of-order superscalar timing model (SimpleScalar sim-outorder style).
 //
 // Table-1 machine: 4-wide fetch/decode/issue/commit, 64-entry RUU (register
-// update unit, a unified ROB/issue window), 32-entry LSQ, the FU pool of
-// func_units.hpp, a 2-level branch predictor with 2K BTB. Trace-driven: a
-// UopSource supplies the committed path; wrong-path fetch is modelled as a
-// fetch bubble from a mispredicted branch's rename until its resolution.
+// update unit, a unified ROB/issue window), 16-entry fetch queue, 32-entry
+// LSQ, the FU pool of func_units.hpp, a 2-level branch predictor with 2K
+// BTB. The paper evaluates this one machine, so its dimensions are
+// constants; only the LSQ size is configurable (the core's tests shrink
+// it). Trace-driven: a UopSource supplies the committed path; wrong-path
+// fetch is modelled as a fetch bubble from a mispredicted branch's rename
+// until its resolution.
 //
 // Pipeline model per cycle (reverse order so stages see last cycle's state):
 //   commit  — up to 4 oldest completed ops retire; stores enter the
@@ -52,6 +55,7 @@
 // one cycle.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "cpu/branch_predictor.hpp"
@@ -62,12 +66,7 @@
 namespace aeep::cpu {
 
 struct CoreConfig {
-  unsigned width = 4;          ///< decode and issue rate (Table 1)
-  unsigned ruu_entries = 64;
   unsigned lsq_entries = 32;
-  unsigned fetch_queue = 16;
-  FuPoolConfig fu{};
-  BranchPredictorConfig bp{};
 };
 
 struct CoreStats {
@@ -101,6 +100,11 @@ void visit_fields(SameOrConst<CoreStats> auto& s, auto&& visit) {
 
 class OutOfOrderCore {
  public:
+  /// Ops fetched, dispatched, issued and committed per cycle.
+  static constexpr unsigned kWidth = 4;
+  static constexpr unsigned kRuuEntries = 64;
+  static constexpr unsigned kFetchQueue = 16;
+
   OutOfOrderCore(const CoreConfig& config, UopSource& source,
                  MemoryInterface& memory);
 
@@ -142,13 +146,13 @@ class OutOfOrderCore {
     u8 waiting = 0;
   };
 
-  /// The fetch queue: a FIFO over a fixed ring of `fetch_queue` slots.
+  /// The fetch queue: a FIFO over a fixed ring of kFetchQueue slots.
   struct FetchQueue {
-    std::vector<MicroOp> slots;
+    std::array<MicroOp, kFetchQueue> slots{};
     unsigned head = 0;
     unsigned size = 0;
 
-    bool full() const { return size == slots.size(); }
+    bool full() const { return size == kFetchQueue; }
     const MicroOp& front() const { return slots[head]; }
     void push(const MicroOp& op);
     void pop();
@@ -165,15 +169,18 @@ class OutOfOrderCore {
   /// Jump now_ over cycles in which neither the core nor memory acts.
   void skip_idle_cycles();
 
-  /// RUU index `n` slots after `i` (n <= ruu_entries).
-  unsigned index_after(unsigned i, unsigned n) const {
+  /// One bit per RUU index.
+  using RuuBits = std::array<u64, (kRuuEntries + 63) / 64>;
+
+  /// RUU index `n` slots after `i` (n <= kRuuEntries).
+  static unsigned index_after(unsigned i, unsigned n) {
     const unsigned j = i + n;
-    return j >= config_.ruu_entries ? j - config_.ruu_entries : j;
+    return j >= kRuuEntries ? j - kRuuEntries : j;
   }
-  static void set_bit(std::vector<u64>& bits, unsigned i) {
+  static void set_bit(RuuBits& bits, unsigned i) {
     bits[i / 64] |= u64{1} << (i % 64);
   }
-  static void clear_bit(std::vector<u64>& bits, unsigned i) {
+  static void clear_bit(RuuBits& bits, unsigned i) {
     bits[i / 64] &= ~(u64{1} << (i % 64));
   }
   /// First arrived entry in [from, end), or `end`.
@@ -194,10 +201,10 @@ class OutOfOrderCore {
   BranchPredictor bp_;
   FuncUnitPool fu_;
 
-  std::vector<RuuEntry> ruu_;  ///< ring buffer
-  std::vector<Cycle> arrival_; ///< per RUU index: operands arrive here
-  std::vector<u64> arrived_;   ///< ready, operands here: issue candidates
-  std::vector<u64> pending_;   ///< ready, operands still in flight
+  std::array<RuuEntry, kRuuEntries> ruu_{};  ///< ring buffer
+  std::array<Cycle, kRuuEntries> arrival_{}; ///< operands arrive here
+  RuuBits arrived_{};  ///< ready, operands here: issue candidates
+  RuuBits pending_{};  ///< ready, operands still in flight
   Cycle next_arrival_ = kNever;  ///< earliest arrival_ in pending_
   unsigned head_ = 0;
   unsigned count_ = 0;

@@ -2,38 +2,32 @@
 
 namespace aeep::cpu {
 
-FuncUnitPool::FuncUnitPool(const FuPoolConfig& config) : config_(config) {
-  auto init = [](Bank& b, const FuClassConfig& c) {
-    b.units.resize(c.count);
-    b.latency = c.latency;
-    b.issue_interval = c.issue_interval;
-  };
-  init(int_alu_, config.int_alu);
-  init(int_mul_, config.int_mul);
-  init(fp_alu_, config.fp_alu);
-  init(fp_mul_, config.fp_mul);
-}
-
-FuncUnitPool::Bank& FuncUnitPool::bank_for(OpClass cls) {
+Cycle FuncUnitPool::try_issue(OpClass cls, Cycle now) {
+  unsigned first = 0;  // the class's first unit in next_free_
+  UnitClass c = kIntAlu;
   switch (cls) {
-    case OpClass::kIntMul: return int_mul_;
-    case OpClass::kFpAlu: return fp_alu_;
-    case OpClass::kFpMul: return fp_mul_;
+    case OpClass::kIntMul:
+      first = kIntAlu.count;
+      c = kIntMul;
+      break;
+    case OpClass::kFpAlu:
+      first = kIntAlu.count + kIntMul.count;
+      c = kFpAlu;
+      break;
+    case OpClass::kFpMul:
+      first = kIntAlu.count + kIntMul.count + kFpAlu.count;
+      c = kFpMul;
+      break;
     case OpClass::kIntAlu:
     case OpClass::kLoad:
     case OpClass::kStore:
     case OpClass::kBranch:
-      return int_alu_;
+      break;
   }
-  return int_alu_;
-}
-
-Cycle FuncUnitPool::try_issue(OpClass cls, Cycle now) {
-  Bank& b = bank_for(cls);
-  for (Unit& u : b.units) {
-    if (u.next_free <= now) {
-      u.next_free = now + b.issue_interval;
-      return now + b.latency;
+  for (unsigned u = first; u < first + c.count; ++u) {
+    if (next_free_[u] <= now) {
+      next_free_[u] = now + 1;  // pipelined: a new op every cycle
+      return now + c.latency;
     }
   }
   return 0;

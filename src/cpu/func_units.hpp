@@ -4,51 +4,35 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "common/types.hpp"
 #include "cpu/uop.hpp"
 
 namespace aeep::cpu {
 
-struct FuClassConfig {
-  unsigned count = 1;
-  Cycle latency = 1;
-  Cycle issue_interval = 1;  ///< cycles between issues to the same unit
-};
-
-struct FuPoolConfig {
-  FuClassConfig int_alu{4, 1, 1};
-  FuClassConfig int_mul{1, 3, 1};
-  FuClassConfig fp_alu{1, 2, 1};
-  FuClassConfig fp_mul{1, 4, 1};
-};
-
 class FuncUnitPool {
  public:
-  explicit FuncUnitPool(const FuPoolConfig& config = {});
+  /// Table 1's units of one class, and the cycles until their result.
+  struct UnitClass {
+    unsigned count;
+    Cycle latency;
+  };
+  static constexpr UnitClass kIntAlu{4, 1};
+  static constexpr UnitClass kIntMul{1, 3};
+  static constexpr UnitClass kFpAlu{1, 2};
+  static constexpr UnitClass kFpMul{1, 4};
 
   /// Try to claim a unit for `cls` at `now`. Returns the result-ready cycle,
   /// or 0 if no unit of that class is free this cycle. (Loads/stores/branches
   /// use an integer ALU slot for address generation / compare.)
   Cycle try_issue(OpClass cls, Cycle now);
 
-  const FuPoolConfig& config() const { return config_; }
-
  private:
-  struct Unit {
-    Cycle next_free = 0;
-  };
-  struct Bank {
-    std::vector<Unit> units;
-    Cycle latency = 1;
-    Cycle issue_interval = 1;
-  };
-
-  Bank& bank_for(OpClass cls);
-
-  FuPoolConfig config_;
-  Bank int_alu_, int_mul_, fp_alu_, fp_mul_;
+  /// Per unit, the first cycle it accepts an op: the integer ALUs, then the
+  /// integer multiplier, the FP adder and the FP multiplier.
+  std::array<Cycle, kIntAlu.count + kIntMul.count + kFpAlu.count +
+                        kFpMul.count>
+      next_free_{};
 };
 
 }  // namespace aeep::cpu

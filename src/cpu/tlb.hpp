@@ -17,6 +17,10 @@ struct TlbConfig {
   Cycle miss_penalty = 30;  ///< table-walk latency
 };
 
+/// Table-1 TLBs.
+inline constexpr TlbConfig kItlb{64, 4, 4096, 30};
+inline constexpr TlbConfig kDtlb{128, 4, 4096, 30};
+
 struct TlbStats {
   u64 accesses = 0;
   u64 misses = 0;

@@ -3,12 +3,12 @@
 //
 // Event-based accounting: every L2 access pays for the check-bit storage it
 // touches and the codec logic it runs; write-backs and refetches pay bus
-// energy. Default per-event energies are representative 90nm-class values
-// (documented per field); they are inputs, not claims — the bench sweeps
-// them. What the model exposes is the *structure* of the saving: under
-// non-uniform protection a clean-line read runs a 1-bit parity check
-// instead of a SECDED decode, and the smaller ECC array is cheaper to
-// access than a per-way ECC array.
+// energy. The per-event energies are fixed, representative 90nm-class
+// values (documented per constant in energy_model.cpp); they are
+// assumptions, not claims, and nothing varies them. What the model exposes
+// is the *structure* of the saving: under non-uniform protection a
+// clean-line read runs a 1-bit parity check instead of a SECDED decode,
+// and the smaller ECC array is cheaper to access than a per-way ECC array.
 #pragma once
 
 #include <string>
@@ -18,23 +18,6 @@
 #include "protect/protected_l2.hpp"
 
 namespace aeep::protect {
-
-struct EnergyParams {
-  // Codec logic, per 64-bit word.
-  double parity_check_pj = 0.8;   ///< XOR tree over 65 bits
-  double secded_decode_pj = 4.5;  ///< syndrome + correct over 72 bits
-  double secded_encode_pj = 4.0;
-
-  // Check-bit storage access, per line, scaled by array size.
-  double ecc_array_read_pj_per_kb = 0.09;   ///< ~11.5 pJ for a 128KB array
-  double ecc_array_write_pj_per_kb = 0.11;
-  double parity_array_read_pj_per_kb = 0.09;
-  double parity_array_write_pj_per_kb = 0.11;
-
-  // Off-chip traffic, per 64-byte line moved.
-  double bus_line_pj = 1800.0;
-  double dram_access_pj = 9000.0;
-};
 
 struct EnergyBreakdown {
   std::string scheme;
@@ -52,13 +35,12 @@ struct EnergyEvents {
   u64 clean_read_fraction_permille = 500;  ///< share of reads hitting clean lines
   u64 writebacks = 0;      ///< all write-backs of this configuration
   u64 baseline_writebacks = 0;  ///< write-backs of the org configuration
-  unsigned words_per_line = 8;
 };
 
-/// Estimate protection energy for a scheme processing `events`.
+/// Estimate protection energy for a scheme processing `events` in an L2 of
+/// `geom`.
 EnergyBreakdown estimate_energy(SchemeKind scheme, const EnergyEvents& events,
                                 const cache::CacheGeometry& geom,
-                                unsigned ecc_entries_per_set,
-                                const EnergyParams& params = {});
+                                unsigned ecc_entries_per_set);
 
 }  // namespace aeep::protect

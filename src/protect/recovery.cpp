@@ -150,7 +150,7 @@ bool RecoveryController::validate_writeback(Cycle now, u64 set,
       break;
     case ReadOutcome::kCorrected:
       ++stats_.corrected;
-      stats_.stall_cycles += config_.correction_latency;
+      stats_.stall_cycles += kCorrectionLatency;
       entry.action = RecoveryAction::kScrubCorrected;
       break;
     case ReadOutcome::kUncorrectable:
@@ -226,7 +226,7 @@ RecoveryController::Result RecoveryController::validate(Cycle now, u64 set,
       // The scheme already repaired the words in place; charge the scrub
       // write that commits the corrected values to the array.
       ++stats_.corrected;
-      res.extra_latency = config_.correction_latency;
+      res.extra_latency = kCorrectionLatency;
       res.data_intact = true;
       entry.action = RecoveryAction::kScrubCorrected;
       break;
@@ -262,7 +262,7 @@ RecoveryController::Result RecoveryController::validate(Cycle now, u64 set,
         ++tries;
         ++stats_.retries;
         const Cycle start =
-            now + res.extra_latency + config_.retry_backoff * tries;
+            now + res.extra_latency + kRetryBackoff * tries;
         done = bus_->read(start, entry.addr, line_bytes);
         res.extra_latency = done - now;
       }

@@ -70,10 +70,6 @@ struct RecoveryConfig {
   /// Re-fetch attempts after the scheme's own re-fetch still fails
   /// (persistent faults); past this the line is dropped.
   unsigned max_refetch_retries = 3;
-  /// Extra cycles added per successive re-fetch retry (linear backoff).
-  Cycle retry_backoff = 16;
-  /// Cycles to write corrected words back into the array (scrub write).
-  Cycle correction_latency = 2;
   /// Errors at one (set, way) before the way is retired; 0 disables
   /// retirement.
   unsigned retirement_threshold = 0;
@@ -139,6 +135,11 @@ void visit_fields(SameOrConst<RecoveryStats> auto& s, auto&& visit) {
 
 class RecoveryController {
  public:
+  /// Extra cycles added per successive re-fetch retry (linear backoff).
+  static constexpr Cycle kRetryBackoff = 16;
+  /// Cycles to write corrected words back into the array (scrub write).
+  static constexpr Cycle kCorrectionLatency = 2;
+
   /// What the caller (ProtectedL2) must do after one validation.
   struct Result {
     Cycle extra_latency = 0;  ///< add to the access's completion cycle

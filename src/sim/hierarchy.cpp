@@ -8,12 +8,13 @@
 namespace aeep::sim {
 
 u64 l1_side_digest(const HierarchyConfig& c) {
+  using cache::kL1IGeometry, cache::kL1DGeometry, cpu::kItlb, cpu::kDtlb;
   const u64 fields[] = {
-      c.l1i.size_bytes, c.l1i.ways, c.l1i.line_bytes,
-      c.l1d.size_bytes, c.l1d.ways, c.l1d.line_bytes,
-      c.l1_latency,
-      c.itlb.entries, c.itlb.ways, c.itlb.page_bytes, c.itlb.miss_penalty,
-      c.dtlb.entries, c.dtlb.ways, c.dtlb.page_bytes, c.dtlb.miss_penalty,
+      kL1IGeometry.size_bytes, kL1IGeometry.ways, kL1IGeometry.line_bytes,
+      kL1DGeometry.size_bytes, kL1DGeometry.ways, kL1DGeometry.line_bytes,
+      kL1Latency,
+      kItlb.entries, kItlb.ways, kItlb.page_bytes, kItlb.miss_penalty,
+      kDtlb.entries, kDtlb.ways, kDtlb.page_bytes, kDtlb.miss_penalty,
       c.write_buffer_entries, c.wb_min_residency, c.wb_high_watermark,
       c.l2.geometry.line_bytes, c.l2.hit_latency,
   };
@@ -25,13 +26,11 @@ u64 l1_side_digest(const HierarchyConfig& c) {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
     : config_(config),
-      store_(),
-      bus_(config.bus),
       l2_(config.l2, bus_, store_),
-      l1i_(config.l1i),
-      l1d_(config.l1d),
-      itlb_(config.itlb),
-      dtlb_(config.dtlb),
+      l1i_(cache::kL1IGeometry),
+      l1d_(cache::kL1DGeometry),
+      itlb_(cpu::kItlb),
+      dtlb_(cpu::kDtlb),
       wbuf_(config.write_buffer_entries, config.l2.geometry.line_bytes) {
   if (!config_.capture_path.empty()) {
     capture_ = std::make_unique<trace::CaptureSink>(
@@ -56,12 +55,12 @@ Cycle MemoryHierarchy::fetch(Cycle now, Addr pc) {
   if (pr.hit) {
     ++st.read_hits;
     l1i_.touch(pr.set, pr.way, now);
-    return now + config_.l1_latency + tlb_extra;
+    return now + kL1Latency + tlb_extra;
   }
   // L1I miss: fill through the unified L2. Instructions are never dirty.
   const cache::Victim victim = l1i_.pick_victim(pr.set);
   const Addr line = l1i_.geometry().line_base(pc);
-  const Cycle offset = config_.l1_latency + tlb_extra;
+  const Cycle offset = kL1Latency + tlb_extra;
   if (capture_) capture_->on_l2_fill(now, offset, line);
   const Cycle ready = l2_.read(now + offset, line);
   l1i_.install(pr.set, victim.way, line, now);
@@ -77,11 +76,11 @@ Cycle MemoryHierarchy::load(Cycle now, Addr addr) {
   if (pr.hit) {
     ++st.read_hits;
     l1d_.touch(pr.set, pr.way, now);
-    return now + config_.l1_latency + tlb_extra;
+    return now + kL1Latency + tlb_extra;
   }
   const cache::Victim victim = l1d_.pick_victim(pr.set);
   const Addr line = l1d_.geometry().line_base(addr);
-  const Cycle offset = config_.l1_latency + tlb_extra;
+  const Cycle offset = kL1Latency + tlb_extra;
   if (capture_) capture_->on_l2_fill(now, offset, line);
   const Cycle ready = l2_.read(now + offset, line);
   l1d_.install(pr.set, victim.way, line, now);
@@ -89,9 +88,11 @@ Cycle MemoryHierarchy::load(Cycle now, Addr addr) {
 }
 
 bool MemoryHierarchy::store(Cycle now, Addr addr, u64 value) {
-  // Write-through, write-no-allocate L1D: update in place on hit, never
-  // dirty; all stores go to the write buffer. A store to a line already
-  // buffered coalesces even when the buffer is full (CAM hit).
+  // Write-through, write-no-allocate L1D, never dirty: all stores go to the
+  // write buffer, and a hit only refreshes the line's LRU stamp. The L1s
+  // model tags and timing, not contents (a fill never loads a payload). A
+  // store to a line already buffered coalesces even when the buffer is
+  // full (CAM hit).
   const auto res = wbuf_.push(addr, value, now);
   if (res == cache::WriteBuffer::PushResult::kFull) {
     // Caller retries next cycle; tick() keeps draining meanwhile.
@@ -108,8 +109,6 @@ bool MemoryHierarchy::store(Cycle now, Addr addr, u64 value) {
   if (pr.hit) {
     ++st.write_hits;
     l1d_.touch(pr.set, pr.way, now);
-    auto data = l1d_.data(pr.set, pr.way);
-    data[(addr - l1d_.geometry().line_base(addr)) / 8] = value;
   }
   return true;
 }

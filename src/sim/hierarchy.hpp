@@ -2,7 +2,9 @@
 // write-through L1 caches protected by parity (not modelled as stored bits —
 // L1 recovery is always refetch), a 16-entry coalescing write buffer, and a
 // write-back unified L2 behind it carrying the protection scheme under
-// study, over a split-transaction bus to main memory.
+// study, over a split-transaction bus to main memory. The L1s, kL1Latency,
+// the TLBs and the bus are Table 1's constants; HierarchyConfig sets the L2
+// and the write buffer.
 #pragma once
 
 #include <memory>
@@ -19,14 +21,11 @@
 
 namespace aeep::sim {
 
+/// L1 hit latency in cycles (Table 1).
+inline constexpr Cycle kL1Latency = 1;
+
 struct HierarchyConfig {
-  cache::CacheGeometry l1i = cache::kL1IGeometry;
-  cache::CacheGeometry l1d = cache::kL1DGeometry;
-  Cycle l1_latency = 1;
   protect::L2Config l2{};
-  mem::BusConfig bus{};
-  cpu::TlbConfig itlb{64, 4, 4096, 30};
-  cpu::TlbConfig dtlb{128, 4, 4096, 30};
   unsigned write_buffer_entries = 16;
   /// A write-buffer entry drains once it is this old (coalescing window) or
   /// once occupancy exceeds the watermark — whichever comes first.
@@ -40,11 +39,12 @@ struct HierarchyConfig {
   std::string capture_path{};
 };
 
-/// Digest of the fields that shape the stream of fills and drains the L1
-/// side hands the L2: the L1 geometries and latency, the TLBs, the write
-/// buffer's size and drain policy, and the L2's line size and hit latency
-/// (the port occupancy a drain charges). Two configs with one digest turn
-/// the same L1-level events into the same L2-side stream.
+/// Digest of what shapes the stream of fills and drains the L1 side hands
+/// the L2: the L1 geometries and latency and the TLBs (constants, still
+/// hashed so trace headers keep their bytes), the write buffer's size and
+/// drain policy, and the L2's line size and hit latency (the port occupancy
+/// a drain charges). Two configs with one digest turn the same L1-level
+/// events into the same L2-side stream.
 u64 l1_side_digest(const HierarchyConfig& config);
 
 class MemoryHierarchy final : public cpu::MemoryInterface {

@@ -63,26 +63,27 @@ void Auditor::audit_line(u64 set, unsigned way) {
     add("dirty-line-uncovered", set, way,
         "dirty line has no ECC words (scheme=" + scheme.name() + ")");
 
-  if (config_.check_codes && !poisoned) {
-    const auto par = scheme.parity_words(set, way);
-    for (std::size_t w = 0; w < par.size(); ++w) {
-      if (par[w] != parity_.encode(data[w])) {
-        std::ostringstream os;
-        os << "stored parity of word " << w << " is stale";
-        add("code-mismatch-parity", set, way, os.str());
-      }
+  // A poisoned line keeps its corrupt payload on purpose.
+  if (poisoned) return;
+
+  const auto par = scheme.parity_words(set, way);
+  for (std::size_t w = 0; w < par.size(); ++w) {
+    if (par[w] != parity_.encode(data[w])) {
+      std::ostringstream os;
+      os << "stored parity of word " << w << " is stale";
+      add("code-mismatch-parity", set, way, os.str());
     }
-    const auto check = scheme.ecc_words(set, way);
-    for (std::size_t w = 0; w < check.size(); ++w) {
-      if (check[w] != secded_.encode(data[w])) {
-        std::ostringstream os;
-        os << "stored ECC of word " << w << " is stale";
-        add("code-mismatch-ecc", set, way, os.str());
-      }
+  }
+  const auto check = scheme.ecc_words(set, way);
+  for (std::size_t w = 0; w < check.size(); ++w) {
+    if (check[w] != secded_.encode(data[w])) {
+      std::ostringstream os;
+      os << "stored ECC of word " << w << " is stale";
+      add("code-mismatch-ecc", set, way, os.str());
     }
   }
 
-  if (config_.check_clean_vs_memory && !m.dirty && !poisoned) {
+  if (!m.dirty) {
     const Addr base = cache.line_addr(set, way);
     const mem::MemoryStore& memory = l2_->memory();
     for (std::size_t w = 0; w < data.size(); ++w) {

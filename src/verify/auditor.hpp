@@ -36,11 +36,6 @@ struct AuditorConfig {
   /// Audit on every Nth operation observed through the hook (1 = every op,
   /// 0 = only when audit() is called explicitly).
   unsigned check_every = 1;
-  /// Recompute parity/ECC codes and compare against the stored bytes.
-  /// Disable while un-healed injected faults are in flight.
-  bool check_codes = true;
-  /// Compare clean resident lines word-for-word against the memory store.
-  bool check_clean_vs_memory = true;
   /// Violations kept with full context; the rest are only counted.
   std::size_t max_recorded = 64;
 };

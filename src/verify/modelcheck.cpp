@@ -130,8 +130,7 @@ struct Harness {
 
   explicit Harness(const ModelCheckConfig& config)
       : l2(make_l2_config(config), bus, memory),
-        auditor(l2, {config.audit_every, /*check_codes=*/true,
-                     /*check_clean_vs_memory=*/true, 16}),
+        auditor(l2, {config.audit_every, 16}),
         fault_rng(config.seed ^ 0xFA17FA17FA17FA17ull) {}
 
   static protect::L2Config make_l2_config(const ModelCheckConfig& config) {

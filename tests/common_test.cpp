@@ -1,10 +1,14 @@
 // Tests for the common substrate: bit utilities, RNG and Zipf sampling,
 // statistics primitives (including the cycle-exact time-weighted level used
 // for the dirty-lines-per-cycle metric), CLI parsing and table rendering.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <stdexcept>
 
@@ -305,6 +309,24 @@ TEST(Cli, GetChoiceMapsSpellingsAndExitsTwoOnAnUnknownOne) {
                               {{"uniform", 0}, {"shared", 2}}),
               testing::ExitedWithCode(2),
               "unknown --scheme=uniform-ecc \\(uniform\\|shared\\)");
+}
+
+/// A main() in miniature, for a forked child: parse the command line, point
+/// stdout at `path`, print an answer and exit 0.
+[[noreturn]] void answer_to(const char* path) {
+  const char* argv[] = {"prog"};
+  (void)parse_cli_or_exit(1, argv);
+  ::dup2(::open(path, O_WRONLY), STDOUT_FILENO);
+  std::printf("42");  // no newline: the answer waits in stdout's buffer
+  std::exit(0);
+}
+
+TEST(Cli, ExitFailsWhenStdoutCannotBeWritten) {
+  // parse_cli_or_exit registered close_stdout, whose flush at exit is the
+  // first write to fail.
+  EXPECT_EXIT(answer_to("/dev/full"), testing::ExitedWithCode(1),
+              "write error: No space left on device");
+  EXPECT_EXIT(answer_to("/dev/null"), testing::ExitedWithCode(0), "");
 }
 
 /// Every enumerator of E survives to_string -> from_string, and an unknown

@@ -72,12 +72,12 @@ TEST_F(RecoveryTest, CorrectedErrorScrubsAndChargesLatency) {
       flip_bit(l2.cache_model().data(pr.set, pr.way)[3], 11);
 
   const Cycle done = l2.read(200, a);
-  EXPECT_EQ(done, 200 + 10 + l2.config().recovery.correction_latency);
+  EXPECT_EQ(done, 200 + 10 + RecoveryController::kCorrectionLatency);
   EXPECT_EQ(l2.cache_model().data(pr.set, pr.way)[3], 0xBEEFu);  // repaired
   const auto& st = l2.recovery().stats();
   EXPECT_EQ(st.errors, 1u);
   EXPECT_EQ(st.corrected, 1u);
-  EXPECT_EQ(st.stall_cycles, l2.config().recovery.correction_latency);
+  EXPECT_EQ(st.stall_cycles, RecoveryController::kCorrectionLatency);
   ASSERT_EQ(l2.recovery().error_log().size(), 1u);
   const auto e = l2.recovery().error_log()[0];
   EXPECT_EQ(e.action, RecoveryAction::kScrubCorrected);

@@ -7,9 +7,12 @@
 //   aeep_lint FILE...          lint specific files (paths used for scoping)
 //
 // Exit code: 0 = clean, 1 = findings, 2 = usage/IO trouble — the same
-// contract the grep script had, so CI and local habits keep working.
+// contract the grep script had, so CI and local habits keep working. A
+// report that cannot be written to stdout exits 1 (common/cli's
+// close_stdout).
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "analysis/rules.hpp"
+#include "common/cli.hpp"
 
 namespace fs = std::filesystem;
 using aeep::analysis::Finding;
@@ -71,6 +75,7 @@ int lint_paths(const std::vector<std::pair<std::string, fs::path>>& files) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::atexit(aeep::close_stdout);  // flags are parsed here, not by CliArgs
   std::string root = ".";
   std::vector<std::string> explicit_files;
 

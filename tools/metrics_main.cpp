@@ -198,6 +198,7 @@ int main(int argc, char** argv) {
   }
   if (cmd == "diff") {
     // Two positional paths, no flags.
+    std::atexit(close_stdout);
     std::vector<std::string> paths;
     for (int i = 2; i < argc; ++i) paths.emplace_back(argv[i]);
     if (paths.size() != 2) return usage();
